@@ -17,24 +17,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from quantlab import render
+
 
 def _as_fraction(value) -> Fraction:
     if isinstance(value, bool) or not isinstance(value, (int, Fraction)):
         raise TypeError(f"expected int or Fraction, got {type(value).__name__}")
     return Fraction(value)
-
-
-def format_fraction(q: Fraction) -> str:
-    if q.denominator == 1:
-        return str(q.numerator)
-    return f"{q.numerator}/{q.denominator}"
-
-
-def format_fraction_latex(q: Fraction) -> str:
-    if q.denominator == 1:
-        return str(q.numerator)
-    sign = "-" if q < 0 else ""
-    return sign + r"\frac{%d}{%d}" % (abs(q.numerator), q.denominator)
 
 
 @dataclass(frozen=True)
@@ -78,32 +67,10 @@ class Scalar:
         return not self.is_zero()
 
     def text(self) -> str:
-        if self.im == 0:
-            return format_fraction(self.re)
-        if self.re == 0:
-            if self.im == 1:
-                return "i"
-            if self.im == -1:
-                return "-i"
-            return f"{format_fraction(self.im)}*i"
-        sign = " + " if self.im > 0 else " - "
-        mag = abs(self.im)
-        imag = "i" if mag == 1 else f"{format_fraction(mag)}*i"
-        return f"{format_fraction(self.re)}{sign}{imag}"
+        return render.scalar(self, render.TEXT)
 
     def latex(self) -> str:
-        if self.im == 0:
-            return format_fraction_latex(self.re)
-        if self.re == 0:
-            if self.im == 1:
-                return "i"
-            if self.im == -1:
-                return "-i"
-            return f"{format_fraction_latex(self.im)} i"
-        sign = " + " if self.im > 0 else " - "
-        mag = abs(self.im)
-        imag = "i" if mag == 1 else f"{format_fraction_latex(mag)} i"
-        return f"{format_fraction_latex(self.re)}{sign}{imag}"
+        return render.scalar(self, render.LATEX)
 
     def __str__(self) -> str:
         return self.text()
@@ -126,25 +93,31 @@ class CoeffMono:
     def sort_key(self) -> tuple[int, int, int]:
         return (self.h_exp, self.w_exp, self.r_exp)
 
-    def factors(self) -> list[str]:
-        out = []
-        if self.h_exp:
-            out.append("hbar" if self.h_exp == 1 else f"hbar^{self.h_exp}")
-        if self.w_exp:
-            out.append("omega" if self.w_exp == 1 else f"omega^{self.w_exp}")
-        if self.r_exp:
-            out.append("sqrt2")
-        return out
 
-    def latex_factors(self) -> list[str]:
-        out = []
-        if self.h_exp:
-            out.append(r"\hbar" if self.h_exp == 1 else r"\hbar^{%d}" % self.h_exp)
-        if self.w_exp:
-            out.append(r"\omega" if self.w_exp == 1 else r"\omega^{%d}" % self.w_exp)
-        if self.r_exp:
-            out.append(r"\sqrt{2}")
-        return out
+def _accumulate(acc: dict, key, value) -> None:
+    """Add value into acc[key] in place, dropping the key when the sum is zero.
+
+    Every sparse sum in the package (coefficients, polynomials and
+    operators) accumulates through this one rule, which keeps term maps
+    canonical.
+    """
+    prev = acc.get(key)
+    total = value if prev is None else prev + value
+    if total:
+        acc[key] = total
+    else:
+        acc.pop(key, None)
+
+
+def _canonical(cls, terms: dict):
+    """An instance of term-map class cls over terms that hold no zero value.
+
+    For maps built by _accumulate (or from nonzero values by an operation
+    that keeps them nonzero), so the constructor's zero scan is skipped.
+    """
+    out = cls.__new__(cls)
+    out._terms = terms
+    return out
 
 
 _UNIT = CoeffMono()
@@ -239,13 +212,8 @@ class Coefficient:
         other = Coefficient.of(other)
         acc = dict(self._terms)
         for mono, scalar in other._terms.items():
-            prev = acc.get(mono)
-            total = scalar if prev is None else prev + scalar
-            if total:
-                acc[mono] = total
-            else:
-                acc.pop(mono, None)
-        return Coefficient(acc)
+            _accumulate(acc, mono, scalar)
+        return _canonical(Coefficient, acc)
 
     __radd__ = __add__
 
@@ -260,7 +228,7 @@ class Coefficient:
         return Coefficient.of(other) + (-self)
 
     def __neg__(self) -> "Coefficient":
-        return Coefficient({m: -s for m, s in self._terms.items()})
+        return _canonical(Coefficient, {m: -s for m, s in self._terms.items()})
 
     def __mul__(self, other) -> "Coefficient":
         if not isinstance(other, (Coefficient, CoeffMono, Scalar, int, Fraction)):
@@ -269,8 +237,9 @@ class Coefficient:
             # rational scaling never merges monomials
             if other == 0:
                 return Coefficient.zero()
-            return Coefficient(
-                {m: Scalar(s.re * other, s.im * other) for m, s in self._terms.items()}
+            return _canonical(
+                Coefficient,
+                {m: Scalar(s.re * other, s.im * other) for m, s in self._terms.items()},
             )
         other = Coefficient.of(other)
         acc: dict[CoeffMono, Scalar] = {}
@@ -282,13 +251,8 @@ class Coefficient:
                     scalar = scalar * _TWO
                     r = 0
                 mono = CoeffMono(m1.h_exp + m2.h_exp, m1.w_exp + m2.w_exp, r)
-                prev = acc.get(mono)
-                total = scalar if prev is None else prev + scalar
-                if total:
-                    acc[mono] = total
-                else:
-                    acc.pop(mono, None)
-        return Coefficient(acc)
+                _accumulate(acc, mono, scalar)
+        return _canonical(Coefficient, acc)
 
     __rmul__ = __mul__
 
@@ -314,129 +278,13 @@ class Coefficient:
     # -- rendering -------------------------------------------------------
 
     def text(self) -> str:
-        if not self._terms:
-            return "0"
-        parts = []
-        for mono, scalar in self.sorted_terms():
-            parts.append(" * ".join(term_factors(scalar, mono.factors())))
-        return join_signed_terms(parts)
+        return render.coefficient(self, render.TEXT)
 
     def latex(self) -> str:
-        if not self._terms:
-            return "0"
-        parts = []
-        for mono, scalar in self.sorted_terms():
-            parts.append(" ".join(term_factors_latex(scalar, mono.latex_factors())))
-        return join_signed_terms(parts)
+        return render.coefficient(self, render.LATEX)
 
     def __repr__(self) -> str:
         return f"Coefficient({self.text()})"
 
     def __str__(self) -> str:
         return self.text()
-
-
-def term_factors(scalar: Scalar, tail: list[str]) -> list[str]:
-    """Factor strings for scalar * <tail>, folding unit scalars into the tail.
-
-    A -1 folds onto the first factor only when that factor carries no
-    exponent: the grammar binds '^' after unary minus, so "-hbar^2" would
-    read back as (-hbar)^2.
-    """
-    tail = list(tail)
-    if scalar.im == 0:
-        if scalar.re == 1 and tail:
-            head = []
-        elif scalar.re == -1 and tail and "^" not in tail[0]:
-            head = []
-            tail[0] = "-" + tail[0]
-        else:
-            head = [format_fraction(scalar.re)]
-    elif scalar.re == 0:
-        if scalar.im == 1:
-            head = ["i"]
-        elif scalar.im == -1:
-            head = ["-i"]
-        else:
-            head = [format_fraction(scalar.im), "i"]
-    else:
-        head = ["(" + scalar.text() + ")"]
-    return (head + tail) or ["1"]
-
-
-def term_factors_latex(scalar: Scalar, tail: list[str]) -> list[str]:
-    tail = list(tail)
-    if scalar.im == 0:
-        if scalar.re == 1 and tail:
-            head = []
-        elif scalar.re == -1 and tail:
-            # in display math the minus is read as negating the product
-            head = []
-            tail[0] = "-" + tail[0]
-        else:
-            head = [format_fraction_latex(scalar.re)]
-    elif scalar.re == 0:
-        if scalar.im == 1:
-            head = ["i"]
-        elif scalar.im == -1:
-            head = ["-i"]
-        else:
-            head = [format_fraction_latex(scalar.im), "i"]
-    else:
-        head = [r"\left(" + scalar.latex() + r"\right)"]
-    return (head + tail) or ["1"]
-
-
-def coefficient_factors(coeff: Coefficient, tail=()) -> list[str]:
-    """Factor list for coeff * <tail factors>, parenthesizing sums."""
-    items = coeff.sorted_terms()
-    tail = list(tail)
-    if not items:
-        return ["0"] + tail
-    if len(items) == 1:
-        mono, scalar = items[0]
-        return term_factors(scalar, mono.factors() + tail)
-    return ["(" + coeff.text() + ")"] + tail
-
-
-def coefficient_factors_latex(coeff: Coefficient, tail=()) -> list[str]:
-    items = coeff.sorted_terms()
-    tail = list(tail)
-    if not items:
-        return ["0"] + tail
-    if len(items) == 1:
-        mono, scalar = items[0]
-        return term_factors_latex(scalar, mono.latex_factors() + tail)
-    return [r"\left(" + coeff.latex() + r"\right)"] + tail
-
-
-def join_signed_terms(terms: list[str]) -> str:
-    """Join rendered terms with binary +/- so negations read naturally."""
-    parts = []
-    for term in terms:
-        if not parts:
-            parts.append(term)
-        elif term.startswith("-"):
-            parts.append(" - " + term[1:])
-        else:
-            parts.append(" + " + term)
-    return "".join(parts)
-
-
-def render_terms(sorted_items, mono_factors) -> str:
-    """Plain-text rendering of (monomial, Coefficient) pairs."""
-    if not sorted_items:
-        return "0"
-    parts = []
-    for mono, coeff in sorted_items:
-        parts.append(" * ".join(coefficient_factors(coeff, mono_factors(mono))))
-    return join_signed_terms(parts)
-
-
-def render_terms_latex(sorted_items, mono_factors) -> str:
-    if not sorted_items:
-        return "0"
-    parts = []
-    for mono, coeff in sorted_items:
-        parts.append(" ".join(coefficient_factors_latex(coeff, mono_factors(mono))))
-    return join_signed_terms(parts)

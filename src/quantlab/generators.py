@@ -26,6 +26,7 @@ _Y = PhasePoly.variable(PhaseVar.Y)
 _PX = PhasePoly.variable(PhaseVar.PX)
 _PY = PhasePoly.variable(PhaseVar.PY)
 _HALF = Fraction(1, 2)
+_MINUS_HALF_I = Scalar(Fraction(0), Fraction(-1, 2))
 
 
 @dataclass(frozen=True)
@@ -112,24 +113,34 @@ def k_integral(params: OscillatorParams) -> PhasePoly:
     return p_poly(params) * g + d_poly(params) * hamiltonian_flow_apply(l_integral(), g)
 
 
-def ladder_integrals(params: OscillatorParams) -> tuple[PhasePoly, PhasePoly]:
-    """Unnormalized ladder-product integrals (F1, F2).
+def ladder_products(x, y, px, py, params: OscillatorParams, which: tuple[int, ...]):
+    """Ladder products F_w for each w in `which`, from four atoms of one algebra.
 
-    Built from b1 = px - i*omega1*x and b2 = py - i*omega2*y (and their
-    conjugates) as F1 = (b1^n b2*^m + b1*^n b2^m)/2 and
-    F2 = -(i/2)(b1^n b2*^m - b1*^n b2^m).  The 1/sqrt(2*omega_j)
-    normalizations are dropped: they rescale by an overall constant and
-    do not affect first-integral status.
+    With b1 = px - i*omega1*x and b2 = py - i*omega2*y (and their
+    conjugates), F1 = (b1^n b2*^m + b1*^n b2^m)/2 and
+    F2 = -(i/2)(b1^n b2*^m - b1*^n b2^m).  The atoms may be phase-space
+    variables or operators: each summand is a product of powers of two
+    commuting factors, so no ordering ambiguity arises.
     """
     omega1 = Coefficient.term(CoeffMono(w_exp=1, r_exp=1), Scalar(Fraction(1)))
     omega2 = omega1 * Fraction(params.n, params.m)
     i_unit = Coefficient.i()
-    b1 = _PX - _X * (i_unit * omega1)
-    b1_conj = _PX + _X * (i_unit * omega1)
-    b2 = _PY - _Y * (i_unit * omega2)
-    b2_conj = _PY + _Y * (i_unit * omega2)
+    b1 = px - x * (i_unit * omega1)
+    b1_conj = px + x * (i_unit * omega1)
+    b2 = py - y * (i_unit * omega2)
+    b2_conj = py + y * (i_unit * omega2)
     forward = b1 ** params.n * b2_conj ** params.m
     backward = b1_conj ** params.n * b2 ** params.m
-    f1 = (forward + backward) * _HALF
-    f2 = (forward - backward) * Scalar(Fraction(0), Fraction(-1, 2))
-    return f1, f2
+    return tuple(
+        (forward + backward) * _HALF if w == 1 else (forward - backward) * _MINUS_HALF_I
+        for w in which
+    )
+
+
+def ladder_integrals(params: OscillatorParams) -> tuple[PhasePoly, PhasePoly]:
+    """Unnormalized ladder-product integrals (F1, F2) of ladder_products.
+
+    The 1/sqrt(2*omega_j) normalizations are dropped: they rescale by an
+    overall constant and do not affect first-integral status.
+    """
+    return ladder_products(_X, _Y, _PX, _PY, params, (1, 2))

@@ -2,24 +2,21 @@
 
 Polynomials are sparse maps from exponent quadruples to coefficients,
 stored canonically (no zero coefficients, graded-lex term order), so
-equality is structural.  The module supplies partial derivatives, the
-canonical Poisson bracket, and the linear substitution that eliminates
-the auxiliary pair (u, pu) in favor of Cartesian (y, py).
+equality is structural.  The map itself, its monomial type and its
+linear algebra live in TermMap and Monomial, which the normal-ordered
+operators of weylalgebra share.  The module supplies partial
+derivatives, the canonical Poisson bracket, and the linear substitution
+that eliminates the auxiliary pair (u, pu) in favor of Cartesian (y, py).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from enum import Enum
 from fractions import Fraction
 
-from quantlab.coeffring import (
-    CoeffMono,
-    Coefficient,
-    Scalar,
-    render_terms,
-    render_terms_latex,
-)
+from quantlab import render
+from quantlab.coeffring import CoeffMono, Coefficient, Scalar, _accumulate, _canonical
 
 
 class PhaseVar(Enum):
@@ -36,58 +33,51 @@ _VAR_SLOT = {PhaseVar.X: 0, PhaseVar.Y: 1, PhaseVar.PX: 2, PhaseVar.PY: 3}
 _CANONICAL_PAIRS = ((PhaseVar.X, PhaseVar.PX), (PhaseVar.Y, PhaseVar.PY))
 
 
-@dataclass(frozen=True)
-class PhaseMono:
-    """Monomial x^a y^b px^c py^d."""
+class Monomial(namedtuple("Monomial", "a b c d")):
+    """Exponents of x^a y^b px^c py^d.
 
-    a: int = 0
-    b: int = 0
-    c: int = 0
-    d: int = 0
+    One type keys both commutative polynomials and normal-ordered
+    operator words X^a Y^b Px^c Py^d; PhaseMono and OpMono name it.
+    """
 
-    def __post_init__(self):
-        if min(self.a, self.b, self.c, self.d) < 0:
+    __slots__ = ()
+
+    def __new__(cls, a: int = 0, b: int = 0, c: int = 0, d: int = 0):
+        if a < 0 or b < 0 or c < 0 or d < 0:
             raise ValueError("exponents must be nonnegative")
+        return tuple.__new__(cls, (a, b, c, d))
 
     def degree(self) -> int:
-        return self.a + self.b + self.c + self.d
-
-    def exponents(self) -> tuple[int, int, int, int]:
-        return (self.a, self.b, self.c, self.d)
+        return sum(self)
 
     def sort_key(self):
-        return (self.degree(), self.a, self.b, self.c, self.d)
+        """Graded lexicographic: degree, then the exponents (a, b, c, d)."""
+        return (sum(self), self)
 
-    def __mul__(self, other: "PhaseMono") -> "PhaseMono":
-        return PhaseMono(self.a + other.a, self.b + other.b,
-                         self.c + other.c, self.d + other.d)
-
-    def factors(self) -> list[str]:
-        out = []
-        for name, exp in zip(("x", "y", "px", "py"), self.exponents()):
-            if exp == 1:
-                out.append(name)
-            elif exp > 1:
-                out.append(f"{name}^{exp}")
-        return out
-
-    def latex_factors(self) -> list[str]:
-        out = []
-        for name, exp in zip(("x", "y", "p_x", "p_y"), self.exponents()):
-            if exp == 1:
-                out.append(name)
-            elif exp > 1:
-                out.append("%s^{%d}" % (name, exp))
-        return out
+    def __mul__(self, other: "Monomial") -> "Monomial":
+        return Monomial(self.a + other.a, self.b + other.b,
+                        self.c + other.c, self.d + other.d)
 
 
-class PhasePoly:
-    """Sparse commutative polynomial with Coefficient coefficients."""
+PhaseMono = Monomial
+
+_SCALARS = (Coefficient, CoeffMono, Scalar, int, Fraction)
+
+
+class TermMap:
+    """Sparse map from Monomial keys to Coefficient values, kept canonical.
+
+    Canonical form stores no zero coefficients, so equality is
+    structural.  A subclass supplies only the product of two of its
+    values (``_product``), the key of its display names in the render
+    styles (``_names``) and its own queries.
+    """
 
     __slots__ = ("_terms",)
+    _names: str
 
-    def __init__(self, terms: dict[PhaseMono, Coefficient] | None = None):
-        clean: dict[PhaseMono, Coefficient] = {}
+    def __init__(self, terms: dict[Monomial, Coefficient] | None = None):
+        clean: dict[Monomial, Coefficient] = {}
         if terms:
             for mono, coeff in terms.items():
                 coeff = Coefficient.of(coeff)
@@ -98,38 +88,32 @@ class PhasePoly:
     # -- constructors ----------------------------------------------------
 
     @classmethod
-    def zero(cls) -> "PhasePoly":
+    def zero(cls):
         return cls()
 
     @classmethod
-    def one(cls) -> "PhasePoly":
+    def one(cls):
         return cls.constant(1)
 
     @classmethod
-    def constant(cls, value) -> "PhasePoly":
-        return cls({PhaseMono(): Coefficient.of(value)})
+    def constant(cls, value):
+        return cls({Monomial(): Coefficient.of(value)})
 
     @classmethod
-    def variable(cls, var: PhaseVar) -> "PhasePoly":
-        exps = [0, 0, 0, 0]
-        exps[_VAR_SLOT[var]] = 1
-        return cls({PhaseMono(*exps): Coefficient.one()})
-
-    @classmethod
-    def monomial(cls, mono: PhaseMono, coeff=1) -> "PhasePoly":
+    def monomial(cls, mono: Monomial, coeff=1):
         return cls({mono: Coefficient.of(coeff)})
 
     # -- queries ----------------------------------------------------------
 
     @property
-    def terms(self) -> dict[PhaseMono, Coefficient]:
+    def terms(self) -> dict[Monomial, Coefficient]:
         """Underlying term map; treat as read-only."""
         return self._terms
 
-    def sorted_terms(self) -> list[tuple[PhaseMono, Coefficient]]:
+    def sorted_terms(self) -> list[tuple[Monomial, Coefficient]]:
         return sorted(self._terms.items(), key=lambda kv: kv[0].sort_key(), reverse=True)
 
-    def coefficient(self, mono: PhaseMono) -> Coefficient:
+    def coefficient(self, mono: Monomial) -> Coefficient:
         return self._terms.get(mono, Coefficient.zero())
 
     def is_zero(self) -> bool:
@@ -141,100 +125,113 @@ class PhasePoly:
     def total_degree(self) -> int:
         return max((m.degree() for m in self._terms), default=0)
 
-    def is_position_only(self) -> bool:
-        return all(m.c == 0 and m.d == 0 for m in self._terms)
-
     # -- ring operations ----------------------------------------------------
 
-    def __add__(self, other) -> "PhasePoly":
-        if not isinstance(other, PhasePoly):
+    def __add__(self, other):
+        if not isinstance(other, type(self)):
             return NotImplemented
         acc = dict(self._terms)
         for mono, coeff in other._terms.items():
-            prev = acc.get(mono)
-            total = coeff if prev is None else prev + coeff
-            if total:
-                acc[mono] = total
-            else:
-                acc.pop(mono, None)
-        return PhasePoly(acc)
+            _accumulate(acc, mono, coeff)
+        return _canonical(type(self), acc)
 
-    def __sub__(self, other) -> "PhasePoly":
-        if not isinstance(other, PhasePoly):
+    def __sub__(self, other):
+        if not isinstance(other, type(self)):
             return NotImplemented
         return self + (-other)
 
-    def __neg__(self) -> "PhasePoly":
-        return PhasePoly({m: -c for m, c in self._terms.items()})
+    def __neg__(self):
+        return _canonical(type(self), {m: -c for m, c in self._terms.items()})
 
-    def __mul__(self, other) -> "PhasePoly":
-        if isinstance(other, PhasePoly):
-            acc: dict[PhaseMono, Coefficient] = {}
-            for m1, c1 in self._terms.items():
-                for m2, c2 in other._terms.items():
-                    mono = m1 * m2
-                    prod = c1 * c2
-                    prev = acc.get(mono)
-                    total = prod if prev is None else prev + prod
-                    if total:
-                        acc[mono] = total
-                    else:
-                        acc.pop(mono, None)
-            return PhasePoly(acc)
-        if isinstance(other, (Coefficient, CoeffMono, Scalar, int, Fraction)):
+    def __mul__(self, other):
+        if isinstance(other, type(self)):
+            return self._product(other)
+        if isinstance(other, _SCALARS):
             return self._scale(other)
         return NotImplemented
 
-    def __rmul__(self, other) -> "PhasePoly":
-        if isinstance(other, (Coefficient, CoeffMono, Scalar, int, Fraction)):
+    def __rmul__(self, other):
+        # scalars commute with every term map
+        if isinstance(other, _SCALARS):
             return self._scale(other)
         return NotImplemented
 
-    def _scale(self, value) -> "PhasePoly":
+    def _scale(self, value):
         coeff = Coefficient.of(value)
-        return PhasePoly({m: c * coeff for m, c in self._terms.items()})
+        return type(self)({m: c * coeff for m, c in self._terms.items()})
 
-    def __pow__(self, exponent: int) -> "PhasePoly":
+    def __pow__(self, exponent: int):
         if not isinstance(exponent, int) or exponent < 0:
             raise ValueError("exponent must be a nonnegative integer")
-        out = PhasePoly.one()
+        out = self.one()
         for _ in range(exponent):
             out = out * self
         return out
 
     def __eq__(self, other) -> bool:
-        if not isinstance(other, PhasePoly):
+        if not isinstance(other, type(self)):
             return NotImplemented
         return self._terms == other._terms
 
-    # -- calculus -------------------------------------------------------------
+    # -- rendering -------------------------------------------------------------
+
+    def _render(self, style: render.Style) -> str:
+        names = style.names[self._names]
+        return render.join_terms(
+            [
+                render.coefficient_factors(c, render.power_factors(names, m, style), style)
+                for m, c in self.sorted_terms()
+            ],
+            style,
+        )
+
+    def text(self) -> str:
+        return self._render(render.TEXT)
+
+    def latex(self) -> str:
+        return self._render(render.LATEX)
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({self.text()})"
+
+    def __str__(self) -> str:
+        return self.text()
+
+
+class PhasePoly(TermMap):
+    """Sparse commutative polynomial with Coefficient coefficients."""
+
+    __slots__ = ()
+    _names = "phase"
+
+    @classmethod
+    def variable(cls, var: PhaseVar) -> "PhasePoly":
+        exps = [0, 0, 0, 0]
+        exps[_VAR_SLOT[var]] = 1
+        return cls({Monomial(*exps): Coefficient.one()})
+
+    def is_position_only(self) -> bool:
+        return all(m.c == 0 and m.d == 0 for m in self._terms)
+
+    def _product(self, other: "PhasePoly") -> "PhasePoly":
+        acc: dict[Monomial, Coefficient] = {}
+        for m1, c1 in self._terms.items():
+            for m2, c2 in other._terms.items():
+                _accumulate(acc, m1 * m2, c1 * c2)
+        return _canonical(PhasePoly, acc)
 
     def partial(self, var: PhaseVar) -> "PhasePoly":
         """Formal partial derivative with respect to one phase variable."""
         slot = _VAR_SLOT[var]
-        acc: dict[PhaseMono, Coefficient] = {}
+        acc: dict[Monomial, Coefficient] = {}
         for mono, coeff in self._terms.items():
-            exps = list(mono.exponents())
+            exps = list(mono)
             exp = exps[slot]
             if exp == 0:
                 continue
             exps[slot] = exp - 1
-            acc[PhaseMono(*exps)] = coeff * exp
+            acc[Monomial(*exps)] = coeff * exp
         return PhasePoly(acc)
-
-    # -- rendering -------------------------------------------------------------
-
-    def text(self) -> str:
-        return render_terms(self.sorted_terms(), PhaseMono.factors)
-
-    def latex(self) -> str:
-        return render_terms_latex(self.sorted_terms(), PhaseMono.latex_factors)
-
-    def __repr__(self) -> str:
-        return f"PhasePoly({self.text()})"
-
-    def __str__(self) -> str:
-        return self.text()
 
 
 def poisson(f: PhasePoly, g: PhasePoly) -> PhasePoly:

@@ -20,8 +20,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
 
-from quantlab.coeffring import CoeffMono, Coefficient, Scalar
-from quantlab.generators import OscillatorParams
+from quantlab.generators import OscillatorParams, ladder_products
 from quantlab.phasepoly import PhaseMono, PhasePoly
 from quantlab.weylalgebra import (
     OpMono,
@@ -39,6 +38,13 @@ class Scheme(Enum):
     WEYL = "weyl"
 
 
+# Weight w_k of P^(s-k) X^r P^k in the image of x^r p^s.
+_ORDERING_WEIGHTS = {
+    Scheme.BORN_JORDAN: lambda s: [Fraction(1, s + 1)] * (s + 1),
+    Scheme.WEYL: lambda s: [Fraction(comb(s, k), 2 ** s) for k in range(s + 1)],
+}
+
+
 @lru_cache(maxsize=None)
 def _pair_rule(scheme: Scheme, r: int, s: int) -> tuple[Fraction, ...]:
     """Normal-ordered image of one canonical pair.
@@ -46,16 +52,11 @@ def _pair_rule(scheme: Scheme, r: int, s: int) -> tuple[Fraction, ...]:
     x^r p^s maps to sum_j rule[j] * (-i hbar)^j * X^(r-j) P^(s-j), where
     rule[j] collapses the ordering sum through the swap identity.
     """
-    out = []
-    for j in range(min(r, s) + 1):
-        if scheme is Scheme.BORN_JORDAN:
-            weight_sum = Fraction(sum(comb(s - k, j) for k in range(s + 1)), s + 1)
-        else:
-            weight_sum = Fraction(
-                sum(comb(s, k) * comb(s - k, j) for k in range(s + 1)), 2 ** s
-            )
-        out.append(factorial(j) * comb(r, j) * weight_sum)
-    return tuple(out)
+    weights = _ORDERING_WEIGHTS[scheme](s)
+    return tuple(
+        factorial(j) * comb(r, j) * sum(w * comb(s - k, j) for k, w in enumerate(weights))
+        for j in range(min(r, s) + 1)
+    )
 
 
 @lru_cache(maxsize=None)
@@ -85,25 +86,13 @@ def quantize(scheme: Scheme, poly: PhasePoly) -> Operator:
 
 
 def quantize_ladder(params: OscillatorParams, which: int) -> Operator:
-    """Quantize a ladder integral by direct momentum substitution.
+    """Quantize ladder integral F1 (which = 1) or F2 (which = 2) directly.
 
-    Builds B1 = Px - i*omega1*X (and friends) as operators and returns
-    (B1^n B2*^m + B1*^n B2^m)/2 for which = 1 or
-    -(i/2)(B1^n B2*^m - B1*^n B2^m) for which = 2, unnormalized to match
-    the classical ladder integrals.  Each summand is a product of powers
-    of two fixed commuting factors, so no ordering ambiguity arises.
+    The classical ladder products are rebuilt with position and momentum
+    operators in place of the phase-space variables, unnormalized to
+    match the classical ladder integrals.
     """
     if which not in (1, 2):
         raise ValueError("which must be 1 or 2")
-    omega1 = Coefficient.term(CoeffMono(w_exp=1, r_exp=1), Scalar(Fraction(1)))
-    omega2 = omega1 * Fraction(params.n, params.m)
-    i_unit = Coefficient.i()
-    b1 = px_hat() - x_hat() * (i_unit * omega1)
-    b1_conj = px_hat() + x_hat() * (i_unit * omega1)
-    b2 = py_hat() - y_hat() * (i_unit * omega2)
-    b2_conj = py_hat() + y_hat() * (i_unit * omega2)
-    forward = b1 ** params.n * b2_conj ** params.m
-    backward = b1_conj ** params.n * b2 ** params.m
-    if which == 1:
-        return (forward + backward) * Fraction(1, 2)
-    return (forward - backward) * Scalar(Fraction(0), Fraction(-1, 2))
+    (op,) = ladder_products(x_hat(), y_hat(), px_hat(), py_hat(), params, (which,))
+    return op

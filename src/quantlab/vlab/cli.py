@@ -21,7 +21,7 @@ from quantlab.generators import OscillatorParams, hamiltonian, k_integral
 from quantlab.quantizer import Scheme, quantize
 from quantlab.weylalgebra import commutator, differential_text
 from quantlab.vlab import report
-from quantlab.vlab.parser import ParseError, parse_polynomial
+from quantlab.vlab.parser import parse_polynomial
 from quantlab.vlab.verify import failed_claims, sweep, verify_ladder_pair, verify_pair
 
 _SCHEMES = {"bj": Scheme.BORN_JORDAN, "weyl": Scheme.WEYL}
@@ -142,14 +142,9 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ParseError as exc:
+    except ValueError as exc:  # ParseError included
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except RuntimeError as exc:
-        return _fail([str(exc)])
 
 
 if __name__ == "__main__":

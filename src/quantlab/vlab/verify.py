@@ -1,10 +1,11 @@
 """Verification pipelines over (m, n) parameter grids.
 
-Each pipeline builds a classical integral, confirms its bracket with the
-Hamiltonian vanishes, quantizes it under both ordering rules, computes
-both commutators with the quantized Hamiltonian, and cross-checks every
-symbolic commutator against the differential action on a spanning set of
-position monomials.
+Each pipeline builds a classical integral, records whether its bracket
+with the Hamiltonian vanishes, quantizes it under both ordering rules,
+computes both commutators with the quantized Hamiltonian, and
+cross-checks every symbolic commutator against the differential action
+on a spanning set of position monomials.  A nonzero bracket is reported
+by failed_claims; it does not stop a sweep.
 """
 
 from __future__ import annotations
@@ -76,11 +77,6 @@ def _verify(
 ) -> VerificationRecord:
     h = hamiltonian(params)
     bracket = poisson(h, classical)
-    if not bracket.is_zero():
-        raise RuntimeError(
-            f"internal consistency violation: classical bracket of H and {target} "
-            f"is nonzero for (m, n) = ({params.m}, {params.n})"
-        )
     h_op = quantize(Scheme.WEYL, h)
     weyl_op = quantize(Scheme.WEYL, classical)
     bj_op = quantize(Scheme.BORN_JORDAN, classical)
@@ -94,7 +90,7 @@ def _verify(
         m=params.m,
         n=params.n,
         target=target,
-        classical_bracket_zero=True,
+        classical_bracket_zero=bracket.is_zero(),
         bj_equals_weyl=diff.is_zero(),
         weyl_commutes=weyl_comm.is_zero(),
         bj_commutes=bj_comm.is_zero(),

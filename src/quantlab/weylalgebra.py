@@ -14,19 +14,13 @@ for cross-checks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial, perm
 
-from quantlab.coeffring import (
-    CoeffMono,
-    Coefficient,
-    Scalar,
-    render_terms,
-    render_terms_latex,
-)
-from quantlab.phasepoly import PhaseMono, PhasePoly
+from quantlab import render
+from quantlab.coeffring import CoeffMono, Coefficient, Scalar, _accumulate, _canonical
+from quantlab.phasepoly import Monomial, PhaseMono, PhasePoly, TermMap
 
 # (-i)^k for k mod 4
 _NEG_I_POW = (
@@ -49,191 +43,23 @@ def _swap_weights(s: int, r: int) -> tuple[int, ...]:
     return tuple(factorial(k) * comb(s, k) * comb(r, k) for k in range(min(r, s) + 1))
 
 
-@dataclass(frozen=True)
-class OpMono:
-    """Normal-ordered word X^a Y^b Px^c Py^d (hatted operators)."""
-
-    a: int = 0
-    b: int = 0
-    c: int = 0
-    d: int = 0
-
-    def __post_init__(self):
-        if min(self.a, self.b, self.c, self.d) < 0:
-            raise ValueError("exponents must be nonnegative")
-
-    def degree(self) -> int:
-        return self.a + self.b + self.c + self.d
-
-    def momentum_degree(self) -> int:
-        return self.c + self.d
-
-    def position_degree(self) -> int:
-        return self.a + self.b
-
-    def exponents(self) -> tuple[int, int, int, int]:
-        return (self.a, self.b, self.c, self.d)
-
-    def sort_key(self):
-        return (self.degree(), self.a, self.b, self.c, self.d)
-
-    def factors(self) -> list[str]:
-        out = []
-        for name, exp in zip(("x", "y", "px", "py"), self.exponents()):
-            if exp == 1:
-                out.append(name)
-            elif exp > 1:
-                out.append(f"{name}^{exp}")
-        return out
-
-    def latex_factors(self) -> list[str]:
-        out = []
-        for name, exp in zip(
-            (r"\hat{x}", r"\hat{y}", r"\hat{p}_x", r"\hat{p}_y"), self.exponents()
-        ):
-            if exp == 1:
-                out.append(name)
-            elif exp > 1:
-                out.append("%s^{%d}" % (name, exp))
-        return out
-
-    def derivative_factor(self) -> str | None:
-        """Rendered d^n/dx^c dy^d factor when the word is read as derivatives."""
-        order = self.c + self.d
-        if order == 0:
-            return None
-        dens = []
-        if self.c:
-            dens.append("dx" if self.c == 1 else f"dx^{self.c}")
-        if self.d:
-            dens.append("dy" if self.d == 1 else f"dy^{self.d}")
-        head = "d" if order == 1 else f"d^{order}"
-        return f"{head}/{' '.join(dens)}"
+OpMono = Monomial
 
 
-class Operator:
+class Operator(TermMap):
     """Sparse normal-ordered operator with Coefficient coefficients."""
 
-    __slots__ = ("_terms",)
+    __slots__ = ()
+    _names = "operator"
 
-    def __init__(self, terms: dict[OpMono, Coefficient] | None = None):
-        clean: dict[OpMono, Coefficient] = {}
-        if terms:
-            for mono, coeff in terms.items():
-                coeff = Coefficient.of(coeff)
-                if coeff:
-                    clean[mono] = coeff
-        self._terms = clean
-
-    # -- constructors ------------------------------------------------------
-
-    @classmethod
-    def zero(cls) -> "Operator":
-        return cls()
-
-    @classmethod
-    def one(cls) -> "Operator":
-        return cls.constant(1)
-
-    @classmethod
-    def constant(cls, value) -> "Operator":
-        return cls({OpMono(): Coefficient.of(value)})
-
-    @classmethod
-    def monomial(cls, mono: OpMono, coeff=1) -> "Operator":
-        return cls({mono: Coefficient.of(coeff)})
-
-    # -- queries ------------------------------------------------------------
-
-    @property
-    def terms(self) -> dict[OpMono, Coefficient]:
-        """Underlying term map; treat as read-only."""
-        return self._terms
-
-    def sorted_terms(self) -> list[tuple[OpMono, Coefficient]]:
-        return sorted(self._terms.items(), key=lambda kv: kv[0].sort_key(), reverse=True)
-
-    def coefficient(self, mono: OpMono) -> Coefficient:
-        return self._terms.get(mono, Coefficient.zero())
-
-    def is_zero(self) -> bool:
-        return not self._terms
-
-    def __bool__(self) -> bool:
-        return bool(self._terms)
+    def _product(self, other: "Operator") -> "Operator":
+        return op_mul(self, other)
 
     def momentum_order(self) -> int:
-        return max((m.momentum_degree() for m in self._terms), default=0)
+        return max((m.c + m.d for m in self._terms), default=0)
 
     def position_order(self) -> int:
-        return max((m.position_degree() for m in self._terms), default=0)
-
-    # -- algebra ---------------------------------------------------------------
-
-    def __add__(self, other) -> "Operator":
-        if not isinstance(other, Operator):
-            return NotImplemented
-        acc = dict(self._terms)
-        for mono, coeff in other._terms.items():
-            prev = acc.get(mono)
-            total = coeff if prev is None else prev + coeff
-            if total:
-                acc[mono] = total
-            else:
-                acc.pop(mono, None)
-        return Operator(acc)
-
-    def __sub__(self, other) -> "Operator":
-        if not isinstance(other, Operator):
-            return NotImplemented
-        return self + (-other)
-
-    def __neg__(self) -> "Operator":
-        return Operator({m: -c for m, c in self._terms.items()})
-
-    def __mul__(self, other) -> "Operator":
-        if isinstance(other, Operator):
-            return op_mul(self, other)
-        if isinstance(other, (Coefficient, CoeffMono, Scalar, int, Fraction)):
-            return self._scale(other)
-        return NotImplemented
-
-    def __rmul__(self, other) -> "Operator":
-        # scalars commute with every operator
-        if isinstance(other, (Coefficient, CoeffMono, Scalar, int, Fraction)):
-            return self._scale(other)
-        return NotImplemented
-
-    def _scale(self, value) -> "Operator":
-        coeff = Coefficient.of(value)
-        return Operator({m: c * coeff for m, c in self._terms.items()})
-
-    def __pow__(self, exponent: int) -> "Operator":
-        if not isinstance(exponent, int) or exponent < 0:
-            raise ValueError("exponent must be a nonnegative integer")
-        out = Operator.one()
-        for _ in range(exponent):
-            out = op_mul(out, self)
-        return out
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Operator):
-            return NotImplemented
-        return self._terms == other._terms
-
-    # -- rendering ----------------------------------------------------------------
-
-    def text(self) -> str:
-        return render_terms(self.sorted_terms(), OpMono.factors)
-
-    def latex(self) -> str:
-        return render_terms_latex(self.sorted_terms(), OpMono.latex_factors)
-
-    def __repr__(self) -> str:
-        return f"Operator({self.text()})"
-
-    def __str__(self) -> str:
-        return self.text()
+        return max((m.a + m.b for m in self._terms), default=0)
 
 
 def x_hat() -> Operator:
@@ -273,13 +99,8 @@ def op_mul(left: Operator, right: Operator) -> Operator:
                         m1.d + m2.d - k2,
                     )
                     coeff = base * (w1 * w2) * neg_i_hbar_power(k1 + k2)
-                    prev = acc.get(mono)
-                    total = coeff if prev is None else prev + coeff
-                    if total:
-                        acc[mono] = total
-                    else:
-                        acc.pop(mono, None)
-    return Operator(acc)
+                    _accumulate(acc, mono, coeff)
+    return _canonical(Operator, acc)
 
 
 def commutator(left: Operator, right: Operator) -> Operator:
@@ -293,7 +114,7 @@ def classical_symbol(op: Operator) -> PhasePoly:
     for mono, coeff in op.terms.items():
         part = coeff.hbar_free_part()
         if part:
-            acc[PhaseMono(mono.a, mono.b, mono.c, mono.d)] = part
+            acc[mono] = part
     return PhasePoly(acc)
 
 
@@ -316,13 +137,8 @@ def apply_to_polynomial(op: Operator, poly: PhasePoly) -> PhasePoly:
             mono = PhaseMono(
                 omono.a + pmono.a - omono.c, omono.b + pmono.b - omono.d, 0, 0
             )
-            prev = acc.get(mono)
-            total = coeff if prev is None else prev + coeff
-            if total:
-                acc[mono] = total
-            else:
-                acc.pop(mono, None)
-    return PhasePoly(acc)
+            _accumulate(acc, mono, coeff)
+    return _canonical(PhasePoly, acc)
 
 
 def adjoint(op: Operator) -> Operator:
@@ -357,53 +173,28 @@ def differential_terms(op: Operator) -> dict[OpMono, Coefficient]:
     momentum realization.
     """
     return {
-        mono: coeff * neg_i_hbar_power(mono.momentum_degree())
+        mono: coeff * neg_i_hbar_power(mono.c + mono.d)
         for mono, coeff in op.terms.items()
     }
 
 
-def _differential_factors(mono: OpMono) -> list[str]:
-    out = []
-    for name, exp in zip(("x", "y"), (mono.a, mono.b)):
-        if exp == 1:
-            out.append(name)
-        elif exp > 1:
-            out.append(f"{name}^{exp}")
-    deriv = mono.derivative_factor()
-    if deriv:
-        out.append(deriv)
-    return out
-
-
-def _differential_latex_factors(mono: OpMono) -> list[str]:
-    out = []
-    for name, exp in zip(("x", "y"), (mono.a, mono.b)):
-        if exp == 1:
-            out.append(name)
-        elif exp > 1:
-            out.append("%s^{%d}" % (name, exp))
-    order = mono.c + mono.d
-    if order:
-        dens = []
-        if mono.c:
-            dens.append(r"\partial x" if mono.c == 1 else r"\partial x^{%d}" % mono.c)
-        if mono.d:
-            dens.append(r"\partial y" if mono.d == 1 else r"\partial y^{%d}" % mono.d)
-        head = r"\partial" if order == 1 else r"\partial^{%d}" % order
-        out.append(r"\frac{%s}{%s}" % (head, r" \, ".join(dens)))
-    return out
-
-
-def _sorted_differential_terms(op: Operator) -> list[tuple[OpMono, Coefficient]]:
-    return sorted(
+def _render_differential(op: Operator, style: render.Style) -> str:
+    items = sorted(
         differential_terms(op).items(), key=lambda kv: kv[0].sort_key(), reverse=True
+    )
+    return render.join_terms(
+        [
+            render.coefficient_factors(c, render.differential_factors(m, style), style)
+            for m, c in items
+        ],
+        style,
     )
 
 
 def differential_text(op: Operator) -> str:
     """Plain-text rendering in derivative form."""
-    return render_terms(_sorted_differential_terms(op), _differential_factors)
+    return _render_differential(op, render.TEXT)
 
 
 def differential_latex(op: Operator) -> str:
-    return render_terms_latex(_sorted_differential_terms(op), _differential_latex_factors)
+    return _render_differential(op, render.LATEX)

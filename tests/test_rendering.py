@@ -1,0 +1,131 @@
+"""Exact rendered strings of polynomials, operators and a LaTeX report.
+
+Every expected string is pinned byte for byte, so any change to the
+text or LaTeX conventions (fractions, signs, folding of -1, parentheses,
+operator hats, derivative forms) shows up here.
+"""
+
+from fractions import Fraction
+
+import pytest
+
+from quantlab.coeffring import Coefficient, Scalar
+from quantlab.quantizer import Scheme, quantize
+from quantlab.vlab.parser import parse_polynomial
+from quantlab.vlab.report import record_latex
+from quantlab.vlab.verify import verify_pair
+from quantlab.weylalgebra import OpMono, Operator, differential_latex, differential_text
+
+POLYS = [
+    (
+        "3/4*x^2*py - (1/2 + 2/3*i)*y*px + 5",
+        "3/4 * x^2 * py + (-1/2 - 2/3*i) * y * px + 5",
+        r"\frac{3}{4} x^{2} p_y + \left(-\frac{1}{2} - \frac{2}{3} i\right) y p_x + 5",
+    ),
+    (
+        "0 - omega^2 - x^2*y + 7/3*hbar*x",
+        "-1 * x^2 * y + 7/3 * hbar * x - 1 * omega^2",
+        r"-x^{2} y + \frac{7}{3} \hbar x - \omega^{2}",
+    ),
+    (
+        "0 - x*py^2 + y - 1",
+        "-x * py^2 + y - 1",
+        r"-x p_y^{2} + y - 1",
+    ),
+    (
+        "0 - i*x^3 + 3/4*i*y - (1/2 - i)*px*py^2",
+        "-i * x^3 + (-1/2 + i) * px * py^2 + 3/4 * i * y",
+        r"-i x^{3} + \left(-\frac{1}{2} + i\right) p_x p_y^{2} + \frac{3}{4} i y",
+    ),
+    (
+        "sqrt2*x + (hbar + sqrt2)*px - (omega^2 - 1/2*hbar)*x*y",
+        "(1/2 * hbar - 1 * omega^2) * x * y + sqrt2 * x + (hbar + sqrt2) * px",
+        r"\left(\frac{1}{2} \hbar - \omega^{2}\right) x y + \sqrt{2} x"
+        r" + \left(\hbar + \sqrt{2}\right) p_x",
+    ),
+    ("0", "0", "0"),
+]
+
+
+@pytest.mark.parametrize("expr, text, latex", POLYS)
+def test_phasepoly_strings(expr, text, latex):
+    poly = parse_polynomial(expr)
+    assert poly.text() == text
+    assert poly.latex() == latex
+    assert str(poly) == text
+
+
+def _built_operator() -> Operator:
+    i = Coefficient.i()
+    return Operator(
+        {
+            OpMono(a=2, c=1, d=1): i * Fraction(3, 4),
+            OpMono(b=1, c=2): -Coefficient.omega(2),
+            OpMono(c=1): -i,
+            OpMono(a=1, d=3): Coefficient.hbar() + Coefficient.sqrt2(),
+            OpMono(): Coefficient.of(Scalar(Fraction(-1, 2), Fraction(5, 3))),
+            OpMono(b=2): Coefficient.of(-1),
+        }
+    )
+
+
+OPERATORS = [
+    (
+        _built_operator,
+        "3/4 * i * x^2 * px * py + (hbar + sqrt2) * x * py^3 - 1 * omega^2 * y * px^2"
+        " - 1 * y^2 - i * px + (-1/2 + 5/3*i)",
+        r"\frac{3}{4} i \hat{x}^{2} \hat{p}_x \hat{p}_y"
+        r" + \left(\hbar + \sqrt{2}\right) \hat{x} \hat{p}_y^{3}"
+        r" - \omega^{2} \hat{y} \hat{p}_x^{2} - \hat{y}^{2} - i \hat{p}_x"
+        r" + \left(-\frac{1}{2} + \frac{5}{3} i\right)",
+        "-3/4 * i * hbar^2 * x^2 * d^2/dx dy + (i * hbar^4 + i * hbar^3 * sqrt2) * x * d^3/dy^3"
+        " + hbar^2 * omega^2 * y * d^2/dx^2 - 1 * y^2 - hbar * d/dx + (-1/2 + 5/3*i)",
+        r"-\frac{3}{4} i \hbar^{2} x^{2} \frac{\partial^{2}}{\partial x \, \partial y}"
+        r" + \left(i \hbar^{4} + i \hbar^{3} \sqrt{2}\right) x \frac{\partial^{3}}{\partial y^{3}}"
+        r" + \hbar^{2} \omega^{2} y \frac{\partial^{2}}{\partial x^{2}} - y^{2}"
+        r" - \hbar \frac{\partial}{\partial x} + \left(-\frac{1}{2} + \frac{5}{3} i\right)",
+    ),
+    (Operator.zero, "0", "0", "0", "0"),
+    (
+        lambda: quantize(Scheme.WEYL, parse_polynomial("x*px^2*py")),
+        "x * px^2 * py - i * hbar * px * py",
+        r"\hat{x} \hat{p}_x^{2} \hat{p}_y - i \hbar \hat{p}_x \hat{p}_y",
+        "i * hbar^3 * x * d^3/dx^2 dy + i * hbar^3 * d^2/dx dy",
+        r"i \hbar^{3} x \frac{\partial^{3}}{\partial x^{2} \, \partial y}"
+        r" + i \hbar^{3} \frac{\partial^{2}}{\partial x \, \partial y}",
+    ),
+    (
+        lambda: quantize(Scheme.BORN_JORDAN, parse_polynomial("omega^2*x^2*px^2 - sqrt2*y*py")),
+        "omega^2 * x^2 * px^2 - 2 * i * hbar * omega^2 * x * px - sqrt2 * y * py"
+        " + (-2/3 * hbar^2 * omega^2 + 1/2 * i * hbar * sqrt2)",
+        r"\omega^{2} \hat{x}^{2} \hat{p}_x^{2} - 2 i \hbar \omega^{2} \hat{x} \hat{p}_x"
+        r" - \sqrt{2} \hat{y} \hat{p}_y"
+        r" + \left(-\frac{2}{3} \hbar^{2} \omega^{2} + \frac{1}{2} i \hbar \sqrt{2}\right)",
+        "-1 * hbar^2 * omega^2 * x^2 * d^2/dx^2 - 2 * hbar^2 * omega^2 * x * d/dx"
+        " + i * hbar * sqrt2 * y * d/dy + (-2/3 * hbar^2 * omega^2 + 1/2 * i * hbar * sqrt2)",
+        r"-\hbar^{2} \omega^{2} x^{2} \frac{\partial^{2}}{\partial x^{2}}"
+        r" - 2 \hbar^{2} \omega^{2} x \frac{\partial}{\partial x}"
+        r" + i \hbar \sqrt{2} y \frac{\partial}{\partial y}"
+        r" + \left(-\frac{2}{3} \hbar^{2} \omega^{2} + \frac{1}{2} i \hbar \sqrt{2}\right)",
+    ),
+]
+
+
+@pytest.mark.parametrize("build, text, latex, diff_text, diff_latex", OPERATORS)
+def test_operator_strings(build, text, latex, diff_text, diff_latex):
+    op = build()
+    assert op.text() == text
+    assert str(op) == text
+    assert op.latex() == latex
+    assert differential_text(op) == diff_text
+    assert differential_latex(op) == diff_latex
+
+
+def test_record_latex_4_1():
+    assert record_latex(verify_pair(4, 1)) == (
+        "\\paragraph{Pair $(4, 1)$, target k.}\n"
+        "$\\hat K^{BJ} - \\hat K^{W} = 32 \\hbar^{2} \\omega^{2} \\hat{x}$\n"
+        "$[\\hat H, \\hat K^{W}] = 0 = 0$\n"
+        "$[\\hat H, \\hat K^{BJ}] = -32 i \\hbar^{3} \\omega^{2} \\hat{p}_x"
+        " = -32 \\hbar^{4} \\omega^{2} \\frac{\\partial}{\\partial x}$\n"
+    )

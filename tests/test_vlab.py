@@ -5,6 +5,8 @@ import json
 import pytest
 
 from quantlab.coeffring import Coefficient
+from quantlab.phasepoly import PhasePoly, PhaseVar
+from quantlab.vlab import verify as verify_module
 from quantlab.vlab.report import (
     SWEEP_NOTE,
     operator_json,
@@ -217,3 +219,24 @@ def test_reports_deterministic():
 def test_operator_json_round_numbers():
     op = Operator.zero()
     assert operator_json(op) == []
+
+
+def test_nonzero_classical_bracket_is_recorded(monkeypatch):
+    real_k = verify_module.k_integral
+
+    def perturbed(params):
+        k = real_k(params)
+        if (params.m, params.n) == (1, 2):
+            return k + PhasePoly.variable(PhaseVar.X)
+        return k
+
+    monkeypatch.setattr(verify_module, "k_integral", perturbed)
+    records = sweep(3)
+    assert [(r.m, r.n) for r in records] == [(1, 1), (1, 2), (2, 1)]
+    by_pair = {(r.m, r.n): r for r in records}
+    assert by_pair[(1, 2)].classical_bracket_zero is False
+    assert by_pair[(1, 1)].classical_bracket_zero is True
+    assert "(m, n) = (1, 2), target k: classical bracket is nonzero" in failed_claims(
+        by_pair[(1, 2)]
+    )
+    assert not failed_claims(by_pair[(2, 1)])
