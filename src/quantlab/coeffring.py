@@ -1,4 +1,5 @@
-"""Exact arithmetic in the coefficient ring Q(i)[sqrt2][hbar, omega].
+"""Exact arithmetic in the coefficient ring Q(i)[sqrt2][hbar, omega], and
+TermMap, the one sparse container of the package.
 
 Every constant produced by the oscillator constructions lives in this
 ring: Gaussian rationals carry the imaginary unit of the ladder factors
@@ -8,20 +9,31 @@ sqrt2 * sqrt2 = 2, the only irrationality the constructions need.
 Keeping hbar and omega symbolic makes claims such as "every commutator
 term carries hbar^2 and omega" checkable as exact exponent bounds.
 
+The ring nests three sparse maps deep: a Coefficient maps parameter
+monomials to Scalars, and the polynomials and operators of phasepoly and
+weylalgebra map exponent quadruples to Coefficients.  TermMap is the
+map of every level; a level names its value ring, the key of a constant,
+its display names and its product, and nothing else.
+
 Values are immutable and operations are pure, so sharing between
 concurrent tasks is safe.
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
 
 from quantlab import render
 
 
+# Exact types, so a bool is not a rational.
+_RATIONALS = (int, Fraction)
+
+
 def _as_fraction(value) -> Fraction:
-    if isinstance(value, bool) or not isinstance(value, (int, Fraction)):
+    if type(value) not in _RATIONALS:
         raise TypeError(f"expected int or Fraction, got {type(value).__name__}")
     return Fraction(value)
 
@@ -39,6 +51,13 @@ class Scalar:
         if type(self.im) is not Fraction:
             object.__setattr__(self, "im", _as_fraction(self.im))
 
+    @classmethod
+    def of(cls, value) -> "Scalar":
+        """value itself if a Scalar, else an int or Fraction (not a bool) as a Scalar."""
+        if isinstance(value, Scalar):
+            return value
+        return cls(_as_fraction(value))
+
     def __add__(self, other: "Scalar") -> "Scalar":
         return Scalar(self.re + other.re, self.im + other.im)
 
@@ -48,11 +67,17 @@ class Scalar:
     def __neg__(self) -> "Scalar":
         return Scalar(-self.re, -self.im)
 
-    def __mul__(self, other: "Scalar") -> "Scalar":
-        return Scalar(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
+    def __mul__(self, other) -> "Scalar":
+        if isinstance(other, Scalar):
+            return Scalar(
+                self.re * other.re - self.im * other.im,
+                self.re * other.im + self.im * other.re,
+            )
+        if type(other) in _RATIONALS:
+            return Scalar(self.re * other, self.im * other)
+        return NotImplemented
+
+    __rmul__ = __mul__
 
     def conjugate(self) -> "Scalar":
         return Scalar(self.re, -self.im)
@@ -66,6 +91,9 @@ class Scalar:
     def __bool__(self) -> bool:
         return not self.is_zero()
 
+    def factors(self, tail: list[str], style: render.Style) -> list[str]:
+        return render.scalar_factors(self, tail, style)
+
     def text(self) -> str:
         return render.scalar(self, render.TEXT)
 
@@ -76,22 +104,20 @@ class Scalar:
         return self.text()
 
 
-@dataclass(frozen=True)
-class CoeffMono:
+class CoeffMono(namedtuple("CoeffMono", "h_exp w_exp r_exp")):
     """Parameter monomial hbar^h_exp * omega^w_exp * sqrt2^r_exp."""
 
-    h_exp: int = 0
-    w_exp: int = 0
-    r_exp: int = 0
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.h_exp < 0 or self.w_exp < 0:
+    def __new__(cls, h_exp: int = 0, w_exp: int = 0, r_exp: int = 0):
+        if h_exp < 0 or w_exp < 0:
             raise ValueError("hbar and omega exponents must be nonnegative")
-        if self.r_exp not in (0, 1):
+        if r_exp not in (0, 1):
             raise ValueError("sqrt2 exponent must be reduced to 0 or 1")
+        return tuple.__new__(cls, (h_exp, w_exp, r_exp))
 
     def sort_key(self) -> tuple[int, int, int]:
-        return (self.h_exp, self.w_exp, self.r_exp)
+        return self
 
 
 def _accumulate(acc: dict, key, value) -> None:
@@ -120,171 +146,222 @@ def _canonical(cls, terms: dict):
     return out
 
 
-_UNIT = CoeffMono()
-_TWO = Scalar(Fraction(2))
+class TermMap:
+    """Sparse map from monomial keys to nonzero values, kept canonical.
 
+    Canonical form stores no zero values, so equality is structural and
+    a - b == zero exactly when a equals b.  A subclass names its value
+    ring (``_ring``, whose ``of`` coerces a constant), the key of a
+    constant (``_unit``), the key of its display names in the render
+    styles (``_names``) and the product of two of its maps
+    (``_product``).
 
-class Coefficient:
-    """Finite Scalar-weighted sum of parameter monomials, kept canonical.
-
-    Canonical form stores no zero scalars, so equality is structural and
-    a - b == Coefficient.zero() exactly when a equals b.
+    One coercion rule serves every level: ``of`` returns an instance
+    unchanged and lifts anything the value ring's ``of`` accepts to a
+    constant; ``+``, ``-`` and ``==`` apply it to their other operand.
+    ``*`` multiplies two maps of one class, and otherwise scales: a
+    rational goes straight to the values, anything else is first
+    coerced by the value ring.
     """
 
     __slots__ = ("_terms",)
+    _ring: type
+    _unit: tuple
+    _names: str
 
-    def __init__(self, terms: dict[CoeffMono, Scalar] | None = None):
-        clean: dict[CoeffMono, Scalar] = {}
+    def __init__(self, terms: dict | None = None):
+        clean = {}
         if terms:
-            for mono, scalar in terms.items():
-                if scalar:
-                    clean[mono] = scalar
+            of = self._ring.of
+            for key, value in terms.items():
+                value = of(value)
+                if value:
+                    clean[key] = value
         self._terms = clean
 
-    # -- constructors -------------------------------------------------
+    # -- constructors ----------------------------------------------------
 
     @classmethod
-    def zero(cls) -> "Coefficient":
+    def of(cls, value):
+        if isinstance(value, cls):
+            return value
+        return cls.constant(value)
+
+    @classmethod
+    def zero(cls):
         return cls()
 
     @classmethod
-    def of(cls, value) -> "Coefficient":
-        """Coerce an int, Fraction, Scalar, CoeffMono or Coefficient."""
-        if isinstance(value, Coefficient):
-            return value
-        if isinstance(value, CoeffMono):
-            return cls({value: Scalar(Fraction(1))})
-        if isinstance(value, Scalar):
-            return cls({_UNIT: value})
-        return cls({_UNIT: Scalar(_as_fraction(value))})
+    def one(cls):
+        return cls.constant(1)
 
     @classmethod
-    def one(cls) -> "Coefficient":
-        return cls.of(1)
+    def constant(cls, value):
+        return cls({cls._unit: value})
 
     @classmethod
-    def i(cls) -> "Coefficient":
-        return cls.of(Scalar(Fraction(0), Fraction(1)))
+    def monomial(cls, key, value=1):
+        return cls({key: value})
 
-    @classmethod
-    def hbar(cls, exp: int = 1) -> "Coefficient":
-        return cls({CoeffMono(h_exp=exp): Scalar(Fraction(1))})
-
-    @classmethod
-    def omega(cls, exp: int = 1) -> "Coefficient":
-        return cls({CoeffMono(w_exp=exp): Scalar(Fraction(1))})
-
-    @classmethod
-    def sqrt2(cls) -> "Coefficient":
-        return cls({CoeffMono(r_exp=1): Scalar(Fraction(1))})
-
-    @classmethod
-    def term(cls, mono: CoeffMono, scalar: Scalar) -> "Coefficient":
-        return cls({mono: scalar})
-
-    # -- queries -------------------------------------------------------
+    # -- queries ----------------------------------------------------------
 
     @property
-    def terms(self) -> dict[CoeffMono, Scalar]:
+    def terms(self) -> dict:
         """Underlying term map; treat as read-only."""
         return self._terms
 
-    def sorted_terms(self) -> list[tuple[CoeffMono, Scalar]]:
+    def sorted_terms(self) -> list[tuple]:
         return sorted(self._terms.items(), key=lambda kv: kv[0].sort_key(), reverse=True)
+
+    def coefficient(self, key):
+        return self._terms.get(key, self._ring.of(0))
 
     def is_zero(self) -> bool:
         return not self._terms
 
-    def is_real(self) -> bool:
-        return all(s.is_real() for s in self._terms.values())
-
     def __bool__(self) -> bool:
         return bool(self._terms)
 
-    def hbar_free_part(self) -> "Coefficient":
-        return Coefficient({m: s for m, s in self._terms.items() if m.h_exp == 0})
+    def total_degree(self) -> int:
+        return max((sum(key) for key in self._terms), default=0)
 
-    # -- ring operations -----------------------------------------------
+    # -- ring operations ----------------------------------------------------
 
-    def __add__(self, other) -> "Coefficient":
-        if not isinstance(other, (Coefficient, CoeffMono, Scalar, int, Fraction)):
+    def __add__(self, other):
+        try:
+            other = self.of(other)
+        except TypeError:
             return NotImplemented
-        other = Coefficient.of(other)
         acc = dict(self._terms)
-        for mono, scalar in other._terms.items():
-            _accumulate(acc, mono, scalar)
-        return _canonical(Coefficient, acc)
+        for key, value in other._terms.items():
+            _accumulate(acc, key, value)
+        return _canonical(type(self), acc)
 
     __radd__ = __add__
 
-    def __sub__(self, other) -> "Coefficient":
-        if not isinstance(other, (Coefficient, CoeffMono, Scalar, int, Fraction)):
+    def __sub__(self, other):
+        try:
+            other = self.of(other)
+        except TypeError:
             return NotImplemented
-        return self + (-Coefficient.of(other))
+        return self + (-other)
 
-    def __rsub__(self, other) -> "Coefficient":
-        if not isinstance(other, (Coefficient, CoeffMono, Scalar, int, Fraction)):
+    def __rsub__(self, other):
+        return (-self).__add__(other)
+
+    def __neg__(self):
+        return _canonical(type(self), {k: -v for k, v in self._terms.items()})
+
+    def __mul__(self, other):
+        if isinstance(other, type(self)):
+            return self._product(other)
+        if type(other) not in _RATIONALS:
+            try:
+                other = self._ring.of(other)
+            except TypeError:
+                return NotImplemented
+        if not other:
+            return self.zero()
+        # the ring has no zero divisors, so scaled values stay nonzero
+        return _canonical(type(self), {k: v * other for k, v in self._terms.items()})
+
+    # Python reflects * only for a left operand of another class, that is
+    # a scalar, and scalars commute with every term map.
+    __rmul__ = __mul__
+
+    def __pow__(self, exponent: int):
+        if not isinstance(exponent, int) or exponent < 0:
+            raise ValueError("exponent must be a nonnegative integer")
+        out = self.one()
+        for _ in range(exponent):
+            out = out * self
+        return out
+
+    def __eq__(self, other) -> bool:
+        try:
+            other = self.of(other)
+        except TypeError:
             return NotImplemented
-        return Coefficient.of(other) + (-self)
+        return self._terms == other._terms
 
-    def __neg__(self) -> "Coefficient":
-        return _canonical(Coefficient, {m: -s for m, s in self._terms.items()})
+    # -- rendering -------------------------------------------------------------
 
-    def __mul__(self, other) -> "Coefficient":
-        if not isinstance(other, (Coefficient, CoeffMono, Scalar, int, Fraction)):
-            return NotImplemented
-        if isinstance(other, (int, Fraction)) and not isinstance(other, bool):
-            # rational scaling never merges monomials
-            if other == 0:
-                return Coefficient.zero()
-            return _canonical(
-                Coefficient,
-                {m: Scalar(s.re * other, s.im * other) for m, s in self._terms.items()},
-            )
-        other = Coefficient.of(other)
+    def factors(self, tail: list[str], style: render.Style) -> list[str]:
+        """Factors of a nonzero self * <tail>: one term folds into the tail,
+        a sum is parenthesized."""
+        if len(self._terms) == 1:
+            ((key, value),) = self._terms.items()
+            names = style.names[self._names]
+            return value.factors(render.power_factors(names, key, style) + tail, style)
+        return [style.open + self._render(style) + style.close] + tail
+
+    def _render(self, style: render.Style) -> str:
+        names = style.names[self._names]
+        return render.join_terms(
+            [
+                value.factors(render.power_factors(names, key, style), style)
+                for key, value in self.sorted_terms()
+            ],
+            style,
+        )
+
+    def text(self) -> str:
+        return self._render(render.TEXT)
+
+    def latex(self) -> str:
+        return self._render(render.LATEX)
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({self.text()})"
+
+    def __str__(self) -> str:
+        return self.text()
+
+
+class Coefficient(TermMap):
+    """Finite Scalar-weighted sum of parameter monomials, kept canonical."""
+
+    __slots__ = ()
+    _ring = Scalar
+    _unit = CoeffMono()
+    _names = "coefficient"
+
+    @classmethod
+    def i(cls) -> "Coefficient":
+        return cls.constant(Scalar(Fraction(0), Fraction(1)))
+
+    @classmethod
+    def hbar(cls, exp: int = 1) -> "Coefficient":
+        return cls.monomial(CoeffMono(h_exp=exp))
+
+    @classmethod
+    def omega(cls, exp: int = 1) -> "Coefficient":
+        return cls.monomial(CoeffMono(w_exp=exp))
+
+    @classmethod
+    def sqrt2(cls) -> "Coefficient":
+        return cls.monomial(CoeffMono(r_exp=1))
+
+    def is_real(self) -> bool:
+        return all(s.is_real() for s in self._terms.values())
+
+    def hbar_free_part(self) -> "Coefficient":
+        return _canonical(Coefficient, {m: s for m, s in self._terms.items() if m.h_exp == 0})
+
+    def _product(self, other: "Coefficient") -> "Coefficient":
         acc: dict[CoeffMono, Scalar] = {}
         for m1, s1 in self._terms.items():
             for m2, s2 in other._terms.items():
                 scalar = s1 * s2
                 r = m1.r_exp + m2.r_exp
                 if r == 2:
-                    scalar = scalar * _TWO
+                    # sqrt2 * sqrt2 = 2
+                    scalar = scalar * 2
                     r = 0
                 mono = CoeffMono(m1.h_exp + m2.h_exp, m1.w_exp + m2.w_exp, r)
                 _accumulate(acc, mono, scalar)
         return _canonical(Coefficient, acc)
 
-    __rmul__ = __mul__
-
-    def __pow__(self, exponent: int) -> "Coefficient":
-        if not isinstance(exponent, int) or exponent < 0:
-            raise ValueError("exponent must be a nonnegative integer")
-        out = Coefficient.one()
-        for _ in range(exponent):
-            out = out * self
-        return out
-
     def conjugate(self) -> "Coefficient":
         """Map i to -i; hbar, omega and sqrt2 are fixed."""
-        return Coefficient({m: s.conjugate() for m, s in self._terms.items()})
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, (int, Fraction, Scalar, CoeffMono)):
-            other = Coefficient.of(other)
-        if not isinstance(other, Coefficient):
-            return NotImplemented
-        return self._terms == other._terms
-
-    # -- rendering -------------------------------------------------------
-
-    def text(self) -> str:
-        return render.coefficient(self, render.TEXT)
-
-    def latex(self) -> str:
-        return render.coefficient(self, render.LATEX)
-
-    def __repr__(self) -> str:
-        return f"Coefficient({self.text()})"
-
-    def __str__(self) -> str:
-        return self.text()
+        return _canonical(Coefficient, {m: s.conjugate() for m, s in self._terms.items()})

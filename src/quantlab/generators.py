@@ -60,17 +60,27 @@ def l_integral() -> PhasePoly:
     return _PX ** 2 * _HALF + _X ** 2 * Coefficient.omega(2)
 
 
+def _binomial_half(k: int, parity: int, s, axis: int, scale=1) -> PhasePoly:
+    """scale * sum over j = parity (mod 2) of C(k, j) s^j (-2 omega^2)^(j//2) q^j p^(k-j).
+
+    (q, p) is (x, px) for axis 0 and (y, py) for axis 1.  G_n, P and D
+    are each one parity half of this expansion; P and D are built in
+    (u, pu), held in the y and py slots until substitute_uy.
+    """
+    terms = {}
+    for j in range(parity, k + 1, 2):
+        exps = [0, 0, 0, 0]
+        exps[axis], exps[axis + 2] = j, k - j
+        value = scale * comb(k, j) * s ** j * (-2) ** (j // 2)
+        terms[PhaseMono(*exps)] = Coefficient.monomial(CoeffMono(w_exp=j - parity), value)
+    return PhasePoly(terms)
+
+
 def g_poly(n: int) -> PhasePoly:
     """G_n = sum_k C(n, 2k+1) (-2 omega^2)^k x^(2k+1) px^(n-2k-1)."""
     if isinstance(n, bool) or not isinstance(n, int) or n < 1:
         raise ValueError("n must be a positive integer")
-    acc = PhasePoly.zero()
-    for k in range((n - 1) // 2 + 1):
-        coeff = Coefficient.term(
-            CoeffMono(w_exp=2 * k), Scalar(Fraction(comb(n, 2 * k + 1) * (-2) ** k))
-        )
-        acc = acc + PhasePoly.monomial(PhaseMono(a=2 * k + 1, c=n - 2 * k - 1), coeff)
-    return acc
+    return _binomial_half(n, parity=1, s=1, axis=0)
 
 
 def p_poly(params: OscillatorParams) -> PhasePoly:
@@ -79,14 +89,7 @@ def p_poly(params: OscillatorParams) -> PhasePoly:
     P = sum_k C(m, 2k) (-(m/n) u)^(2k) pu^(m-2k) (-2 omega^2)^k.
     """
     m, n = params.m, params.n
-    ratio = Fraction(m, n)
-    acc = PhasePoly.zero()
-    for k in range(m // 2 + 1):
-        scalar = Scalar(comb(m, 2 * k) * ratio ** (2 * k) * (-2) ** k)
-        coeff = Coefficient.term(CoeffMono(w_exp=2 * k), scalar)
-        # y slot holds u, py slot holds pu until the substitution below
-        acc = acc + PhasePoly.monomial(PhaseMono(b=2 * k, d=m - 2 * k), coeff)
-    return substitute_uy(acc, m, n)
+    return substitute_uy(_binomial_half(m, parity=0, s=-Fraction(m, n), axis=1), m, n)
 
 
 def d_poly(params: OscillatorParams) -> PhasePoly:
@@ -96,15 +99,8 @@ def d_poly(params: OscillatorParams) -> PhasePoly:
     For m = 1 the sum collapses to its single term -(1/n^2) u.
     """
     m, n = params.m, params.n
-    ratio = Fraction(m, n)
-    acc = PhasePoly.zero()
-    for k in range((m - 1) // 2 + 1):
-        scalar = Scalar(
-            Fraction(comb(m, 2 * k + 1), n) * (-(ratio ** (2 * k + 1))) * (-2) ** k
-        )
-        coeff = Coefficient.term(CoeffMono(w_exp=2 * k), scalar)
-        acc = acc + PhasePoly.monomial(PhaseMono(b=2 * k + 1, d=m - 2 * k - 1), coeff)
-    return substitute_uy(acc, m, n)
+    half = _binomial_half(m, parity=1, s=-Fraction(m, n), axis=1, scale=Fraction(1, n))
+    return substitute_uy(half, m, n)
 
 
 def k_integral(params: OscillatorParams) -> PhasePoly:
@@ -122,7 +118,7 @@ def ladder_products(x, y, px, py, params: OscillatorParams, which: tuple[int, ..
     variables or operators: each summand is a product of powers of two
     commuting factors, so no ordering ambiguity arises.
     """
-    omega1 = Coefficient.term(CoeffMono(w_exp=1, r_exp=1), Scalar(Fraction(1)))
+    omega1 = Coefficient.monomial(CoeffMono(w_exp=1, r_exp=1))
     omega2 = omega1 * Fraction(params.n, params.m)
     i_unit = Coefficient.i()
     b1 = px - x * (i_unit * omega1)

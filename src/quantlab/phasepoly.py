@@ -1,12 +1,12 @@
 """Commutative phase-space polynomials in (x, y, px, py) over Coefficient.
 
-Polynomials are sparse maps from exponent quadruples to coefficients,
-stored canonically (no zero coefficients, graded-lex term order), so
-equality is structural.  The map itself, its monomial type and its
-linear algebra live in TermMap and Monomial, which the normal-ordered
-operators of weylalgebra share.  The module supplies partial
-derivatives, the canonical Poisson bracket, and the linear substitution
-that eliminates the auxiliary pair (u, pu) in favor of Cartesian (y, py).
+Polynomials are coeffring.TermMap maps from exponent quadruples to
+coefficients, stored canonically (no zero coefficients, graded-lex term
+order), so equality is structural.  The module defines Monomial, the
+exponent quadruple that also keys the normal-ordered operators of
+weylalgebra, and supplies the polynomial product, partial derivatives,
+the canonical Poisson bracket, and the linear substitution that
+eliminates the auxiliary pair (u, pu) in favor of Cartesian (y, py).
 """
 
 from __future__ import annotations
@@ -15,8 +15,7 @@ from collections import namedtuple
 from enum import Enum
 from fractions import Fraction
 
-from quantlab import render
-from quantlab.coeffring import CoeffMono, Coefficient, Scalar, _accumulate, _canonical
+from quantlab.coeffring import Coefficient, TermMap, _accumulate, _canonical
 
 
 class PhaseVar(Enum):
@@ -47,9 +46,6 @@ class Monomial(namedtuple("Monomial", "a b c d")):
             raise ValueError("exponents must be nonnegative")
         return tuple.__new__(cls, (a, b, c, d))
 
-    def degree(self) -> int:
-        return sum(self)
-
     def sort_key(self):
         """Graded lexicographic: degree, then the exponents (a, b, c, d)."""
         return (sum(self), self)
@@ -61,147 +57,13 @@ class Monomial(namedtuple("Monomial", "a b c d")):
 
 PhaseMono = Monomial
 
-_SCALARS = (Coefficient, CoeffMono, Scalar, int, Fraction)
-
-
-class TermMap:
-    """Sparse map from Monomial keys to Coefficient values, kept canonical.
-
-    Canonical form stores no zero coefficients, so equality is
-    structural.  A subclass supplies only the product of two of its
-    values (``_product``), the key of its display names in the render
-    styles (``_names``) and its own queries.
-    """
-
-    __slots__ = ("_terms",)
-    _names: str
-
-    def __init__(self, terms: dict[Monomial, Coefficient] | None = None):
-        clean: dict[Monomial, Coefficient] = {}
-        if terms:
-            for mono, coeff in terms.items():
-                coeff = Coefficient.of(coeff)
-                if coeff:
-                    clean[mono] = coeff
-        self._terms = clean
-
-    # -- constructors ----------------------------------------------------
-
-    @classmethod
-    def zero(cls):
-        return cls()
-
-    @classmethod
-    def one(cls):
-        return cls.constant(1)
-
-    @classmethod
-    def constant(cls, value):
-        return cls({Monomial(): Coefficient.of(value)})
-
-    @classmethod
-    def monomial(cls, mono: Monomial, coeff=1):
-        return cls({mono: Coefficient.of(coeff)})
-
-    # -- queries ----------------------------------------------------------
-
-    @property
-    def terms(self) -> dict[Monomial, Coefficient]:
-        """Underlying term map; treat as read-only."""
-        return self._terms
-
-    def sorted_terms(self) -> list[tuple[Monomial, Coefficient]]:
-        return sorted(self._terms.items(), key=lambda kv: kv[0].sort_key(), reverse=True)
-
-    def coefficient(self, mono: Monomial) -> Coefficient:
-        return self._terms.get(mono, Coefficient.zero())
-
-    def is_zero(self) -> bool:
-        return not self._terms
-
-    def __bool__(self) -> bool:
-        return bool(self._terms)
-
-    def total_degree(self) -> int:
-        return max((m.degree() for m in self._terms), default=0)
-
-    # -- ring operations ----------------------------------------------------
-
-    def __add__(self, other):
-        if not isinstance(other, type(self)):
-            return NotImplemented
-        acc = dict(self._terms)
-        for mono, coeff in other._terms.items():
-            _accumulate(acc, mono, coeff)
-        return _canonical(type(self), acc)
-
-    def __sub__(self, other):
-        if not isinstance(other, type(self)):
-            return NotImplemented
-        return self + (-other)
-
-    def __neg__(self):
-        return _canonical(type(self), {m: -c for m, c in self._terms.items()})
-
-    def __mul__(self, other):
-        if isinstance(other, type(self)):
-            return self._product(other)
-        if isinstance(other, _SCALARS):
-            return self._scale(other)
-        return NotImplemented
-
-    def __rmul__(self, other):
-        # scalars commute with every term map
-        if isinstance(other, _SCALARS):
-            return self._scale(other)
-        return NotImplemented
-
-    def _scale(self, value):
-        coeff = Coefficient.of(value)
-        return type(self)({m: c * coeff for m, c in self._terms.items()})
-
-    def __pow__(self, exponent: int):
-        if not isinstance(exponent, int) or exponent < 0:
-            raise ValueError("exponent must be a nonnegative integer")
-        out = self.one()
-        for _ in range(exponent):
-            out = out * self
-        return out
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, type(self)):
-            return NotImplemented
-        return self._terms == other._terms
-
-    # -- rendering -------------------------------------------------------------
-
-    def _render(self, style: render.Style) -> str:
-        names = style.names[self._names]
-        return render.join_terms(
-            [
-                render.coefficient_factors(c, render.power_factors(names, m, style), style)
-                for m, c in self.sorted_terms()
-            ],
-            style,
-        )
-
-    def text(self) -> str:
-        return self._render(render.TEXT)
-
-    def latex(self) -> str:
-        return self._render(render.LATEX)
-
-    def __repr__(self) -> str:
-        return f"{type(self).__name__}({self.text()})"
-
-    def __str__(self) -> str:
-        return self.text()
-
 
 class PhasePoly(TermMap):
     """Sparse commutative polynomial with Coefficient coefficients."""
 
     __slots__ = ()
+    _ring = Coefficient
+    _unit = Monomial()
     _names = "phase"
 
     @classmethod

@@ -7,9 +7,13 @@ parentheses around a sum, the joiner of a rational and i inside a
 Gaussian rational, whether a leading -1 may fold onto a factor carrying
 a power, the power format, and the display names of the variables.
 
-Values are read through their public fields (``re``/``im`` of a scalar,
-``sorted_terms()`` of a sum, the exponents of a monomial), so this
-module imports nothing else from the package.
+This module renders the pieces: a Gaussian rational, the powers of a
+monomial, a derivative, and the signed join of terms given as factors.
+Sums are put together by coeffring.TermMap, the one sum renderer, where
+each value renders itself as factors (``Scalar.factors`` through
+scalar_factors, a Coefficient by folding a single term or parenthesizing
+a sum).  Values are read through their public fields, so this module
+imports nothing else from the package.
 """
 
 from __future__ import annotations
@@ -122,31 +126,6 @@ def scalar_factors(value, tail: list[str], style: Style) -> list[str]:
     else:
         head = [fraction(value.im, style), "i"]
     return head + tail
-
-
-def coefficient_factors(coeff, tail: list[str], style: Style) -> list[str]:
-    """Factors of a nonzero coeff * <tail>, parenthesizing a sum."""
-    items = coeff.sorted_terms()
-    if len(items) == 1:
-        mono, value = items[0]
-        return scalar_factors(value, _coefficient_mono_factors(mono, style) + tail, style)
-    return [style.open + coefficient(coeff, style) + style.close] + tail
-
-
-def _coefficient_mono_factors(mono, style: Style) -> list[str]:
-    exponents = (mono.h_exp, mono.w_exp, mono.r_exp)
-    return power_factors(style.names["coefficient"], exponents, style)
-
-
-def coefficient(coeff, style: Style) -> str:
-    """A coefficient: its (parameter monomial, scalar) terms."""
-    return join_terms(
-        [
-            scalar_factors(value, _coefficient_mono_factors(mono, style), style)
-            for mono, value in coeff.sorted_terms()
-        ],
-        style,
-    )
 
 
 def differential_factors(mono, style: Style) -> list[str]:

@@ -74,6 +74,8 @@ class Pow:
 ExprAST = Num | Sym | Neg | BinOp | Pow
 
 _OP_CHARS = set("+-*^/()")
+# ASCII only: str.isdigit() also accepts digits such as '²' that int() rejects
+_DIGITS = set("0123456789")
 
 
 def _tokenize(text: str) -> list[Token]:
@@ -91,10 +93,10 @@ def _tokenize(text: str) -> list[Token]:
             col += 1
             pos += 1
             continue
-        if ch.isdigit():
+        if ch in _DIGITS:
             start = pos
             start_col = col
-            while pos < len(text) and text[pos].isdigit():
+            while pos < len(text) and text[pos] in _DIGITS:
                 pos += 1
                 col += 1
             tokens.append(Token("int", text[start:pos], line, start_col))

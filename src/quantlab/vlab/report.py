@@ -142,11 +142,11 @@ def sweep_text(records: list[VerificationRecord], max_sum: int, target: str) -> 
             f" min_h={record.min_h_exp} min_w={record.min_w_exp}"
             f" oracle={_yes_no(record.oracle_agreement)}{extra}"
         )
-    failures = [fail for record in records for fail in failed_claims(record)]
-    passed = len(records) - len({fail.split(":")[0] for fail in failures})
+    claims = [failed_claims(record) for record in records]
+    passed = sum(1 for fails in claims if not fails)
     lines.append(f"claims: {passed}/{len(records)} records pass")
-    for fail in failures:
-        lines.append(f"failure: {fail}")
+    for fails in claims:
+        lines += [f"failure: {fail}" for fail in fails]
     lines.append(f"note: {SWEEP_NOTE}")
     return "\n".join(lines) + "\n"
 

@@ -29,8 +29,6 @@ from quantlab.weylalgebra import (
 )
 
 TARGET_K = "k"
-TARGET_F1 = "f1"
-TARGET_F2 = "f2"
 
 
 @dataclass

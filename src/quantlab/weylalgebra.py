@@ -19,8 +19,8 @@ from functools import lru_cache
 from math import comb, factorial, perm
 
 from quantlab import render
-from quantlab.coeffring import CoeffMono, Coefficient, Scalar, _accumulate, _canonical
-from quantlab.phasepoly import Monomial, PhaseMono, PhasePoly, TermMap
+from quantlab.coeffring import CoeffMono, Coefficient, Scalar, TermMap, _accumulate, _canonical
+from quantlab.phasepoly import Monomial, PhaseMono, PhasePoly
 
 # (-i)^k for k mod 4
 _NEG_I_POW = (
@@ -34,7 +34,7 @@ _NEG_I_POW = (
 @lru_cache(maxsize=None)
 def neg_i_hbar_power(k: int) -> Coefficient:
     """(-i*hbar)^k as a Coefficient."""
-    return Coefficient.term(CoeffMono(h_exp=k), _NEG_I_POW[k % 4])
+    return Coefficient.monomial(CoeffMono(h_exp=k), _NEG_I_POW[k % 4])
 
 
 @lru_cache(maxsize=None)
@@ -50,6 +50,8 @@ class Operator(TermMap):
     """Sparse normal-ordered operator with Coefficient coefficients."""
 
     __slots__ = ()
+    _ring = Coefficient
+    _unit = Monomial()
     _names = "operator"
 
     def _product(self, other: "Operator") -> "Operator":
@@ -184,7 +186,7 @@ def _render_differential(op: Operator, style: render.Style) -> str:
     )
     return render.join_terms(
         [
-            render.coefficient_factors(c, render.differential_factors(m, style), style)
+            c.factors(render.differential_factors(m, style), style)
             for m, c in items
         ],
         style,

@@ -3,7 +3,11 @@
 from fractions import Fraction
 from random import Random
 
+import pytest
+
 from quantlab.coeffring import CoeffMono, Coefficient, Scalar
+from quantlab.phasepoly import PhasePoly, PhaseVar
+from quantlab.weylalgebra import Operator, x_hat
 
 from randgen import rand_coefficient
 
@@ -115,3 +119,20 @@ def test_scalar_rendering():
     assert Scalar(Fraction(3, 4)).text() == "3/4"
     assert Scalar(Fraction(0), Fraction(-1)).text() == "-i"
     assert Scalar(Fraction(1), Fraction(-2)).text() == "1 - 2*i"
+
+
+def test_coercion_lifts_constants_at_every_level():
+    x = PhasePoly.variable(PhaseVar.X)
+    assert x + 1 == x + PhasePoly.one()
+    assert 1 - x == -(x - 1)
+    assert Operator.zero() == 0
+    assert Coefficient.hbar() ** 2 == Coefficient.hbar(2)
+
+
+def test_coercion_rejects_non_ring_operands():
+    with pytest.raises(TypeError):
+        Coefficient.one() * True
+    with pytest.raises(TypeError):
+        Coefficient.of(CoeffMono())
+    with pytest.raises(TypeError):
+        PhasePoly.variable(PhaseVar.X) + x_hat()

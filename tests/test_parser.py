@@ -116,6 +116,14 @@ def test_unexpected_character():
         parse_polynomial("x $ y")
 
 
+def test_non_ascii_digit_rejected():
+    # '²' passes str.isdigit() but is not an integer literal
+    with pytest.raises(ParseError) as err:
+        parse_polynomial("x^²")
+    assert err.value.line == 1
+    assert err.value.column == 3
+
+
 def test_parse_returns_ast():
     node = parse("x * py")
     assert type(node).__name__ == "BinOp"
