@@ -24,6 +24,7 @@ from __future__ import annotations
 from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 
 from quantlab import render
 
@@ -211,7 +212,7 @@ class TermMap:
         return self._terms
 
     def sorted_terms(self) -> list[tuple]:
-        return sorted(self._terms.items(), key=lambda kv: kv[0].sort_key(), reverse=True)
+        return render.ordered(self._terms.items())
 
     def coefficient(self, key):
         return self._terms.get(key, self._ring.of(0))
@@ -296,14 +297,8 @@ class TermMap:
         return [style.open + self._render(style) + style.close] + tail
 
     def _render(self, style: render.Style) -> str:
-        names = style.names[self._names]
-        return render.join_terms(
-            [
-                value.factors(render.power_factors(names, key, style), style)
-                for key, value in self.sorted_terms()
-            ],
-            style,
-        )
+        key_factors = partial(render.power_factors, style.names[self._names])
+        return render.join_terms(self._terms.items(), key_factors, style)
 
     def text(self) -> str:
         return self._render(render.TEXT)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
-from quantlab.coeffring import CoeffMono, Coefficient, Scalar
+from quantlab.coeffring import CoeffMono, Coefficient
 from quantlab.phasepoly import (
     PhaseMono,
     PhasePoly,
@@ -26,7 +26,6 @@ _Y = PhasePoly.variable(PhaseVar.Y)
 _PX = PhasePoly.variable(PhaseVar.PX)
 _PY = PhasePoly.variable(PhaseVar.PY)
 _HALF = Fraction(1, 2)
-_MINUS_HALF_I = Scalar(Fraction(0), Fraction(-1, 2))
 
 
 @dataclass(frozen=True)
@@ -128,7 +127,7 @@ def ladder_products(x, y, px, py, params: OscillatorParams, which: tuple[int, ..
     forward = b1 ** params.n * b2_conj ** params.m
     backward = b1_conj ** params.n * b2 ** params.m
     return tuple(
-        (forward + backward) * _HALF if w == 1 else (forward - backward) * _MINUS_HALF_I
+        (forward + backward) * _HALF if w == 1 else (forward - backward) * (i_unit * -_HALF)
         for w in which
     )
 

@@ -5,9 +5,9 @@ Two monomial ordering rules are implemented for each canonical pair:
     Born-Jordan:  x^r p^s -> 1/(s+1)   sum_k          P^(s-k) X^r P^k
     Weyl:         x^r p^s -> 1/2^s     sum_k C(s, k)  P^(s-k) X^r P^k
 
-Mixed monomials factor across the two commuting pairs, so each factor is
-quantized independently and the results multiplied.  Output is always
-normal ordered, which makes operator equality a structural check.
+Mixed monomials factor across the two commuting pairs, so the image of
+a monomial is built as one map over the two pair images.  Output is
+always normal ordered, which makes operator equality a structural check.
 
 The module also provides the direct ladder-operator quantization: the
 classical ladder products with momenta replaced by momentum operators.
@@ -61,20 +61,21 @@ def _pair_rule(scheme: Scheme, r: int, s: int) -> tuple[Fraction, ...]:
 
 @lru_cache(maxsize=None)
 def quantize_monomial(scheme: Scheme, mono: PhaseMono) -> Operator:
-    """Quantize a single classical monomial under the given scheme."""
-    x_part = Operator(
+    """Quantize a single classical monomial under the given scheme.
+
+    The pairs commute, so x^a y^b px^c py^d maps to the sum over j, k of
+    (-i hbar)^(j+k) rule_x[j] rule_y[k] X^(a-j) Y^(b-k) Px^(c-j) Py^(d-k).
+    """
+    rule_x = _pair_rule(scheme, mono.a, mono.c)
+    rule_y = _pair_rule(scheme, mono.b, mono.d)
+    return Operator(
         {
-            OpMono(a=mono.a - j, c=mono.c - j): neg_i_hbar_power(j) * w
-            for j, w in enumerate(_pair_rule(scheme, mono.a, mono.c))
+            OpMono(mono.a - j, mono.b - k, mono.c - j, mono.d - k):
+                neg_i_hbar_power(j + k) * (wx * wy)
+            for j, wx in enumerate(rule_x)
+            for k, wy in enumerate(rule_y)
         }
     )
-    y_part = Operator(
-        {
-            OpMono(b=mono.b - j, d=mono.d - j): neg_i_hbar_power(j) * w
-            for j, w in enumerate(_pair_rule(scheme, mono.b, mono.d))
-        }
-    )
-    return x_part * y_part
 
 
 def quantize(scheme: Scheme, poly: PhasePoly) -> Operator:

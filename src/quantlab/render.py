@@ -7,13 +7,14 @@ parentheses around a sum, the joiner of a rational and i inside a
 Gaussian rational, whether a leading -1 may fold onto a factor carrying
 a power, the power format, and the display names of the variables.
 
-This module renders the pieces: a Gaussian rational, the powers of a
-monomial, a derivative, and the signed join of terms given as factors.
-Sums are put together by coeffring.TermMap, the one sum renderer, where
-each value renders itself as factors (``Scalar.factors`` through
-scalar_factors, a Coefficient by folding a single term or parenthesizing
-a sum).  Values are read through their public fields, so this module
-imports nothing else from the package.
+This module renders the pieces (a Gaussian rational, the powers of a
+monomial, a derivative) and join_terms, the one sum renderer: its caller
+names how a key renders (powers for coeffring.TermMap, x^a y^b and a
+derivative for the derivative form of weylalgebra), and each value
+renders itself as factors (``Scalar.factors`` through scalar_factors, a
+Coefficient by folding a single term or parenthesizing a sum).  Values
+are read through their public fields, so this module imports nothing
+else from the package.
 """
 
 from __future__ import annotations
@@ -35,9 +36,9 @@ class Style(NamedTuple):
     names: dict[str, tuple[str, ...]]  # display names per kind of monomial
 
 
-# The grammar binds '^' after unary minus, so plain text may not fold -1
-# onto a power: "-hbar^2" would read back as (-hbar)^2.  In display math
-# the minus is read as negating the product.
+# The grammar rejects a unary minus on the base of a power, so plain text
+# may not fold -1 onto a power: "-hbar^2" would not read back.  In display
+# math the minus is read as negating the product.
 TEXT = Style(
     fraction="%d/%d",
     join=" * ",
@@ -140,17 +141,21 @@ def differential_factors(mono, style: Style) -> list[str]:
     return out
 
 
-def join_terms(terms_factors: list[list[str]], style: Style) -> str:
-    """Join terms, each given by its factors, with binary +/-; "0" for none."""
-    if not terms_factors:
-        return "0"
+def join_terms(items, key_factors, style: Style) -> str:
+    """Sum of value * key over (key, value) items in `ordered` order, with
+    binary +/-; "0" for none.  key_factors(key, style) renders a key."""
     parts = []
-    for factors in terms_factors:
-        term = style.join.join(factors)
+    for key, value in ordered(items):
+        term = style.join.join(value.factors(key_factors(key, style), style))
         if not parts:
             parts.append(term)
         elif term.startswith("-"):
             parts.append(" - " + term[1:])
         else:
             parts.append(" + " + term)
-    return "".join(parts)
+    return "".join(parts) or "0"
+
+
+def ordered(items) -> list[tuple]:
+    """(key, value) items in the canonical term order, descending key.sort_key()."""
+    return sorted(items, key=lambda kv: kv[0].sort_key(), reverse=True)

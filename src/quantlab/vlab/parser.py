@@ -7,6 +7,9 @@ Grammar (whitespace insensitive, explicit '*' required):
     factor := base ('^' uint)?
     base   := uint ('/' uint)? | symbol | '(' expr ')' | '-' base
 
+A base that starts with unary '-' takes no exponent: "-x^2" could mean
+-(x^2) or (-x)^2, so it is a ParseError that asks for one of those.
+
 The eight legal symbols are i, hbar, omega, sqrt2, x, y, px, py.  The
 AST lowers to a canonical PhasePoly, so printing a polynomial and
 parsing it back reproduces the same value exactly.
@@ -158,8 +161,16 @@ class _Parser:
         return node
 
     def factor(self) -> ExprAST:
+        negated = self.peek().text == "-"
         node = self.base()
-        if self.match_op("^"):
+        caret = self.match_op("^")
+        if caret:
+            if negated:
+                raise ParseError(
+                    "ambiguous unary minus before '^'; write -(x^2) or (-x)^2",
+                    caret.line,
+                    caret.column,
+                )
             token = self.peek()
             if token.kind != "int":
                 raise self.error("exponent must be a nonnegative integer literal")

@@ -94,14 +94,19 @@ def record_text(record: VerificationRecord) -> str:
     return "\n".join(lines) + "\n"
 
 
+# LaTeX name of each verified integral
+_TARGET_LATEX = {"k": "K", "f1": "F_1", "f2": "F_2"}
+
+
 def record_latex(record: VerificationRecord) -> str:
+    name = _TARGET_LATEX[record.target]
     lines = [
         r"\paragraph{Pair $(%d, %d)$, target %s.}" % (record.m, record.n, record.target),
-        r"$\hat K^{BJ} - \hat K^{W} = %s$" % record.bj_minus_weyl.latex(),
-        r"$[\hat H, \hat K^{W}] = %s = %s$"
-        % (record.weyl_commutator.latex(), differential_latex(record.weyl_commutator)),
-        r"$[\hat H, \hat K^{BJ}] = %s = %s$"
-        % (record.bj_commutator.latex(), differential_latex(record.bj_commutator)),
+        r"$\hat %s^{BJ} - \hat %s^{W} = %s$" % (name, name, record.bj_minus_weyl.latex()),
+        r"$[\hat H, \hat %s^{W}] = %s = %s$"
+        % (name, record.weyl_commutator.latex(), differential_latex(record.weyl_commutator)),
+        r"$[\hat H, \hat %s^{BJ}] = %s = %s$"
+        % (name, record.bj_commutator.latex(), differential_latex(record.bj_commutator)),
     ]
     return "\n".join(lines) + "\n"
 

@@ -112,8 +112,7 @@ def commutator_matches_action(left: Operator, right: Operator, comm: Operator) -
     survives, and it exposes its coefficients), so agreement on the
     rectangle pins the commutator uniquely.
     """
-    x_bound = _max_px_order(left) + _max_px_order(right)
-    y_bound = _max_py_order(left) + _max_py_order(right)
+    x_bound, y_bound = (_max_order(left, slot) + _max_order(right, slot) for slot in (2, 3))
     for i in range(x_bound + 1):
         for j in range(y_bound + 1):
             probe = PhasePoly.monomial(PhaseMono(a=i, b=j))
@@ -126,12 +125,9 @@ def commutator_matches_action(left: Operator, right: Operator, comm: Operator) -
     return True
 
 
-def _max_px_order(op: Operator) -> int:
-    return max((m.c for m in op.terms), default=0)
-
-
-def _max_py_order(op: Operator) -> int:
-    return max((m.d for m in op.terms), default=0)
+def _max_order(op: Operator, slot: int) -> int:
+    """Highest exponent in one slot of op's words; slots 2 and 3 are px and py."""
+    return max((m[slot] for m in op.terms), default=0)
 
 
 def sweep(max_sum: int, target: str = TARGET_K) -> list[VerificationRecord]:

@@ -14,27 +14,18 @@ for cross-checks.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial, perm
 
 from quantlab import render
-from quantlab.coeffring import CoeffMono, Coefficient, Scalar, TermMap, _accumulate, _canonical
+from quantlab.coeffring import Coefficient, TermMap, _accumulate, _canonical
 from quantlab.phasepoly import Monomial, PhaseMono, PhasePoly
-
-# (-i)^k for k mod 4
-_NEG_I_POW = (
-    Scalar(Fraction(1)),
-    Scalar(Fraction(0), Fraction(-1)),
-    Scalar(Fraction(-1)),
-    Scalar(Fraction(0), Fraction(1)),
-)
 
 
 @lru_cache(maxsize=None)
 def neg_i_hbar_power(k: int) -> Coefficient:
     """(-i*hbar)^k as a Coefficient."""
-    return Coefficient.monomial(CoeffMono(h_exp=k), _NEG_I_POW[k % 4])
+    return (-(Coefficient.i() * Coefficient.hbar())) ** k
 
 
 @lru_cache(maxsize=None)
@@ -112,30 +103,24 @@ def commutator(left: Operator, right: Operator) -> Operator:
 
 def classical_symbol(op: Operator) -> PhasePoly:
     """hbar -> 0 limit with momenta read as classical variables."""
-    acc: dict[PhaseMono, Coefficient] = {}
-    for mono, coeff in op.terms.items():
-        part = coeff.hbar_free_part()
-        if part:
-            acc[mono] = part
-    return PhasePoly(acc)
+    return PhasePoly({mono: coeff.hbar_free_part() for mono, coeff in op.terms.items()})
 
 
 def apply_to_polynomial(op: Operator, poly: PhasePoly) -> PhasePoly:
     """Act on a position polynomial as a differential operator.
 
-    Momenta are realized as -i*hbar times the coordinate derivative and
+    Each word of differential_terms(op) differentiates and multiplies;
     hbar stays symbolic.  Rejects polynomials containing px or py.
     """
     if not poly.is_position_only():
         raise ValueError("operators act on position polynomials (no px or py)")
     acc: dict[PhaseMono, Coefficient] = {}
-    for omono, ocoeff in op.terms.items():
-        scale = ocoeff * neg_i_hbar_power(omono.c + omono.d)
+    for omono, ocoeff in differential_terms(op).items():
         for pmono, pcoeff in poly.terms.items():
             if omono.c > pmono.a or omono.d > pmono.b:
                 continue
             mult = perm(pmono.a, omono.c) * perm(pmono.b, omono.d)
-            coeff = scale * pcoeff * mult
+            coeff = ocoeff * pcoeff * mult
             mono = PhaseMono(
                 omono.a + pmono.a - omono.c, omono.b + pmono.b - omono.d, 0, 0
             )
@@ -172,7 +157,9 @@ def differential_terms(op: Operator) -> dict[OpMono, Coefficient]:
 
     The returned monomials reuse OpMono with (c, d) read as derivative
     orders; each coefficient absorbs the (-i*hbar)^(c+d) factor of the
-    momentum realization.
+    momentum realization.  This one derivative form serves the action
+    and the derivative renderers; it is a plain dict, as an Operator's
+    product would be wrong for derivative words.
     """
     return {
         mono: coeff * neg_i_hbar_power(mono.c + mono.d)
@@ -180,23 +167,14 @@ def differential_terms(op: Operator) -> dict[OpMono, Coefficient]:
     }
 
 
-def _render_differential(op: Operator, style: render.Style) -> str:
-    items = sorted(
-        differential_terms(op).items(), key=lambda kv: kv[0].sort_key(), reverse=True
-    )
-    return render.join_terms(
-        [
-            c.factors(render.differential_factors(m, style), style)
-            for m, c in items
-        ],
-        style,
-    )
-
-
 def differential_text(op: Operator) -> str:
     """Plain-text rendering in derivative form."""
-    return _render_differential(op, render.TEXT)
+    return render.join_terms(
+        differential_terms(op).items(), render.differential_factors, render.TEXT
+    )
 
 
 def differential_latex(op: Operator) -> str:
-    return _render_differential(op, render.LATEX)
+    return render.join_terms(
+        differential_terms(op).items(), render.differential_factors, render.LATEX
+    )

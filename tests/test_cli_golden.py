@@ -1,0 +1,85 @@
+"""Whole CLI outputs, pinned byte for byte.
+
+Each case runs ``cli.main(argv)`` in-process and compares stdout, stderr
+and the exit code with the files ``tests/golden/<name>.out``, ``.err``
+and ``.code``.  Any change to a report, a renderer or an error message
+shows up here as a diff against the checked-in file.
+
+To rewrite the golden files after a deliberate output change, run
+
+    PYTHONPATH=src python3 tests/test_cli_golden.py
+
+and review the diff before committing it.
+"""
+
+import contextlib
+import io
+import sys
+from pathlib import Path
+
+import pytest
+
+from quantlab.vlab import cli
+
+GOLDEN = Path(__file__).parent / "golden"
+POLY = "x^2*px^3 + (1/2 - 3*i)*hbar*y*py^2"
+
+CASES = {
+    "verify_4_1_text": ["verify", "--m", "4", "--n", "1"],
+    "verify_4_1_json": ["verify", "--m", "4", "--n", "1", "--format", "json"],
+    "verify_4_1_latex": ["verify", "--m", "4", "--n", "1", "--format", "latex"],
+    "verify_3_2_f1_text": ["verify", "--m", "3", "--n", "2", "--target", "f1"],
+    "verify_3_2_f1_json": [
+        "verify", "--m", "3", "--n", "2", "--target", "f1", "--format", "json",
+    ],
+    "sweep_5_text": ["sweep", "--max-sum", "5"],
+    "sweep_4_json": ["sweep", "--max-sum", "4", "--format", "json"],
+    "sweep_4_f_json": ["sweep", "--max-sum", "4", "--target", "f", "--format", "json"],
+    "quantize_bj_text": ["quantize", "--scheme", "bj", "--expr", POLY],
+    "quantize_bj_json": ["quantize", "--scheme", "bj", "--expr", POLY, "--format", "json"],
+    "quantize_weyl_text": ["quantize", "--scheme", "weyl", "--expr", POLY],
+    "quantize_weyl_json": [
+        "quantize", "--scheme", "weyl", "--expr", POLY, "--format", "json",
+    ],
+    "commutator_bj_4_1_text": ["commutator", "--scheme", "bj", "--m", "4", "--n", "1"],
+    "commutator_weyl_3_2_json": [
+        "commutator", "--scheme", "weyl", "--m", "3", "--n", "2", "--format", "json",
+    ],
+    "error_verify_m_0": ["verify", "--m", "0", "--n", "1"],
+    "error_sweep_max_sum_1": ["sweep", "--max-sum", "1"],
+    "error_expr_dangling_caret": ["quantize", "--scheme", "bj", "--expr", "x^"],
+    "error_expr_unknown_symbol": ["quantize", "--scheme", "bj", "--expr", "p_z"],
+    "error_expr_non_ascii_digit": ["quantize", "--scheme", "bj", "--expr", "x^²"],
+}
+
+
+def run_cli(argv: list[str]) -> tuple[str, str, str]:
+    """stdout, stderr and the exit code (as text) of one in-process run."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    return out.getvalue(), err.getvalue(), f"{code}\n"
+
+
+def _read(path: Path) -> str:
+    return path.read_bytes().decode("utf-8")
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_cli_output_matches_golden(name):
+    out, err, code = run_cli(CASES[name])
+    assert code == _read(GOLDEN / f"{name}.code")
+    assert err == _read(GOLDEN / f"{name}.err")
+    assert out == _read(GOLDEN / f"{name}.out")
+
+
+def _write_golden() -> None:
+    GOLDEN.mkdir(exist_ok=True)
+    for name, argv in sorted(CASES.items()):
+        for suffix, text in zip((".out", ".err", ".code"), run_cli(argv)):
+            (GOLDEN / f"{name}{suffix}").write_bytes(text.encode("utf-8"))
+        print(f"wrote {name}", file=sys.stderr)
+
+
+if __name__ == "__main__":
+    _write_golden()

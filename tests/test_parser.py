@@ -57,8 +57,8 @@ def test_unary_minus():
     assert parse_polynomial("-x") == -X
     assert parse_polynomial("--x") == X
     assert parse_polynomial("1 - -2") == PhasePoly.constant(3)
-    # '^' binds to the base, so the leading minus is squared away
-    assert parse_polynomial("-x^2") == X ** 2
+    # a leading minus on the base of a power is ambiguous, so it is rejected
+    pytest.raises(ParseError, parse_polynomial, "-x^2")
 
 
 def test_precedence_and_parens():
@@ -122,6 +122,27 @@ def test_non_ascii_digit_rejected():
         parse_polynomial("x^²")
     assert err.value.line == 1
     assert err.value.column == 3
+
+
+@pytest.mark.parametrize(
+    "text, column", [("-x^2", 3), ("-2^3", 3), ("--x^2", 4), ("(-x^2)", 4)]
+)
+def test_minus_on_power_base_rejected(text, column):
+    # "-x^2" reads as -(x^2) or as (-x)^2; the error points at '^'
+    with pytest.raises(ParseError) as err:
+        parse_polynomial(text)
+    assert err.value.column == column
+    assert "-(x^2) or (-x)^2" in err.value.message
+
+
+def test_minus_outside_power_base_accepted():
+    assert parse_polynomial("(-x)^2") == X ** 2
+    assert parse_polynomial("-(x^2)") == -(X ** 2)
+    assert parse_polynomial("-x * y^2") == -X * Y ** 2
+    assert parse_polynomial("x^2 - y^2") == X ** 2 - Y ** 2
+    assert parse_polynomial("0 - x^2") == -(X ** 2)
+    assert parse_polynomial("1 - -2") == PhasePoly.constant(3)
+    assert parse_polynomial("-1/2 * x") == X * Fraction(-1, 2)
 
 
 def test_parse_returns_ast():

@@ -203,6 +203,14 @@ def test_record_latex_renders():
     assert r"\hat{p}_x" in latex or r"\partial" in latex
 
 
+def test_record_latex_names_the_ladder_target():
+    latex = record_latex(verify_ladder_pair(2, 3, 2))
+    assert r"$\hat F_2^{BJ} - \hat F_2^{W} = " in latex
+    assert r"$[\hat H, \hat F_2^{W}] = " in latex
+    assert r"$[\hat H, \hat F_2^{BJ}] = " in latex
+    assert r"\hat K" not in latex
+
+
 def test_reports_deterministic():
     a = json.dumps(sweep_json(sweep(4, "k"), 4, "k"))
     b = json.dumps(sweep_json(sweep(4, "k"), 4, "k"))
