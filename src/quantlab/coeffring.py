@@ -4,16 +4,17 @@ TermMap, the one sparse container of the package.
 Every constant produced by the oscillator constructions lives in this
 ring: Gaussian rationals carry the imaginary unit of the ladder factors
 and of the momentum operator, hbar and omega are formal parameters, and
-sqrt2 is a ring generator subject to the single reduction
-sqrt2 * sqrt2 = 2, the only irrationality the constructions need.
+sqrt2 is a ring generator, the only irrationality the constructions
+need.  The ring has two reductions, i * i = -1 and sqrt2 * sqrt2 = 2.
 Keeping hbar and omega symbolic makes claims such as "every commutator
 term carries hbar^2 and omega" checkable as exact exponent bounds.
 
-The ring nests three sparse maps deep: a Coefficient maps parameter
-monomials to Scalars, and the polynomials and operators of phasepoly and
-weylalgebra map exponent quadruples to Coefficients.  TermMap is the
-map of every level; a level names its value ring, the key of a constant,
-its display names and its product, and nothing else.
+The ring nests four sparse maps deep: a Scalar maps the power of i to a
+rational, a Coefficient maps parameter monomials to Scalars, and the
+polynomials and operators of phasepoly and weylalgebra map exponent
+quadruples to Coefficients.  TermMap is the map of every level; a level
+names its value ring, the key of a constant, its display names and its
+product (where the level's reduction lives), and nothing else.
 
 Values are immutable and operations are pure, so sharing between
 concurrent tasks is safe.
@@ -22,7 +23,6 @@ concurrent tasks is safe.
 from __future__ import annotations
 
 from collections import namedtuple
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 
@@ -37,72 +37,6 @@ def _as_fraction(value) -> Fraction:
     if type(value) not in _RATIONALS:
         raise TypeError(f"expected int or Fraction, got {type(value).__name__}")
     return Fraction(value)
-
-
-@dataclass(frozen=True)
-class Scalar:
-    """Gaussian rational re + im*i with exact Fraction components."""
-
-    re: Fraction = Fraction(0)
-    im: Fraction = Fraction(0)
-
-    def __post_init__(self):
-        if type(self.re) is not Fraction:
-            object.__setattr__(self, "re", _as_fraction(self.re))
-        if type(self.im) is not Fraction:
-            object.__setattr__(self, "im", _as_fraction(self.im))
-
-    @classmethod
-    def of(cls, value) -> "Scalar":
-        """value itself if a Scalar, else an int or Fraction (not a bool) as a Scalar."""
-        if isinstance(value, Scalar):
-            return value
-        return cls(_as_fraction(value))
-
-    def __add__(self, other: "Scalar") -> "Scalar":
-        return Scalar(self.re + other.re, self.im + other.im)
-
-    def __sub__(self, other: "Scalar") -> "Scalar":
-        return Scalar(self.re - other.re, self.im - other.im)
-
-    def __neg__(self) -> "Scalar":
-        return Scalar(-self.re, -self.im)
-
-    def __mul__(self, other) -> "Scalar":
-        if isinstance(other, Scalar):
-            return Scalar(
-                self.re * other.re - self.im * other.im,
-                self.re * other.im + self.im * other.re,
-            )
-        if type(other) in _RATIONALS:
-            return Scalar(self.re * other, self.im * other)
-        return NotImplemented
-
-    __rmul__ = __mul__
-
-    def conjugate(self) -> "Scalar":
-        return Scalar(self.re, -self.im)
-
-    def is_zero(self) -> bool:
-        return self.re == 0 and self.im == 0
-
-    def is_real(self) -> bool:
-        return self.im == 0
-
-    def __bool__(self) -> bool:
-        return not self.is_zero()
-
-    def factors(self, tail: list[str], style: render.Style) -> list[str]:
-        return render.scalar_factors(self, tail, style)
-
-    def text(self) -> str:
-        return render.scalar(self, render.TEXT)
-
-    def latex(self) -> str:
-        return render.scalar(self, render.LATEX)
-
-    def __str__(self) -> str:
-        return self.text()
 
 
 class CoeffMono(namedtuple("CoeffMono", "h_exp w_exp r_exp")):
@@ -152,10 +86,10 @@ class TermMap:
 
     Canonical form stores no zero values, so equality is structural and
     a - b == zero exactly when a equals b.  A subclass names its value
-    ring (``_ring``, whose ``of`` coerces a constant), the key of a
-    constant (``_unit``), the key of its display names in the render
-    styles (``_names``) and the product of two of its maps
-    (``_product``).
+    ring (``_ring``, whose ``of`` coerces a constant: the rationals for
+    Scalar, the level below for every other map), the key of a constant
+    (``_unit``), the key of its display names in the render styles
+    (``_names``) and the product of two of its maps (``_product``).
 
     One coercion rule serves every level: ``of`` returns an instance
     unchanged and lifts anything the value ring's ``of`` accepts to a
@@ -167,7 +101,7 @@ class TermMap:
 
     __slots__ = ("_terms",)
     _ring: type
-    _unit: tuple
+    _unit: object
     _names: str
 
     def __init__(self, terms: dict | None = None):
@@ -198,11 +132,12 @@ class TermMap:
 
     @classmethod
     def constant(cls, value):
-        return cls({cls._unit: value})
+        return cls.monomial(cls._unit, value)
 
     @classmethod
     def monomial(cls, key, value=1):
-        return cls({key: value})
+        value = cls._ring.of(value)
+        return _canonical(cls, {key: value} if value else {})
 
     # -- queries ----------------------------------------------------------
 
@@ -313,8 +248,63 @@ class TermMap:
         return self.text()
 
 
+# The value ring of Scalar: TermMap coerces every value through _ring.of.
+class _Rationals:
+    of = staticmethod(_as_fraction)
+
+
+class Scalar(TermMap):
+    """Gaussian rational re + im*i: a map from the power of i (0 or 1) to a
+    nonzero Fraction, with the one reduction i * i = -1."""
+
+    __slots__ = ()
+    _ring = _Rationals
+    _unit = 0
+
+    def __init__(self, re=0, im=0):
+        super().__init__({0: re, 1: im})
+
+    @property
+    def re(self) -> Fraction:
+        return self.coefficient(0)
+
+    @property
+    def im(self) -> Fraction:
+        return self.coefficient(1)
+
+    def _product(self, other: "Scalar") -> "Scalar":
+        acc: dict[int, Fraction] = {}
+        for k1, v1 in self._terms.items():
+            for k2, v2 in other._terms.items():
+                value = v1 * v2
+                key = k1 + k2
+                if key == 2:
+                    # i * i = -1
+                    value = -value
+                    key = 0
+                _accumulate(acc, key, value)
+        return _canonical(Scalar, acc)
+
+    def conjugate(self) -> "Scalar":
+        return _canonical(Scalar, {k: -v if k else v for k, v in self._terms.items()})
+
+    def is_real(self) -> bool:
+        return 1 not in self._terms
+
+    # A Gaussian rational renders as "1/2 - 3*i", not as a sum of powers.
+    def factors(self, tail: list[str], style: render.Style) -> list[str]:
+        return render.scalar_factors(self, tail, style)
+
+    def text(self) -> str:
+        return render.scalar(self, render.TEXT)
+
+    def latex(self) -> str:
+        return render.scalar(self, render.LATEX)
+
+
 class Coefficient(TermMap):
-    """Finite Scalar-weighted sum of parameter monomials, kept canonical."""
+    """Finite Scalar-weighted sum of parameter monomials hbar^h omega^w
+    sqrt2^r, with the reduction sqrt2 * sqrt2 = 2."""
 
     __slots__ = ()
     _ring = Scalar
@@ -323,7 +313,7 @@ class Coefficient(TermMap):
 
     @classmethod
     def i(cls) -> "Coefficient":
-        return cls.constant(Scalar(Fraction(0), Fraction(1)))
+        return cls.constant(Scalar(0, 1))
 
     @classmethod
     def hbar(cls, exp: int = 1) -> "Coefficient":

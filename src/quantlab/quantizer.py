@@ -81,7 +81,7 @@ def quantize_monomial(scheme: Scheme, mono: PhaseMono) -> Operator:
 def quantize(scheme: Scheme, poly: PhasePoly) -> Operator:
     """Coefficient-linear extension of the monomial rule."""
     out = Operator.zero()
-    for mono, coeff in poly.sorted_terms():
+    for mono, coeff in poly.terms.items():
         out = out + quantize_monomial(scheme, mono) * coeff
     return out
 

@@ -11,10 +11,11 @@ This module renders the pieces (a Gaussian rational, the powers of a
 monomial, a derivative) and join_terms, the one sum renderer: its caller
 names how a key renders (powers for coeffring.TermMap, x^a y^b and a
 derivative for the derivative form of weylalgebra), and each value
-renders itself as factors (``Scalar.factors`` through scalar_factors, a
-Coefficient by folding a single term or parenthesizing a sum).  Values
-are read through their public fields, so this module imports nothing
-else from the package.
+renders itself as factors (a Coefficient by folding a single term or
+parenthesizing a sum; a Scalar, a term map over the powers of i written
+as "1/2 - 3*i", through scalar_factors from its ``re`` and ``im``).
+Values are read through their public fields, so this module imports
+nothing else from the package.
 """
 
 from __future__ import annotations

@@ -127,6 +127,11 @@ def test_coercion_lifts_constants_at_every_level():
     assert 1 - x == -(x - 1)
     assert Operator.zero() == 0
     assert Coefficient.hbar() ** 2 == Coefficient.hbar(2)
+    assert Scalar(1) + 1 == 2
+    assert (Scalar(1) - 1).is_zero()
+    assert 1 + Scalar(1) == Scalar(2)
+    assert Scalar(1) == 1
+    assert Scalar(1) + Coefficient.one() == Coefficient.of(2)
 
 
 def test_coercion_rejects_non_ring_operands():
@@ -136,3 +141,19 @@ def test_coercion_rejects_non_ring_operands():
         Coefficient.of(CoeffMono())
     with pytest.raises(TypeError):
         PhasePoly.variable(PhaseVar.X) + x_hat()
+    with pytest.raises(TypeError):
+        Scalar(1) * 0.5
+    with pytest.raises(TypeError):
+        Scalar(True)
+
+
+def test_scalar_is_canonical_sparse_map():
+    assert Scalar(3).terms == {0: Fraction(3)}
+    assert Scalar(0, -2).terms == {1: Fraction(-2)}
+    assert Scalar(0, 0).terms == {}
+    assert (Scalar(0, 1) * Scalar(0, 1)).terms == {0: Fraction(-1)}
+    assert Scalar(1, 2) * Scalar(1, -2) == 5
+    assert Scalar.monomial(1, 2) == Scalar(0, 2)
+    assert Scalar.constant(3) == 3
+    assert Scalar.zero().is_zero()
+    assert Scalar.one() == 1
