@@ -28,6 +28,7 @@ from quantlab.generators import (
     p_poly,
 )
 from quantlab.weylalgebra import (
+    Action,
     OpMono,
     Operator,
     adjoint,

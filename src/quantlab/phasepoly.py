@@ -72,9 +72,6 @@ class PhasePoly(TermMap):
         exps[_VAR_SLOT[var]] = 1
         return cls({Monomial(*exps): Coefficient.one()})
 
-    def is_position_only(self) -> bool:
-        return all(m.c == 0 and m.d == 0 for m in self._terms)
-
     def _product(self, other: "PhasePoly") -> "PhasePoly":
         acc: dict[Monomial, Coefficient] = {}
         for m1, c1 in self._terms.items():

@@ -26,6 +26,15 @@ from quantlab.vlab.verify import failed_claims, sweep, verify_ladder_pair, verif
 
 _SCHEMES = {"bj": Scheme.BORN_JORDAN, "weyl": Scheme.WEYL}
 
+# Largest m + n the commands accept.  Work grows steeply with the degree
+# m + n of K, so a larger value would run for an unbounded time.
+MAX_SUM = 20
+
+
+def _check_sum(total: int, name: str) -> None:
+    if total > MAX_SUM:
+        raise ValueError(f"{name} must be at most {MAX_SUM}")
+
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -72,6 +81,7 @@ def _fail(failures: list[str]) -> int:
 
 
 def _cmd_verify(args) -> int:
+    _check_sum(args.m + args.n, "m + n")
     if args.target == "k":
         record = verify_pair(args.m, args.n)
     else:
@@ -82,6 +92,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
+    _check_sum(args.max_sum, "--max-sum")
     records = sweep(args.max_sum, args.target)
     sys.stdout.write(report.render_sweep(records, args.max_sum, args.target, args.format))
     failures = [fail for record in records for fail in failed_claims(record)]
@@ -113,6 +124,7 @@ def _cmd_quantize(args) -> int:
 
 
 def _cmd_commutator(args) -> int:
+    _check_sum(args.m + args.n, "m + n")
     params = OscillatorParams(args.m, args.n)
     scheme = _SCHEMES[args.scheme]
     h_op = quantize(scheme, hamiltonian(params))

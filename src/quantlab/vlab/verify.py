@@ -4,12 +4,16 @@ Each pipeline builds a classical integral, records whether its bracket
 with the Hamiltonian vanishes, quantizes it under both ordering rules,
 computes both commutators with the quantized Hamiltonian, and
 cross-checks every symbolic commutator against the differential action
-on a spanning set of position monomials.  A nonzero bracket is reported
-by failed_claims; it does not stop a sweep.
+on a spanning set of position monomials.  The action oracle never calls
+the normal-ordering product: one memoized Action of H serves both
+schemes, and the Born-Jordan commutator is checked through its
+difference from the Weyl one.  A nonzero bracket is reported by
+failed_claims; it does not stop a sweep.
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
 
 from quantlab.generators import (
@@ -21,6 +25,7 @@ from quantlab.generators import (
 from quantlab.phasepoly import PhaseMono, PhasePoly, poisson
 from quantlab.quantizer import Scheme, quantize, quantize_ladder
 from quantlab.weylalgebra import (
+    Action,
     Operator,
     apply_to_polynomial,
     commutator,
@@ -49,6 +54,9 @@ class VerificationRecord:
     min_w_exp: int
     oracle_agreement: bool
     ladder_equals_weyl: bool | None = None
+    # scheme ("weyl" or "bj") and first probe x^i y^j of a failed oracle
+    # check; failed_claims names it, record_json and the record reports omit it
+    oracle_failure: tuple[str, PhaseMono] | None = None
 
 
 def verify_pair(m: int, n: int) -> VerificationRecord:
@@ -81,9 +89,14 @@ def _verify(
     diff = bj_op - weyl_op
     weyl_comm = commutator(h_op, weyl_op)
     bj_comm = commutator(h_op, bj_op)
-    oracle = commutator_matches_action(h_op, weyl_op, weyl_comm) and (
-        commutator_matches_action(h_op, bj_op, bj_comm)
-    )
+    # By linearity, once [H, W] = weyl_comm holds, [H, BJ] = bj_comm holds
+    # exactly when [H, BJ - W] = bj_comm - weyl_comm does.
+    h_action = Action(h_op)
+    scheme = "weyl"
+    check = commutator_matches_action(h_action, Action(weyl_op), Action(weyl_comm))
+    if check:
+        scheme = "bj"
+        check = commutator_matches_action(h_action, Action(diff), Action(bj_comm - weyl_comm))
     return VerificationRecord(
         m=params.m,
         n=params.n,
@@ -97,31 +110,52 @@ def _verify(
         bj_commutator=bj_comm,
         min_h_exp=min_hbar_exponent(bj_comm),
         min_w_exp=min_omega_exponent(bj_comm),
-        oracle_agreement=oracle,
+        oracle_agreement=bool(check),
         ladder_equals_weyl=None if ladder_op is None else ladder_op == weyl_op,
+        oracle_failure=None if check else (scheme, check.probe),
     )
 
 
-def commutator_matches_action(left: Operator, right: Operator, comm: Operator) -> bool:
-    """Check a symbolic commutator against the differential action.
+class Disagreement(namedtuple("Disagreement", "probe")):
+    """The first probe on which a symbolic commutator and the action differ.
 
-    Both the symbolic commutator and the true one have x-derivative order
-    at most the summed px orders of the factors, and likewise in y.  An
-    operator whose action vanishes on every probe x^i y^j inside that
-    rectangle is zero (probe the minimal derivative pair present: only it
-    survives, and it exposes its coefficients), so agreement on the
-    rectangle pins the commutator uniquely.
+    Falsy, so a caller can test the oracle's answer as a bool.
     """
-    x_bound, y_bound = (_max_order(left, slot) + _max_order(right, slot) for slot in (2, 3))
+
+    __slots__ = ()
+
+    def __bool__(self) -> bool:
+        return False
+
+
+def commutator_matches_action(
+    left: Operator | Action, right: Operator | Action, comm: Operator | Action
+) -> bool | Disagreement:
+    """Check a symbolic commutator comm = [left, right] against the action.
+
+    Returns True on agreement, else the Disagreement at the first failing
+    probe.  The true commutator has x-derivative order at most the summed
+    px orders of the factors, the symbolic one at most its own px order,
+    and likewise in y; each slot of the probe rectangle is bounded by the
+    larger of the two.  An operator whose action vanishes on every probe
+    x^i y^j inside that rectangle is zero (probe the minimal derivative
+    pair present: only it survives, and it exposes its coefficients), so
+    agreement on the rectangle pins the commutator uniquely.  Operators
+    may be passed as Actions to share their memoized images across calls.
+    """
+    left_act, right_act, comm_act = (Action.of(op) for op in (left, right, comm))
+    x_bound, y_bound = (
+        max(_max_order(left_act.op, slot) + _max_order(right_act.op, slot),
+            _max_order(comm_act.op, slot))
+        for slot in (2, 3)
+    )
     for i in range(x_bound + 1):
         for j in range(y_bound + 1):
-            probe = PhasePoly.monomial(PhaseMono(a=i, b=j))
-            direct = apply_to_polynomial(comm, probe)
-            nested = apply_to_polynomial(left, apply_to_polynomial(right, probe)) - (
-                apply_to_polynomial(right, apply_to_polynomial(left, probe))
-            )
+            probe = PhaseMono(a=i, b=j)
+            direct = apply_to_polynomial(comm_act, PhasePoly.monomial(probe))
+            nested = left_act(right_act.image(probe)) - right_act(left_act.image(probe))
             if direct != nested:
-                return False
+                return Disagreement(probe)
     return True
 
 
@@ -166,7 +200,11 @@ def failed_claims(record: VerificationRecord) -> list[str]:
     if not record.classical_bracket_zero:
         fails.append(f"{where}: classical bracket is nonzero")
     if not record.oracle_agreement:
-        fails.append(f"{where}: symbolic commutator disagrees with action oracle")
+        detail = ""
+        if record.oracle_failure is not None:
+            scheme, probe = record.oracle_failure
+            detail = f" ({scheme} check, first failing probe x^{probe.a} y^{probe.b})"
+        fails.append(f"{where}: symbolic commutator disagrees with action oracle{detail}")
     if not record.weyl_commutes:
         fails.append(f"{where}: Weyl commutator is nonzero")
     if record.bj_equals_weyl:

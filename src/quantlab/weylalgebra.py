@@ -8,8 +8,8 @@ freely.  Products are re-normalized with the closed-form swap identity
 
 which matches iterated single swaps exactly.  A separate differential
 action on position polynomials (momentum realized as -i*hbar times the
-coordinate derivative) provides an independent route to the same algebra
-for cross-checks.
+coordinate derivative; Action memoizes it per operator) provides an
+independent route to the same algebra for cross-checks.
 """
 
 from __future__ import annotations
@@ -106,26 +106,59 @@ def classical_symbol(op: Operator) -> PhasePoly:
     return PhasePoly({mono: coeff.hbar_free_part() for mono, coeff in op.terms.items()})
 
 
-def apply_to_polynomial(op: Operator, poly: PhasePoly) -> PhasePoly:
+class Action:
+    """The differential action of one operator on position polynomials.
+
+    Builds the operator's derivative form (differential_terms) once and
+    memoizes its image of each position monomial x^i y^j, so applying it
+    to a polynomial is a linear combination of cached images; hbar stays
+    symbolic.  The memo table lives as long as the object does.
+    """
+
+    __slots__ = ("op", "_words", "_images")
+
+    def __init__(self, op: Operator):
+        self.op = op
+        self._words = differential_terms(op)
+        self._images: dict[PhaseMono, PhasePoly] = {}
+
+    @classmethod
+    def of(cls, op: "Operator | Action") -> "Action":
+        return op if isinstance(op, cls) else cls(op)
+
+    def image(self, mono: PhaseMono) -> PhasePoly:
+        """The action on the position monomial mono, memoized."""
+        image = self._images.get(mono)
+        if image is None:
+            if mono.c or mono.d:
+                raise ValueError("operators act on position polynomials (no px or py)")
+            acc: dict[PhaseMono, Coefficient] = {}
+            for word, coeff in self._words.items():
+                if word.c > mono.a or word.d > mono.b:
+                    continue
+                mult = perm(mono.a, word.c) * perm(mono.b, word.d)
+                key = PhaseMono(word.a + mono.a - word.c, word.b + mono.b - word.d)
+                _accumulate(acc, key, coeff * mult)
+            image = self._images[mono] = _canonical(PhasePoly, acc)
+        return image
+
+    def __call__(self, poly: PhasePoly) -> PhasePoly:
+        """Act on poly; rejects polynomials containing px or py."""
+        acc: dict[PhaseMono, Coefficient] = {}
+        for mono, coeff in poly.terms.items():
+            for key, value in self.image(mono).terms.items():
+                _accumulate(acc, key, value * coeff)
+        return _canonical(PhasePoly, acc)
+
+
+def apply_to_polynomial(op: "Operator | Action", poly: PhasePoly) -> PhasePoly:
     """Act on a position polynomial as a differential operator.
 
-    Each word of differential_terms(op) differentiates and multiplies;
-    hbar stays symbolic.  Rejects polynomials containing px or py.
+    One call into Action; pass an Action to reuse its derivative form
+    and memoized images across calls.  Rejects polynomials containing
+    px or py.
     """
-    if not poly.is_position_only():
-        raise ValueError("operators act on position polynomials (no px or py)")
-    acc: dict[PhaseMono, Coefficient] = {}
-    for omono, ocoeff in differential_terms(op).items():
-        for pmono, pcoeff in poly.terms.items():
-            if omono.c > pmono.a or omono.d > pmono.b:
-                continue
-            mult = perm(pmono.a, omono.c) * perm(pmono.b, omono.d)
-            coeff = ocoeff * pcoeff * mult
-            mono = PhaseMono(
-                omono.a + pmono.a - omono.c, omono.b + pmono.b - omono.d, 0, 0
-            )
-            _accumulate(acc, mono, coeff)
-    return _canonical(PhasePoly, acc)
+    return Action.of(op)(poly)
 
 
 def adjoint(op: Operator) -> Operator:

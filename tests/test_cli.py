@@ -4,8 +4,10 @@ import json
 
 import pytest
 
+from quantlab.coeffring import Coefficient
 from quantlab.vlab import cli
 from quantlab.vlab import verify as verify_module
+from quantlab.weylalgebra import px_hat
 
 
 def run(capsys, *argv):
@@ -130,3 +132,37 @@ def test_deterministic_output(capsys):
     _, out1, _ = run(capsys, "sweep", "--max-sum", "4", "--format", "json")
     _, out2, _ = run(capsys, "sweep", "--max-sum", "4", "--format", "json")
     assert out1 == out2
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("verify", "--m", "15", "--n", "6"), "error: m + n must be at most 20\n"),
+        (
+            ("commutator", "--scheme", "bj", "--m", "20", "--n", "1"),
+            "error: m + n must be at most 20\n",
+        ),
+        (("sweep", "--max-sum", "21"), "error: --max-sum must be at most 20\n"),
+    ],
+)
+def test_inputs_above_max_sum_rejected(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err == message
+
+
+def test_oracle_probe_reaches_stderr_only(capsys, monkeypatch):
+    real = verify_module.commutator
+
+    def wrong_weyl(left, right):  # the Weyl K(4, 1) commutator is zero
+        comm = real(left, right)
+        return comm + px_hat() * Coefficient.hbar(2) if comm.is_zero() else comm
+
+    monkeypatch.setattr(verify_module, "commutator", wrong_weyl)
+    code, out, err = run(capsys, "verify", "--m", "4", "--n", "1")
+    assert code == 1
+    assert "action oracle agreement: no" in out
+    assert "probe" not in out
+    failures = json.loads(err)["failures"]
+    assert any("(weyl check, first failing probe x^1 y^0)" in f for f in failures)

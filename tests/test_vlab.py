@@ -5,7 +5,9 @@ import json
 import pytest
 
 from quantlab.coeffring import Coefficient
-from quantlab.phasepoly import PhasePoly, PhaseVar
+from quantlab.generators import OscillatorParams, hamiltonian, k_integral
+from quantlab.phasepoly import PhaseMono, PhasePoly, PhaseVar
+from quantlab.quantizer import Scheme, quantize
 from quantlab.vlab import verify as verify_module
 from quantlab.vlab.report import (
     SWEEP_NOTE,
@@ -17,12 +19,13 @@ from quantlab.vlab.report import (
     sweep_json,
 )
 from quantlab.vlab.verify import (
+    commutator_matches_action,
     failed_claims,
     sweep,
     verify_ladder_pair,
     verify_pair,
 )
-from quantlab.weylalgebra import Operator, px_hat, x_hat
+from quantlab.weylalgebra import Operator, commutator, px_hat, py_hat, x_hat
 
 
 def test_verify_four_one():
@@ -248,3 +251,52 @@ def test_nonzero_classical_bracket_is_recorded(monkeypatch):
         by_pair[(1, 2)]
     )
     assert not failed_claims(by_pair[(2, 1)])
+
+
+def test_probe_rectangle_covers_commutator_order():
+    # The factors' px orders bound x probes by 3 on (4, 1); a claimed
+    # commutator with a px^4 term must widen the rectangle to expose it.
+    params = OscillatorParams(4, 1)
+    h_op = quantize(Scheme.WEYL, hamiltonian(params))
+    weyl_op = quantize(Scheme.WEYL, k_integral(params))
+    weyl_comm = commutator(h_op, weyl_op)
+    assert commutator_matches_action(h_op, weyl_op, weyl_comm) is True
+    wrong = weyl_comm + px_hat() ** 4 * Coefficient.hbar(3)
+    result = commutator_matches_action(h_op, weyl_op, wrong)
+    assert not result
+    assert result.probe == PhaseMono(a=4)
+
+
+# hbar^2 x py: vanishes on probes x^i and first shows on x^0 y^1
+_WRONG_TERM = x_hat() * py_hat() * Coefficient.hbar(2)
+
+
+def _perturb_commutator(monkeypatch, scheme, params):
+    """Make _verify's commutator for one scheme's quantized K wrong by _WRONG_TERM."""
+    wrong_right = quantize(scheme, k_integral(params))
+    real = verify_module.commutator
+
+    def perturbed(left, right):
+        comm = real(left, right)
+        return comm + _WRONG_TERM if right == wrong_right else comm
+
+    monkeypatch.setattr(verify_module, "commutator", perturbed)
+
+
+@pytest.mark.parametrize(
+    "m, n, scheme, name",
+    [(4, 1, Scheme.BORN_JORDAN, "bj"), (3, 2, Scheme.WEYL, "weyl")],
+)
+def test_oracle_names_failing_scheme_and_probe(monkeypatch, m, n, scheme, name):
+    # (4, 1) perturbs bj_comm, caught by the difference check behind a
+    # passing Weyl check; (3, 2) perturbs weyl_comm, caught directly.
+    _perturb_commutator(monkeypatch, scheme, OscillatorParams(m, n))
+    record = verify_pair(m, n)
+    assert record.oracle_agreement is False
+    assert record.oracle_failure == (name, PhaseMono(b=1))
+    assert (
+        f"(m, n) = ({m}, {n}), target k: symbolic commutator disagrees with action"
+        f" oracle ({name} check, first failing probe x^0 y^1)"
+    ) in failed_claims(record)
+    assert "probe" not in record_text(record) + record_latex(record)
+    assert "probe" not in json.dumps(record_json(record))

@@ -10,6 +10,7 @@ from quantlab.coeffring import CoeffMono, Coefficient, Scalar
 from quantlab.phasepoly import PhaseMono, PhasePoly, PhaseVar, poisson
 from quantlab.quantizer import Scheme, quantize
 from quantlab.weylalgebra import (
+    Action,
     OpMono,
     Operator,
     adjoint,
@@ -27,7 +28,7 @@ from quantlab.weylalgebra import (
     y_hat,
 )
 
-from randgen import rand_operator, rand_phase_poly
+from randgen import rand_operator, rand_phase_poly, rand_position_poly
 
 I_HBAR = Coefficient.i() * Coefficient.hbar()
 MINUS_I_HBAR = -I_HBAR
@@ -120,6 +121,39 @@ def test_apply_weyl_ordered_square():
 def test_apply_rejects_momentum():
     with pytest.raises(ValueError):
         apply_to_polynomial(x_hat(), PhasePoly.variable(PhaseVar.PX))
+    # an action whose memo already holds position images still rejects px
+    action = Action(px_hat() + x_hat())
+    action(XPOS ** 2 + YPOS)
+    with pytest.raises(ValueError):
+        action(XPOS ** 2 + PhasePoly.variable(PhaseVar.PX) * XPOS)
+
+
+def _naive_action(op: Operator, poly: PhasePoly) -> PhasePoly:
+    """Each word x^a y^b px^c py^d: differentiate c, d times, scale by
+    (-i hbar)^(c+d), multiply by x^a y^b; no derivative form, no memo."""
+    out = PhasePoly.zero()
+    for mono, coeff in op.terms.items():
+        term = poly
+        for _ in range(mono.c):
+            term = term.partial(PhaseVar.X)
+        for _ in range(mono.d):
+            term = term.partial(PhaseVar.Y)
+        factor = MINUS_I_HBAR ** (mono.c + mono.d) * coeff
+        out = out + term * XPOS ** mono.a * YPOS ** mono.b * factor
+    return out
+
+
+@pytest.mark.parametrize("seed", [11, 12, 13, 14])
+def test_action_matches_naive_differentiation(seed):
+    rng = Random(seed)
+    for _ in range(40):
+        op = rand_operator(rng, max_terms=4, max_exp=3)
+        action = Action(op)
+        for _ in range(3):
+            # repeated polynomials share monomials, so memoized images are reused
+            poly = rand_position_poly(rng)
+            assert action(poly) == _naive_action(op, poly)
+            assert apply_to_polynomial(op, poly) == action(poly)
 
 
 def test_mul_properties_random():
