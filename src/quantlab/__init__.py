@@ -8,7 +8,7 @@ normal-ordered algebra, cross-checked against an independent
 differential-operator action.
 """
 
-from quantlab.coeffring import CoeffMono, Coefficient, Scalar
+from quantlab.coeffring import Coefficient, Monomial
 from quantlab.phasepoly import (
     PhaseMono,
     PhasePoly,

@@ -1,4 +1,4 @@
-"""Exact arithmetic in the coefficient ring Q(i)[sqrt2][hbar, omega], and
+"""Exact arithmetic over the coefficient ring Q(i)[sqrt2][hbar, omega], and
 TermMap, the one sparse container of the package.
 
 Every constant produced by the oscillator constructions lives in this
@@ -9,12 +9,13 @@ need.  The ring has two reductions, i * i = -1 and sqrt2 * sqrt2 = 2.
 Keeping hbar and omega symbolic makes claims such as "every commutator
 term carries hbar^2 and omega" checkable as exact exponent bounds.
 
-The ring nests four sparse maps deep: a Scalar maps the power of i to a
-rational, a Coefficient maps parameter monomials to Scalars, and the
-polynomials and operators of phasepoly and weylalgebra map exponent
-quadruples to Coefficients.  TermMap is the map of every level; a level
-names its value ring, the key of a constant, its display names and its
-product (where the level's reduction lives), and nothing else.
+Coefficients, the polynomials of phasepoly and the operators of
+weylalgebra are all one flat map from a Monomial, which carries every
+exponent of its term (x, y, px, py, hbar, omega, sqrt2 and i), to a
+nonzero Fraction.  mono_mul is the one product of two keys and the one
+place where both reductions live.  A Coefficient is the map whose keys
+have a zero phase part (a, b, c, d); render groups a flat map by phase
+part and parameters only for output.
 
 Values are immutable and operations are pure, so sharing between
 concurrent tasks is safe.
@@ -32,6 +33,10 @@ from quantlab import render
 # Exact types, so a bool is not a rational.
 _RATIONALS = (int, Fraction)
 
+# Builds a key without the validation of Monomial.__new__, for exponents
+# that an arithmetic rule has already reduced.
+_make = tuple.__new__
+
 
 def _as_fraction(value) -> Fraction:
     if type(value) not in _RATIONALS:
@@ -39,28 +44,62 @@ def _as_fraction(value) -> Fraction:
     return Fraction(value)
 
 
-class CoeffMono(namedtuple("CoeffMono", "h_exp w_exp r_exp")):
-    """Parameter monomial hbar^h_exp * omega^w_exp * sqrt2^r_exp."""
+class Monomial(namedtuple("Monomial", "a b c d h w r e")):
+    """Exponents of x^a y^b px^c py^d hbar^h omega^w sqrt2^r i^e.
+
+    The phase part (a, b, c, d) names a polynomial monomial or the
+    normal-ordered operator word X^a Y^b Px^c Py^d; the parameter part
+    (h, w, r, e) is a monomial of the coefficient ring, with the powers
+    of sqrt2 and i reduced to 0 or 1.
+    """
 
     __slots__ = ()
 
-    def __new__(cls, h_exp: int = 0, w_exp: int = 0, r_exp: int = 0):
-        if h_exp < 0 or w_exp < 0:
-            raise ValueError("hbar and omega exponents must be nonnegative")
-        if r_exp not in (0, 1):
-            raise ValueError("sqrt2 exponent must be reduced to 0 or 1")
-        return tuple.__new__(cls, (h_exp, w_exp, r_exp))
+    def __new__(cls, a=0, b=0, c=0, d=0, h=0, w=0, r=0, e=0):
+        exps = (a, b, c, d, h, w, r, e)
+        if min(exps) < 0:
+            raise ValueError("exponents must be nonnegative")
+        if r > 1 or e > 1:
+            raise ValueError("sqrt2 and i exponents must be reduced to 0 or 1")
+        return _make(cls, exps)
 
-    def sort_key(self) -> tuple[int, int, int]:
-        return self
+    def phase(self) -> "Monomial":
+        """The key with its parameter part dropped."""
+        return _make(Monomial, self[:4] + (0, 0, 0, 0))
+
+    def params(self) -> "Monomial":
+        """The key with its phase part dropped: a Coefficient key."""
+        return _make(Monomial, (0, 0, 0, 0) + self[4:])
+
+
+def mono_mul(m1, m2) -> tuple[Monomial, int]:
+    """The product of two keys as (key, factor), factor in {1, -1, 2, -2}.
+
+    Exponents add, then the two reductions of the ring apply.  Keys that
+    commute multiply through this rule alone; the operator product adds
+    its reordering corrections as further keys.
+    """
+    a1, b1, c1, d1, h1, w1, r1, e1 = m1
+    a2, b2, c2, d2, h2, w2, r2, e2 = m2
+    factor = 1
+    r = r1 + r2
+    if r == 2:
+        # sqrt2 * sqrt2 = 2
+        r = 0
+        factor = 2
+    e = e1 + e2
+    if e == 2:
+        # i * i = -1
+        e = 0
+        factor = -factor
+    return _make(Monomial, (a1 + a2, b1 + b2, c1 + c2, d1 + d2, h1 + h2, w1 + w2, r, e)), factor
 
 
 def _accumulate(acc: dict, key, value) -> None:
     """Add value into acc[key] in place, dropping the key when the sum is zero.
 
-    Every sparse sum in the package (coefficients, polynomials and
-    operators) accumulates through this one rule, which keeps term maps
-    canonical.
+    Every sparse sum in the package accumulates through this one rule,
+    which keeps term maps canonical.
     """
     prev = acc.get(key)
     total = value if prev is None else prev + value
@@ -81,38 +120,41 @@ def _canonical(cls, terms: dict):
     return out
 
 
+def _add_product(acc: dict, key: Monomial, value, terms: dict) -> None:
+    """Accumulate the product of the term value * key with the map terms
+    into acc; key commutes with the keys of terms."""
+    for k, v in terms.items():
+        product, factor = mono_mul(key, k)
+        v = value * v
+        _accumulate(acc, product, v if factor == 1 else v * factor)
+
+
 class TermMap:
-    """Sparse map from monomial keys to nonzero values, kept canonical.
+    """Sparse map from Monomial keys to nonzero Fractions, kept canonical
+    (no zero values), so equality is structural.  A subclass names its
+    display names in the render styles (``_names``) and may replace the
+    commutative ``_product``.  The constructor also flattens {Monomial:
+    Coefficient}.
 
-    Canonical form stores no zero values, so equality is structural and
-    a - b == zero exactly when a equals b.  A subclass names its value
-    ring (``_ring``, whose ``of`` coerces a constant: the rationals for
-    Scalar, the level below for every other map), the key of a constant
-    (``_unit``), the key of its display names in the render styles
-    (``_names``) and the product of two of its maps (``_product``).
-
-    One coercion rule serves every level: ``of`` returns an instance
-    unchanged and lifts anything the value ring's ``of`` accepts to a
+    One coercion rule serves every class: ``of`` returns an instance
+    unchanged, reuses the map of a Coefficient and lifts a rational to a
     constant; ``+``, ``-`` and ``==`` apply it to their other operand.
-    ``*`` multiplies two maps of one class, and otherwise scales: a
-    rational goes straight to the values, anything else is first
-    coerced by the value ring.
+    ``*`` multiplies two maps of one class, scales by a rational, and
+    multiplies by a Coefficient commutatively, as constants commute with
+    everything.
     """
 
     __slots__ = ("_terms",)
-    _ring: type
-    _unit: object
     _names: str
 
     def __init__(self, terms: dict | None = None):
-        clean = {}
-        if terms:
-            of = self._ring.of
-            for key, value in terms.items():
-                value = of(value)
-                if value:
-                    clean[key] = value
-        self._terms = clean
+        acc: dict[Monomial, Fraction] = {}
+        for key, value in (terms or {}).items():
+            if isinstance(value, Coefficient):
+                _add_product(acc, key, 1, value._terms)
+            else:
+                _accumulate(acc, key, _as_fraction(value))
+        self._terms = acc
 
     # -- constructors ----------------------------------------------------
 
@@ -132,25 +174,25 @@ class TermMap:
 
     @classmethod
     def constant(cls, value):
-        return cls.monomial(cls._unit, value)
+        if isinstance(value, Coefficient):
+            return _canonical(cls, value._terms)
+        return cls.monomial(Monomial(), value)
 
     @classmethod
-    def monomial(cls, key, value=1):
-        value = cls._ring.of(value)
+    def monomial(cls, key: Monomial, value=1):
+        value = _as_fraction(value)
         return _canonical(cls, {key: value} if value else {})
 
     # -- queries ----------------------------------------------------------
 
     @property
     def terms(self) -> dict:
-        """Underlying term map; treat as read-only."""
+        """Underlying flat term map {Monomial: Fraction}; treat as read-only."""
         return self._terms
 
-    def sorted_terms(self) -> list[tuple]:
-        return render.ordered(self._terms.items())
-
-    def coefficient(self, key):
-        return self._terms.get(key, self._ring.of(0))
+    def coefficient(self, key: Monomial) -> "Coefficient":
+        """The Coefficient of the phase part of key."""
+        return Coefficient({k.params(): v for k, v in self._terms.items() if k[:4] == key[:4]})
 
     def is_zero(self) -> bool:
         return not self._terms
@@ -159,7 +201,18 @@ class TermMap:
         return bool(self._terms)
 
     def total_degree(self) -> int:
-        return max((sum(key) for key in self._terms), default=0)
+        """Highest degree in x, y, px and py."""
+        return max((sum(key[:4]) for key in self._terms), default=0)
+
+    def is_real(self) -> bool:
+        return not any(key.e for key in self._terms)
+
+    def conjugate(self):
+        """Map i to -i; every other generator is fixed."""
+        return _canonical(type(self), {k: -v if k.e else v for k, v in self._terms.items()})
+
+    def hbar_free_part(self):
+        return _canonical(type(self), {k: v for k, v in self._terms.items() if not k.h})
 
     # -- ring operations ----------------------------------------------------
 
@@ -189,21 +242,26 @@ class TermMap:
         return _canonical(type(self), {k: -v for k, v in self._terms.items()})
 
     def __mul__(self, other):
+        if type(other) in _RATIONALS:
+            if not other:
+                return self.zero()
+            return _canonical(type(self), {k: v * other for k, v in self._terms.items()})
         if isinstance(other, type(self)):
             return self._product(other)
-        if type(other) not in _RATIONALS:
-            try:
-                other = self._ring.of(other)
-            except TypeError:
-                return NotImplemented
-        if not other:
-            return self.zero()
-        # the ring has no zero divisors, so scaled values stay nonzero
-        return _canonical(type(self), {k: v * other for k, v in self._terms.items()})
+        if isinstance(other, Coefficient):
+            return TermMap._product(self, other)
+        return NotImplemented
 
     # Python reflects * only for a left operand of another class, that is
     # a scalar, and scalars commute with every term map.
     __rmul__ = __mul__
+
+    def _product(self, other):
+        """The product of maps whose keys commute."""
+        acc: dict[Monomial, Fraction] = {}
+        for key, value in self._terms.items():
+            _add_product(acc, key, value, other._terms)
+        return _canonical(type(self), acc)
 
     def __pow__(self, exponent: int):
         if not isinstance(exponent, int) or exponent < 0:
@@ -222,18 +280,9 @@ class TermMap:
 
     # -- rendering -------------------------------------------------------------
 
-    def factors(self, tail: list[str], style: render.Style) -> list[str]:
-        """Factors of a nonzero self * <tail>: one term folds into the tail,
-        a sum is parenthesized."""
-        if len(self._terms) == 1:
-            ((key, value),) = self._terms.items()
-            names = style.names[self._names]
-            return value.factors(render.power_factors(names, key, style) + tail, style)
-        return [style.open + self._render(style) + style.close] + tail
-
     def _render(self, style: render.Style) -> str:
         key_factors = partial(render.power_factors, style.names[self._names])
-        return render.join_terms(self._terms.items(), key_factors, style)
+        return render.join_terms(self._terms, key_factors, style)
 
     def text(self) -> str:
         return self._render(render.TEXT)
@@ -248,105 +297,29 @@ class TermMap:
         return self.text()
 
 
-# The value ring of Scalar: TermMap coerces every value through _ring.of.
-class _Rationals:
-    of = staticmethod(_as_fraction)
-
-
-class Scalar(TermMap):
-    """Gaussian rational re + im*i: a map from the power of i (0 or 1) to a
-    nonzero Fraction, with the one reduction i * i = -1."""
-
-    __slots__ = ()
-    _ring = _Rationals
-    _unit = 0
-
-    def __init__(self, re=0, im=0):
-        super().__init__({0: re, 1: im})
-
-    @property
-    def re(self) -> Fraction:
-        return self.coefficient(0)
-
-    @property
-    def im(self) -> Fraction:
-        return self.coefficient(1)
-
-    def _product(self, other: "Scalar") -> "Scalar":
-        acc: dict[int, Fraction] = {}
-        for k1, v1 in self._terms.items():
-            for k2, v2 in other._terms.items():
-                value = v1 * v2
-                key = k1 + k2
-                if key == 2:
-                    # i * i = -1
-                    value = -value
-                    key = 0
-                _accumulate(acc, key, value)
-        return _canonical(Scalar, acc)
-
-    def conjugate(self) -> "Scalar":
-        return _canonical(Scalar, {k: -v if k else v for k, v in self._terms.items()})
-
-    def is_real(self) -> bool:
-        return 1 not in self._terms
-
-    # A Gaussian rational renders as "1/2 - 3*i", not as a sum of powers.
-    def factors(self, tail: list[str], style: render.Style) -> list[str]:
-        return render.scalar_factors(self, tail, style)
-
-    def text(self) -> str:
-        return render.scalar(self, render.TEXT)
-
-    def latex(self) -> str:
-        return render.scalar(self, render.LATEX)
-
-
 class Coefficient(TermMap):
-    """Finite Scalar-weighted sum of parameter monomials hbar^h omega^w
-    sqrt2^r, with the reduction sqrt2 * sqrt2 = 2."""
+    """An element of Q(i)[sqrt2][hbar, omega]: a term map whose keys have a
+    zero phase part."""
 
     __slots__ = ()
-    _ring = Scalar
-    _unit = CoeffMono()
-    _names = "coefficient"
 
     @classmethod
     def i(cls) -> "Coefficient":
-        return cls.constant(Scalar(0, 1))
+        return cls.monomial(Monomial(e=1))
 
     @classmethod
     def hbar(cls, exp: int = 1) -> "Coefficient":
-        return cls.monomial(CoeffMono(h_exp=exp))
+        return cls.monomial(Monomial(h=exp))
 
     @classmethod
     def omega(cls, exp: int = 1) -> "Coefficient":
-        return cls.monomial(CoeffMono(w_exp=exp))
+        return cls.monomial(Monomial(w=exp))
 
     @classmethod
     def sqrt2(cls) -> "Coefficient":
-        return cls.monomial(CoeffMono(r_exp=1))
+        return cls.monomial(Monomial(r=1))
 
-    def is_real(self) -> bool:
-        return all(s.is_real() for s in self._terms.values())
-
-    def hbar_free_part(self) -> "Coefficient":
-        return _canonical(Coefficient, {m: s for m, s in self._terms.items() if m.h_exp == 0})
-
-    def _product(self, other: "Coefficient") -> "Coefficient":
-        acc: dict[CoeffMono, Scalar] = {}
-        for m1, s1 in self._terms.items():
-            for m2, s2 in other._terms.items():
-                scalar = s1 * s2
-                r = m1.r_exp + m2.r_exp
-                if r == 2:
-                    # sqrt2 * sqrt2 = 2
-                    scalar = scalar * 2
-                    r = 0
-                mono = CoeffMono(m1.h_exp + m2.h_exp, m1.w_exp + m2.w_exp, r)
-                _accumulate(acc, mono, scalar)
-        return _canonical(Coefficient, acc)
-
-    def conjugate(self) -> "Coefficient":
-        """Map i to -i; hbar, omega and sqrt2 are fixed."""
-        return _canonical(Coefficient, {m: s.conjugate() for m, s in self._terms.items()})
+    # A coefficient standing alone is written "1/2 - 3*i", not "(1/2 - 3*i)".
+    def _render(self, style: render.Style) -> str:
+        groups = render.grouped(self._terms)
+        return render.coefficient(groups[0][1] if groups else [], style)

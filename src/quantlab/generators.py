@@ -12,9 +12,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
-from quantlab.coeffring import CoeffMono, Coefficient
+from quantlab.coeffring import Coefficient
 from quantlab.phasepoly import (
-    PhaseMono,
+    Monomial,
     PhasePoly,
     PhaseVar,
     hamiltonian_flow_apply,
@@ -71,7 +71,7 @@ def _binomial_half(k: int, parity: int, s, axis: int, scale=1) -> PhasePoly:
         exps = [0, 0, 0, 0]
         exps[axis], exps[axis + 2] = j, k - j
         value = scale * comb(k, j) * s ** j * (-2) ** (j // 2)
-        terms[PhaseMono(*exps)] = Coefficient.monomial(CoeffMono(w_exp=j - parity), value)
+        terms[Monomial(*exps, w=j - parity)] = value
     return PhasePoly(terms)
 
 
@@ -117,7 +117,7 @@ def ladder_products(x, y, px, py, params: OscillatorParams, which: tuple[int, ..
     variables or operators: each summand is a product of powers of two
     commuting factors, so no ordering ambiguity arises.
     """
-    omega1 = Coefficient.monomial(CoeffMono(w_exp=1, r_exp=1))
+    omega1 = Coefficient.monomial(Monomial(w=1, r=1))
     omega2 = omega1 * Fraction(params.n, params.m)
     i_unit = Coefficient.i()
     b1 = px - x * (i_unit * omega1)

@@ -20,6 +20,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
 
+from quantlab.coeffring import _add_product, _canonical
 from quantlab.generators import OscillatorParams, ladder_products
 from quantlab.phasepoly import PhaseMono, PhasePoly
 from quantlab.weylalgebra import (
@@ -79,11 +80,17 @@ def quantize_monomial(scheme: Scheme, mono: PhaseMono) -> Operator:
 
 
 def quantize(scheme: Scheme, poly: PhasePoly) -> Operator:
-    """Coefficient-linear extension of the monomial rule."""
-    out = Operator.zero()
-    for mono, coeff in poly.terms.items():
-        out = out + quantize_monomial(scheme, mono) * coeff
-    return out
+    """Coefficient-linear extension of the monomial rule: each term's
+    parameter part multiplies the image of its phase part."""
+    images: dict[PhaseMono, Operator] = {}
+    acc: dict = {}
+    for mono, value in poly.terms.items():
+        phase = mono.phase()
+        image = images.get(phase)
+        if image is None:
+            image = images[phase] = quantize_monomial(scheme, phase)
+        _add_product(acc, mono.params(), value, image.terms)
+    return _canonical(Operator, acc)
 
 
 def quantize_ladder(params: OscillatorParams, which: int) -> Operator:

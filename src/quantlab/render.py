@@ -1,27 +1,23 @@
-"""Text and LaTeX rendering of scalars, coefficients, polynomials and
-operators, from one set of rules.
+"""Text and LaTeX rendering of coefficients, polynomials and operators,
+from one set of rules.
 
-The two formats differ only in the fixed style records TEXT and LATEX:
-fraction format, the joiner between the factors of a term, the
-parentheses around a sum, the joiner of a rational and i inside a
-Gaussian rational, whether a leading -1 may fold onto a factor carrying
-a power, the power format, and the display names of the variables.
-
-This module renders the pieces (a Gaussian rational, the powers of a
-monomial, a derivative) and join_terms, the one sum renderer: its caller
-names how a key renders (powers for coeffring.TermMap, x^a y^b and a
-derivative for the derivative form of weylalgebra), and each value
-renders itself as factors (a Coefficient by folding a single term or
-parenthesizing a sum; a Scalar, a term map over the powers of i written
-as "1/2 - 3*i", through scalar_factors from its ``re`` and ``im``).
-Values are read through their public fields, so this module imports
-nothing else from the package.
+The two formats differ only in the fixed style records TEXT and LATEX
+(fraction and power formats, joiners, parentheses, folding of -1, and
+display names).  Term maps are flat, so grouped is the one reader of a
+map for output: it groups the terms by phase part (a, b, c, d), then by
+(h, w, r), into the Gaussian rational (re, im); the JSON reports read
+the same groups.  join_terms, the one sum renderer, writes each group as
+a coefficient times its key, rendered by its caller (powers, or x^a y^b
+and a derivative).  Keys are read by position, so this module imports
+nothing from the package.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from typing import NamedTuple
+
+_ZERO = Fraction(0)
 
 
 class Style(NamedTuple):
@@ -95,6 +91,21 @@ def power_factors(names, exponents, style: Style) -> list[str]:
     return out
 
 
+def grouped(terms: dict) -> list[tuple]:
+    """A flat term map as [(phase, group), ...], phase the exponents
+    (a, b, c, d) and group its coefficient [((h, w, r), re, im), ...];
+    both levels descending, phase parts by degree first."""
+    groups: dict[tuple, dict] = {}
+    for key, value in terms.items():
+        parts = groups.setdefault(key[:4], {}).setdefault(key[4:7], [_ZERO, _ZERO])
+        parts[key[7]] = value
+    by_degree = sorted(groups.items(), key=lambda kv: (sum(kv[0]), kv[0]), reverse=True)
+    return [
+        (phase, [(params, re, im) for params, (re, im) in sorted(group.items(), reverse=True)])
+        for phase, group in by_degree
+    ]
+
+
 def _imaginary(q: Fraction, style: Style) -> str:
     if q == 1:
         return "i"
@@ -103,51 +114,81 @@ def _imaginary(q: Fraction, style: Style) -> str:
     return fraction(q, style) + style.imag + "i"
 
 
-def scalar(value, style: Style) -> str:
+def scalar(re: Fraction, im: Fraction, style: Style) -> str:
     """A Gaussian rational re + im*i standing alone."""
-    if value.im == 0:
-        return fraction(value.re, style)
-    if value.re == 0:
-        return _imaginary(value.im, style)
-    sign = " + " if value.im > 0 else " - "
-    return fraction(value.re, style) + sign + _imaginary(abs(value.im), style)
+    if im == 0:
+        return fraction(re, style)
+    if re == 0:
+        return _imaginary(im, style)
+    sign = " + " if im > 0 else " - "
+    return fraction(re, style) + sign + _imaginary(abs(im), style)
 
 
-def scalar_factors(value, tail: list[str], style: Style) -> list[str]:
-    """Factors of value * <tail>, folding a unit scalar into the tail."""
-    if value.im == 0:
-        if value.re == 1 and tail:
+def scalar_factors(re: Fraction, im: Fraction, tail: list[str], style: Style) -> list[str]:
+    """Factors of (re + im*i) * <tail>, folding a unit scalar into the tail."""
+    if im == 0:
+        if re == 1 and tail:
             return tail
-        if value.re == -1 and tail and (style.fold_powers or "^" not in tail[0]):
+        if re == -1 and tail and (style.fold_powers or "^" not in tail[0]):
             return ["-" + tail[0]] + tail[1:]
-        head = [fraction(value.re, style)]
-    elif value.re != 0:
-        head = [style.open + scalar(value, style) + style.close]
-    elif value.im in (1, -1):
-        head = [_imaginary(value.im, style)]
+        head = [fraction(re, style)]
+    elif re != 0:
+        head = [style.open + scalar(re, im, style) + style.close]
+    elif im in (1, -1):
+        head = [_imaginary(im, style)]
     else:
-        head = [fraction(value.im, style), "i"]
+        head = [fraction(im, style), "i"]
     return head + tail
 
 
-def differential_factors(mono, style: Style) -> list[str]:
+def coefficient(group, style: Style) -> str:
+    """A group's coefficient as a sum; a lone constant is written bare, "1 - 2*i"."""
+    if len(group) == 1 and not any(group[0][0]):
+        return scalar(group[0][1], group[0][2], style)
+    names = style.names["coefficient"]
+    return _join(
+        (scalar_factors(re, im, power_factors(names, params, style), style)
+         for params, re, im in group),
+        style,
+    )
+
+
+def coefficient_factors(group, tail: list[str], style: Style) -> list[str]:
+    """Factors of a group's coefficient times <tail>: one term folds into
+    the tail, a sum is parenthesized."""
+    if len(group) == 1:
+        ((params, re, im),) = group
+        names = style.names["coefficient"]
+        return scalar_factors(re, im, power_factors(names, params, style) + tail, style)
+    return [style.open + coefficient(group, style) + style.close] + tail
+
+
+def differential_factors(phase, style: Style) -> list[str]:
     """x^a y^b then the derivative d^(c+d)/dx^c dy^d of an operator word."""
     x, y, d, dx, dy = style.names["differential"]
-    out = power_factors((x, y), (mono.a, mono.b), style)
-    order = mono.c + mono.d
+    out = power_factors((x, y), phase[:2], style)
+    order = phase[2] + phase[3]
     if order:
         head = d if order == 1 else style.power % (d, order)
-        dens = style.derivative_join.join(power_factors((dx, dy), (mono.c, mono.d), style))
+        dens = style.derivative_join.join(power_factors((dx, dy), phase[2:], style))
         out.append(style.derivative % (head, dens))
     return out
 
 
-def join_terms(items, key_factors, style: Style) -> str:
-    """Sum of value * key over (key, value) items in `ordered` order, with
-    binary +/-; "0" for none.  key_factors(key, style) renders a key."""
+def join_terms(terms: dict, key_factors, style: Style) -> str:
+    """Sum of coefficient * key over the groups of a flat term map, with
+    binary +/-; "0" for none.  key_factors(phase, style) renders a key."""
+    return _join(
+        (coefficient_factors(group, key_factors(phase, style), style)
+         for phase, group in grouped(terms)),
+        style,
+    )
+
+
+def _join(factor_lists, style: Style) -> str:
     parts = []
-    for key, value in ordered(items):
-        term = style.join.join(value.factors(key_factors(key, style), style))
+    for factors in factor_lists:
+        term = style.join.join(factors)
         if not parts:
             parts.append(term)
         elif term.startswith("-"):
@@ -155,8 +196,3 @@ def join_terms(items, key_factors, style: Style) -> str:
         else:
             parts.append(" + " + term)
     return "".join(parts) or "0"
-
-
-def ordered(items) -> list[tuple]:
-    """(key, value) items in the canonical term order, descending key.sort_key()."""
-    return sorted(items, key=lambda kv: kv[0].sort_key(), reverse=True)

@@ -13,6 +13,10 @@ A base that starts with unary '-' takes no exponent: "-x^2" could mean
 The eight legal symbols are i, hbar, omega, sqrt2, x, y, px, py.  The
 AST lowers to a canonical PhasePoly, so printing a polynomial and
 parsing it back reproduces the same value exactly.
+
+Input is bounded so that no expression runs unbounded: an exponent
+literal and the AST's degree bound may not exceed MAX_DEGREE, and no
+lowered polynomial may hold more than MAX_TERMS terms.
 """
 
 from __future__ import annotations
@@ -24,6 +28,12 @@ from quantlab.coeffring import Coefficient
 from quantlab.phasepoly import PhasePoly, PhaseVar
 
 SYMBOLS = ("i", "hbar", "omega", "sqrt2", "x", "y", "px", "py")
+
+# Largest exponent literal and degree bound: twice the largest m + n the
+# commands accept (cli.MAX_SUM), since K has degree m + n.
+MAX_DEGREE = 40
+# Largest number of terms of a lowered polynomial, or of any part of it.
+MAX_TERMS = 2000
 
 
 class ParseError(ValueError):
@@ -175,7 +185,14 @@ class _Parser:
             if token.kind != "int":
                 raise self.error("exponent must be a nonnegative integer literal")
             self.advance()
-            return Pow(node, int(token.text))
+            exponent = int(token.text)
+            if exponent > MAX_DEGREE:
+                raise ParseError(
+                    f"exponent {exponent} exceeds the maximum {MAX_DEGREE}",
+                    token.line,
+                    token.column,
+                )
+            return Pow(node, exponent)
         return node
 
     def base(self) -> ExprAST:
@@ -220,13 +237,34 @@ class _Parser:
 
 
 def parse(text: str) -> ExprAST:
-    """Parse an expression string into an AST; raises ParseError on bad input."""
+    """Parse an expression string into an AST; raises ParseError on bad
+    input and ValueError when its degree bound exceeds MAX_DEGREE."""
     parser = _Parser(_tokenize(text))
     node = parser.expr()
     tail = parser.peek()
     if tail.kind != "end":
         raise parser.error("unexpected token after expression", tail)
+    bound = degree_bound(node)
+    if bound > MAX_DEGREE:
+        raise ValueError(f"expression degree may reach {bound}; the maximum is {MAX_DEGREE}")
     return node
+
+
+def degree_bound(node: ExprAST) -> int:
+    """An upper bound on the degree of the lowered polynomial, counting
+    every atom (number or symbol) as degree 1."""
+    match node:
+        case Num() | Sym():
+            return 1
+        case Neg(operand):
+            return degree_bound(operand)
+        case BinOp("*", left, right):
+            return degree_bound(left) + degree_bound(right)
+        case BinOp(_, left, right):
+            return max(degree_bound(left), degree_bound(right))
+        case Pow(base, exponent):
+            return degree_bound(base) * exponent
+    raise TypeError(f"not an expression node: {node!r}")
 
 
 _SYMBOL_POLYS = {
@@ -242,7 +280,11 @@ _SYMBOL_POLYS = {
 
 
 def lower(node: ExprAST) -> PhasePoly:
-    """Lower an AST to its unique canonical polynomial."""
+    """Lower an AST to its unique canonical polynomial.
+
+    Raises ValueError as soon as a partial result holds more than
+    MAX_TERMS terms.
+    """
     match node:
         case Num(value):
             return PhasePoly.constant(value)
@@ -251,14 +293,24 @@ def lower(node: ExprAST) -> PhasePoly:
         case Neg(operand):
             return -lower(operand)
         case BinOp("+", left, right):
-            return lower(left) + lower(right)
+            return _capped(lower(left) + lower(right))
         case BinOp("-", left, right):
-            return lower(left) - lower(right)
+            return _capped(lower(left) - lower(right))
         case BinOp("*", left, right):
-            return lower(left) * lower(right)
+            return _capped(lower(left) * lower(right))
         case Pow(base, exponent):
-            return lower(base) ** exponent
+            base = lower(base)
+            out = PhasePoly.one()
+            for _ in range(exponent):
+                out = _capped(out * base)
+            return out
     raise TypeError(f"not an expression node: {node!r}")
+
+
+def _capped(poly: PhasePoly) -> PhasePoly:
+    if len(poly.terms) > MAX_TERMS:
+        raise ValueError(f"expression expands to more than {MAX_TERMS} terms")
+    return poly
 
 
 def parse_polynomial(text: str) -> PhasePoly:

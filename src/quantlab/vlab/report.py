@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 
-from quantlab.coeffring import Coefficient
+from quantlab import render
 from quantlab.weylalgebra import Operator, differential_latex, differential_text
 from quantlab.vlab.verify import VerificationRecord, failed_claims
 
@@ -19,27 +19,27 @@ SWEEP_NOTE = (
 )
 
 
-def coefficient_json(coeff: Coefficient) -> dict:
-    terms = []
-    for mono, scalar in coeff.sorted_terms():
-        terms.append(
+def coefficient_json(group: list[tuple]) -> dict:
+    return {
+        "terms": [
             {
-                "h": mono.h_exp,
-                "w": mono.w_exp,
-                "r": mono.r_exp,
-                "re_num": scalar.re.numerator,
-                "re_den": scalar.re.denominator,
-                "im_num": scalar.im.numerator,
-                "im_den": scalar.im.denominator,
+                "h": h,
+                "w": w,
+                "r": r,
+                "re_num": re.numerator,
+                "re_den": re.denominator,
+                "im_num": im.numerator,
+                "im_den": im.denominator,
             }
-        )
-    return {"terms": terms}
+            for (h, w, r), re, im in group
+        ]
+    }
 
 
 def operator_json(op: Operator) -> list[dict]:
     return [
-        {"a": mono.a, "b": mono.b, "c": mono.c, "d": mono.d, "coeff": coefficient_json(coeff)}
-        for mono, coeff in op.sorted_terms()
+        {"a": a, "b": b, "c": c, "d": d, "coeff": coefficient_json(group)}
+        for (a, b, c, d), group in render.grouped(op.terms)
     ]
 
 

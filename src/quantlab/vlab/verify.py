@@ -116,8 +116,10 @@ def _verify(
     )
 
 
-class Disagreement(namedtuple("Disagreement", "probe")):
-    """The first probe on which a symbolic commutator and the action differ.
+class Disagreement(namedtuple("Disagreement", "probe direct nested")):
+    """The first probe on which a symbolic commutator and the action differ,
+    with both action polynomials there: direct, the claimed commutator's
+    action, and nested, left(right(probe)) - right(left(probe)).
 
     Falsy, so a caller can test the oracle's answer as a bool.
     """
@@ -155,7 +157,7 @@ def commutator_matches_action(
             direct = apply_to_polynomial(comm_act, PhasePoly.monomial(probe))
             nested = left_act(right_act.image(probe)) - right_act(left_act.image(probe))
             if direct != nested:
-                return Disagreement(probe)
+                return Disagreement(probe, direct, nested)
     return True
 
 

@@ -15,10 +15,18 @@ independent route to the same algebra for cross-checks.
 from __future__ import annotations
 
 from functools import lru_cache
-from math import comb, factorial, perm
+from math import comb, perm
 
 from quantlab import render
-from quantlab.coeffring import Coefficient, TermMap, _accumulate, _canonical
+from quantlab.coeffring import (
+    Coefficient,
+    TermMap,
+    _accumulate,
+    _add_product,
+    _canonical,
+    _make,
+    mono_mul,
+)
 from quantlab.phasepoly import Monomial, PhaseMono, PhasePoly
 
 
@@ -29,20 +37,28 @@ def neg_i_hbar_power(k: int) -> Coefficient:
 
 
 @lru_cache(maxsize=None)
-def _swap_weights(s: int, r: int) -> tuple[int, ...]:
-    """Integer weights k! C(s,k) C(r,k) of the P^s X^r normal-ordering identity."""
-    return tuple(factorial(k) * comb(s, k) * comb(r, k) for k in range(min(r, s) + 1))
+def _corrections(s1: int, r1: int, s2: int, r2: int) -> tuple[tuple[Monomial, int], ...]:
+    """(key, weight) of each term of the swap identity for P^s1 X^r1 and
+    P^s2 Y^r2: the key lowers X and Px by k1, Y and Py by k2 (to be added
+    to the product of the two words) and carries (-i hbar)^(k1+k2), whose
+    sign joins the integer weight k1! C(s1,k1) C(r1,k1) k2! C(s2,k2) C(r2,k2)."""
+    out = []
+    for k1 in range(min(s1, r1) + 1):
+        for k2 in range(min(s2, r2) + 1):
+            ((power, sign),) = neg_i_hbar_power(k1 + k2).terms.items()
+            key = _make(Monomial, (-k1, -k2, -k1, -k2) + power[4:])
+            weight = perm(s1, k1) * comb(r1, k1) * perm(s2, k2) * comb(r2, k2)
+            out.append((key, int(sign) * weight))
+    return tuple(out)
 
 
 OpMono = Monomial
 
 
 class Operator(TermMap):
-    """Sparse normal-ordered operator with Coefficient coefficients."""
+    """Sparse normal-ordered operator over the coefficient ring."""
 
     __slots__ = ()
-    _ring = Coefficient
-    _unit = Monomial()
     _names = "operator"
 
     def _product(self, other: "Operator") -> "Operator":
@@ -77,22 +93,15 @@ def op_mul(left: Operator, right: Operator) -> Operator:
     Only same-index pairs produce correction terms; the x and y families
     commute with each other.
     """
-    acc: dict[OpMono, Coefficient] = {}
-    for m1, c1 in left.terms.items():
-        for m2, c2 in right.terms.items():
-            base = c1 * c2
-            x_weights = _swap_weights(m1.c, m2.a)
-            y_weights = _swap_weights(m1.d, m2.b)
-            for k1, w1 in enumerate(x_weights):
-                for k2, w2 in enumerate(y_weights):
-                    mono = OpMono(
-                        m1.a + m2.a - k1,
-                        m1.b + m2.b - k2,
-                        m1.c + m2.c - k1,
-                        m1.d + m2.d - k2,
-                    )
-                    coeff = base * (w1 * w2) * neg_i_hbar_power(k1 + k2)
-                    _accumulate(acc, mono, coeff)
+    acc: dict = {}
+    for m1, v1 in left.terms.items():
+        for m2, v2 in right.terms.items():
+            base, factor = mono_mul(m1, m2)
+            value = v1 * v2
+            for shift, weight in _corrections(m1.c, m2.a, m1.d, m2.b):
+                key, sign = mono_mul(base, shift)
+                scale = factor * sign * weight
+                _accumulate(acc, key, value if scale == 1 else value * scale)
     return _canonical(Operator, acc)
 
 
@@ -103,7 +112,7 @@ def commutator(left: Operator, right: Operator) -> Operator:
 
 def classical_symbol(op: Operator) -> PhasePoly:
     """hbar -> 0 limit with momenta read as classical variables."""
-    return PhasePoly({mono: coeff.hbar_free_part() for mono, coeff in op.terms.items()})
+    return _canonical(PhasePoly, op.hbar_free_part().terms)
 
 
 class Action:
@@ -127,27 +136,28 @@ class Action:
         return op if isinstance(op, cls) else cls(op)
 
     def image(self, mono: PhaseMono) -> PhasePoly:
-        """The action on the position monomial mono, memoized."""
+        """The action on the position monomial mono x^i y^j, memoized."""
         image = self._images.get(mono)
         if image is None:
             if mono.c or mono.d:
                 raise ValueError("operators act on position polynomials (no px or py)")
-            acc: dict[PhaseMono, Coefficient] = {}
-            for word, coeff in self._words.items():
-                if word.c > mono.a or word.d > mono.b:
+            i, j = mono.a, mono.b
+            acc: dict = {}
+            for word, value in self._words.items():
+                a, b, c, d = word[:4]
+                if c > i or d > j:
                     continue
-                mult = perm(mono.a, word.c) * perm(mono.b, word.d)
-                key = PhaseMono(word.a + mono.a - word.c, word.b + mono.b - word.d)
-                _accumulate(acc, key, coeff * mult)
+                key = _make(Monomial, (a + i - c, b + j - d, 0, 0) + word[4:])
+                mult = perm(i, c) * perm(j, d)
+                _accumulate(acc, key, value if mult == 1 else value * mult)
             image = self._images[mono] = _canonical(PhasePoly, acc)
         return image
 
     def __call__(self, poly: PhasePoly) -> PhasePoly:
         """Act on poly; rejects polynomials containing px or py."""
-        acc: dict[PhaseMono, Coefficient] = {}
-        for mono, coeff in poly.terms.items():
-            for key, value in self.image(mono).terms.items():
-                _accumulate(acc, key, value * coeff)
+        acc: dict = {}
+        for mono, value in poly.terms.items():
+            _add_product(acc, mono.params(), value, self.image(mono.phase()).terms)
         return _canonical(PhasePoly, acc)
 
 
@@ -164,50 +174,42 @@ def apply_to_polynomial(op: "Operator | Action", poly: PhasePoly) -> PhasePoly:
 def adjoint(op: Operator) -> Operator:
     """Formal adjoint: reverse each word and conjugate its coefficient."""
     out = Operator.zero()
-    for mono, coeff in op.terms.items():
-        reversed_word = op_mul(
-            Operator.monomial(OpMono(c=mono.c, d=mono.d)),
-            Operator.monomial(OpMono(a=mono.a, b=mono.b)),
-        )
-        out = out + reversed_word * coeff.conjugate()
+    for mono, value in op.terms.items():
+        momenta = Operator.monomial(Monomial(c=mono.c, d=mono.d))
+        positions = Operator.monomial(mono._replace(c=0, d=0), value).conjugate()
+        out = out + op_mul(momenta, positions)
     return out
 
 
 def min_hbar_exponent(op: Operator) -> int:
     """Smallest hbar exponent over all terms; 0 for the zero operator."""
-    exps = [m.h_exp for coeff in op.terms.values() for m in coeff.terms]
-    return min(exps) if exps else 0
+    return min((key.h for key in op.terms), default=0)
 
 
 def min_omega_exponent(op: Operator) -> int:
     """Smallest omega exponent over all terms; 0 for the zero operator."""
-    exps = [m.w_exp for coeff in op.terms.values() for m in coeff.terms]
-    return min(exps) if exps else 0
+    return min((key.w for key in op.terms), default=0)
 
 
-def differential_terms(op: Operator) -> dict[OpMono, Coefficient]:
-    """Coefficients of the operator written as x^a y^b d^c/dx^c d^d/dy^d.
+def differential_terms(op: Operator) -> dict:
+    """The flat terms of the operator written as x^a y^b d^c/dx^c d^d/dy^d.
 
-    The returned monomials reuse OpMono with (c, d) read as derivative
-    orders; each coefficient absorbs the (-i*hbar)^(c+d) factor of the
-    momentum realization.  This one derivative form serves the action
-    and the derivative renderers; it is a plain dict, as an Operator's
-    product would be wrong for derivative words.
+    The keys keep (c, d) as derivative orders; each term absorbs the
+    (-i*hbar)^(c+d) factor of the momentum realization.  This one
+    derivative form serves the action and the derivative renderers; it
+    is a plain dict, as an Operator's product would be wrong for
+    derivative words.
     """
-    return {
-        mono: coeff * neg_i_hbar_power(mono.c + mono.d)
-        for mono, coeff in op.terms.items()
-    }
+    out: dict = {}
+    for mono, value in op.terms.items():
+        _add_product(out, mono, value, neg_i_hbar_power(mono.c + mono.d).terms)
+    return out
 
 
 def differential_text(op: Operator) -> str:
     """Plain-text rendering in derivative form."""
-    return render.join_terms(
-        differential_terms(op).items(), render.differential_factors, render.TEXT
-    )
+    return render.join_terms(differential_terms(op), render.differential_factors, render.TEXT)
 
 
 def differential_latex(op: Operator) -> str:
-    return render.join_terms(
-        differential_terms(op).items(), render.differential_factors, render.LATEX
-    )
+    return render.join_terms(differential_terms(op), render.differential_factors, render.LATEX)

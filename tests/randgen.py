@@ -7,7 +7,7 @@ seed and case count; runs are deterministic.
 from fractions import Fraction
 from random import Random
 
-from quantlab.coeffring import CoeffMono, Coefficient, Scalar
+from quantlab.coeffring import Coefficient, Monomial
 from quantlab.phasepoly import PhaseMono, PhasePoly
 from quantlab.weylalgebra import OpMono, Operator
 
@@ -16,18 +16,19 @@ def rand_fraction(rng: Random, span: int = 6) -> Fraction:
     return Fraction(rng.randint(-span, span), rng.randint(1, span))
 
 
-def rand_scalar(rng: Random, real_only: bool = False) -> Scalar:
+def rand_gaussian(rng: Random, real_only: bool = False) -> Coefficient:
+    """A Gaussian rational re + im*i, each part zero or not."""
     shape = rng.randrange(3)
     re = rand_fraction(rng) if shape != 1 else Fraction(0)
     im = Fraction(0) if real_only or shape == 0 else rand_fraction(rng)
-    return Scalar(re, im)
+    return re + im * Coefficient.i()
 
 
-def rand_coeff_mono(rng: Random, max_h: int = 2, max_w: int = 2) -> CoeffMono:
-    return CoeffMono(
-        h_exp=rng.randint(0, max_h),
-        w_exp=rng.randint(0, max_w),
-        r_exp=rng.randint(0, 1),
+def rand_coeff_mono(rng: Random, max_h: int = 2, max_w: int = 2) -> Monomial:
+    return Monomial(
+        h=rng.randint(0, max_h),
+        w=rng.randint(0, max_w),
+        r=rng.randint(0, 1),
     )
 
 
@@ -37,7 +38,7 @@ def rand_coefficient(
     terms = {}
     for _ in range(rng.randint(0, max_terms)):
         mono = rand_coeff_mono(rng, max_h=0 if hbar_free else 2)
-        terms[mono] = rand_scalar(rng, real_only)
+        terms[mono] = rand_gaussian(rng, real_only)
     return Coefficient(terms)
 
 

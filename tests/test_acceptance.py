@@ -24,6 +24,7 @@ from quantlab.vlab.parser import parse_polynomial
 from quantlab.vlab.verify import failed_claims, sweep, verify_pair
 from quantlab.weylalgebra import (
     OpMono,
+    Operator,
     adjoint,
     apply_to_polynomial,
     classical_symbol,
@@ -108,7 +109,7 @@ def test_criterion_03_commutators():
 def test_criterion_04_weyl_operator_differential_form():
     with criterion(4, "Weyl operator of K(4,1) in derivative form, term for term"):
         k_weyl = quantize(W, k_integral(OscillatorParams(4, 1)))
-        expected = {
+        expected = Operator({
             OpMono(a=1, d=4): H4 * 256,
             OpMono(b=1, c=1, d=3): H4 * -256,
             OpMono(c=1, d=2): H4 * -384,
@@ -118,7 +119,7 @@ def test_criterion_04_weyl_operator_differential_form():
             OpMono(b=2, c=1): H2W2 * -48,
             OpMono(a=1, b=4): Coefficient.omega(4) * 4,
             OpMono(a=1): H2W2 * 96,
-        }
+        }).terms
         assert differential_terms(k_weyl) == expected
         assert differential_text(k_weyl) == (
             "4 * omega^4 * x * y^4"
@@ -140,28 +141,28 @@ def test_criterion_05_proof_intermediates():
         hbar = Coefficient.hbar()
         i = Coefficient.i()
         q1 = PhaseMono(b=2, d=2)
-        assert differential_terms(quantize_monomial(W, q1)) == {
+        assert differential_terms(quantize_monomial(W, q1)) == Operator({
             OpMono(b=2, d=2): -h2,
             OpMono(b=1, d=1): h2 * -2,
             OpMono(): h2 * Fraction(-1, 2),
-        }
-        assert differential_terms(quantize_monomial(BJ, q1)) == {
+        }).terms
+        assert differential_terms(quantize_monomial(BJ, q1)) == Operator({
             OpMono(b=2, d=2): -h2,
             OpMono(b=1, d=1): h2 * -2,
             OpMono(): h2 * Fraction(-2, 3),
-        }
+        }).terms
         q2 = PhaseMono(b=1, d=3)
-        q2_expected = {
+        q2_expected = Operator({
             OpMono(b=1, d=3): i * h3,
             OpMono(d=2): i * h3 * Fraction(3, 2),
-        }
+        }).terms
         assert differential_terms(quantize_monomial(W, q2)) == q2_expected
         assert differential_terms(quantize_monomial(BJ, q2)) == q2_expected
         q3 = PhaseMono(b=3, d=1)
-        q3_expected = {
+        q3_expected = Operator({
             OpMono(b=3, d=1): -(i * hbar),
             OpMono(b=2): i * hbar * Fraction(-3, 2),
-        }
+        }).terms
         assert differential_terms(quantize_monomial(W, q3)) == q3_expected
         assert differential_terms(quantize_monomial(BJ, q3)) == q3_expected
 

@@ -1,6 +1,7 @@
 """Command-line interface: output formats and exit codes."""
 
 import json
+import time
 
 import pytest
 
@@ -99,6 +100,22 @@ def test_quantize_parse_error(capsys):
     code, _, err = run(capsys, "quantize", "--scheme", "bj", "--expr", "p_z")
     assert code == 2
     assert "unknown symbol" in err
+
+
+@pytest.mark.parametrize(
+    "expr, message",
+    [
+        ("hbar^3000000", "error: exponent 3000000 exceeds the maximum 40 (line 1, column 6)\n"),
+        ("(2^40)^40", "error: expression degree may reach 1600; the maximum is 40\n"),
+        ("(x+y+px+py)^40", "error: expression expands to more than 2000 terms\n"),
+    ],
+)
+def test_oversized_expression_rejected(capsys, expr, message):
+    # one case per cap: the exponent literal, the degree bound, the term count
+    start = time.perf_counter()
+    code, out, err = run(capsys, "quantize", "--scheme", "bj", "--expr", expr)
+    assert time.perf_counter() - start < 5.0
+    assert (code, out, err) == (2, "", message)
 
 
 def test_commutator_command(capsys):

@@ -50,6 +50,7 @@ CASES = {
     "error_expr_dangling_caret": ["quantize", "--scheme", "bj", "--expr", "x^"],
     "error_expr_unknown_symbol": ["quantize", "--scheme", "bj", "--expr", "p_z"],
     "error_expr_non_ascii_digit": ["quantize", "--scheme", "bj", "--expr", "x^²"],
+    "error_expr_too_many_terms": ["quantize", "--scheme", "bj", "--expr", "(x+y+px+py)^40"],
 }
 
 

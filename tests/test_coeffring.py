@@ -5,9 +5,9 @@ from random import Random
 
 import pytest
 
-from quantlab.coeffring import CoeffMono, Coefficient, Scalar
+from quantlab.coeffring import Coefficient, Monomial, mono_mul
 from quantlab.phasepoly import PhasePoly, PhaseVar
-from quantlab.weylalgebra import Operator, x_hat
+from quantlab.weylalgebra import Operator, px_hat, x_hat
 
 from randgen import rand_coefficient
 
@@ -23,8 +23,8 @@ def test_additive_inverse():
 
 
 def test_conjugate_sum():
-    one_plus_i = Coefficient.of(Scalar(Fraction(1), Fraction(1)))
-    one_minus_i = Coefficient.of(Scalar(Fraction(1), Fraction(-1)))
+    one_plus_i = Fraction(1) + Fraction(1) * Coefficient.i()
+    one_minus_i = Fraction(1) + Fraction(-1) * Coefficient.i()
     assert one_plus_i + one_minus_i == 2
 
 
@@ -33,7 +33,7 @@ def test_sqrt2_squared_reduces():
 
 
 def test_gaussian_unit_norm():
-    one_plus_i = Coefficient.of(Scalar(Fraction(1), Fraction(1)))
+    one_plus_i = Fraction(1) + Fraction(1) * Coefficient.i()
     assert one_plus_i * one_plus_i.conjugate() == 2
 
 
@@ -47,18 +47,46 @@ def test_conjugation_examples():
     assert Coefficient.i().conjugate() == -Coefficient.i()
     two_hbar = Coefficient.hbar() * 2
     assert two_hbar.conjugate() == two_hbar
-    value = Coefficient.of(Scalar(Fraction(1), Fraction(1))) * Coefficient.sqrt2() * Coefficient.omega()
-    expected = Coefficient.of(Scalar(Fraction(1), Fraction(-1))) * Coefficient.sqrt2() * Coefficient.omega()
+    value = (1 + Coefficient.i()) * Coefficient.sqrt2() * Coefficient.omega()
+    expected = (1 - Coefficient.i()) * Coefficient.sqrt2() * Coefficient.omega()
     assert value.conjugate() == expected
 
 
 def test_mono_validation():
-    try:
-        CoeffMono(r_exp=2)
-    except ValueError:
-        pass
-    else:
-        raise AssertionError("unreduced sqrt2 exponent accepted")
+    # sqrt2 and i are reduced to the powers 0 and 1; no exponent is negative
+    for fields in ({"r": 2}, {"e": 2}, {"r": -1}, {"e": -1}, {"a": -1}, {"d": -2}, {"h": -1}):
+        with pytest.raises(ValueError):
+            Monomial(**fields)
+
+
+def test_mono_mul_states_both_reductions():
+    assert mono_mul(Monomial(a=1, r=1, e=1), Monomial(c=2, h=1)) == (
+        Monomial(a=1, c=2, h=1, r=1, e=1),
+        1,
+    )
+    assert mono_mul(Monomial(r=1), Monomial(r=1)) == (Monomial(), 2)
+    assert mono_mul(Monomial(e=1), Monomial(e=1)) == (Monomial(), -1)
+    assert mono_mul(Monomial(w=1, r=1, e=1), Monomial(b=1, r=1, e=1)) == (
+        Monomial(b=1, w=1),
+        -2,
+    )
+
+
+def test_reductions_at_every_level():
+    i_sqrt2 = Coefficient.i() * Coefficient.sqrt2()
+    assert i_sqrt2 * i_sqrt2 == -2
+    x = PhasePoly.variable(PhaseVar.X)
+    px = PhasePoly.variable(PhaseVar.PX)
+    assert (x * i_sqrt2) * (px * i_sqrt2) == x * px * -2
+    # operators: the same -2, and P X = X P - i hbar brings an hbar term
+    assert (x_hat() * i_sqrt2) * (px_hat() * i_sqrt2) == x_hat() * px_hat() * -2
+    assert (px_hat() * i_sqrt2) * (x_hat() * i_sqrt2) == (
+        x_hat() * px_hat() * -2 + Operator.constant(Coefficient.i() * Coefficient.hbar() * 2)
+    )
+    # constructors flatten {Monomial: Coefficient} through the same product
+    flat = PhasePoly({Monomial(a=1, r=1, e=1): i_sqrt2})
+    assert flat == x * -2
+    assert all(type(v) is Fraction for v in flat.terms.values())
 
 
 def test_ring_axioms_random():
@@ -101,14 +129,14 @@ def test_canonical_form_unique():
 
 
 def test_zero_terms_dropped():
-    c = Coefficient({CoeffMono(): Scalar(Fraction(0))})
+    c = Coefficient({Monomial(): Fraction(0)})
     assert c.is_zero()
     assert not c.terms
 
 
 def test_rendering_canonical_order():
     value = Coefficient.omega(2) + Coefficient.hbar(2) * 3 + Coefficient.sqrt2()
-    # sorted by (h_exp, w_exp, r_exp) descending
+    # sorted by (h, w, r) descending
     assert value.text() == "3 * hbar^2 + omega^2 + sqrt2"
     # -1 never folds onto an exponentiated factor ('-omega^2' would read
     # back as (-omega)^2 under the grammar)
@@ -116,9 +144,11 @@ def test_rendering_canonical_order():
 
 
 def test_scalar_rendering():
-    assert Scalar(Fraction(3, 4)).text() == "3/4"
-    assert Scalar(Fraction(0), Fraction(-1)).text() == "-i"
-    assert Scalar(Fraction(1), Fraction(-2)).text() == "1 - 2*i"
+    # a Gaussian rational standing alone is written bare
+    i = Coefficient.i()
+    assert Coefficient.of(Fraction(3, 4)).text() == "3/4"
+    assert (Fraction(0) + Fraction(-1) * i).text() == "-i"
+    assert (Fraction(1) + Fraction(-2) * i).text() == "1 - 2*i"
 
 
 def test_coercion_lifts_constants_at_every_level():
@@ -127,33 +157,38 @@ def test_coercion_lifts_constants_at_every_level():
     assert 1 - x == -(x - 1)
     assert Operator.zero() == 0
     assert Coefficient.hbar() ** 2 == Coefficient.hbar(2)
-    assert Scalar(1) + 1 == 2
-    assert (Scalar(1) - 1).is_zero()
-    assert 1 + Scalar(1) == Scalar(2)
-    assert Scalar(1) == 1
-    assert Scalar(1) + Coefficient.one() == Coefficient.of(2)
+    assert Coefficient.of(1) + 1 == 2
+    assert (Coefficient.of(1) - 1).is_zero()
+    assert 1 + Coefficient.of(1) == Coefficient.of(2)
+    assert Coefficient.of(1) == 1
+    assert Coefficient.of(Fraction(1, 2)) + Fraction(1, 2) == Coefficient.one()
 
 
 def test_coercion_rejects_non_ring_operands():
     with pytest.raises(TypeError):
         Coefficient.one() * True
     with pytest.raises(TypeError):
-        Coefficient.of(CoeffMono())
+        Coefficient.of(Monomial())
     with pytest.raises(TypeError):
         PhasePoly.variable(PhaseVar.X) + x_hat()
     with pytest.raises(TypeError):
-        Scalar(1) * 0.5
+        Coefficient.one() * 0.5
     with pytest.raises(TypeError):
-        Scalar(True)
+        Coefficient.of(True)
+    with pytest.raises(TypeError):
+        Coefficient.of(0.5)
 
 
 def test_scalar_is_canonical_sparse_map():
-    assert Scalar(3).terms == {0: Fraction(3)}
-    assert Scalar(0, -2).terms == {1: Fraction(-2)}
-    assert Scalar(0, 0).terms == {}
-    assert (Scalar(0, 1) * Scalar(0, 1)).terms == {0: Fraction(-1)}
-    assert Scalar(1, 2) * Scalar(1, -2) == 5
-    assert Scalar.monomial(1, 2) == Scalar(0, 2)
-    assert Scalar.constant(3) == 3
-    assert Scalar.zero().is_zero()
-    assert Scalar.one() == 1
+    # a Gaussian rational is a Coefficient keyed by the power of i
+    i = Coefficient.i()
+    assert Coefficient.of(3).terms == {Monomial(): Fraction(3)}
+    assert (-2 * i).terms == {Monomial(e=1): Fraction(-2)}
+    assert (0 + 0 * i).terms == {}
+    assert (i * i).terms == {Monomial(): Fraction(-1)}
+    assert (1 + 2 * i) * (1 - 2 * i) == 5
+    assert Coefficient.monomial(Monomial(e=1), 2) == 2 * i
+    assert Coefficient.constant(3) == 3
+    assert Coefficient.zero().is_zero()
+    assert Coefficient.one() == 1
+    assert all(type(v) is Fraction for v in ((1 + 2 * i) * Fraction(1, 3)).terms.values())

@@ -180,5 +180,5 @@ def test_ladder_brackets_vanish():
 def test_ladder_integrals_are_real():
     for m, n in ((1, 1), (2, 3), (4, 1)):
         f1, f2 = ladder_integrals(OscillatorParams(m, n))
-        assert all(c.is_real() for c in f1.terms.values())
-        assert all(c.is_real() for c in f2.terms.values())
+        assert f1.is_real()
+        assert f2.is_real()

@@ -17,8 +17,11 @@ from quantlab.generators import (
 )
 from quantlab.phasepoly import PhasePoly, PhaseVar
 from quantlab.vlab.parser import (
+    MAX_DEGREE,
+    MAX_TERMS,
     ParseError,
     UnknownSymbolError,
+    degree_bound,
     parse,
     parse_polynomial,
 )
@@ -99,6 +102,34 @@ def test_exponent_must_be_literal():
         parse_polynomial("x^-2")
     with pytest.raises(ParseError):
         parse_polynomial("x^y")
+
+
+def test_exponent_literal_capped():
+    assert parse_polynomial(f"x^{MAX_DEGREE}") == X ** MAX_DEGREE
+    with pytest.raises(ParseError) as err:
+        parse_polynomial(f"x^{MAX_DEGREE + 1}")
+    assert err.value.column == 3
+
+
+def test_degree_bound_capped():
+    # atoms count 1, '+' takes the max, '*' sums and '^' multiplies
+    assert degree_bound(parse("(x + 2*y)^3 * px - 1")) == 7
+    assert degree_bound(parse("-(hbar^2)")) == 2
+    parse(" * ".join(["x"] * MAX_DEGREE))
+    with pytest.raises(ValueError, match="degree may reach 41"):
+        parse(" * ".join(["x"] * (MAX_DEGREE + 1)))
+    with pytest.raises(ValueError, match="degree may reach 1600"):
+        parse("(2^40)^40")
+
+
+def test_term_count_capped():
+    # (x + y + px + py)^k has C(k+3, 3) terms: 1771 at k = 20, 2024 at k = 21
+    assert len(parse_polynomial("(x + y + px + py)^20").terms) == 1771 <= MAX_TERMS
+    with pytest.raises(ValueError, match=f"more than {MAX_TERMS} terms"):
+        parse_polynomial("(x + y + px + py)^21")
+    # the cap applies to every lowered part, not only to powers
+    with pytest.raises(ValueError, match=f"more than {MAX_TERMS} terms"):
+        parse_polynomial("(x + y + px + py)^20 * (1 + hbar)")
 
 
 def test_zero_denominator_rejected():

@@ -9,12 +9,19 @@ from fractions import Fraction
 
 import pytest
 
-from quantlab.coeffring import Coefficient, Scalar
+from quantlab.coeffring import Coefficient
 from quantlab.quantizer import Scheme, quantize
 from quantlab.vlab.parser import parse_polynomial
-from quantlab.vlab.report import record_latex
+from quantlab.vlab.report import operator_json, record_latex
 from quantlab.vlab.verify import verify_pair
-from quantlab.weylalgebra import OpMono, Operator, differential_latex, differential_text
+from quantlab.weylalgebra import (
+    OpMono,
+    Operator,
+    differential_latex,
+    differential_text,
+    px_hat,
+    x_hat,
+)
 
 POLYS = [
     (
@@ -63,7 +70,7 @@ def _built_operator() -> Operator:
             OpMono(b=1, c=2): -Coefficient.omega(2),
             OpMono(c=1): -i,
             OpMono(a=1, d=3): Coefficient.hbar() + Coefficient.sqrt2(),
-            OpMono(): Coefficient.of(Scalar(Fraction(-1, 2), Fraction(5, 3))),
+            OpMono(): Fraction(-1, 2) + Fraction(5, 3) * i,
             OpMono(b=2): Coefficient.of(-1),
         }
     )
@@ -129,3 +136,28 @@ def test_record_latex_4_1():
         "$[\\hat H, \\hat K^{BJ}] = -32 i \\hbar^{3} \\omega^{2} \\hat{p}_x"
         " = -32 \\hbar^{4} \\omega^{2} \\frac{\\partial}{\\partial x}$\n"
     )
+
+
+def _term_json(h, w, r, re, im):
+    """A coefficient term of operator_json with integer parts re and im."""
+    return {"h": h, "w": w, "r": r, "re_num": re, "re_den": 1, "im_num": im, "im_den": 1}
+
+
+def test_gaussian_coefficient_next_to_a_second_group():
+    # re and im at one (h, w, r), beside a second group: the flat terms
+    # hbar*x and i*hbar*x meet again in one Gaussian rational on output
+    i = Coefficient.i()
+    op = x_hat() * ((1 - 2 * i) * Coefficient.hbar() + Coefficient.omega()) + px_hat() * (3 + i)
+    assert op.text() == "((1 - 2*i) * hbar + omega) * x + (3 + i) * px"
+    assert op.latex() == (
+        r"\left(\left(1 - 2 i\right) \hbar + \omega\right) \hat{x}"
+        r" + \left(3 + i\right) \hat{p}_x"
+    )
+    assert differential_text(op) == "((1 - 2*i) * hbar + omega) * x + (1 - 3*i) * hbar * d/dx"
+    assert operator_json(op) == [
+        {
+            "a": 1, "b": 0, "c": 0, "d": 0,
+            "coeff": {"terms": [_term_json(1, 0, 0, 1, -2), _term_json(0, 1, 0, 1, 0)]},
+        },
+        {"a": 0, "b": 0, "c": 1, "d": 0, "coeff": {"terms": [_term_json(0, 0, 0, 3, 1)]}},
+    ]

@@ -25,7 +25,14 @@ from quantlab.vlab.verify import (
     verify_ladder_pair,
     verify_pair,
 )
-from quantlab.weylalgebra import Operator, commutator, px_hat, py_hat, x_hat
+from quantlab.weylalgebra import (
+    Operator,
+    apply_to_polynomial,
+    commutator,
+    px_hat,
+    py_hat,
+    x_hat,
+)
 
 
 def test_verify_four_one():
@@ -291,9 +298,22 @@ def test_oracle_names_failing_scheme_and_probe(monkeypatch, m, n, scheme, name):
     # (4, 1) perturbs bj_comm, caught by the difference check behind a
     # passing Weyl check; (3, 2) perturbs weyl_comm, caught directly.
     _perturb_commutator(monkeypatch, scheme, OscillatorParams(m, n))
+    answers = []
+    check = verify_module.commutator_matches_action
+    monkeypatch.setattr(
+        verify_module,
+        "commutator_matches_action",
+        lambda *args: answers.append(check(*args)) or answers[-1],
+    )
     record = verify_pair(m, n)
     assert record.oracle_agreement is False
     assert record.oracle_failure == (name, PhaseMono(b=1))
+    # the failing check returns both action polynomials at the probe
+    disagreement = answers[-1]
+    assert disagreement.probe == PhaseMono(b=1)
+    assert disagreement.direct != disagreement.nested
+    probe = PhasePoly.monomial(PhaseMono(b=1))
+    assert disagreement.direct - disagreement.nested == apply_to_polynomial(_WRONG_TERM, probe)
     assert (
         f"(m, n) = ({m}, {n}), target k: symbolic commutator disagrees with action"
         f" oracle ({name} check, first failing probe x^0 y^1)"

@@ -6,7 +6,7 @@ from random import Random
 
 import pytest
 
-from quantlab.coeffring import CoeffMono, Coefficient, Scalar
+from quantlab.coeffring import Coefficient
 from quantlab.phasepoly import PhaseMono, PhasePoly, PhaseVar, poisson
 from quantlab.quantizer import Scheme, quantize
 from quantlab.weylalgebra import (
@@ -132,7 +132,8 @@ def _naive_action(op: Operator, poly: PhasePoly) -> PhasePoly:
     """Each word x^a y^b px^c py^d: differentiate c, d times, scale by
     (-i hbar)^(c+d), multiply by x^a y^b; no derivative form, no memo."""
     out = PhasePoly.zero()
-    for mono, coeff in op.terms.items():
+    for mono, value in op.terms.items():
+        coeff = Coefficient.monomial(mono.params(), value)
         term = poly
         for _ in range(mono.c):
             term = term.partial(PhaseVar.X)
@@ -154,6 +155,18 @@ def test_action_matches_naive_differentiation(seed):
             poly = rand_position_poly(rng)
             assert action(poly) == _naive_action(op, poly)
             assert apply_to_polynomial(op, poly) == action(poly)
+
+
+def test_op_mul_matches_action_with_i_and_sqrt2():
+    # every coefficient carries i * sqrt2, so each product of two terms
+    # reduces both i * i and sqrt2 * sqrt2, on top of its hbar corrections
+    i_sqrt2 = Coefficient.i() * Coefficient.sqrt2()
+    rng = Random(4142)
+    for _ in range(100):
+        a = rand_operator(rng, max_terms=3, max_exp=2) * i_sqrt2
+        b = rand_operator(rng, max_terms=3, max_exp=2) * i_sqrt2
+        poly = rand_position_poly(rng) * i_sqrt2
+        assert Action(op_mul(a, b))(poly) == Action(a)(Action(b)(poly))
 
 
 def test_mul_properties_random():
@@ -250,19 +263,11 @@ def test_correspondence_principle():
             assert poisson(f, g).is_zero()
             continue
         assert min_hbar_exponent(comm) >= 1
-        first_order = {}
-        for mono, coeff in comm.terms.items():
-            # divide the hbar^1 slice by i*hbar: drop one hbar, multiply by -i
-            sliced = Coefficient(
-                {
-                    CoeffMono(0, cm.w_exp, cm.r_exp): scalar * Scalar(Fraction(0), Fraction(-1))
-                    for cm, scalar in coeff.terms.items()
-                    if cm.h_exp == 1
-                }
-            )
-            if sliced:
-                first_order[mono] = sliced
-        rebuilt = classical_symbol(Operator(first_order))
+        # divide the hbar^1 slice by i*hbar: drop one hbar, multiply by -i
+        first_order = Operator(
+            {mono._replace(h=0): value for mono, value in comm.terms.items() if mono.h == 1}
+        ) * -Coefficient.i()
+        rebuilt = classical_symbol(first_order)
         assert rebuilt == poisson(f, g)
 
 
@@ -279,7 +284,7 @@ def test_min_exponent_helpers():
 def test_differential_form():
     op = px_hat() * (Coefficient.i() * Coefficient.hbar(3) * Coefficient.omega(2) * -32)
     terms = differential_terms(op)
-    assert terms == {OpMono(c=1): Coefficient.hbar(4) * Coefficient.omega(2) * -32}
+    assert terms == Operator({OpMono(c=1): Coefficient.hbar(4) * Coefficient.omega(2) * -32}).terms
     assert differential_text(op) == "-32 * hbar^4 * omega^2 * d/dx"
 
 
