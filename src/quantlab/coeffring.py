@@ -13,9 +13,10 @@ Coefficients, the polynomials of phasepoly and the operators of
 weylalgebra are all one flat map from a Monomial, which carries every
 exponent of its term (x, y, px, py, hbar, omega, sqrt2 and i), to a
 nonzero Fraction.  mono_mul is the one product of two keys and the one
-place where both reductions live.  A Coefficient is the map whose keys
-have a zero phase part (a, b, c, d); render groups a flat map by phase
-part and parameters only for output.
+place where both reductions live; beside it, neg_i_hbar states
+(-i hbar)^k, the factor of the momentum realization p = -i hbar d/dq,
+as a key and a sign.  A Coefficient is the map whose keys have a zero
+phase part; render groups a flat map by phase part and parameters.
 
 Values are immutable and operations are pure, so sharing between
 concurrent tasks is safe.
@@ -95,6 +96,12 @@ def mono_mul(m1, m2) -> tuple[Monomial, int]:
     return _make(Monomial, (a1 + a2, b1 + b2, c1 + c2, d1 + d2, h1 + h2, w1 + w2, r, e)), factor
 
 
+def neg_i_hbar(k: int) -> tuple[Monomial, int]:
+    """(-i hbar)^k as (key, sign): the key is hbar^k i^(k mod 2), and the
+    sign is -1 when k mod 4 is 1 or 2, as (-i)^k cycles 1, -i, -1, i."""
+    return _make(Monomial, (0, 0, 0, 0, k, 0, 0, k & 1)), -1 if k % 4 in (1, 2) else 1
+
+
 def _accumulate(acc: dict, key, value) -> None:
     """Add value into acc[key] in place, dropping the key when the sum is zero.
 
@@ -127,6 +134,15 @@ def _add_product(acc: dict, key: Monomial, value, terms: dict) -> None:
         product, factor = mono_mul(key, k)
         v = value * v
         _accumulate(acc, product, v if factor == 1 else v * factor)
+
+
+def linear_extension(cls, image, source: "TermMap"):
+    """The coefficient-linear extension of image (phase monomial -> term map)
+    to source: the cls map of each term's parameters times its image."""
+    acc: dict[Monomial, Fraction] = {}
+    for key, value in source.terms.items():
+        _add_product(acc, key.params(), value, image(key.phase()).terms)
+    return _canonical(cls, acc)
 
 
 class TermMap:

@@ -6,8 +6,9 @@ Two monomial ordering rules are implemented for each canonical pair:
     Weyl:         x^r p^s -> 1/2^s     sum_k C(s, k)  P^(s-k) X^r P^k
 
 Mixed monomials factor across the two commuting pairs, so the image of
-a monomial is built as one map over the two pair images.  Output is
-always normal ordered, which makes operator equality a structural check.
+a monomial is one flat map over the two pair rules, each term carrying
+coeffring.neg_i_hbar.  Output is always normal ordered, which makes
+operator equality a structural check.
 
 The module also provides the direct ladder-operator quantization: the
 classical ladder products with momenta replaced by momentum operators.
@@ -17,18 +18,18 @@ from __future__ import annotations
 
 from enum import Enum
 from fractions import Fraction
-from functools import lru_cache
-from math import comb, factorial
+from functools import lru_cache, partial
+from math import comb
 
-from quantlab.coeffring import _add_product, _canonical
+from quantlab.coeffring import linear_extension, neg_i_hbar
 from quantlab.generators import OscillatorParams, ladder_products
 from quantlab.phasepoly import PhaseMono, PhasePoly
 from quantlab.weylalgebra import (
     OpMono,
     Operator,
-    neg_i_hbar_power,
     px_hat,
     py_hat,
+    swap_weight,
     x_hat,
     y_hat,
 )
@@ -55,7 +56,7 @@ def _pair_rule(scheme: Scheme, r: int, s: int) -> tuple[Fraction, ...]:
     """
     weights = _ORDERING_WEIGHTS[scheme](s)
     return tuple(
-        factorial(j) * comb(r, j) * sum(w * comb(s - k, j) for k, w in enumerate(weights))
+        sum(w * swap_weight(s - k, r, j) for k, w in enumerate(weights))
         for j in range(min(r, s) + 1)
     )
 
@@ -69,28 +70,19 @@ def quantize_monomial(scheme: Scheme, mono: PhaseMono) -> Operator:
     """
     rule_x = _pair_rule(scheme, mono.a, mono.c)
     rule_y = _pair_rule(scheme, mono.b, mono.d)
-    return Operator(
-        {
-            OpMono(mono.a - j, mono.b - k, mono.c - j, mono.d - k):
-                neg_i_hbar_power(j + k) * (wx * wy)
-            for j, wx in enumerate(rule_x)
-            for k, wy in enumerate(rule_y)
-        }
-    )
+    terms = {}
+    for j, wx in enumerate(rule_x):
+        for k, wy in enumerate(rule_y):
+            power, sign = neg_i_hbar(j + k)
+            key = OpMono(mono.a - j, mono.b - k, mono.c - j, mono.d - k, *power[4:])
+            terms[key] = sign * wx * wy
+    return Operator(terms)
 
 
 def quantize(scheme: Scheme, poly: PhasePoly) -> Operator:
     """Coefficient-linear extension of the monomial rule: each term's
     parameter part multiplies the image of its phase part."""
-    images: dict[PhaseMono, Operator] = {}
-    acc: dict = {}
-    for mono, value in poly.terms.items():
-        phase = mono.phase()
-        image = images.get(phase)
-        if image is None:
-            image = images[phase] = quantize_monomial(scheme, phase)
-        _add_product(acc, mono.params(), value, image.terms)
-    return _canonical(Operator, acc)
+    return linear_extension(Operator, partial(quantize_monomial, scheme), poly)
 
 
 def quantize_ladder(params: OscillatorParams, which: int) -> Operator:

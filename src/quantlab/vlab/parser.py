@@ -15,8 +15,9 @@ AST lowers to a canonical PhasePoly, so printing a polynomial and
 parsing it back reproduces the same value exactly.
 
 Input is bounded so that no expression runs unbounded: an exponent
-literal and the AST's degree bound may not exceed MAX_DEGREE, and no
-lowered polynomial may hold more than MAX_TERMS terms.
+literal and the AST's degree bound may not exceed MAX_DEGREE, no
+lowered polynomial may hold more than MAX_TERMS terms, and no product
+may multiply more than MAX_PAIRS pairs of terms.
 """
 
 from __future__ import annotations
@@ -34,6 +35,11 @@ SYMBOLS = ("i", "hbar", "omega", "sqrt2", "x", "y", "px", "py")
 MAX_DEGREE = 40
 # Largest number of terms of a lowered polynomial, or of any part of it.
 MAX_TERMS = 2000
+# Largest number of term pairs one product may multiply: a part at the
+# term cap times a 50-term factor, under a second of multiplying.  Checked
+# before the product, as two parts under the term cap may still have
+# millions of pairs.
+MAX_PAIRS = 50 * MAX_TERMS
 
 
 class ParseError(ValueError):
@@ -282,8 +288,8 @@ _SYMBOL_POLYS = {
 def lower(node: ExprAST) -> PhasePoly:
     """Lower an AST to its unique canonical polynomial.
 
-    Raises ValueError as soon as a partial result holds more than
-    MAX_TERMS terms.
+    Raises ValueError before a product of more than MAX_PAIRS term pairs
+    and as soon as a partial result holds more than MAX_TERMS terms.
     """
     match node:
         case Num(value):
@@ -297,12 +303,12 @@ def lower(node: ExprAST) -> PhasePoly:
         case BinOp("-", left, right):
             return _capped(lower(left) - lower(right))
         case BinOp("*", left, right):
-            return _capped(lower(left) * lower(right))
+            return _product(lower(left), lower(right))
         case Pow(base, exponent):
             base = lower(base)
             out = PhasePoly.one()
             for _ in range(exponent):
-                out = _capped(out * base)
+                out = _product(out, base)
             return out
     raise TypeError(f"not an expression node: {node!r}")
 
@@ -311,6 +317,13 @@ def _capped(poly: PhasePoly) -> PhasePoly:
     if len(poly.terms) > MAX_TERMS:
         raise ValueError(f"expression expands to more than {MAX_TERMS} terms")
     return poly
+
+
+def _product(left: PhasePoly, right: PhasePoly) -> PhasePoly:
+    n, m = len(left.terms), len(right.terms)
+    if n * m > MAX_PAIRS:
+        raise ValueError(f"expression multiplies {n} by {m} terms, more than {MAX_PAIRS} term pairs")
+    return _capped(left * right)
 
 
 def parse_polynomial(text: str) -> PhasePoly:

@@ -27,7 +27,6 @@ from quantlab.quantizer import Scheme, quantize, quantize_ladder
 from quantlab.weylalgebra import (
     Action,
     Operator,
-    apply_to_polynomial,
     commutator,
     min_hbar_exponent,
     min_omega_exponent,
@@ -154,7 +153,7 @@ def commutator_matches_action(
     for i in range(x_bound + 1):
         for j in range(y_bound + 1):
             probe = PhaseMono(a=i, b=j)
-            direct = apply_to_polynomial(comm_act, PhasePoly.monomial(probe))
+            direct = comm_act.image(probe)
             nested = left_act(right_act.image(probe)) - right_act(left_act.image(probe))
             if direct != nested:
                 return Disagreement(probe, direct, nested)

@@ -6,7 +6,8 @@ freely.  Products are re-normalized with the closed-form swap identity
 
     P^s X^r = sum_k k! C(s,k) C(r,k) (-i hbar)^k X^(r-k) P^(s-k),
 
-which matches iterated single swaps exactly.  A separate differential
+which matches iterated single swaps exactly (swap_weight is its integer
+weight, coeffring.neg_i_hbar its (-i hbar)^k).  A separate differential
 action on position polynomials (momentum realized as -i*hbar times the
 coordinate derivative; Action memoizes it per operator) provides an
 independent route to the same algebra for cross-checks.
@@ -19,21 +20,20 @@ from math import comb, perm
 
 from quantlab import render
 from quantlab.coeffring import (
-    Coefficient,
     TermMap,
     _accumulate,
-    _add_product,
     _canonical,
     _make,
+    linear_extension,
     mono_mul,
+    neg_i_hbar,
 )
 from quantlab.phasepoly import Monomial, PhaseMono, PhasePoly
 
 
-@lru_cache(maxsize=None)
-def neg_i_hbar_power(k: int) -> Coefficient:
-    """(-i*hbar)^k as a Coefficient."""
-    return (-(Coefficient.i() * Coefficient.hbar())) ** k
+def swap_weight(s: int, r: int, k: int) -> int:
+    """k! C(s,k) C(r,k), the weight of the k-th term of the swap identity."""
+    return perm(s, k) * comb(r, k)
 
 
 @lru_cache(maxsize=None)
@@ -41,14 +41,13 @@ def _corrections(s1: int, r1: int, s2: int, r2: int) -> tuple[tuple[Monomial, in
     """(key, weight) of each term of the swap identity for P^s1 X^r1 and
     P^s2 Y^r2: the key lowers X and Px by k1, Y and Py by k2 (to be added
     to the product of the two words) and carries (-i hbar)^(k1+k2), whose
-    sign joins the integer weight k1! C(s1,k1) C(r1,k1) k2! C(s2,k2) C(r2,k2)."""
+    sign joins the two swap weights."""
     out = []
     for k1 in range(min(s1, r1) + 1):
         for k2 in range(min(s2, r2) + 1):
-            ((power, sign),) = neg_i_hbar_power(k1 + k2).terms.items()
+            power, sign = neg_i_hbar(k1 + k2)
             key = _make(Monomial, (-k1, -k2, -k1, -k2) + power[4:])
-            weight = perm(s1, k1) * comb(r1, k1) * perm(s2, k2) * comb(r2, k2)
-            out.append((key, int(sign) * weight))
+            out.append((key, sign * swap_weight(s1, r1, k1) * swap_weight(s2, r2, k2)))
     return tuple(out)
 
 
@@ -155,20 +154,12 @@ class Action:
 
     def __call__(self, poly: PhasePoly) -> PhasePoly:
         """Act on poly; rejects polynomials containing px or py."""
-        acc: dict = {}
-        for mono, value in poly.terms.items():
-            _add_product(acc, mono.params(), value, self.image(mono.phase()).terms)
-        return _canonical(PhasePoly, acc)
+        return linear_extension(PhasePoly, self.image, poly)
 
 
-def apply_to_polynomial(op: "Operator | Action", poly: PhasePoly) -> PhasePoly:
-    """Act on a position polynomial as a differential operator.
-
-    One call into Action; pass an Action to reuse its derivative form
-    and memoized images across calls.  Rejects polynomials containing
-    px or py.
-    """
-    return Action.of(op)(poly)
+def apply_to_polynomial(op: Operator, poly: PhasePoly) -> PhasePoly:
+    """Act on a position polynomial as a differential operator; rejects px and py."""
+    return Action(op)(poly)
 
 
 def adjoint(op: Operator) -> Operator:
@@ -195,14 +186,17 @@ def differential_terms(op: Operator) -> dict:
     """The flat terms of the operator written as x^a y^b d^c/dx^c d^d/dy^d.
 
     The keys keep (c, d) as derivative orders; each term absorbs the
-    (-i*hbar)^(c+d) factor of the momentum realization.  This one
-    derivative form serves the action and the derivative renderers; it
-    is a plain dict, as an Operator's product would be wrong for
+    (-i*hbar)^(c+d) factor of the momentum realization, a relabel of its
+    key and a sign.  The relabel is injective, so no terms merge.  This
+    one derivative form serves the action and the derivative renderers;
+    it is a plain dict, as an Operator's product would be wrong for
     derivative words.
     """
     out: dict = {}
     for mono, value in op.terms.items():
-        _add_product(out, mono, value, neg_i_hbar_power(mono.c + mono.d).terms)
+        power, sign = neg_i_hbar(mono.c + mono.d)
+        key, factor = mono_mul(mono, power)
+        out[key] = value if sign == factor else -value
     return out
 
 

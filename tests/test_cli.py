@@ -108,10 +108,15 @@ def test_quantize_parse_error(capsys):
         ("hbar^3000000", "error: exponent 3000000 exceeds the maximum 40 (line 1, column 6)\n"),
         ("(2^40)^40", "error: expression degree may reach 1600; the maximum is 40\n"),
         ("(x+y+px+py)^40", "error: expression expands to more than 2000 terms\n"),
+        (
+            "(x+y+px+py)^20 * (1+x+y+px+py)^12",
+            "error: expression multiplies 1771 by 1820 terms, more than 100000 term pairs\n",
+        ),
     ],
 )
 def test_oversized_expression_rejected(capsys, expr, message):
-    # one case per cap: the exponent literal, the degree bound, the term count
+    # one case per cap: the exponent literal, the degree bound, the term
+    # count, the term pairs of one product
     start = time.perf_counter()
     code, out, err = run(capsys, "quantize", "--scheme", "bj", "--expr", expr)
     assert time.perf_counter() - start < 5.0

@@ -5,7 +5,7 @@ from random import Random
 
 import pytest
 
-from quantlab.coeffring import Coefficient, Monomial, mono_mul
+from quantlab.coeffring import Coefficient, Monomial, mono_mul, neg_i_hbar
 from quantlab.phasepoly import PhasePoly, PhaseVar
 from quantlab.weylalgebra import Operator, px_hat, x_hat
 
@@ -70,6 +70,22 @@ def test_mono_mul_states_both_reductions():
         Monomial(b=1, w=1),
         -2,
     )
+
+
+def test_neg_i_hbar_matches_ring_power():
+    # the hand-written sign table of (-i hbar)^k against the ring's own
+    # power, on keys without and with i (where i * i = -1 reduces)
+    for k in range(9):
+        power, sign = neg_i_hbar(k)
+        ring_power = (-(Coefficient.i() * Coefficient.hbar())) ** k
+        for cls, key in (
+            (Coefficient, Monomial(w=1)),
+            (Coefficient, Monomial(h=2, r=1, e=1)),
+            (Operator, Monomial(a=1, c=2, h=1)),
+            (Operator, Monomial(b=2, d=1, w=1, e=1)),
+        ):
+            product, factor = mono_mul(key, power)
+            assert cls.monomial(product, sign * factor) == cls.monomial(key) * ring_power
 
 
 def test_reductions_at_every_level():

@@ -18,6 +18,7 @@ from quantlab.generators import (
 from quantlab.phasepoly import PhasePoly, PhaseVar
 from quantlab.vlab.parser import (
     MAX_DEGREE,
+    MAX_PAIRS,
     MAX_TERMS,
     ParseError,
     UnknownSymbolError,
@@ -130,6 +131,9 @@ def test_term_count_capped():
     # the cap applies to every lowered part, not only to powers
     with pytest.raises(ValueError, match=f"more than {MAX_TERMS} terms"):
         parse_polynomial("(x + y + px + py)^20 * (1 + hbar)")
+    # two parts under the term cap are refused before their product
+    with pytest.raises(ValueError, match=f"more than {MAX_PAIRS} term pairs"):
+        parse_polynomial("(x + y + px + py)^20 * (1 + x + y + px + py)^12")
 
 
 def test_zero_denominator_rejected():
