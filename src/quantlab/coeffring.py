@@ -12,11 +12,16 @@ term carries hbar^2 and omega" checkable as exact exponent bounds.
 Coefficients, the polynomials of phasepoly and the operators of
 weylalgebra are all one flat map from a Monomial, which carries every
 exponent of its term (x, y, px, py, hbar, omega, sqrt2 and i), to a
-nonzero Fraction.  mono_mul is the one product of two keys and the one
-place where both reductions live; beside it, neg_i_hbar states
-(-i hbar)^k, the factor of the momentum realization p = -i hbar d/dq,
-as a key and a sign.  A Coefficient is the map whose keys have a zero
-phase part; render groups a flat map by phase part and parameters.
+nonzero int numerator, over one positive int denominator shared by the
+whole map.  The map is kept in lowest terms, gcd(den, *nums) == 1, so
+equality stays structural and the ring's arithmetic is int arithmetic:
+denominators multiply in products and meet at their lcm in sums, and
+every result is reduced by one gcd pass.  mono_mul is the one product
+of two keys and the one place where both reductions live; beside it,
+neg_i_hbar states (-i hbar)^k, the factor of the momentum realization
+p = -i hbar d/dq, as a key and a sign.  A Coefficient is the map whose
+keys have a zero phase part; render groups a flat map by phase part and
+parameters.
 
 Values are immutable and operations are pure, so sharing between
 concurrent tasks is safe.
@@ -27,6 +32,7 @@ from __future__ import annotations
 from collections import namedtuple
 from fractions import Fraction
 from functools import partial
+from math import gcd, lcm
 
 from quantlab import render
 
@@ -39,10 +45,13 @@ _RATIONALS = (int, Fraction)
 _make = tuple.__new__
 
 
-def _as_fraction(value) -> Fraction:
-    if type(value) not in _RATIONALS:
-        raise TypeError(f"expected int or Fraction, got {type(value).__name__}")
-    return Fraction(value)
+def _ratio(value) -> tuple[int, int]:
+    """An int or Fraction as (numerator, denominator) in lowest terms."""
+    if type(value) is int:
+        return value, 1
+    if type(value) is Fraction:
+        return value.numerator, value.denominator
+    raise TypeError(f"expected int or Fraction, got {type(value).__name__}")
 
 
 class Monomial(namedtuple("Monomial", "a b c d h w r e")):
@@ -116,41 +125,76 @@ def _accumulate(acc: dict, key, value) -> None:
         acc.pop(key, None)
 
 
-def _canonical(cls, terms: dict):
-    """An instance of term-map class cls over terms that hold no zero value.
+def fraction_view(nums: dict, den: int) -> dict:
+    """The numerators nums over den as {key: Fraction}, for readers outside
+    the arithmetic (tests and callers of TermMap.terms)."""
+    return {k: Fraction(v, den) for k, v in nums.items()}
 
-    For maps built by _accumulate (or from nonzero values by an operation
-    that keeps them nonzero), so the constructor's zero scan is skipped.
-    """
+
+def _canonical(cls, nums: dict, den: int = 1):
+    """An instance of term-map class cls over nums / den, already canonical:
+    no zero numerator, den > 0 and gcd(den, *nums) == 1."""
     out = cls.__new__(cls)
-    out._terms = terms
+    out._nums = nums
+    out._den = den
     return out
 
 
-def _add_product(acc: dict, key: Monomial, value, terms: dict) -> None:
-    """Accumulate the product of the term value * key with the map terms
-    into acc; key commutes with the keys of terms."""
-    for k, v in terms.items():
+def _lowest(nums: dict, den: int) -> tuple[dict, int]:
+    """nums / den in lowest terms, for nums holding no zero value and
+    den > 0: one gcd pass, which stops as soon as the gcd reaches 1."""
+    if den != 1:
+        g = den
+        for value in nums.values():
+            g = gcd(g, value)
+            if g == 1:
+                return nums, den
+        nums = {k: v // g for k, v in nums.items()}
+        den //= g
+    return nums, den
+
+
+def _reduced(cls, nums: dict, den: int):
+    """An instance of cls over nums / den, brought to lowest terms."""
+    return _canonical(cls, *_lowest(nums, den))
+
+
+def _add_product(acc: dict, key: Monomial, value: int, nums: dict) -> None:
+    """Accumulate the product of the term value * key with the numerators
+    nums into acc; key commutes with the keys of nums."""
+    for k, v in nums.items():
         product, factor = mono_mul(key, k)
-        v = value * v
-        _accumulate(acc, product, v if factor == 1 else v * factor)
+        _accumulate(acc, product, value * v * factor)
+
+
+def _combination(parts: list) -> tuple[dict, int]:
+    """The sum of value * key * nums / den over parts (key, value, nums,
+    den), as numerators over the lcm of the dens (not reduced)."""
+    den = lcm(*(part[3] for part in parts))
+    acc: dict[Monomial, int] = {}
+    for key, value, nums, part_den in parts:
+        _add_product(acc, key, value * (den // part_den), nums)
+    return acc, den
 
 
 def linear_extension(cls, image, source: "TermMap"):
-    """The coefficient-linear extension of image (phase monomial -> term map)
-    to source: the cls map of each term's parameters times its image."""
-    acc: dict[Monomial, Fraction] = {}
-    for key, value in source.terms.items():
-        _add_product(acc, key.params(), value, image(key.phase()).terms)
-    return _canonical(cls, acc)
+    """The coefficient-linear extension of image to source: the cls map of
+    each term's parameters times the image of its phase part.  image maps
+    a phase monomial to the (numerators, denominator) of its image."""
+    acc, den = _combination(
+        [(key.params(), value, *image(key.phase())) for key, value in source._nums.items()]
+    )
+    return _reduced(cls, acc, source._den * den)
 
 
 class TermMap:
-    """Sparse map from Monomial keys to nonzero Fractions, kept canonical
-    (no zero values), so equality is structural.  A subclass names its
-    display names in the render styles (``_names``) and may replace the
-    commutative ``_product``.  The constructor also flattens {Monomial:
-    Coefficient}.
+    """Sparse map from Monomial keys to nonzero int numerators over one
+    positive int denominator, kept in lowest terms (no zero numerator,
+    gcd(den, *nums) == 1), so equality is structural.  A subclass names
+    its display names in the render styles (``_names``) and may replace
+    the commutative ``_product``.  The constructor takes {Monomial: int or
+    Fraction} and also flattens {Monomial: Coefficient}; ``terms`` is the
+    read-only {Monomial: Fraction} view of the map.
 
     One coercion rule serves every class: ``of`` returns an instance
     unchanged, reuses the map of a Coefficient and lifts a rational to a
@@ -160,17 +204,18 @@ class TermMap:
     everything.
     """
 
-    __slots__ = ("_terms",)
+    __slots__ = ("_nums", "_den")
     _names: str
 
     def __init__(self, terms: dict | None = None):
-        acc: dict[Monomial, Fraction] = {}
+        parts = []
         for key, value in (terms or {}).items():
             if isinstance(value, Coefficient):
-                _add_product(acc, key, 1, value._terms)
+                parts.append((key, 1, value._nums, value._den))
             else:
-                _accumulate(acc, key, _as_fraction(value))
-        self._terms = acc
+                num, den = _ratio(value)
+                parts.append((key, num, {Monomial(): 1}, den))
+        self._nums, self._den = _lowest(*_combination(parts))
 
     # -- constructors ----------------------------------------------------
 
@@ -191,56 +236,80 @@ class TermMap:
     @classmethod
     def constant(cls, value):
         if isinstance(value, Coefficient):
-            return _canonical(cls, value._terms)
+            return _canonical(cls, value._nums, value._den)
         return cls.monomial(Monomial(), value)
 
     @classmethod
     def monomial(cls, key: Monomial, value=1):
-        value = _as_fraction(value)
-        return _canonical(cls, {key: value} if value else {})
+        num, den = _ratio(value)
+        return _canonical(cls, {key: num}, den) if num else _canonical(cls, {})
 
     # -- queries ----------------------------------------------------------
 
     @property
+    def numerators(self) -> dict:
+        """The flat map {Monomial: int} of numerators; treat as read-only."""
+        return self._nums
+
+    @property
+    def denominator(self) -> int:
+        """The positive denominator shared by every numerator."""
+        return self._den
+
+    @property
     def terms(self) -> dict:
-        """Underlying flat term map {Monomial: Fraction}; treat as read-only."""
-        return self._terms
+        """The flat term map as {Monomial: Fraction}, built on each call."""
+        return fraction_view(self._nums, self._den)
 
     def coefficient(self, key: Monomial) -> "Coefficient":
         """The Coefficient of the phase part of key."""
-        return Coefficient({k.params(): v for k, v in self._terms.items() if k[:4] == key[:4]})
+        phase = key[:4]
+        nums = {k.params(): v for k, v in self._nums.items() if k[:4] == phase}
+        return _reduced(Coefficient, nums, self._den)
 
     def is_zero(self) -> bool:
-        return not self._terms
+        return not self._nums
 
     def __bool__(self) -> bool:
-        return bool(self._terms)
+        return bool(self._nums)
 
     def total_degree(self) -> int:
         """Highest degree in x, y, px and py."""
-        return max((sum(key[:4]) for key in self._terms), default=0)
+        return max((sum(key[:4]) for key in self._nums), default=0)
 
     def is_real(self) -> bool:
-        return not any(key.e for key in self._terms)
+        return not any(key.e for key in self._nums)
 
     def conjugate(self):
         """Map i to -i; every other generator is fixed."""
-        return _canonical(type(self), {k: -v if k.e else v for k, v in self._terms.items()})
+        nums = {k: -v if k.e else v for k, v in self._nums.items()}
+        return _canonical(type(self), nums, self._den)
 
     def hbar_free_part(self):
-        return _canonical(type(self), {k: v for k, v in self._terms.items() if not k.h})
+        return _reduced(type(self), {k: v for k, v in self._nums.items() if not k.h}, self._den)
 
     # -- ring operations ----------------------------------------------------
+
+    def _combine(self, other, sign: int):
+        """self + sign * other over the lcm of the two denominators."""
+        den, other_den = self._den, other._den
+        if den == other_den:
+            acc = dict(self._nums)
+        else:
+            scale = other_den // gcd(den, other_den)
+            acc = {k: v * scale for k, v in self._nums.items()}
+            den *= scale
+            sign *= den // other_den
+        for key, value in other._nums.items():
+            _accumulate(acc, key, value * sign)
+        return _reduced(type(self), acc, den)
 
     def __add__(self, other):
         try:
             other = self.of(other)
         except TypeError:
             return NotImplemented
-        acc = dict(self._terms)
-        for key, value in other._terms.items():
-            _accumulate(acc, key, value)
-        return _canonical(type(self), acc)
+        return self._combine(other, 1)
 
     __radd__ = __add__
 
@@ -249,19 +318,21 @@ class TermMap:
             other = self.of(other)
         except TypeError:
             return NotImplemented
-        return self + (-other)
+        return self._combine(other, -1)
 
     def __rsub__(self, other):
         return (-self).__add__(other)
 
     def __neg__(self):
-        return _canonical(type(self), {k: -v for k, v in self._terms.items()})
+        return _canonical(type(self), {k: -v for k, v in self._nums.items()}, self._den)
 
     def __mul__(self, other):
         if type(other) in _RATIONALS:
-            if not other:
+            num, den = _ratio(other)
+            if not num:
                 return self.zero()
-            return _canonical(type(self), {k: v * other for k, v in self._terms.items()})
+            nums = {k: v * num for k, v in self._nums.items()}
+            return _reduced(type(self), nums, self._den * den)
         if isinstance(other, type(self)):
             return self._product(other)
         if isinstance(other, Coefficient):
@@ -274,10 +345,10 @@ class TermMap:
 
     def _product(self, other):
         """The product of maps whose keys commute."""
-        acc: dict[Monomial, Fraction] = {}
-        for key, value in self._terms.items():
-            _add_product(acc, key, value, other._terms)
-        return _canonical(type(self), acc)
+        acc: dict[Monomial, int] = {}
+        for key, value in self._nums.items():
+            _add_product(acc, key, value, other._nums)
+        return _reduced(type(self), acc, self._den * other._den)
 
     def __pow__(self, exponent: int):
         if not isinstance(exponent, int) or exponent < 0:
@@ -292,13 +363,13 @@ class TermMap:
             other = self.of(other)
         except TypeError:
             return NotImplemented
-        return self._terms == other._terms
+        return self._den == other._den and self._nums == other._nums
 
     # -- rendering -------------------------------------------------------------
 
     def _render(self, style: render.Style) -> str:
         key_factors = partial(render.power_factors, style.names[self._names])
-        return render.join_terms(self._terms, key_factors, style)
+        return render.join_terms(self._nums, self._den, key_factors, style)
 
     def text(self) -> str:
         return self._render(render.TEXT)
@@ -337,5 +408,5 @@ class Coefficient(TermMap):
 
     # A coefficient standing alone is written "1/2 - 3*i", not "(1/2 - 3*i)".
     def _render(self, style: render.Style) -> str:
-        groups = render.grouped(self._terms)
+        groups = render.grouped(self._nums, self._den)
         return render.coefficient(groups[0][1] if groups else [], style)

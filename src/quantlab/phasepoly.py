@@ -2,19 +2,19 @@
 coefficient ring.
 
 A PhasePoly is a coeffring.TermMap: one flat map from a Monomial, the
-exponents of x, y, px, py and of the ring's generators, to a nonzero
-rational, so equality is structural.  Its product is the commutative one
-of every term map.  The module adds partial derivatives, the canonical
-Poisson bracket, and the linear substitution that eliminates the
-auxiliary pair (u, pu) in favor of Cartesian (y, py).
+exponents of x, y, px, py and of the ring's generators, to a nonzero int
+numerator over one shared denominator, in lowest terms, so equality is
+structural.  Its product is the commutative one of every term map.  The
+module adds partial derivatives, the canonical Poisson bracket, and the
+linear substitution that eliminates the auxiliary pair (u, pu) in favor
+of Cartesian (y, py).
 """
 
 from __future__ import annotations
 
 from enum import Enum
-from fractions import Fraction
 
-from quantlab.coeffring import Monomial, TermMap, _canonical
+from quantlab.coeffring import Monomial, TermMap, _reduced
 
 
 class PhaseVar(Enum):
@@ -50,13 +50,13 @@ class PhasePoly(TermMap):
         """Formal partial derivative with respect to one phase variable."""
         slot = _VAR_SLOT[var]
         out = {}
-        for mono, value in self._terms.items():
+        for mono, value in self._nums.items():
             exp = mono[slot]
             if exp:
                 exps = list(mono)
                 exps[slot] = exp - 1
                 out[Monomial(*exps)] = value * exp
-        return _canonical(PhasePoly, out)
+        return _reduced(PhasePoly, out, self._den)
 
 
 def poisson(f: PhasePoly, g: PhasePoly) -> PhasePoly:
@@ -89,7 +89,17 @@ def substitute_uy(poly: PhasePoly, m: int, n: int) -> PhasePoly:
     """
     if not isinstance(m, int) or not isinstance(n, int) or m < 1 or n < 1:
         raise ValueError("m and n must be positive integers")
-    ratio = Fraction(n, m)
-    return _canonical(
-        PhasePoly, {mono: value * ratio ** (mono.b - mono.d) for mono, value in poly.terms.items()}
+    # (n/m)^e for e = b - d is n^(e - low) m^(high - e) over n^-low m^high,
+    # with low <= 0 <= high bounding every e, so all exponents are >= 0.
+    nums = poly.numerators
+    low = min((mono.b - mono.d for mono in nums), default=0)
+    high = max((mono.b - mono.d for mono in nums), default=0)
+    low, high = min(low, 0), max(high, 0)
+    return _reduced(
+        PhasePoly,
+        {
+            mono: value * n ** (mono.b - mono.d - low) * m ** (high - mono.b + mono.d)
+            for mono, value in nums.items()
+        },
+        poly.denominator * n ** -low * m ** high,
     )

@@ -17,11 +17,10 @@ classical ladder products with momenta replaced by momentum operators.
 from __future__ import annotations
 
 from enum import Enum
-from fractions import Fraction
-from functools import lru_cache, partial
+from functools import lru_cache
 from math import comb
 
-from quantlab.coeffring import linear_extension, neg_i_hbar
+from quantlab.coeffring import _reduced, linear_extension, neg_i_hbar
 from quantlab.generators import OscillatorParams, ladder_products
 from quantlab.phasepoly import PhaseMono, PhasePoly
 from quantlab.weylalgebra import (
@@ -40,25 +39,28 @@ class Scheme(Enum):
     WEYL = "weyl"
 
 
-# Weight w_k of P^(s-k) X^r P^k in the image of x^r p^s.
+# Weight w_k of P^(s-k) X^r P^k in the image of x^r p^s, as the
+# numerators of the w_k and their one denominator.
 _ORDERING_WEIGHTS = {
-    Scheme.BORN_JORDAN: lambda s: [Fraction(1, s + 1)] * (s + 1),
-    Scheme.WEYL: lambda s: [Fraction(comb(s, k), 2 ** s) for k in range(s + 1)],
+    Scheme.BORN_JORDAN: lambda s: ([1] * (s + 1), s + 1),
+    Scheme.WEYL: lambda s: ([comb(s, k) for k in range(s + 1)], 2 ** s),
 }
 
 
 @lru_cache(maxsize=None)
-def _pair_rule(scheme: Scheme, r: int, s: int) -> tuple[Fraction, ...]:
-    """Normal-ordered image of one canonical pair.
+def _pair_rule(scheme: Scheme, r: int, s: int) -> tuple[tuple[int, ...], int]:
+    """Normal-ordered image of one canonical pair, as (rule, denominator).
 
-    x^r p^s maps to sum_j rule[j] * (-i hbar)^j * X^(r-j) P^(s-j), where
-    rule[j] collapses the ordering sum through the swap identity.
+    x^r p^s maps to sum_j rule[j] / denominator * (-i hbar)^j * X^(r-j)
+    P^(s-j), where rule[j] collapses the ordering sum through the swap
+    identity; every rule[j] is positive.
     """
-    weights = _ORDERING_WEIGHTS[scheme](s)
-    return tuple(
+    weights, den = _ORDERING_WEIGHTS[scheme](s)
+    rule = tuple(
         sum(w * swap_weight(s - k, r, j) for k, w in enumerate(weights))
         for j in range(min(r, s) + 1)
     )
+    return rule, den
 
 
 @lru_cache(maxsize=None)
@@ -68,21 +70,26 @@ def quantize_monomial(scheme: Scheme, mono: PhaseMono) -> Operator:
     The pairs commute, so x^a y^b px^c py^d maps to the sum over j, k of
     (-i hbar)^(j+k) rule_x[j] rule_y[k] X^(a-j) Y^(b-k) Px^(c-j) Py^(d-k).
     """
-    rule_x = _pair_rule(scheme, mono.a, mono.c)
-    rule_y = _pair_rule(scheme, mono.b, mono.d)
-    terms = {}
+    rule_x, den_x = _pair_rule(scheme, mono.a, mono.c)
+    rule_y, den_y = _pair_rule(scheme, mono.b, mono.d)
+    nums = {}
     for j, wx in enumerate(rule_x):
         for k, wy in enumerate(rule_y):
             power, sign = neg_i_hbar(j + k)
             key = OpMono(mono.a - j, mono.b - k, mono.c - j, mono.d - k, *power[4:])
-            terms[key] = sign * wx * wy
-    return Operator(terms)
+            nums[key] = sign * wx * wy
+    return _reduced(Operator, nums, den_x * den_y)
 
 
 def quantize(scheme: Scheme, poly: PhasePoly) -> Operator:
     """Coefficient-linear extension of the monomial rule: each term's
     parameter part multiplies the image of its phase part."""
-    return linear_extension(Operator, partial(quantize_monomial, scheme), poly)
+
+    def image(mono: PhaseMono) -> tuple[dict, int]:
+        op = quantize_monomial(scheme, mono)
+        return op.numerators, op.denominator
+
+    return linear_extension(Operator, image, poly)
 
 
 def quantize_ladder(params: OscillatorParams, which: int) -> Operator:

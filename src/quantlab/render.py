@@ -4,8 +4,9 @@ from one set of rules.
 The two formats differ only in the fixed style records TEXT and LATEX
 (fraction and power formats, joiners, parentheses, folding of -1, and
 display names).  Term maps are flat, so grouped is the one reader of a
-map for output: it groups the terms by phase part (a, b, c, d), then by
-(h, w, r), into the Gaussian rational (re, im); the JSON reports read
+map for output: it groups the numerators by phase part (a, b, c, d),
+then by (h, w, r), into the Gaussian rational (re, im), each part a
+(numerator, denominator) pair in lowest terms; the JSON reports read
 the same groups.  join_terms, the one sum renderer, writes each group as
 a coefficient times its key, rendered by its caller (powers, or x^a y^b
 and a derivative).  Keys are read by position, so this module imports
@@ -14,10 +15,15 @@ nothing from the package.
 
 from __future__ import annotations
 
-from fractions import Fraction
+from math import gcd
 from typing import NamedTuple
 
-_ZERO = Fraction(0)
+# A rational as (numerator, denominator) in lowest terms.
+Rational = tuple[int, int]
+
+_ZERO = (0, 1)
+_ONE = (1, 1)
+_MINUS_ONE = (-1, 1)
 
 
 class Style(NamedTuple):
@@ -73,8 +79,8 @@ LATEX = Style(
 )
 
 
-def fraction(q: Fraction, style: Style) -> str:
-    num, den = q.numerator, q.denominator
+def fraction(q: Rational, style: Style) -> str:
+    num, den = q
     if den == 1:
         return str(num)
     return ("-" if num < 0 else "") + style.fraction % (abs(num), den)
@@ -91,14 +97,16 @@ def power_factors(names, exponents, style: Style) -> list[str]:
     return out
 
 
-def grouped(terms: dict) -> list[tuple]:
-    """A flat term map as [(phase, group), ...], phase the exponents
-    (a, b, c, d) and group its coefficient [((h, w, r), re, im), ...];
-    both levels descending, phase parts by degree first."""
+def grouped(nums: dict, den: int) -> list[tuple]:
+    """A flat term map, numerators nums over den, as [(phase, group), ...],
+    phase the exponents (a, b, c, d) and group its coefficient
+    [((h, w, r), re, im), ...], re and im (numerator, denominator) pairs
+    in lowest terms; both levels descending, phase parts by degree first."""
     groups: dict[tuple, dict] = {}
-    for key, value in terms.items():
+    for key, num in nums.items():
         parts = groups.setdefault(key[:4], {}).setdefault(key[4:7], [_ZERO, _ZERO])
-        parts[key[7]] = value
+        g = gcd(num, den)
+        parts[key[7]] = (num // g, den // g)
     by_degree = sorted(groups.items(), key=lambda kv: (sum(kv[0]), kv[0]), reverse=True)
     return [
         (phase, [(params, re, im) for params, (re, im) in sorted(group.items(), reverse=True)])
@@ -106,35 +114,35 @@ def grouped(terms: dict) -> list[tuple]:
     ]
 
 
-def _imaginary(q: Fraction, style: Style) -> str:
-    if q == 1:
+def _imaginary(q: Rational, style: Style) -> str:
+    if q == _ONE:
         return "i"
-    if q == -1:
+    if q == _MINUS_ONE:
         return "-i"
     return fraction(q, style) + style.imag + "i"
 
 
-def scalar(re: Fraction, im: Fraction, style: Style) -> str:
+def scalar(re: Rational, im: Rational, style: Style) -> str:
     """A Gaussian rational re + im*i standing alone."""
-    if im == 0:
+    if im == _ZERO:
         return fraction(re, style)
-    if re == 0:
+    if re == _ZERO:
         return _imaginary(im, style)
-    sign = " + " if im > 0 else " - "
-    return fraction(re, style) + sign + _imaginary(abs(im), style)
+    sign = " + " if im[0] > 0 else " - "
+    return fraction(re, style) + sign + _imaginary((abs(im[0]), im[1]), style)
 
 
-def scalar_factors(re: Fraction, im: Fraction, tail: list[str], style: Style) -> list[str]:
+def scalar_factors(re: Rational, im: Rational, tail: list[str], style: Style) -> list[str]:
     """Factors of (re + im*i) * <tail>, folding a unit scalar into the tail."""
-    if im == 0:
-        if re == 1 and tail:
+    if im == _ZERO:
+        if re == _ONE and tail:
             return tail
-        if re == -1 and tail and (style.fold_powers or "^" not in tail[0]):
+        if re == _MINUS_ONE and tail and (style.fold_powers or "^" not in tail[0]):
             return ["-" + tail[0]] + tail[1:]
         head = [fraction(re, style)]
-    elif re != 0:
+    elif re != _ZERO:
         head = [style.open + scalar(re, im, style) + style.close]
-    elif im in (1, -1):
+    elif im in (_ONE, _MINUS_ONE):
         head = [_imaginary(im, style)]
     else:
         head = [fraction(im, style), "i"]
@@ -175,12 +183,13 @@ def differential_factors(phase, style: Style) -> list[str]:
     return out
 
 
-def join_terms(terms: dict, key_factors, style: Style) -> str:
-    """Sum of coefficient * key over the groups of a flat term map, with
-    binary +/-; "0" for none.  key_factors(phase, style) renders a key."""
+def join_terms(nums: dict, den: int, key_factors, style: Style) -> str:
+    """Sum of coefficient * key over the groups of a flat term map, nums
+    over den, with binary +/-; "0" for none.  key_factors(phase, style)
+    renders a key."""
     return _join(
         (coefficient_factors(group, key_factors(phase, style), style)
-         for phase, group in grouped(terms)),
+         for phase, group in grouped(nums, den)),
         style,
     )
 

@@ -314,13 +314,13 @@ def lower(node: ExprAST) -> PhasePoly:
 
 
 def _capped(poly: PhasePoly) -> PhasePoly:
-    if len(poly.terms) > MAX_TERMS:
+    if len(poly.numerators) > MAX_TERMS:
         raise ValueError(f"expression expands to more than {MAX_TERMS} terms")
     return poly
 
 
 def _product(left: PhasePoly, right: PhasePoly) -> PhasePoly:
-    n, m = len(left.terms), len(right.terms)
+    n, m = len(left.numerators), len(right.numerators)
     if n * m > MAX_PAIRS:
         raise ValueError(f"expression multiplies {n} by {m} terms, more than {MAX_PAIRS} term pairs")
     return _capped(left * right)

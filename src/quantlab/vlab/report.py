@@ -26,12 +26,12 @@ def coefficient_json(group: list[tuple]) -> dict:
                 "h": h,
                 "w": w,
                 "r": r,
-                "re_num": re.numerator,
-                "re_den": re.denominator,
-                "im_num": im.numerator,
-                "im_den": im.denominator,
+                "re_num": re_num,
+                "re_den": re_den,
+                "im_num": im_num,
+                "im_den": im_den,
             }
-            for (h, w, r), re, im in group
+            for (h, w, r), (re_num, re_den), (im_num, im_den) in group
         ]
     }
 
@@ -39,7 +39,7 @@ def coefficient_json(group: list[tuple]) -> dict:
 def operator_json(op: Operator) -> list[dict]:
     return [
         {"a": a, "b": b, "c": c, "d": d, "coeff": coefficient_json(group)}
-        for (a, b, c, d), group in render.grouped(op.terms)
+        for (a, b, c, d), group in render.grouped(op.numerators, op.denominator)
     ]
 
 

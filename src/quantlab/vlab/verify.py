@@ -162,7 +162,7 @@ def commutator_matches_action(
 
 def _max_order(op: Operator, slot: int) -> int:
     """Highest exponent in one slot of op's words; slots 2 and 3 are px and py."""
-    return max((m[slot] for m in op.terms), default=0)
+    return max((m[slot] for m in op.numerators), default=0)
 
 
 def sweep(max_sum: int, target: str = TARGET_K) -> list[VerificationRecord]:

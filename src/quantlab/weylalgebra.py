@@ -24,6 +24,8 @@ from quantlab.coeffring import (
     _accumulate,
     _canonical,
     _make,
+    _reduced,
+    fraction_view,
     linear_extension,
     mono_mul,
     neg_i_hbar,
@@ -64,10 +66,10 @@ class Operator(TermMap):
         return op_mul(self, other)
 
     def momentum_order(self) -> int:
-        return max((m.c + m.d for m in self._terms), default=0)
+        return max((m.c + m.d for m in self._nums), default=0)
 
     def position_order(self) -> int:
-        return max((m.a + m.b for m in self._terms), default=0)
+        return max((m.a + m.b for m in self._nums), default=0)
 
 
 def x_hat() -> Operator:
@@ -93,15 +95,14 @@ def op_mul(left: Operator, right: Operator) -> Operator:
     commute with each other.
     """
     acc: dict = {}
-    for m1, v1 in left.terms.items():
-        for m2, v2 in right.terms.items():
+    for m1, v1 in left._nums.items():
+        for m2, v2 in right._nums.items():
             base, factor = mono_mul(m1, m2)
-            value = v1 * v2
+            value = v1 * v2 * factor
             for shift, weight in _corrections(m1.c, m2.a, m1.d, m2.b):
                 key, sign = mono_mul(base, shift)
-                scale = factor * sign * weight
-                _accumulate(acc, key, value if scale == 1 else value * scale)
-    return _canonical(Operator, acc)
+                _accumulate(acc, key, value * sign * weight)
+    return _reduced(Operator, acc, left._den * right._den)
 
 
 def commutator(left: Operator, right: Operator) -> Operator:
@@ -111,50 +112,55 @@ def commutator(left: Operator, right: Operator) -> Operator:
 
 def classical_symbol(op: Operator) -> PhasePoly:
     """hbar -> 0 limit with momenta read as classical variables."""
-    return _canonical(PhasePoly, op.hbar_free_part().terms)
+    limit = op.hbar_free_part()
+    return _canonical(PhasePoly, limit.numerators, limit.denominator)
 
 
 class Action:
     """The differential action of one operator on position polynomials.
 
-    Builds the operator's derivative form (differential_terms) once and
-    memoizes its image of each position monomial x^i y^j, so applying it
-    to a polynomial is a linear combination of cached images; hbar stays
-    symbolic.  The memo table lives as long as the object does.
+    Builds the operator's derivative form (derivative_words) once and
+    memoizes the numerators of its image of each position monomial
+    x^i y^j, all over the operator's denominator, so applying it to a
+    polynomial is a linear combination of cached images with no lcm;
+    hbar stays symbolic.  The memo table lives as long as the object does.
     """
 
     __slots__ = ("op", "_words", "_images")
 
     def __init__(self, op: Operator):
         self.op = op
-        self._words = differential_terms(op)
-        self._images: dict[PhaseMono, PhasePoly] = {}
+        self._words = derivative_words(op)
+        self._images: dict[PhaseMono, dict] = {}
 
     @classmethod
     def of(cls, op: "Operator | Action") -> "Action":
         return op if isinstance(op, cls) else cls(op)
 
-    def image(self, mono: PhaseMono) -> PhasePoly:
-        """The action on the position monomial mono x^i y^j, memoized."""
-        image = self._images.get(mono)
-        if image is None:
+    def _image(self, mono: PhaseMono) -> tuple[dict, int]:
+        """(numerators, denominator) of the image of mono x^i y^j, memoized."""
+        nums = self._images.get(mono)
+        if nums is None:
             if mono.c or mono.d:
                 raise ValueError("operators act on position polynomials (no px or py)")
             i, j = mono.a, mono.b
-            acc: dict = {}
+            nums = {}
             for word, value in self._words.items():
                 a, b, c, d = word[:4]
                 if c > i or d > j:
                     continue
                 key = _make(Monomial, (a + i - c, b + j - d, 0, 0) + word[4:])
-                mult = perm(i, c) * perm(j, d)
-                _accumulate(acc, key, value if mult == 1 else value * mult)
-            image = self._images[mono] = _canonical(PhasePoly, acc)
-        return image
+                _accumulate(nums, key, value * perm(i, c) * perm(j, d))
+            self._images[mono] = nums
+        return nums, self.op._den
+
+    def image(self, mono: PhaseMono) -> PhasePoly:
+        """The action on the position monomial mono x^i y^j."""
+        return _reduced(PhasePoly, *self._image(mono))
 
     def __call__(self, poly: PhasePoly) -> PhasePoly:
         """Act on poly; rejects polynomials containing px or py."""
-        return linear_extension(PhasePoly, self.image, poly)
+        return linear_extension(PhasePoly, self._image, poly)
 
 
 def apply_to_polynomial(op: Operator, poly: PhasePoly) -> PhasePoly:
@@ -165,25 +171,26 @@ def apply_to_polynomial(op: Operator, poly: PhasePoly) -> PhasePoly:
 def adjoint(op: Operator) -> Operator:
     """Formal adjoint: reverse each word and conjugate its coefficient."""
     out = Operator.zero()
-    for mono, value in op.terms.items():
+    for mono, num in op.numerators.items():
         momenta = Operator.monomial(Monomial(c=mono.c, d=mono.d))
-        positions = Operator.monomial(mono._replace(c=0, d=0), value).conjugate()
+        positions = Operator.monomial(mono._replace(c=0, d=0), num).conjugate()
         out = out + op_mul(momenta, positions)
-    return out
+    return _reduced(Operator, out.numerators, out.denominator * op.denominator)
 
 
 def min_hbar_exponent(op: Operator) -> int:
     """Smallest hbar exponent over all terms; 0 for the zero operator."""
-    return min((key.h for key in op.terms), default=0)
+    return min((key.h for key in op.numerators), default=0)
 
 
 def min_omega_exponent(op: Operator) -> int:
     """Smallest omega exponent over all terms; 0 for the zero operator."""
-    return min((key.w for key in op.terms), default=0)
+    return min((key.w for key in op.numerators), default=0)
 
 
-def differential_terms(op: Operator) -> dict:
-    """The flat terms of the operator written as x^a y^b d^c/dx^c d^d/dy^d.
+def derivative_words(op: Operator) -> dict:
+    """The numerators of the operator written as x^a y^b d^c/dx^c d^d/dy^d,
+    over the operator's denominator.
 
     The keys keep (c, d) as derivative orders; each term absorbs the
     (-i*hbar)^(c+d) factor of the momentum realization, a relabel of its
@@ -193,17 +200,26 @@ def differential_terms(op: Operator) -> dict:
     derivative words.
     """
     out: dict = {}
-    for mono, value in op.terms.items():
+    for mono, num in op.numerators.items():
         power, sign = neg_i_hbar(mono.c + mono.d)
         key, factor = mono_mul(mono, power)
-        out[key] = value if sign == factor else -value
+        out[key] = num if sign == factor else -num
     return out
+
+
+def differential_terms(op: Operator) -> dict:
+    """The derivative form as {Monomial: Fraction}, like TermMap.terms."""
+    return fraction_view(derivative_words(op), op.denominator)
 
 
 def differential_text(op: Operator) -> str:
     """Plain-text rendering in derivative form."""
-    return render.join_terms(differential_terms(op), render.differential_factors, render.TEXT)
+    return render.join_terms(
+        derivative_words(op), op.denominator, render.differential_factors, render.TEXT
+    )
 
 
 def differential_latex(op: Operator) -> str:
-    return render.join_terms(differential_terms(op), render.differential_factors, render.LATEX)
+    return render.join_terms(
+        derivative_words(op), op.denominator, render.differential_factors, render.LATEX
+    )

@@ -35,6 +35,8 @@ CASES = {
     "sweep_5_text": ["sweep", "--max-sum", "5"],
     "sweep_4_json": ["sweep", "--max-sum", "4", "--format", "json"],
     "sweep_4_f_json": ["sweep", "--max-sum", "4", "--target", "f", "--format", "json"],
+    "sweep_8_json": ["sweep", "--max-sum", "8", "--format", "json"],
+    "sweep_6_f_json": ["sweep", "--max-sum", "6", "--target", "f", "--format", "json"],
     "quantize_bj_text": ["quantize", "--scheme", "bj", "--expr", POLY],
     "quantize_bj_json": ["quantize", "--scheme", "bj", "--expr", POLY, "--format", "json"],
     "quantize_weyl_text": ["quantize", "--scheme", "weyl", "--expr", POLY],

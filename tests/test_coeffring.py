@@ -1,15 +1,24 @@
 """Coefficient ring arithmetic: examples and ring axioms."""
 
 from fractions import Fraction
+from math import comb, factorial, gcd, perm
 from random import Random
 
 import pytest
 
 from quantlab.coeffring import Coefficient, Monomial, mono_mul, neg_i_hbar
-from quantlab.phasepoly import PhasePoly, PhaseVar
-from quantlab.weylalgebra import Operator, px_hat, x_hat
+from quantlab.phasepoly import PhasePoly, PhaseVar, substitute_uy
+from quantlab.quantizer import Scheme, quantize
+from quantlab.weylalgebra import Action, Operator, classical_symbol, op_mul, px_hat, x_hat
 
-from randgen import rand_coefficient
+from randgen import (
+    rand_coefficient,
+    rand_fraction,
+    rand_operator,
+    rand_phase_mono,
+    rand_phase_poly,
+    rand_position_poly,
+)
 
 
 def test_additive_identity():
@@ -208,3 +217,199 @@ def test_scalar_is_canonical_sparse_map():
     assert Coefficient.zero().is_zero()
     assert Coefficient.one() == 1
     assert all(type(v) is Fraction for v in ((1 + 2 * i) * Fraction(1, 3)).terms.values())
+
+
+# --- canonical form: int numerators over one denominator, in lowest terms ---
+#
+# Every operation must return a map with a positive denominator, no zero
+# numerator and gcd(den, *nums) == 1, and must equal the same operation
+# done on a plain {Monomial: Fraction} dict by the reference rules below,
+# which share no code with the package's arithmetic.
+
+
+def assert_canonical(value):
+    nums, den = value.numerators, value.denominator
+    assert type(den) is int and den > 0
+    assert all(type(v) is int and v != 0 for v in nums.values())
+    assert gcd(den, *nums.values()) == 1
+
+
+def _dropped_zeros(terms: dict) -> dict:
+    return {k: v for k, v in terms.items() if v}
+
+
+def ref_add(left: dict, right: dict, sign: int = 1) -> dict:
+    out = dict(left)
+    for key, value in right.items():
+        out[key] = out.get(key, Fraction(0)) + sign * value
+    return _dropped_zeros(out)
+
+
+def ref_mul(left: dict, right: dict, ordered: bool = False) -> dict:
+    """Product of two flat Fraction maps.  With ordered, the keys are
+    operator words and each Px^c X^a (Py^d Y^b) pair is normal ordered by
+    sum_k k! C(c,k) C(a,k) (-i hbar)^k X^(a-k) Px^(c-k)."""
+    out: dict = {}
+    for m1, v1 in left.items():
+        for m2, v2 in right.items():
+            k1_max = min(m1.c, m2.a) if ordered else 0
+            k2_max = min(m1.d, m2.b) if ordered else 0
+            for k1 in range(k1_max + 1):
+                for k2 in range(k2_max + 1):
+                    k = k1 + k2
+                    weight = (
+                        factorial(k1) * comb(m1.c, k1) * comb(m2.a, k1)
+                        * factorial(k2) * comb(m1.d, k2) * comb(m2.b, k2)
+                    )
+                    # (-i)^k is 1, -i, -1, i for k = 0, 1, 2, 3 (mod 4)
+                    value = v1 * v2 * weight * (-1 if k % 4 in (1, 2) else 1)
+                    r = m1.r + m2.r
+                    e = m1.e + m2.e + k % 2
+                    if r == 2:
+                        r, value = 0, value * 2
+                    if e >= 2:
+                        e, value = e - 2, -value
+                    key = Monomial(
+                        m1.a + m2.a - k1, m1.b + m2.b - k2, m1.c + m2.c - k1,
+                        m1.d + m2.d - k2, m1.h + m2.h + k, m1.w + m2.w, r, e,
+                    )
+                    out[key] = out.get(key, Fraction(0)) + value
+    return _dropped_zeros(out)
+
+
+def _word(**exps) -> dict:
+    return {Monomial(**exps): Fraction(1)}
+
+
+def ref_quantize(scheme: Scheme, terms: dict) -> dict:
+    """Each monomial's parameters times the product over both pairs of
+    sum_k w_k P^(s-k) Q^r P^k, every word normal ordered by ref_mul."""
+    out: dict = {}
+    for key, value in terms.items():
+        image = {Monomial(h=key.h, w=key.w, r=key.r, e=key.e): value}
+        for q, p, r, s in (("a", "c", key.a, key.c), ("b", "d", key.b, key.d)):
+            pair: dict = {}
+            for k in range(s + 1):
+                weight = (
+                    Fraction(1, s + 1) if scheme is Scheme.BORN_JORDAN
+                    else Fraction(comb(s, k), 2 ** s)
+                )
+                word = ref_mul(ref_mul(_word(**{p: s - k}), _word(**{q: r}), True),
+                               _word(**{p: k}), True)
+                pair = ref_add(pair, {m: v * weight for m, v in word.items()})
+            image = ref_mul(image, pair, True)
+        out = ref_add(out, image)
+    return out
+
+
+def ref_action(op: dict, i: int, j: int) -> dict:
+    """The derivative action of op on x^i y^j, each momentum -i hbar d/dq."""
+    out: dict = {}
+    for key, value in op.items():
+        if key.c > i or key.d > j:
+            continue
+        mult = perm(i, key.c) * perm(j, key.d)
+        term = {Monomial(a=i - key.c, b=j - key.d): Fraction(mult)}
+        k = key.c + key.d
+        neg_i_hbar_k = {Monomial(h=k, e=k % 2): Fraction(-1 if k % 4 in (1, 2) else 1)}
+        params = {key._replace(c=0, d=0): value}
+        out = ref_add(out, ref_mul(ref_mul(params, term), neg_i_hbar_k))
+    return out
+
+
+def test_canonical_form_of_ring_operations_random():
+    rng = Random(9009)
+    for _ in range(400):
+        a, b = rand_coefficient(rng), rand_coefficient(rng)
+        f, g = rand_phase_poly(rng, max_terms=3), rand_phase_poly(rng, max_terms=3)
+        q = rand_fraction(rng) or Fraction(5, 3)
+        for left, right in ((a, b), (f, g)):
+            lt, rt = left.terms, right.terms
+            for result, expected in (
+                (left + right, ref_add(lt, rt)),
+                (left - right, ref_add(lt, rt, -1)),
+                (left * right, ref_mul(lt, rt)),
+                (-left, {k: -v for k, v in lt.items()}),
+                (left * q, _dropped_zeros({k: v * q for k, v in lt.items()})),
+                (q * left, _dropped_zeros({k: v * q for k, v in lt.items()})),
+                (left.conjugate(), {k: -v if k.e else v for k, v in lt.items()}),
+                (left.hbar_free_part(), {k: v for k, v in lt.items() if not k.h}),
+            ):
+                assert_canonical(result)
+                assert result.terms == expected
+        key = rand_phase_mono(rng)
+        coeff = f.coefficient(key)
+        assert_canonical(coeff)
+        assert coeff.terms == {k._replace(a=0, b=0, c=0, d=0): v
+                               for k, v in f.terms.items() if k[:4] == key[:4]}
+        for var, slot in zip(PhaseVar, "abcd"):
+            deriv = f.partial(var)
+            assert_canonical(deriv)
+            assert deriv.terms == {
+                k._replace(**{slot: getattr(k, slot) - 1}): v * getattr(k, slot)
+                for k, v in f.terms.items() if getattr(k, slot)
+            }
+        m, n = rng.randint(1, 4), rng.randint(1, 4)
+        swapped = substitute_uy(f, m, n)
+        assert_canonical(swapped)
+        assert swapped.terms == {
+            k: v * Fraction(n, m) ** (k.b - k.d) for k, v in f.terms.items()
+        }
+
+
+def test_canonical_form_of_operator_layer_random():
+    rng = Random(4242)
+    for _ in range(150):
+        a, b = rand_operator(rng), rand_operator(rng)
+        product = op_mul(a, b)
+        assert_canonical(product)
+        assert product.terms == ref_mul(a.terms, b.terms, ordered=True)
+        limit = classical_symbol(a)
+        assert_canonical(limit)
+        assert limit.terms == {k: v for k, v in a.terms.items() if not k.h}
+        poly = rand_phase_poly(rng, max_terms=3)
+        for scheme in Scheme:
+            op = quantize(scheme, poly)
+            assert_canonical(op)
+            assert op.terms == ref_quantize(scheme, poly.terms)
+        action = Action(a)
+        for i in range(3):
+            for j in range(3):
+                image = action.image(Monomial(a=i, b=j))
+                assert_canonical(image)
+                assert image.terms == ref_action(a.terms, i, j)
+        position = rand_position_poly(rng)
+        applied = action(position)
+        assert_canonical(applied)
+        expected: dict = {}
+        for key, value in position.terms.items():
+            image = ref_action(a.terms, key.a, key.b)
+            params = {key._replace(a=0, b=0): value}
+            expected = ref_add(expected, ref_mul(params, image))
+        assert applied.terms == expected
+
+
+def test_canonical_form_pins_cancellation():
+    x = PhasePoly.variable(PhaseVar.X)
+    half = x * Fraction(1, 2)
+    assert half.numerators == {Monomial(a=1): 1} and half.denominator == 2
+    total = half + half
+    assert total == x
+    assert total.numerators == {Monomial(a=1): 1} and total.denominator == 1
+    third = x * Fraction(1, 3)
+    assert (third * 3).numerators == {Monomial(a=1): 1}
+    assert (third * 3).denominator == 1
+    assert (3 * third).denominator == 1
+    assert (x * Fraction(2, 3) - x * Fraction(1, 6)).denominator == 2
+    # {A: 2, B: 1} / 2: dropping B leaves {A: 2} / 2, which must reduce to A
+    a_key, b_key = Monomial(a=1), Monomial(b=1, h=1)
+    poly = PhasePoly({a_key: 1, b_key: Fraction(1, 2)})
+    assert poly.numerators == {a_key: 2, b_key: 1} and poly.denominator == 2
+    for dropped in (
+        poly - PhasePoly.monomial(b_key, Fraction(1, 2)),
+        poly.hbar_free_part(),
+        PhasePoly.constant(poly.coefficient(a_key)) * PhasePoly.monomial(a_key),
+        classical_symbol(Operator(poly.terms)),
+    ):
+        assert dropped.numerators == {a_key: 1}
+        assert dropped.denominator == 1
