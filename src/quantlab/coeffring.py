@@ -353,8 +353,10 @@ class TermMap:
     def __pow__(self, exponent: int):
         if not isinstance(exponent, int) or exponent < 0:
             raise ValueError("exponent must be a nonnegative integer")
-        out = self.one()
-        for _ in range(exponent):
+        if exponent == 0:
+            return self.one()
+        out = self
+        for _ in range(exponent - 1):
             out = out * self
         return out
 

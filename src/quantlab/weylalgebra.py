@@ -7,10 +7,15 @@ freely.  Products are re-normalized with the closed-form swap identity
     P^s X^r = sum_k k! C(s,k) C(r,k) (-i hbar)^k X^(r-k) P^(s-k),
 
 which matches iterated single swaps exactly (swap_weight is its integer
-weight, coeffring.neg_i_hbar its (-i hbar)^k).  A separate differential
-action on position polynomials (momentum realized as -i*hbar times the
-coordinate derivative; Action memoizes it per operator) provides an
-independent route to the same algebra for cross-checks.
+weight, coeffring.neg_i_hbar its (-i hbar)^k).  The k = 0 term of a
+product of two words is their commutative product, the same key with
+the same value in either order, so a commutator builds neither product:
+the base terms cancel, and it accumulates only the reordering
+corrections (k > 0) of both orders, with opposite signs.  A separate
+differential action on position polynomials (momentum realized as
+-i*hbar times the coordinate derivative; Action memoizes it per
+operator) provides an independent route to the same algebra for
+cross-checks.
 """
 
 from __future__ import annotations
@@ -40,13 +45,16 @@ def swap_weight(s: int, r: int, k: int) -> int:
 
 @lru_cache(maxsize=None)
 def _corrections(s1: int, r1: int, s2: int, r2: int) -> tuple[tuple[Monomial, int], ...]:
-    """(key, weight) of each term of the swap identity for P^s1 X^r1 and
-    P^s2 Y^r2: the key lowers X and Px by k1, Y and Py by k2 (to be added
-    to the product of the two words) and carries (-i hbar)^(k1+k2), whose
-    sign joins the two swap weights."""
+    """(key, weight) of each reordering correction of the swap identity for
+    P^s1 X^r1 and P^s2 Y^r2, the terms with k1 + k2 > 0: the key lowers X
+    and Px by k1, Y and Py by k2 (to be added to the product of the two
+    words) and carries (-i hbar)^(k1+k2), whose sign joins the two swap
+    weights.  Empty when the words commute."""
     out = []
     for k1 in range(min(s1, r1) + 1):
         for k2 in range(min(s2, r2) + 1):
+            if not (k1 or k2):
+                continue
             power, sign = neg_i_hbar(k1 + k2)
             key = _make(Monomial, (-k1, -k2, -k1, -k2) + power[4:])
             out.append((key, sign * swap_weight(s1, r1, k1) * swap_weight(s2, r2, k2)))
@@ -99,15 +107,39 @@ def op_mul(left: Operator, right: Operator) -> Operator:
         for m2, v2 in right._nums.items():
             base, factor = mono_mul(m1, m2)
             value = v1 * v2 * factor
-            for shift, weight in _corrections(m1.c, m2.a, m1.d, m2.b):
-                key, sign = mono_mul(base, shift)
-                _accumulate(acc, key, value * sign * weight)
+            _accumulate(acc, base, value)
+            _add_corrections(acc, base, value, _corrections(m1.c, m2.a, m1.d, m2.b))
     return _reduced(Operator, acc, left._den * right._den)
 
 
 def commutator(left: Operator, right: Operator) -> Operator:
-    """[left, right] = left*right - right*left in canonical form."""
-    return op_mul(left, right) - op_mul(right, left)
+    """[left, right] = left*right - right*left in canonical form.
+
+    One pass over the term pairs that builds neither product: the base
+    term of a pair is the same in both orders and cancels, so only the
+    corrections of left*right (sign +) and of right*left (sign -) are
+    accumulated, and a pair whose words commute is skipped.
+    """
+    acc: dict = {}
+    for m1, v1 in left._nums.items():
+        for m2, v2 in right._nums.items():
+            forward = _corrections(m1.c, m2.a, m1.d, m2.b)
+            backward = _corrections(m2.c, m1.a, m2.d, m1.b)
+            if not (forward or backward):
+                continue
+            base, factor = mono_mul(m1, m2)
+            value = v1 * v2 * factor
+            _add_corrections(acc, base, value, forward)
+            _add_corrections(acc, base, -value, backward)
+    return _reduced(Operator, acc, left._den * right._den)
+
+
+def _add_corrections(acc: dict, base: Monomial, value: int, corrections) -> None:
+    """Accumulate value times each (shift, weight) of a _corrections table,
+    each shift moved onto the base key of the product."""
+    for shift, weight in corrections:
+        key, sign = mono_mul(base, shift)
+        _accumulate(acc, key, value * sign * weight)
 
 
 def classical_symbol(op: Operator) -> PhasePoly:

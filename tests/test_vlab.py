@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from quantlab import weylalgebra
 from quantlab.coeffring import Coefficient
 from quantlab.generators import OscillatorParams, hamiltonian, k_integral
 from quantlab.phasepoly import PhaseMono, PhasePoly, PhaseVar
@@ -320,3 +321,22 @@ def test_oracle_names_failing_scheme_and_probe(monkeypatch, m, n, scheme, name):
     ) in failed_claims(record)
     assert "probe" not in record_text(record) + record_latex(record)
     assert "probe" not in json.dumps(record_json(record))
+
+
+def test_action_oracle_builds_no_normal_ordered_product(monkeypatch):
+    # The oracle is an independent check of the commutator kernel only
+    # while it never calls that kernel or the product beside it.
+    params = OscillatorParams(4, 1)
+    h_op = quantize(Scheme.WEYL, hamiltonian(params))
+    bj_op = quantize(Scheme.BORN_JORDAN, k_integral(params))
+    comm = commutator(h_op, bj_op)
+    assert not comm.is_zero()
+
+    def forbidden(*args):
+        raise AssertionError("the action oracle called the normal-ordering kernel")
+
+    monkeypatch.setattr(weylalgebra, "op_mul", forbidden)
+    monkeypatch.setattr(weylalgebra, "commutator", forbidden)
+    monkeypatch.setattr(verify_module, "commutator", forbidden)
+    assert commutator_matches_action(h_op, bj_op, comm) is True
+    assert not commutator_matches_action(h_op, bj_op, comm + _WRONG_TERM)

@@ -7,6 +7,7 @@ from random import Random
 import pytest
 
 from quantlab.coeffring import Coefficient
+from quantlab.generators import OscillatorParams, hamiltonian, k_integral, ladder_integrals
 from quantlab.phasepoly import PhaseMono, PhasePoly, PhaseVar, poisson
 from quantlab.quantizer import Scheme, quantize
 from quantlab.weylalgebra import (
@@ -194,6 +195,33 @@ def test_commutator_properties_random():
             + commutator(c, commutator(a, b))
         )
         assert jacobi.is_zero()
+
+
+def test_commutator_equals_difference_of_products():
+    # The one-pass commutator accumulates only reordering corrections;
+    # pin it to the definition, which antisymmetry and Jacobi alone do not
+    # (a kernel returning zero satisfies both).
+    rng = Random(2016)
+    carries_i = carries_sqrt2 = nonzero = 0
+    for _ in range(300):
+        a = rand_operator(rng, max_terms=3, max_exp=3)
+        b = rand_operator(rng, max_terms=3, max_exp=3)
+        comm = commutator(a, b)
+        assert comm == op_mul(a, b) - op_mul(b, a)
+        keys = list(a.numerators) + list(b.numerators)
+        carries_i += any(key.e for key in keys)
+        carries_sqrt2 += any(key.r for key in keys)
+        nonzero += not comm.is_zero()
+    assert min(carries_i, carries_sqrt2, nonzero) >= 100
+    for total in range(2, 7):
+        for m in range(1, total):
+            params = OscillatorParams(m, total - m)
+            h_op = quantize(Scheme.WEYL, hamiltonian(params))
+            for integral in (k_integral(params), *ladder_integrals(params)):
+                for scheme in Scheme:
+                    op = quantize(scheme, integral)
+                    assert commutator(h_op, op) == op_mul(h_op, op) - op_mul(op, h_op)
+                    assert commutator(op, h_op) == op_mul(op, h_op) - op_mul(h_op, op)
 
 
 def test_adjoint_reverses_products():
