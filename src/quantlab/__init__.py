@@ -28,7 +28,6 @@ from quantlab.generators import (
     p_poly,
 )
 from quantlab.weylalgebra import (
-    Action,
     OpMono,
     Operator,
     adjoint,

@@ -193,8 +193,8 @@ class TermMap:
     gcd(den, *nums) == 1), so equality is structural.  A subclass names
     its display names in the render styles (``_names``) and may replace
     the commutative ``_product``.  The constructor takes {Monomial: int or
-    Fraction} and also flattens {Monomial: Coefficient}; ``terms`` is the
-    read-only {Monomial: Fraction} view of the map.
+    Fraction}; ``terms`` is the read-only {Monomial: Fraction} view of the
+    map.
 
     One coercion rule serves every class: ``of`` returns an instance
     unchanged, reuses the map of a Coefficient and lifts a rational to a
@@ -208,13 +208,8 @@ class TermMap:
     _names: str
 
     def __init__(self, terms: dict | None = None):
-        parts = []
-        for key, value in (terms or {}).items():
-            if isinstance(value, Coefficient):
-                parts.append((key, 1, value._nums, value._den))
-            else:
-                num, den = _ratio(value)
-                parts.append((key, num, {Monomial(): 1}, den))
+        ratios = {key: _ratio(value) for key, value in (terms or {}).items()}
+        parts = [(key, num, {Monomial(): 1}, den) for key, (num, den) in ratios.items()]
         self._nums, self._den = _lowest(*_combination(parts))
 
     # -- constructors ----------------------------------------------------

@@ -107,11 +107,16 @@ def grouped(nums: dict, den: int) -> list[tuple]:
         parts = groups.setdefault(key[:4], {}).setdefault(key[4:7], [_ZERO, _ZERO])
         g = gcd(num, den)
         parts[key[7]] = (num // g, den // g)
-    by_degree = sorted(groups.items(), key=lambda kv: (sum(kv[0]), kv[0]), reverse=True)
+    by_degree = [(phase, groups[phase]) for phase in ordered(groups)]
     return [
         (phase, [(params, re, im) for params, (re, im) in sorted(group.items(), reverse=True)])
         for phase, group in by_degree
     ]
+
+
+def ordered(phases) -> list[tuple]:
+    """Phase parts (a, b, c, d) in output order: descending, by degree first."""
+    return sorted(phases, key=lambda phase: (sum(phase), phase), reverse=True)
 
 
 def _imaginary(q: Rational, style: Style) -> str:

@@ -4,11 +4,12 @@ Each pipeline builds a classical integral, records whether its bracket
 with the Hamiltonian vanishes, quantizes it under both ordering rules,
 computes both commutators with the quantized Hamiltonian, and
 cross-checks every symbolic commutator against the differential action
-on a spanning set of position monomials.  The action oracle never calls
-the normal-ordering product: one memoized Action of H serves both
-schemes, and the Born-Jordan commutator is checked through its
-difference from the Weyl one.  A nonzero bracket is reported by
-failed_claims; it does not stop a sweep.
+on one exponential probe e^(sx+ty), s and t symbolic.  The action oracle
+never calls the normal-ordering product or its swap weights: it applies
+the derivative words of each operator by the Leibniz rule (weylalgebra.act),
+and the Born-Jordan commutator is checked through its difference from the
+Weyl one.  A nonzero bracket is reported by failed_claims; it does not
+stop a sweep.
 """
 
 from __future__ import annotations
@@ -16,18 +17,21 @@ from __future__ import annotations
 from collections import namedtuple
 from dataclasses import dataclass
 
+from quantlab import render
+from quantlab.coeffring import _reduced
 from quantlab.generators import (
     OscillatorParams,
     hamiltonian,
     k_integral,
     ladder_integrals,
 )
-from quantlab.phasepoly import PhaseMono, PhasePoly, poisson
+from quantlab.phasepoly import Monomial, PhasePoly, poisson
 from quantlab.quantizer import Scheme, quantize, quantize_ladder
 from quantlab.weylalgebra import (
-    Action,
     Operator,
+    act,
     commutator,
+    derivative_words,
     min_hbar_exponent,
     min_omega_exponent,
 )
@@ -53,9 +57,10 @@ class VerificationRecord:
     min_w_exp: int
     oracle_agreement: bool
     ladder_equals_weyl: bool | None = None
-    # scheme ("weyl" or "bj") and first probe x^i y^j of a failed oracle
-    # check; failed_claims names it, record_json and the record reports omit it
-    oracle_failure: tuple[str, PhaseMono] | None = None
+    # scheme ("weyl" or "bj") and first differing derivative word
+    # x^a y^b d^c/dx^c d^d/dy^d of a failed oracle check; failed_claims
+    # names it, record_json and the record reports omit it
+    oracle_failure: tuple[str, Monomial] | None = None
 
 
 def verify_pair(m: int, n: int) -> VerificationRecord:
@@ -90,12 +95,11 @@ def _verify(
     bj_comm = commutator(h_op, bj_op)
     # By linearity, once [H, W] = weyl_comm holds, [H, BJ] = bj_comm holds
     # exactly when [H, BJ - W] = bj_comm - weyl_comm does.
-    h_action = Action(h_op)
     scheme = "weyl"
-    check = commutator_matches_action(h_action, Action(weyl_op), Action(weyl_comm))
+    check = commutator_matches_action(h_op, weyl_op, weyl_comm)
     if check:
         scheme = "bj"
-        check = commutator_matches_action(h_action, Action(diff), Action(bj_comm - weyl_comm))
+        check = commutator_matches_action(h_op, diff, bj_comm - weyl_comm)
     return VerificationRecord(
         m=params.m,
         n=params.n,
@@ -111,14 +115,16 @@ def _verify(
         min_w_exp=min_omega_exponent(bj_comm),
         oracle_agreement=bool(check),
         ladder_equals_weyl=None if ladder_op is None else ladder_op == weyl_op,
-        oracle_failure=None if check else (scheme, check.probe),
+        oracle_failure=None if check else (scheme, check.term),
     )
 
 
-class Disagreement(namedtuple("Disagreement", "probe direct nested")):
-    """The first probe on which a symbolic commutator and the action differ,
-    with both action polynomials there: direct, the claimed commutator's
-    action, and nested, left(right(probe)) - right(left(probe)).
+class Disagreement(namedtuple("Disagreement", "term direct nested")):
+    """A refuted commutator: term is the first derivative word, in render
+    order, on which the two sides differ; direct is the claimed commutator's
+    image of e^(sx+ty) and nested is left(right(e)) - right(left(e)), each a
+    PhasePoly in x, y, s, t (s and t in the px and py slots), so
+    direct - nested is the symbol of the error.
 
     Falsy, so a caller can test the oracle's answer as a bool.
     """
@@ -130,39 +136,32 @@ class Disagreement(namedtuple("Disagreement", "probe direct nested")):
 
 
 def commutator_matches_action(
-    left: Operator | Action, right: Operator | Action, comm: Operator | Action
+    left: Operator, right: Operator, comm: Operator
 ) -> bool | Disagreement:
     """Check a symbolic commutator comm = [left, right] against the action.
 
-    Returns True on agreement, else the Disagreement at the first failing
-    probe.  The true commutator has x-derivative order at most the summed
-    px orders of the factors, the symbolic one at most its own px order,
-    and likewise in y; each slot of the probe rectangle is bounded by the
-    larger of the two.  An operator whose action vanishes on every probe
-    x^i y^j inside that rectangle is zero (probe the minimal derivative
-    pair present: only it survives, and it exposes its coefficients), so
-    agreement on the rectangle pins the commutator uniquely.  Operators
-    may be passed as Actions to share their memoized images across calls.
+    Returns True on agreement, else the Disagreement.  One probe decides:
+    for D = sum c x^a y^b d^c/dx^c d^d/dy^d,
+    D e^(sx+ty) = (sum c x^a y^b s^c t^d) e^(sx+ty), and that polynomial,
+    the derivative words of D read with (c, d) as exponents of s and t,
+    is zero only when D is.  The nested side applies the words of one
+    factor to the other's image by the Leibniz rule,
+    d^c/dx^c (x^i s^u e^(sx)) = sum_k C(c,k) i!/(i-k)! x^(i-k) s^(u+c-k) e^(sx),
+    and likewise in y (weylalgebra.act).  The check is
+    left(right(e)) - right(left(e)) - comm(e) == 0 on numerators, the
+    three denominators cleared by cross-multiplying.
     """
-    left_act, right_act, comm_act = (Action.of(op) for op in (left, right, comm))
-    x_bound, y_bound = (
-        max(_max_order(left_act.op, slot) + _max_order(right_act.op, slot),
-            _max_order(comm_act.op, slot))
-        for slot in (2, 3)
-    )
-    for i in range(x_bound + 1):
-        for j in range(y_bound + 1):
-            probe = PhaseMono(a=i, b=j)
-            direct = comm_act.image(probe)
-            nested = left_act(right_act.image(probe)) - right_act(left_act.image(probe))
-            if direct != nested:
-                return Disagreement(probe, direct, nested)
-    return True
-
-
-def _max_order(op: Operator, slot: int) -> int:
-    """Highest exponent in one slot of op's words; slots 2 and 3 are px and py."""
-    return max((m[slot] for m in op.numerators), default=0)
+    left_words, right_words, comm_words = (derivative_words(op) for op in (left, right, comm))
+    scale = left.denominator * right.denominator
+    diff: dict = {}  # nested - direct, over scale * comm.denominator
+    act(diff, left_words, right_words, comm.denominator)
+    act(diff, right_words, left_words, -comm.denominator)
+    act(diff, comm_words, {Monomial(): 1}, -scale)
+    if not diff:
+        return True
+    term = Monomial(*render.ordered({key[:4] for key in diff})[0])
+    direct = _reduced(PhasePoly, comm_words, comm.denominator)
+    return Disagreement(term, direct, direct + _reduced(PhasePoly, diff, scale * comm.denominator))
 
 
 def sweep(max_sum: int, target: str = TARGET_K) -> list[VerificationRecord]:
@@ -203,8 +202,9 @@ def failed_claims(record: VerificationRecord) -> list[str]:
     if not record.oracle_agreement:
         detail = ""
         if record.oracle_failure is not None:
-            scheme, probe = record.oracle_failure
-            detail = f" ({scheme} check, first failing probe x^{probe.a} y^{probe.b})"
+            scheme, term = record.oracle_failure
+            word = render.TEXT.join.join(render.differential_factors(term, render.TEXT)) or "1"
+            detail = f" ({scheme} check, first differing term {word})"
         fails.append(f"{where}: symbolic commutator disagrees with action oracle{detail}")
     if not record.weyl_commutes:
         fails.append(f"{where}: Weyl commutator is nonzero")

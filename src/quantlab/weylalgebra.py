@@ -11,11 +11,15 @@ weight, coeffring.neg_i_hbar its (-i hbar)^k).  The k = 0 term of a
 product of two words is their commutative product, the same key with
 the same value in either order, so a commutator builds neither product:
 the base terms cancel, and it accumulates only the reordering
-corrections (k > 0) of both orders, with opposite signs.  A separate
-differential action on position polynomials (momentum realized as
--i*hbar times the coordinate derivative; Action memoizes it per
-operator) provides an independent route to the same algebra for
-cross-checks.
+corrections (k > 0) of both orders, with opposite signs.
+
+A separate differential action provides an independent route to the
+same algebra for cross-checks.  Momentum is realized as -i*hbar times
+the coordinate derivative (derivative_words), and act applies the
+resulting words by the Leibniz rule to a state p(x, y, s, t) e^(sx+ty),
+with s and t symbolic.  The derivative words are the image of
+e^(sx+ty) itself, so one state decides an operator identity;
+apply_to_polynomial is the same kernel on states with no s or t.
 """
 
 from __future__ import annotations
@@ -31,11 +35,10 @@ from quantlab.coeffring import (
     _make,
     _reduced,
     fraction_view,
-    linear_extension,
     mono_mul,
     neg_i_hbar,
 )
-from quantlab.phasepoly import Monomial, PhaseMono, PhasePoly
+from quantlab.phasepoly import Monomial, PhasePoly
 
 
 def swap_weight(s: int, r: int, k: int) -> int:
@@ -148,56 +151,43 @@ def classical_symbol(op: Operator) -> PhasePoly:
     return _canonical(PhasePoly, limit.numerators, limit.denominator)
 
 
-class Action:
-    """The differential action of one operator on position polynomials.
+@lru_cache(maxsize=None)
+def _leibniz(c: int, i: int) -> tuple[tuple[int, int], ...]:
+    """(k, C(c,k) i!/(i-k)!) for k <= min(c, i): the terms of d^c/dx^c (x^i e^(sx))."""
+    return tuple((k, comb(c, k) * perm(i, k)) for k in range(min(c, i) + 1))
 
-    Builds the operator's derivative form (derivative_words) once and
-    memoizes the numerators of its image of each position monomial
-    x^i y^j, all over the operator's denominator, so applying it to a
-    polynomial is a linear combination of cached images with no lcm;
-    hbar stays symbolic.  The memo table lives as long as the object does.
+
+def act(acc: dict, words: dict, state: dict, scale: int = 1) -> None:
+    """Accumulate scale times the action of derivative words on a state into acc.
+
+    A state is p(x, y, s, t) e^(sx + ty), held as the numerators of p with
+    the exponents of s and t in the c and d slots.  By the Leibniz rule the
+    word x^a y^b d^c/dx^c d^d/dy^d sends x^i y^j s^u t^v e^(sx+ty) to the
+    sum over k <= min(c, i) and l <= min(d, j) of
+    C(c,k) i!/(i-k)! C(d,l) j!/(j-l)! x^(a+i-k) y^(b+j-l) s^(u+c-k) t^(v+d-l)
+    times e^(sx+ty); the parameter parts multiply through mono_mul.
     """
-
-    __slots__ = ("op", "_words", "_images")
-
-    def __init__(self, op: Operator):
-        self.op = op
-        self._words = derivative_words(op)
-        self._images: dict[PhaseMono, dict] = {}
-
-    @classmethod
-    def of(cls, op: "Operator | Action") -> "Action":
-        return op if isinstance(op, cls) else cls(op)
-
-    def _image(self, mono: PhaseMono) -> tuple[dict, int]:
-        """(numerators, denominator) of the image of mono x^i y^j, memoized."""
-        nums = self._images.get(mono)
-        if nums is None:
-            if mono.c or mono.d:
-                raise ValueError("operators act on position polynomials (no px or py)")
-            i, j = mono.a, mono.b
-            nums = {}
-            for word, value in self._words.items():
-                a, b, c, d = word[:4]
-                if c > i or d > j:
-                    continue
-                key = _make(Monomial, (a + i - c, b + j - d, 0, 0) + word[4:])
-                _accumulate(nums, key, value * perm(i, c) * perm(j, d))
-            self._images[mono] = nums
-        return nums, self.op._den
-
-    def image(self, mono: PhaseMono) -> PhasePoly:
-        """The action on the position monomial mono x^i y^j."""
-        return _reduced(PhasePoly, *self._image(mono))
-
-    def __call__(self, poly: PhasePoly) -> PhasePoly:
-        """Act on poly; rejects polynomials containing px or py."""
-        return linear_extension(PhasePoly, self._image, poly)
+    for word, v in words.items():
+        for term, u in state.items():
+            base, factor = mono_mul(word, term)
+            value = scale * v * u * factor
+            a, b, s, t = base[:4]
+            params = base[4:]
+            for k, x_weight in _leibniz(word[2], term[0]):
+                for l, y_weight in _leibniz(word[3], term[1]):
+                    key = _make(Monomial, (a - k, b - l, s - k, t - l) + params)
+                    _accumulate(acc, key, value * x_weight * y_weight)
 
 
 def apply_to_polynomial(op: Operator, poly: PhasePoly) -> PhasePoly:
-    """Act on a position polynomial as a differential operator; rejects px and py."""
-    return Action(op)(poly)
+    """Act on a position polynomial, a state with no s or t, keeping the
+    image's s^0 t^0 part; rejects px and py."""
+    if any(key.c or key.d for key in poly.numerators):
+        raise ValueError("operators act on position polynomials (no px or py)")
+    acc: dict = {}
+    act(acc, derivative_words(op), poly.numerators)
+    nums = {key: value for key, value in acc.items() if not (key.c or key.d)}
+    return _reduced(PhasePoly, nums, op.denominator * poly.denominator)
 
 
 def adjoint(op: Operator) -> Operator:
@@ -227,9 +217,10 @@ def derivative_words(op: Operator) -> dict:
     The keys keep (c, d) as derivative orders; each term absorbs the
     (-i*hbar)^(c+d) factor of the momentum realization, a relabel of its
     key and a sign.  The relabel is injective, so no terms merge.  This
-    one derivative form serves the action and the derivative renderers;
-    it is a plain dict, as an Operator's product would be wrong for
-    derivative words.
+    one derivative form serves the action and the derivative renderers.
+    Read with (c, d) as the exponents of s and t, it is also the state of
+    the operator's image of e^(sx+ty).  It is a plain dict, as an
+    Operator's product would be wrong for derivative words.
     """
     out: dict = {}
     for mono, num in op.numerators.items():

@@ -12,6 +12,15 @@ from quantlab.phasepoly import PhaseMono, PhasePoly
 from quantlab.weylalgebra import OpMono, Operator
 
 
+def flatten(cls, terms: dict):
+    """The cls term map of {Monomial: Coefficient or rational}, each key
+    times its value through the ring product."""
+    out = cls.zero()
+    for key, value in terms.items():
+        out = out + cls.monomial(key) * value
+    return out
+
+
 def rand_fraction(rng: Random, span: int = 6) -> Fraction:
     return Fraction(rng.randint(-span, span), rng.randint(1, span))
 
@@ -39,7 +48,7 @@ def rand_coefficient(
     for _ in range(rng.randint(0, max_terms)):
         mono = rand_coeff_mono(rng, max_h=0 if hbar_free else 2)
         terms[mono] = rand_gaussian(rng, real_only)
-    return Coefficient(terms)
+    return flatten(Coefficient, terms)
 
 
 def rand_phase_mono(rng: Random, max_exp: int = 2) -> PhaseMono:
@@ -58,7 +67,7 @@ def rand_phase_poly(
         terms[rand_phase_mono(rng, max_exp)] = rand_coefficient(
             rng, real_only=real_only, hbar_free=hbar_free
         )
-    return PhasePoly(terms)
+    return flatten(PhasePoly, terms)
 
 
 def rand_position_poly(rng: Random, max_terms: int = 4, max_exp: int = 3) -> PhasePoly:
@@ -66,7 +75,7 @@ def rand_position_poly(rng: Random, max_terms: int = 4, max_exp: int = 3) -> Pha
     for _ in range(rng.randint(0, max_terms)):
         mono = PhaseMono(a=rng.randint(0, max_exp), b=rng.randint(0, max_exp))
         terms[mono] = rand_coefficient(rng)
-    return PhasePoly(terms)
+    return flatten(PhasePoly, terms)
 
 
 def rand_op_mono(rng: Random, max_exp: int = 2) -> OpMono:
@@ -77,4 +86,4 @@ def rand_operator(rng: Random, max_terms: int = 3, max_exp: int = 2) -> Operator
     terms = {}
     for _ in range(rng.randint(0, max_terms)):
         terms[rand_op_mono(rng, max_exp)] = rand_coefficient(rng)
-    return Operator(terms)
+    return flatten(Operator, terms)

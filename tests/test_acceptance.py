@@ -36,7 +36,7 @@ from quantlab.weylalgebra import (
     x_hat,
 )
 
-from randgen import rand_coefficient, rand_operator, rand_phase_poly
+from randgen import flatten, rand_coefficient, rand_operator, rand_phase_poly
 
 W = Scheme.WEYL
 BJ = Scheme.BORN_JORDAN
@@ -109,7 +109,7 @@ def test_criterion_03_commutators():
 def test_criterion_04_weyl_operator_differential_form():
     with criterion(4, "Weyl operator of K(4,1) in derivative form, term for term"):
         k_weyl = quantize(W, k_integral(OscillatorParams(4, 1)))
-        expected = Operator({
+        expected = flatten(Operator, {
             OpMono(a=1, d=4): H4 * 256,
             OpMono(b=1, c=1, d=3): H4 * -256,
             OpMono(c=1, d=2): H4 * -384,
@@ -141,25 +141,25 @@ def test_criterion_05_proof_intermediates():
         hbar = Coefficient.hbar()
         i = Coefficient.i()
         q1 = PhaseMono(b=2, d=2)
-        assert differential_terms(quantize_monomial(W, q1)) == Operator({
+        assert differential_terms(quantize_monomial(W, q1)) == flatten(Operator, {
             OpMono(b=2, d=2): -h2,
             OpMono(b=1, d=1): h2 * -2,
             OpMono(): h2 * Fraction(-1, 2),
         }).terms
-        assert differential_terms(quantize_monomial(BJ, q1)) == Operator({
+        assert differential_terms(quantize_monomial(BJ, q1)) == flatten(Operator, {
             OpMono(b=2, d=2): -h2,
             OpMono(b=1, d=1): h2 * -2,
             OpMono(): h2 * Fraction(-2, 3),
         }).terms
         q2 = PhaseMono(b=1, d=3)
-        q2_expected = Operator({
+        q2_expected = flatten(Operator, {
             OpMono(b=1, d=3): i * h3,
             OpMono(d=2): i * h3 * Fraction(3, 2),
         }).terms
         assert differential_terms(quantize_monomial(W, q2)) == q2_expected
         assert differential_terms(quantize_monomial(BJ, q2)) == q2_expected
         q3 = PhaseMono(b=3, d=1)
-        q3_expected = Operator({
+        q3_expected = flatten(Operator, {
             OpMono(b=3, d=1): -(i * hbar),
             OpMono(b=2): i * hbar * Fraction(-3, 2),
         }).terms

@@ -185,6 +185,6 @@ def test_oracle_probe_reaches_stderr_only(capsys, monkeypatch):
     code, out, err = run(capsys, "verify", "--m", "4", "--n", "1")
     assert code == 1
     assert "action oracle agreement: no" in out
-    assert "probe" not in out
+    assert "differing" not in out
     failures = json.loads(err)["failures"]
-    assert any("(weyl check, first failing probe x^1 y^0)" in f for f in failures)
+    assert any("(weyl check, first differing term d/dx)" in f for f in failures)

@@ -9,9 +9,17 @@ import pytest
 from quantlab.coeffring import Coefficient, Monomial, mono_mul, neg_i_hbar
 from quantlab.phasepoly import PhasePoly, PhaseVar, substitute_uy
 from quantlab.quantizer import Scheme, quantize
-from quantlab.weylalgebra import Action, Operator, classical_symbol, op_mul, px_hat, x_hat
+from quantlab.weylalgebra import (
+    Operator,
+    apply_to_polynomial,
+    classical_symbol,
+    op_mul,
+    px_hat,
+    x_hat,
+)
 
 from randgen import (
+    flatten,
     rand_coefficient,
     rand_fraction,
     rand_operator,
@@ -108,8 +116,8 @@ def test_reductions_at_every_level():
     assert (px_hat() * i_sqrt2) * (x_hat() * i_sqrt2) == (
         x_hat() * px_hat() * -2 + Operator.constant(Coefficient.i() * Coefficient.hbar() * 2)
     )
-    # constructors flatten {Monomial: Coefficient} through the same product
-    flat = PhasePoly({Monomial(a=1, r=1, e=1): i_sqrt2})
+    # flattening {Monomial: Coefficient} goes through the same product
+    flat = flatten(PhasePoly, {Monomial(a=1, r=1, e=1): i_sqrt2})
     assert flat == x * -2
     assert all(type(v) is Fraction for v in flat.terms.values())
 
@@ -372,14 +380,13 @@ def test_canonical_form_of_operator_layer_random():
             op = quantize(scheme, poly)
             assert_canonical(op)
             assert op.terms == ref_quantize(scheme, poly.terms)
-        action = Action(a)
         for i in range(3):
             for j in range(3):
-                image = action.image(Monomial(a=i, b=j))
+                image = apply_to_polynomial(a, PhasePoly.monomial(Monomial(a=i, b=j)))
                 assert_canonical(image)
                 assert image.terms == ref_action(a.terms, i, j)
         position = rand_position_poly(rng)
-        applied = action(position)
+        applied = apply_to_polynomial(a, position)
         assert_canonical(applied)
         expected: dict = {}
         for key, value in position.terms.items():

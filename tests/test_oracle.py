@@ -1,0 +1,126 @@
+"""The exponential-probe action oracle against a probe rectangle.
+
+commutator_matches_action acts once on e^(sx+ty).  The rectangle here is
+the slower cross-check it replaced: it applies both sides to every
+position monomial x^i y^j up to the derivative orders in play, where an
+operator that vanishes on all of them is zero.  The two must give the
+same verdict on every triple, and the exponential probe must name the
+error's symbol exactly.
+"""
+
+from random import Random
+
+import pytest
+
+from quantlab import render, weylalgebra
+from quantlab.coeffring import Coefficient
+from quantlab.generators import OscillatorParams, hamiltonian, k_integral
+from quantlab.phasepoly import PhaseMono, PhasePoly
+from quantlab.quantizer import Scheme, quantize
+from quantlab.vlab import verify as verify_module
+from quantlab.vlab.verify import commutator_matches_action
+from quantlab.weylalgebra import (
+    Operator,
+    apply_to_polynomial,
+    commutator,
+    differential_terms,
+    x_hat,
+)
+
+from randgen import rand_operator
+from test_vlab import _WRONG_TERM
+
+BJ_ERROR = x_hat() * Coefficient.hbar(3)
+
+
+def _max_order(op: Operator, slot: int) -> int:
+    return max((key[slot] for key in op.numerators), default=0)
+
+
+def rectangle_verdict(left: Operator, right: Operator, comm: Operator) -> bool:
+    """Whether comm = [left, right] on every probe x^i y^j of the rectangle
+    bounded, in each variable, by the larger of the factors' summed
+    derivative orders and the claimed commutator's own."""
+    x_bound, y_bound = (
+        max(_max_order(left, slot) + _max_order(right, slot), _max_order(comm, slot))
+        for slot in (2, 3)
+    )
+    for i in range(x_bound + 1):
+        for j in range(y_bound + 1):
+            probe = PhasePoly.monomial(PhaseMono(a=i, b=j))
+            direct = apply_to_polynomial(comm, probe)
+            nested = apply_to_polynomial(left, apply_to_polynomial(right, probe)) - (
+                apply_to_polynomial(right, apply_to_polynomial(left, probe))
+            )
+            if direct != nested:
+                return False
+    return True
+
+
+def assert_refutes(left: Operator, right: Operator, comm: Operator, error: Operator) -> None:
+    """Both oracles reject comm + error, and the exponential probe returns
+    error's symbol and names its first word in render order."""
+    assert not rectangle_verdict(left, right, comm + error)
+    result = commutator_matches_action(left, right, comm + error)
+    assert not result
+    symbol = PhasePoly(differential_terms(error))
+    assert result.direct - result.nested == symbol
+    assert result.term == PhaseMono(*render.ordered({key[:4] for key in symbol.numerators})[0])
+
+
+PAIRS = [(m, total - m) for total in range(2, 13) for m in range(1, total)]
+
+
+@pytest.mark.parametrize("m, n", PAIRS)
+def test_exponential_probe_matches_rectangle_on_k(m, n):
+    params = OscillatorParams(m, n)
+    h_op = quantize(Scheme.WEYL, hamiltonian(params))
+    for scheme in Scheme:
+        op = quantize(scheme, k_integral(params))
+        comm = commutator(h_op, op)
+        assert commutator_matches_action(h_op, op, comm) is True
+        assert rectangle_verdict(h_op, op, comm)
+        if scheme is Scheme.BORN_JORDAN:
+            for error in (BJ_ERROR, _WRONG_TERM):
+                assert_refutes(h_op, op, comm, error)
+
+
+def test_exponential_probe_matches_rectangle_random():
+    # 300 triples, every other one perturbed by a nonzero random operator
+    rng = Random(20261018)
+    for index in range(300):
+        left = rand_operator(rng, max_terms=3, max_exp=3)
+        right = rand_operator(rng, max_terms=3, max_exp=3)
+        comm = commutator(left, right)
+        if index % 2:
+            error = Operator.zero()
+            while not error:
+                error = rand_operator(rng, max_terms=2, max_exp=3)
+            assert_refutes(left, right, comm, error)
+        else:
+            assert commutator_matches_action(left, right, comm) is True
+            assert rectangle_verdict(left, right, comm)
+
+
+def _code_names(code) -> set[str]:
+    """Global and attribute names of a code object and its nested ones."""
+    names = set(code.co_names)
+    for const in code.co_consts:
+        if hasattr(const, "co_names"):
+            names |= _code_names(const)
+    return names
+
+
+def test_exponential_probe_references_no_normal_ordering_kernel():
+    # the Leibniz weight C(c,k) i!/(i-k)! equals swap_weight(c, i, k); the
+    # oracle derives it from its own derivative rule instead
+    kernel = (
+        verify_module.commutator_matches_action,
+        weylalgebra.act,
+        weylalgebra._leibniz.__wrapped__,
+        weylalgebra.derivative_words,
+        weylalgebra.apply_to_polynomial,
+    )
+    names = set().union(*(_code_names(fn.__code__) for fn in kernel))
+    assert "act" in names
+    assert not names & {"swap_weight", "_corrections", "op_mul", "commutator"}

@@ -32,7 +32,7 @@ from quantlab.weylalgebra import (
     x_hat,
 )
 
-from randgen import rand_phase_poly
+from randgen import flatten, rand_phase_poly
 from test_weylalgebra import normal_order_word
 
 W = Scheme.WEYL
@@ -57,7 +57,7 @@ def one_pair_oracle(scheme, r, s, x_index=True):
         mono = OpMono(a=xr, c=ps) if x_index else OpMono(b=xr, d=ps)
         if not coeff.is_zero():
             terms[mono] = coeff
-    return Operator(terms)
+    return flatten(Operator, terms)
 
 
 def test_monomial_rule_matches_word_sums():
@@ -232,26 +232,26 @@ def test_proof_intermediates_differential_form():
     # quantized y^2 py^2: -(hbar^2/2)(2 y^2 d^2 + 4 y d + 1) for Weyl,
     # -(hbar^2/3)(3 y^2 d^2 + 6 y d + 2) for Born-Jordan
     q1_weyl = differential_terms(quantize_monomial(W, PhaseMono(b=2, d=2)))
-    assert q1_weyl == Operator({
+    assert q1_weyl == flatten(Operator, {
         OpMono(b=2, d=2): -H2,
         OpMono(b=1, d=1): H2 * -2,
         OpMono(): H2 * Fraction(-1, 2),
     }).terms
     q1_bj = differential_terms(quantize_monomial(BJ, PhaseMono(b=2, d=2)))
-    assert q1_bj == Operator({
+    assert q1_bj == flatten(Operator, {
         OpMono(b=2, d=2): -H2,
         OpMono(b=1, d=1): H2 * -2,
         OpMono(): H2 * Fraction(-2, 3),
     }).terms
     # quantized y py^3: i(hbar^3/2)(2 y d^3 + 3 d^2), both schemes
-    q2_expected = Operator({
+    q2_expected = flatten(Operator, {
         OpMono(b=1, d=3): i * h3,
         OpMono(d=2): i * h3 * Fraction(3, 2),
     }).terms
     assert differential_terms(quantize_monomial(W, PhaseMono(b=1, d=3))) == q2_expected
     assert differential_terms(quantize_monomial(BJ, PhaseMono(b=1, d=3))) == q2_expected
     # quantized y^3 py: -i(hbar/2) y^2 (2 y d + 3), both schemes
-    q3_expected = Operator({
+    q3_expected = flatten(Operator, {
         OpMono(b=3, d=1): -(i * hbar),
         OpMono(b=2): i * hbar * Fraction(-3, 2),
     }).terms

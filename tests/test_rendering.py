@@ -23,6 +23,8 @@ from quantlab.weylalgebra import (
     x_hat,
 )
 
+from randgen import flatten
+
 POLYS = [
     (
         "3/4*x^2*py - (1/2 + 2/3*i)*y*px + 5",
@@ -64,7 +66,8 @@ def test_phasepoly_strings(expr, text, latex):
 
 def _built_operator() -> Operator:
     i = Coefficient.i()
-    return Operator(
+    return flatten(
+        Operator,
         {
             OpMono(a=2, c=1, d=1): i * Fraction(3, 4),
             OpMono(b=1, c=2): -Coefficient.omega(2),

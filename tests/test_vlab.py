@@ -28,7 +28,6 @@ from quantlab.vlab.verify import (
 )
 from quantlab.weylalgebra import (
     Operator,
-    apply_to_polynomial,
     commutator,
     px_hat,
     py_hat,
@@ -261,34 +260,43 @@ def test_nonzero_classical_bracket_is_recorded(monkeypatch):
     assert not failed_claims(by_pair[(2, 1)])
 
 
-def test_probe_rectangle_covers_commutator_order():
-    # The factors' px orders bound x probes by 3 on (4, 1); a claimed
-    # commutator with a px^4 term must widen the rectangle to expose it.
-    params = OscillatorParams(4, 1)
-    h_op = quantize(Scheme.WEYL, hamiltonian(params))
-    weyl_op = quantize(Scheme.WEYL, k_integral(params))
-    weyl_comm = commutator(h_op, weyl_op)
-    assert commutator_matches_action(h_op, weyl_op, weyl_comm) is True
-    wrong = weyl_comm + px_hat() ** 4 * Coefficient.hbar(3)
-    result = commutator_matches_action(h_op, weyl_op, wrong)
-    assert not result
-    assert result.probe == PhaseMono(a=4)
-
-
-# hbar^2 x py: vanishes on probes x^i and first shows on x^0 y^1
+# hbar^2 x py: its symbol is -i hbar^3 x t, the derivative word x * d/dy
 _WRONG_TERM = x_hat() * py_hat() * Coefficient.hbar(2)
 
 
-def _perturb_commutator(monkeypatch, scheme, params):
-    """Make _verify's commutator for one scheme's quantized K wrong by _WRONG_TERM."""
+def _perturb_commutator(monkeypatch, scheme, params, wrong=_WRONG_TERM):
+    """Make _verify's commutator for one scheme's quantized K wrong by wrong."""
     wrong_right = quantize(scheme, k_integral(params))
     real = verify_module.commutator
 
     def perturbed(left, right):
         comm = real(left, right)
-        return comm + _WRONG_TERM if right == wrong_right else comm
+        return comm + wrong if right == wrong_right else comm
 
     monkeypatch.setattr(verify_module, "commutator", perturbed)
+
+
+def test_exponential_probe_names_high_order_term(monkeypatch):
+    # A claimed commutator off by px^4 hbar^3 on (4, 1), a derivative order
+    # above that of either factor, is caught and named as d^4/dx^4.
+    params = OscillatorParams(4, 1)
+    h_op = quantize(Scheme.WEYL, hamiltonian(params))
+    weyl_op = quantize(Scheme.WEYL, k_integral(params))
+    weyl_comm = commutator(h_op, weyl_op)
+    assert commutator_matches_action(h_op, weyl_op, weyl_comm) is True
+    wrong = px_hat() ** 4 * Coefficient.hbar(3)
+    result = commutator_matches_action(h_op, weyl_op, weyl_comm + wrong)
+    assert not result
+    assert result.term == PhaseMono(c=4)
+    # the symbol (-i hbar)^4 hbar^3 s^4
+    assert result.direct - result.nested == PhasePoly.monomial(PhaseMono(c=4, h=7))
+    _perturb_commutator(monkeypatch, Scheme.WEYL, params, wrong)
+    record = verify_pair(4, 1)
+    assert record.oracle_failure == ("weyl", PhaseMono(c=4))
+    assert (
+        "(m, n) = (4, 1), target k: symbolic commutator disagrees with action"
+        " oracle (weyl check, first differing term d^4/dx^4)"
+    ) in failed_claims(record)
 
 
 @pytest.mark.parametrize(
@@ -308,19 +316,20 @@ def test_oracle_names_failing_scheme_and_probe(monkeypatch, m, n, scheme, name):
     )
     record = verify_pair(m, n)
     assert record.oracle_agreement is False
-    assert record.oracle_failure == (name, PhaseMono(b=1))
-    # the failing check returns both action polynomials at the probe
+    assert record.oracle_failure == (name, PhaseMono(a=1, d=1))
+    # the failing check returns both images of e^(sx+ty)
     disagreement = answers[-1]
-    assert disagreement.probe == PhaseMono(b=1)
+    assert disagreement.term == PhaseMono(a=1, d=1)
     assert disagreement.direct != disagreement.nested
-    probe = PhasePoly.monomial(PhaseMono(b=1))
-    assert disagreement.direct - disagreement.nested == apply_to_polynomial(_WRONG_TERM, probe)
+    # the symbol of _WRONG_TERM: -i hbar^3 x t
+    error = PhasePoly.monomial(PhaseMono(a=1, d=1, h=3, e=1), -1)
+    assert disagreement.direct - disagreement.nested == error
     assert (
         f"(m, n) = ({m}, {n}), target k: symbolic commutator disagrees with action"
-        f" oracle ({name} check, first failing probe x^0 y^1)"
+        f" oracle ({name} check, first differing term x * d/dy)"
     ) in failed_claims(record)
-    assert "probe" not in record_text(record) + record_latex(record)
-    assert "probe" not in json.dumps(record_json(record))
+    assert "differing" not in record_text(record) + record_latex(record)
+    assert "differing" not in json.dumps(record_json(record))
 
 
 def test_action_oracle_builds_no_normal_ordered_product(monkeypatch):
