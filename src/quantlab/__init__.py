@@ -9,14 +9,7 @@ differential-operator action.
 """
 
 from quantlab.coeffring import Coefficient, Monomial
-from quantlab.phasepoly import (
-    PhaseMono,
-    PhasePoly,
-    PhaseVar,
-    hamiltonian_flow_apply,
-    poisson,
-    substitute_uy,
-)
+from quantlab.phasepoly import PhasePoly, PhaseVar, poisson
 from quantlab.generators import (
     OscillatorParams,
     d_poly,
@@ -28,7 +21,6 @@ from quantlab.generators import (
     p_poly,
 )
 from quantlab.weylalgebra import (
-    OpMono,
     Operator,
     adjoint,
     apply_to_polynomial,
@@ -45,15 +37,7 @@ from quantlab.weylalgebra import (
     y_hat,
 )
 from quantlab.quantizer import Scheme, quantize, quantize_ladder, quantize_monomial
-from quantlab.vlab import (
-    ParseError,
-    UnknownSymbolError,
-    VerificationRecord,
-    parse,
-    parse_polynomial,
-    sweep,
-    verify_ladder_pair,
-    verify_pair,
-)
+from quantlab.vlab.parser import ParseError, UnknownSymbolError, parse, parse_polynomial
+from quantlab.vlab.verify import VerificationRecord, sweep, verify_ladder_pair, verify_pair
 
 __version__ = "0.1.0"

@@ -167,23 +167,16 @@ def _add_product(acc: dict, key: Monomial, value: int, nums: dict) -> None:
         _accumulate(acc, product, value * v * factor)
 
 
-def _combination(parts: list) -> tuple[dict, int]:
-    """The sum of value * key * nums / den over parts (key, value, nums,
-    den), as numerators over the lcm of the dens (not reduced)."""
+def linear_extension(cls, image, source: "TermMap"):
+    """The coefficient-linear extension of image to source: the cls map of
+    each term's parameters times the image of its phase part.  image maps
+    a phase monomial to the (numerators, denominator) of its image; the
+    images meet at the lcm of their denominators."""
+    parts = [(key.params(), value, *image(key.phase())) for key, value in source._nums.items()]
     den = lcm(*(part[3] for part in parts))
     acc: dict[Monomial, int] = {}
     for key, value, nums, part_den in parts:
         _add_product(acc, key, value * (den // part_den), nums)
-    return acc, den
-
-
-def linear_extension(cls, image, source: "TermMap"):
-    """The coefficient-linear extension of image to source: the cls map of
-    each term's parameters times the image of its phase part.  image maps
-    a phase monomial to the (numerators, denominator) of its image."""
-    acc, den = _combination(
-        [(key.params(), value, *image(key.phase())) for key, value in source._nums.items()]
-    )
     return _reduced(cls, acc, source._den * den)
 
 
@@ -209,8 +202,9 @@ class TermMap:
 
     def __init__(self, terms: dict | None = None):
         ratios = {key: _ratio(value) for key, value in (terms or {}).items()}
-        parts = [(key, num, {Monomial(): 1}, den) for key, (num, den) in ratios.items()]
-        self._nums, self._den = _lowest(*_combination(parts))
+        den = lcm(*(part_den for _, part_den in ratios.values()))
+        nums = {key: num * (den // part_den) for key, (num, part_den) in ratios.items() if num}
+        self._nums, self._den = _lowest(nums, den)
 
     # -- constructors ----------------------------------------------------
 
@@ -256,24 +250,11 @@ class TermMap:
         """The flat term map as {Monomial: Fraction}, built on each call."""
         return fraction_view(self._nums, self._den)
 
-    def coefficient(self, key: Monomial) -> "Coefficient":
-        """The Coefficient of the phase part of key."""
-        phase = key[:4]
-        nums = {k.params(): v for k, v in self._nums.items() if k[:4] == phase}
-        return _reduced(Coefficient, nums, self._den)
-
     def is_zero(self) -> bool:
         return not self._nums
 
     def __bool__(self) -> bool:
         return bool(self._nums)
-
-    def total_degree(self) -> int:
-        """Highest degree in x, y, px and py."""
-        return max((sum(key[:4]) for key in self._nums), default=0)
-
-    def is_real(self) -> bool:
-        return not any(key.e for key in self._nums)
 
     def conjugate(self):
         """Map i to -i; every other generator is fixed."""

@@ -12,14 +12,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
-from quantlab.coeffring import Coefficient
-from quantlab.phasepoly import (
-    Monomial,
-    PhasePoly,
-    PhaseVar,
-    hamiltonian_flow_apply,
-    substitute_uy,
-)
+from quantlab.coeffring import Coefficient, Monomial
+from quantlab.phasepoly import PhasePoly, PhaseVar, poisson
 
 _X = PhasePoly.variable(PhaseVar.X)
 _Y = PhasePoly.variable(PhaseVar.Y)
@@ -59,18 +53,18 @@ def l_integral() -> PhasePoly:
     return _PX ** 2 * _HALF + _X ** 2 * Coefficient.omega(2)
 
 
-def _binomial_half(k: int, parity: int, s, axis: int, scale=1) -> PhasePoly:
-    """scale * sum over j = parity (mod 2) of C(k, j) s^j (-2 omega^2)^(j//2) q^j p^(k-j).
+def _binomial_half(k: int, parity: int, s, t, axis: int, scale=1) -> PhasePoly:
+    """scale * sum over j = parity (mod 2) of
+    C(k, j) s^j t^(k-j) (-2 omega^2)^(j//2) q^j p^(k-j).
 
     (q, p) is (x, px) for axis 0 and (y, py) for axis 1.  G_n, P and D
-    are each one parity half of this expansion; P and D are built in
-    (u, pu), held in the y and py slots until substitute_uy.
+    are each one parity half of this expansion.
     """
     terms = {}
     for j in range(parity, k + 1, 2):
         exps = [0, 0, 0, 0]
         exps[axis], exps[axis + 2] = j, k - j
-        value = scale * comb(k, j) * s ** j * (-2) ** (j // 2)
+        value = scale * comb(k, j) * s ** j * t ** (k - j) * (-2) ** (j // 2)
         terms[Monomial(*exps, w=j - parity)] = value
     return PhasePoly(terms)
 
@@ -79,33 +73,35 @@ def g_poly(n: int) -> PhasePoly:
     """G_n = sum_k C(n, 2k+1) (-2 omega^2)^k x^(2k+1) px^(n-2k-1)."""
     if isinstance(n, bool) or not isinstance(n, int) or n < 1:
         raise ValueError("n must be a positive integer")
-    return _binomial_half(n, parity=1, s=1, axis=0)
+    return _binomial_half(n, parity=1, s=1, t=1, axis=0)
 
 
 def p_poly(params: OscillatorParams) -> PhasePoly:
-    """P factor of the K integral, expanded in (u, pu) and converted to (y, py).
+    """P factor of the K integral, in Cartesian (y, py).
 
-    P = sum_k C(m, 2k) (-(m/n) u)^(2k) pu^(m-2k) (-2 omega^2)^k.
+    In the rescaled pair u = (n/m) y, pu = (m/n) py,
+    P = sum_k C(m, 2k) (-(m/n) u)^(2k) pu^(m-2k) (-2 omega^2)^k, so
+    (-(m/n) u)^j = (-y)^j and pu^(m-j) = (m/n)^(m-j) py^(m-j).
     """
-    m, n = params.m, params.n
-    return substitute_uy(_binomial_half(m, parity=0, s=-Fraction(m, n), axis=1), m, n)
+    return _binomial_half(params.m, parity=0, s=1, t=Fraction(params.m, params.n), axis=1)
 
 
 def d_poly(params: OscillatorParams) -> PhasePoly:
-    """D factor of the K integral, expanded in (u, pu) and converted to (y, py).
+    """D factor of the K integral, in Cartesian (y, py).
 
+    In the rescaled pair of p_poly,
     D = (1/n) sum_k C(m, 2k+1) (-(m/n) u)^(2k+1) pu^(m-2k-1) (-2 omega^2)^k.
-    For m = 1 the sum collapses to its single term -(1/n^2) u.
+    For m = 1 the sum collapses to its single term -(1/n) y.
     """
     m, n = params.m, params.n
-    half = _binomial_half(m, parity=1, s=-Fraction(m, n), axis=1, scale=Fraction(1, n))
-    return substitute_uy(half, m, n)
+    return _binomial_half(m, parity=1, s=-1, t=Fraction(m, n), axis=1, scale=Fraction(1, n))
 
 
 def k_integral(params: OscillatorParams) -> PhasePoly:
-    """Polynomial first integral K = P * G_n + D * X_L(G_n) of degree m + n."""
+    """Polynomial first integral K = P * G_n + D * X_L(G_n) of degree m + n,
+    where X_L(G_n) = {G_n, L} is G_n's derivative along L's flow."""
     g = g_poly(params.n)
-    return p_poly(params) * g + d_poly(params) * hamiltonian_flow_apply(l_integral(), g)
+    return p_poly(params) * g + d_poly(params) * poisson(g, l_integral())
 
 
 def ladder_products(x, y, px, py, params: OscillatorParams, which: tuple[int, ...]):

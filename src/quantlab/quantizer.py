@@ -20,11 +20,10 @@ from enum import Enum
 from functools import lru_cache
 from math import comb
 
-from quantlab.coeffring import _reduced, linear_extension, neg_i_hbar
+from quantlab.coeffring import Monomial, _reduced, linear_extension, neg_i_hbar
 from quantlab.generators import OscillatorParams, ladder_products
-from quantlab.phasepoly import PhaseMono, PhasePoly
+from quantlab.phasepoly import PhasePoly
 from quantlab.weylalgebra import (
-    OpMono,
     Operator,
     px_hat,
     py_hat,
@@ -64,7 +63,7 @@ def _pair_rule(scheme: Scheme, r: int, s: int) -> tuple[tuple[int, ...], int]:
 
 
 @lru_cache(maxsize=None)
-def quantize_monomial(scheme: Scheme, mono: PhaseMono) -> Operator:
+def quantize_monomial(scheme: Scheme, mono: Monomial) -> Operator:
     """Quantize a single classical monomial under the given scheme.
 
     The pairs commute, so x^a y^b px^c py^d maps to the sum over j, k of
@@ -76,7 +75,7 @@ def quantize_monomial(scheme: Scheme, mono: PhaseMono) -> Operator:
     for j, wx in enumerate(rule_x):
         for k, wy in enumerate(rule_y):
             power, sign = neg_i_hbar(j + k)
-            key = OpMono(mono.a - j, mono.b - k, mono.c - j, mono.d - k, *power[4:])
+            key = Monomial(mono.a - j, mono.b - k, mono.c - j, mono.d - k, *power[4:])
             nums[key] = sign * wx * wy
     return _reduced(Operator, nums, den_x * den_y)
 
@@ -85,7 +84,7 @@ def quantize(scheme: Scheme, poly: PhasePoly) -> Operator:
     """Coefficient-linear extension of the monomial rule: each term's
     parameter part multiplies the image of its phase part."""
 
-    def image(mono: PhaseMono) -> tuple[dict, int]:
+    def image(mono: Monomial) -> tuple[dict, int]:
         op = quantize_monomial(scheme, mono)
         return op.numerators, op.denominator
 

@@ -1,31 +1,1 @@
 """User surface: expression parser, verification pipelines, reports, CLI."""
-
-from quantlab.vlab.parser import (
-    ParseError,
-    UnknownSymbolError,
-    lower,
-    parse,
-    parse_polynomial,
-)
-from quantlab.vlab.verify import (
-    VerificationRecord,
-    commutator_matches_action,
-    failed_claims,
-    sweep,
-    verify_ladder_pair,
-    verify_pair,
-)
-
-__all__ = [
-    "ParseError",
-    "UnknownSymbolError",
-    "VerificationRecord",
-    "commutator_matches_action",
-    "failed_claims",
-    "lower",
-    "parse",
-    "parse_polynomial",
-    "sweep",
-    "verify_ladder_pair",
-    "verify_pair",
-]

@@ -15,7 +15,8 @@ AST lowers to a canonical PhasePoly, so printing a polynomial and
 parsing it back reproduces the same value exactly.
 
 Input is bounded so that no expression runs unbounded: an exponent
-literal and the AST's degree bound may not exceed MAX_DEGREE, no
+literal and the AST's degree bound may not exceed MAX_DEGREE,
+parentheses and unary minus may not nest deeper than MAX_NESTING, no
 lowered polynomial may hold more than MAX_TERMS terms, and no product
 may multiply more than MAX_PAIRS pairs of terms.
 """
@@ -33,6 +34,10 @@ SYMBOLS = ("i", "hbar", "omega", "sqrt2", "x", "y", "px", "py")
 # Largest exponent literal and degree bound: twice the largest m + n the
 # commands accept (cli.MAX_SUM), since K has degree m + n.
 MAX_DEGREE = 40
+# Deepest nesting of parentheses and unary minus.  Each level costs a few
+# frames of recursive descent, so this keeps parsing far from the
+# interpreter's recursion limit.
+MAX_NESTING = 100
 # Largest number of terms of a lowered polynomial, or of any part of it.
 MAX_TERMS = 2000
 # Largest number of term pairs one product may multiply: a part at the
@@ -142,6 +147,7 @@ class _Parser:
     def __init__(self, tokens: list[Token]):
         self.tokens = tokens
         self.pos = 0
+        self.depth = 0
 
     def peek(self) -> Token:
         return self.tokens[self.pos]
@@ -230,15 +236,20 @@ class _Parser:
                     token.column,
                 )
             return Sym(token.text)
-        if token.kind == "op" and token.text == "(":
+        if token.kind == "op" and token.text in ("(", "-"):
             self.advance()
-            node = self.expr()
-            if not self.match_op(")"):
-                raise self.error("expected ')'")
+            self.depth += 1
+            if self.depth > MAX_NESTING:
+                message = f"parentheses and unary minus nest deeper than the maximum {MAX_NESTING}"
+                raise ParseError(message, token.line, token.column)
+            if token.text == "-":
+                node = Neg(self.base())
+            else:
+                node = self.expr()
+                if not self.match_op(")"):
+                    raise self.error("expected ')'")
+            self.depth -= 1
             return node
-        if token.kind == "op" and token.text == "-":
-            self.advance()
-            return Neg(self.base())
         raise self.error("expected a number, symbol, '(' or '-'")
 
 
@@ -256,6 +267,17 @@ def parse(text: str) -> ExprAST:
     return node
 
 
+def _chain(node: BinOp, ops: str) -> tuple[ExprAST, list[tuple[str, ExprAST]]]:
+    """A left-deep chain of BinOps with an op in ops, as its leftmost
+    operand and the (op, right operand) pairs in source order.  Sums and
+    products of any length are chains, walked here without recursion."""
+    rest = []
+    while isinstance(node, BinOp) and node.op in ops:
+        rest.append((node.op, node.right))
+        node = node.left
+    return node, rest[::-1]
+
+
 def degree_bound(node: ExprAST) -> int:
     """An upper bound on the degree of the lowered polynomial, counting
     every atom (number or symbol) as degree 1."""
@@ -264,10 +286,10 @@ def degree_bound(node: ExprAST) -> int:
             return 1
         case Neg(operand):
             return degree_bound(operand)
-        case BinOp("*", left, right):
-            return degree_bound(left) + degree_bound(right)
-        case BinOp(_, left, right):
-            return max(degree_bound(left), degree_bound(right))
+        case BinOp(op):
+            head, rest = _chain(node, "*" if op == "*" else "+-")
+            bounds = [degree_bound(head), *(degree_bound(right) for _, right in rest)]
+            return sum(bounds) if op == "*" else max(bounds)
         case Pow(base, exponent):
             return degree_bound(base) * exponent
     raise TypeError(f"not an expression node: {node!r}")
@@ -298,12 +320,18 @@ def lower(node: ExprAST) -> PhasePoly:
             return _SYMBOL_POLYS[name]
         case Neg(operand):
             return -lower(operand)
-        case BinOp("+", left, right):
-            return _capped(lower(left) + lower(right))
-        case BinOp("-", left, right):
-            return _capped(lower(left) - lower(right))
-        case BinOp("*", left, right):
-            return _product(lower(left), lower(right))
+        case BinOp("*"):
+            head, rest = _chain(node, "*")
+            out = lower(head)
+            for _, right in rest:
+                out = _product(out, lower(right))
+            return out
+        case BinOp():
+            head, rest = _chain(node, "+-")
+            out = lower(head)
+            for op, right in rest:
+                out = _capped(out + lower(right) if op == "+" else out - lower(right))
+            return out
         case Pow(base, exponent):
             base = lower(base)
             out = PhasePoly.one()

@@ -18,14 +18,14 @@ from collections import namedtuple
 from dataclasses import dataclass
 
 from quantlab import render
-from quantlab.coeffring import _reduced
+from quantlab.coeffring import Monomial, _reduced
 from quantlab.generators import (
     OscillatorParams,
     hamiltonian,
     k_integral,
     ladder_integrals,
 )
-from quantlab.phasepoly import Monomial, PhasePoly, poisson
+from quantlab.phasepoly import PhasePoly, poisson
 from quantlab.quantizer import Scheme, quantize, quantize_ladder
 from quantlab.weylalgebra import (
     Operator,

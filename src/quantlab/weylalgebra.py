@@ -29,6 +29,7 @@ from math import comb, perm
 
 from quantlab import render
 from quantlab.coeffring import (
+    Monomial,
     TermMap,
     _accumulate,
     _canonical,
@@ -38,7 +39,7 @@ from quantlab.coeffring import (
     mono_mul,
     neg_i_hbar,
 )
-from quantlab.phasepoly import Monomial, PhasePoly
+from quantlab.phasepoly import PhasePoly
 
 
 def swap_weight(s: int, r: int, k: int) -> int:
@@ -64,9 +65,6 @@ def _corrections(s1: int, r1: int, s2: int, r2: int) -> tuple[tuple[Monomial, in
     return tuple(out)
 
 
-OpMono = Monomial
-
-
 class Operator(TermMap):
     """Sparse normal-ordered operator over the coefficient ring."""
 
@@ -84,19 +82,19 @@ class Operator(TermMap):
 
 
 def x_hat() -> Operator:
-    return Operator.monomial(OpMono(a=1))
+    return Operator.monomial(Monomial(a=1))
 
 
 def y_hat() -> Operator:
-    return Operator.monomial(OpMono(b=1))
+    return Operator.monomial(Monomial(b=1))
 
 
 def px_hat() -> Operator:
-    return Operator.monomial(OpMono(c=1))
+    return Operator.monomial(Monomial(c=1))
 
 
 def py_hat() -> Operator:
-    return Operator.monomial(OpMono(d=1))
+    return Operator.monomial(Monomial(d=1))
 
 
 def op_mul(left: Operator, right: Operator) -> Operator:

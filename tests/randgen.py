@@ -8,8 +8,8 @@ from fractions import Fraction
 from random import Random
 
 from quantlab.coeffring import Coefficient, Monomial
-from quantlab.phasepoly import PhaseMono, PhasePoly
-from quantlab.weylalgebra import OpMono, Operator
+from quantlab.phasepoly import PhasePoly
+from quantlab.weylalgebra import Operator
 
 
 def flatten(cls, terms: dict):
@@ -51,8 +51,9 @@ def rand_coefficient(
     return flatten(Coefficient, terms)
 
 
-def rand_phase_mono(rng: Random, max_exp: int = 2) -> PhaseMono:
-    return PhaseMono(*(rng.randint(0, max_exp) for _ in range(4)))
+def rand_mono(rng: Random, max_exp: int = 2) -> Monomial:
+    """A key with random exponents of x, y, px, py (or X, Y, Px, Py)."""
+    return Monomial(*(rng.randint(0, max_exp) for _ in range(4)))
 
 
 def rand_phase_poly(
@@ -64,7 +65,7 @@ def rand_phase_poly(
 ) -> PhasePoly:
     terms = {}
     for _ in range(rng.randint(0, max_terms)):
-        terms[rand_phase_mono(rng, max_exp)] = rand_coefficient(
+        terms[rand_mono(rng, max_exp)] = rand_coefficient(
             rng, real_only=real_only, hbar_free=hbar_free
         )
     return flatten(PhasePoly, terms)
@@ -73,17 +74,13 @@ def rand_phase_poly(
 def rand_position_poly(rng: Random, max_terms: int = 4, max_exp: int = 3) -> PhasePoly:
     terms = {}
     for _ in range(rng.randint(0, max_terms)):
-        mono = PhaseMono(a=rng.randint(0, max_exp), b=rng.randint(0, max_exp))
+        mono = Monomial(a=rng.randint(0, max_exp), b=rng.randint(0, max_exp))
         terms[mono] = rand_coefficient(rng)
     return flatten(PhasePoly, terms)
-
-
-def rand_op_mono(rng: Random, max_exp: int = 2) -> OpMono:
-    return OpMono(*(rng.randint(0, max_exp) for _ in range(4)))
 
 
 def rand_operator(rng: Random, max_terms: int = 3, max_exp: int = 2) -> Operator:
     terms = {}
     for _ in range(rng.randint(0, max_terms)):
-        terms[rand_op_mono(rng, max_exp)] = rand_coefficient(rng)
+        terms[rand_mono(rng, max_exp)] = rand_coefficient(rng)
     return flatten(Operator, terms)

@@ -10,7 +10,7 @@ from contextlib import contextmanager
 from fractions import Fraction
 from random import Random
 
-from quantlab.coeffring import Coefficient
+from quantlab.coeffring import Coefficient, Monomial
 from quantlab.generators import (
     OscillatorParams,
     hamiltonian,
@@ -18,12 +18,11 @@ from quantlab.generators import (
     l_integral,
     ladder_integrals,
 )
-from quantlab.phasepoly import PhaseMono, PhasePoly, PhaseVar, poisson
+from quantlab.phasepoly import PhasePoly, PhaseVar, poisson
 from quantlab.quantizer import Scheme, quantize, quantize_monomial
 from quantlab.vlab.parser import parse_polynomial
 from quantlab.vlab.verify import failed_claims, sweep, verify_pair
 from quantlab.weylalgebra import (
-    OpMono,
     Operator,
     adjoint,
     apply_to_polynomial,
@@ -110,15 +109,15 @@ def test_criterion_04_weyl_operator_differential_form():
     with criterion(4, "Weyl operator of K(4,1) in derivative form, term for term"):
         k_weyl = quantize(W, k_integral(OscillatorParams(4, 1)))
         expected = flatten(Operator, {
-            OpMono(a=1, d=4): H4 * 256,
-            OpMono(b=1, c=1, d=3): H4 * -256,
-            OpMono(c=1, d=2): H4 * -384,
-            OpMono(a=1, b=2, d=2): H2W2 * 192,
-            OpMono(b=3, c=1, d=1): H2W2 * -32,
-            OpMono(a=1, b=1, d=1): H2W2 * 384,
-            OpMono(b=2, c=1): H2W2 * -48,
-            OpMono(a=1, b=4): Coefficient.omega(4) * 4,
-            OpMono(a=1): H2W2 * 96,
+            Monomial(a=1, d=4): H4 * 256,
+            Monomial(b=1, c=1, d=3): H4 * -256,
+            Monomial(c=1, d=2): H4 * -384,
+            Monomial(a=1, b=2, d=2): H2W2 * 192,
+            Monomial(b=3, c=1, d=1): H2W2 * -32,
+            Monomial(a=1, b=1, d=1): H2W2 * 384,
+            Monomial(b=2, c=1): H2W2 * -48,
+            Monomial(a=1, b=4): Coefficient.omega(4) * 4,
+            Monomial(a=1): H2W2 * 96,
         }).terms
         assert differential_terms(k_weyl) == expected
         assert differential_text(k_weyl) == (
@@ -140,28 +139,28 @@ def test_criterion_05_proof_intermediates():
         h3 = Coefficient.hbar(3)
         hbar = Coefficient.hbar()
         i = Coefficient.i()
-        q1 = PhaseMono(b=2, d=2)
+        q1 = Monomial(b=2, d=2)
         assert differential_terms(quantize_monomial(W, q1)) == flatten(Operator, {
-            OpMono(b=2, d=2): -h2,
-            OpMono(b=1, d=1): h2 * -2,
-            OpMono(): h2 * Fraction(-1, 2),
+            Monomial(b=2, d=2): -h2,
+            Monomial(b=1, d=1): h2 * -2,
+            Monomial(): h2 * Fraction(-1, 2),
         }).terms
         assert differential_terms(quantize_monomial(BJ, q1)) == flatten(Operator, {
-            OpMono(b=2, d=2): -h2,
-            OpMono(b=1, d=1): h2 * -2,
-            OpMono(): h2 * Fraction(-2, 3),
+            Monomial(b=2, d=2): -h2,
+            Monomial(b=1, d=1): h2 * -2,
+            Monomial(): h2 * Fraction(-2, 3),
         }).terms
-        q2 = PhaseMono(b=1, d=3)
+        q2 = Monomial(b=1, d=3)
         q2_expected = flatten(Operator, {
-            OpMono(b=1, d=3): i * h3,
-            OpMono(d=2): i * h3 * Fraction(3, 2),
+            Monomial(b=1, d=3): i * h3,
+            Monomial(d=2): i * h3 * Fraction(3, 2),
         }).terms
         assert differential_terms(quantize_monomial(W, q2)) == q2_expected
         assert differential_terms(quantize_monomial(BJ, q2)) == q2_expected
-        q3 = PhaseMono(b=3, d=1)
+        q3 = Monomial(b=3, d=1)
         q3_expected = flatten(Operator, {
-            OpMono(b=3, d=1): -(i * hbar),
-            OpMono(b=2): i * hbar * Fraction(-3, 2),
+            Monomial(b=3, d=1): -(i * hbar),
+            Monomial(b=2): i * hbar * Fraction(-3, 2),
         }).terms
         assert differential_terms(quantize_monomial(W, q3)) == q3_expected
         assert differential_terms(quantize_monomial(BJ, q3)) == q3_expected
@@ -215,7 +214,7 @@ def _triangle_oracle_check(left, right):
     )
     for i in range(bound + 1):
         for j in range(bound + 1 - i):
-            probe = PhasePoly.monomial(PhaseMono(a=i, b=j))
+            probe = PhasePoly.monomial(Monomial(a=i, b=j))
             direct = apply_to_polynomial(comm, probe)
             nested = apply_to_polynomial(left, apply_to_polynomial(right, probe)) - (
                 apply_to_polynomial(right, apply_to_polynomial(left, probe))

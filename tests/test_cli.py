@@ -102,6 +102,9 @@ def test_quantize_parse_error(capsys):
     assert "unknown symbol" in err
 
 
+_NESTING = "error: parentheses and unary minus nest deeper than the maximum 100 (line 1, column 101)\n"
+
+
 @pytest.mark.parametrize(
     "expr, message",
     [
@@ -112,13 +115,22 @@ def test_quantize_parse_error(capsys):
             "(x+y+px+py)^20 * (1+x+y+px+py)^12",
             "error: expression multiplies 1771 by 1820 terms, more than 100000 term pairs\n",
         ),
+        pytest.param("(" * 250 + "x" + ")" * 250, _NESTING, id="nested-parentheses"),
+        pytest.param("-" * 3000 + "x", _NESTING, id="unary-minus-chain"),
+        pytest.param(
+            " * ".join(["x"] * 1000),
+            "error: expression degree may reach 1000; the maximum is 40\n",
+            id="long-product",
+        ),
     ],
 )
 def test_oversized_expression_rejected(capsys, expr, message):
     # one case per cap: the exponent literal, the degree bound, the term
-    # count, the term pairs of one product
+    # count, the term pairs of one product, the nesting depth; and a
+    # product too long for a recursive walk.  "--expr=" keeps argparse
+    # from reading a leading '-' as an option.
     start = time.perf_counter()
-    code, out, err = run(capsys, "quantize", "--scheme", "bj", "--expr", expr)
+    code, out, err = run(capsys, "quantize", "--scheme", "bj", f"--expr={expr}")
     assert time.perf_counter() - start < 5.0
     assert (code, out, err) == (2, "", message)
 

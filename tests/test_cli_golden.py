@@ -53,6 +53,12 @@ CASES = {
     "error_expr_unknown_symbol": ["quantize", "--scheme", "bj", "--expr", "p_z"],
     "error_expr_non_ascii_digit": ["quantize", "--scheme", "bj", "--expr", "x^²"],
     "error_expr_too_many_terms": ["quantize", "--scheme", "bj", "--expr", "(x+y+px+py)^40"],
+    "error_expr_deep_parentheses": [
+        "quantize", "--scheme", "bj", "--expr", "(" * 250 + "x" + ")" * 250,
+    ],
+    # "--expr=" keeps argparse from reading the leading '-' as an option
+    "error_expr_unary_minus_chain": ["quantize", "--scheme", "bj", "--expr=" + "-" * 3000 + "x"],
+    "error_expr_long_product": ["quantize", "--scheme", "bj", "--expr", " * ".join(["x"] * 1000)],
 }
 
 

@@ -5,7 +5,7 @@ from math import comb
 
 import pytest
 
-from quantlab.coeffring import Coefficient
+from quantlab.coeffring import Coefficient, Monomial
 from quantlab.generators import (
     OscillatorParams,
     d_poly,
@@ -16,13 +16,7 @@ from quantlab.generators import (
     ladder_integrals,
     p_poly,
 )
-from quantlab.phasepoly import (
-    PhaseMono,
-    PhasePoly,
-    PhaseVar,
-    poisson,
-    substitute_uy,
-)
+from quantlab.phasepoly import PhasePoly, PhaseVar, poisson
 
 X = PhasePoly.variable(PhaseVar.X)
 Y = PhasePoly.variable(PhaseVar.Y)
@@ -65,7 +59,7 @@ def test_hamiltonian_ratio_one_four():
 
 def test_l_integral():
     l = l_integral()
-    assert l.coefficient(PhaseMono(c=2)) == Fraction(1, 2)
+    assert l.terms[Monomial(c=2)] == Fraction(1, 2)
     assert l == PX ** 2 * Fraction(1, 2) + X ** 2 * W2
     assert poisson(hamiltonian(OscillatorParams(4, 1)), l).is_zero()
     assert poisson(l, l).is_zero()
@@ -114,11 +108,39 @@ def test_d_poly_values():
 
 
 def test_d_poly_closed_form_for_m_one():
-    # the general sum collapses to -(1/n^2) u for m = 1
+    # the general sum collapses to -(1/n^2) u = -(1/n) y for m = 1
     for n in range(1, 6):
-        u = PhasePoly.monomial(PhaseMono(b=1))
-        expected = substitute_uy(u * Fraction(-1, n * n), 1, n)
-        assert d_poly(OscillatorParams(1, n)) == expected
+        assert d_poly(OscillatorParams(1, n)) == Y * Fraction(-1, n)
+
+
+def paper_p_and_d(m, n):
+    """The paper's P and D as {Monomial: Fraction}: each term of the sums
+    in (u, pu) with u -> (n/m) y and pu -> (m/n) py substituted."""
+    p_terms, d_terms = {}, {}
+    for j in range(m + 1):
+        # C(m, j) (-(m/n) u)^j pu^(m-j) (-2 omega^2)^(j//2)
+        value = (
+            comb(m, j)
+            * (-Fraction(m, n)) ** j
+            * Fraction(n, m) ** j
+            * Fraction(m, n) ** (m - j)
+            * (-2) ** (j // 2)
+        )
+        key = Monomial(b=j, d=m - j, w=2 * (j // 2))
+        if j % 2 == 0:
+            p_terms[key] = value
+        else:
+            d_terms[key] = value / n
+    return p_terms, d_terms
+
+
+def test_p_and_d_match_the_paper_formula_in_u_pu():
+    for total in range(2, 21):
+        for m in range(1, total):
+            params = OscillatorParams(m, total - m)
+            p_terms, d_terms = paper_p_and_d(m, total - m)
+            assert p_poly(params).terms == p_terms
+            assert d_poly(params).terms == d_terms
 
 
 def test_k_integral_one_one():
@@ -139,7 +161,8 @@ def test_k_integral_four_one():
 def test_k_degree_is_m_plus_n():
     for m in range(1, 8):
         for n in range(1, 9 - m):
-            assert k_integral(OscillatorParams(m, n)).total_degree() == m + n
+            k = k_integral(OscillatorParams(m, n))
+            assert max(sum(key[:4]) for key in k.numerators) == m + n
 
 
 def test_first_integrals_bracket_to_zero():
@@ -180,5 +203,5 @@ def test_ladder_brackets_vanish():
 def test_ladder_integrals_are_real():
     for m, n in ((1, 1), (2, 3), (4, 1)):
         f1, f2 = ladder_integrals(OscillatorParams(m, n))
-        assert f1.is_real()
-        assert f2.is_real()
+        assert not any(key.e for key in f1.numerators)
+        assert not any(key.e for key in f2.numerators)

@@ -13,9 +13,9 @@ from random import Random
 import pytest
 
 from quantlab import render, weylalgebra
-from quantlab.coeffring import Coefficient
+from quantlab.coeffring import Coefficient, Monomial
 from quantlab.generators import OscillatorParams, hamiltonian, k_integral
-from quantlab.phasepoly import PhaseMono, PhasePoly
+from quantlab.phasepoly import PhasePoly
 from quantlab.quantizer import Scheme, quantize
 from quantlab.vlab import verify as verify_module
 from quantlab.vlab.verify import commutator_matches_action
@@ -47,7 +47,7 @@ def rectangle_verdict(left: Operator, right: Operator, comm: Operator) -> bool:
     )
     for i in range(x_bound + 1):
         for j in range(y_bound + 1):
-            probe = PhasePoly.monomial(PhaseMono(a=i, b=j))
+            probe = PhasePoly.monomial(Monomial(a=i, b=j))
             direct = apply_to_polynomial(comm, probe)
             nested = apply_to_polynomial(left, apply_to_polynomial(right, probe)) - (
                 apply_to_polynomial(right, apply_to_polynomial(left, probe))
@@ -65,7 +65,7 @@ def assert_refutes(left: Operator, right: Operator, comm: Operator, error: Opera
     assert not result
     symbol = PhasePoly(differential_terms(error))
     assert result.direct - result.nested == symbol
-    assert result.term == PhaseMono(*render.ordered({key[:4] for key in symbol.numerators})[0])
+    assert result.term == Monomial(*render.ordered({key[:4] for key in symbol.numerators})[0])
 
 
 PAIRS = [(m, total - m) for total in range(2, 13) for m in range(1, total)]

@@ -2,11 +2,12 @@
 print-then-parse round trip."""
 
 from fractions import Fraction
+from itertools import islice, product
 from random import Random
 
 import pytest
 
-from quantlab.coeffring import Coefficient
+from quantlab.coeffring import Coefficient, Monomial
 from quantlab.generators import (
     OscillatorParams,
     g_poly,
@@ -18,6 +19,7 @@ from quantlab.generators import (
 from quantlab.phasepoly import PhasePoly, PhaseVar
 from quantlab.vlab.parser import (
     MAX_DEGREE,
+    MAX_NESTING,
     MAX_PAIRS,
     MAX_TERMS,
     ParseError,
@@ -134,6 +136,33 @@ def test_term_count_capped():
     # two parts under the term cap are refused before their product
     with pytest.raises(ValueError, match=f"more than {MAX_PAIRS} term pairs"):
         parse_polynomial("(x + y + px + py)^20 * (1 + x + y + px + py)^12")
+
+
+def test_long_chains_parse_without_recursion():
+    # a sum of 1500 distinct monomials is one left-deep chain of BinOps
+    keys = [Monomial(*exps) for exps in islice(product(range(7), repeat=4), 1500)]
+    text = " + ".join(f"x^{a} * y^{b} * px^{c} * py^{d}" for a, b, c, d, *_ in keys)
+    assert degree_bound(parse(text)) == max(map(sum, keys)) == 21
+    assert parse_polynomial(text) == PhasePoly({key: 1 for key in keys})
+    assert parse_polynomial(" - ".join(["x"] * 1500)) == X * -1498
+    # a product of 1000 factors reaches the degree cap, not the recursion limit
+    with pytest.raises(ValueError, match="degree may reach 1000"):
+        parse(" * ".join(["x"] * 1000))
+
+
+def test_nesting_capped():
+    deep = MAX_NESTING // 2
+    assert parse_polynomial("(" * MAX_NESTING + "x" + ")" * MAX_NESTING) == X
+    assert parse_polynomial("-" * MAX_NESTING + "x") == X
+    assert parse_polynomial("-(" * deep + "x" + ")" * deep) == X
+    for text in (
+        "(" * (MAX_NESTING + 1) + "x" + ")" * (MAX_NESTING + 1),
+        "-" * (MAX_NESTING + 1) + "x",
+        "-(" * deep + "-x" + ")" * deep,
+    ):
+        with pytest.raises(ParseError, match=f"nest deeper than the maximum {MAX_NESTING}") as err:
+            parse(text)
+        assert (err.value.line, err.value.column) == (1, MAX_NESTING + 1)
 
 
 def test_zero_denominator_rejected():

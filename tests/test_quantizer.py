@@ -7,7 +7,7 @@ from random import Random
 
 import pytest
 
-from quantlab.coeffring import Coefficient
+from quantlab.coeffring import Coefficient, Monomial
 from quantlab.generators import (
     OscillatorParams,
     d_poly,
@@ -17,10 +17,9 @@ from quantlab.generators import (
     ladder_integrals,
     p_poly,
 )
-from quantlab.phasepoly import PhaseMono, PhasePoly, PhaseVar
+from quantlab.phasepoly import PhasePoly, PhaseVar
 from quantlab.quantizer import Scheme, quantize, quantize_ladder, quantize_monomial
 from quantlab.weylalgebra import (
-    OpMono,
     Operator,
     adjoint,
     apply_to_polynomial,
@@ -54,7 +53,7 @@ def one_pair_oracle(scheme, r, s, x_index=True):
             acc[key] = acc.get(key, Coefficient.zero()) + coeff * weight
     terms = {}
     for (xr, ps), coeff in acc.items():
-        mono = OpMono(a=xr, c=ps) if x_index else OpMono(b=xr, d=ps)
+        mono = Monomial(a=xr, c=ps) if x_index else Monomial(b=xr, d=ps)
         if not coeff.is_zero():
             terms[mono] = coeff
     return flatten(Operator, terms)
@@ -64,17 +63,17 @@ def test_monomial_rule_matches_word_sums():
     for r in range(5):
         for s in range(5):
             for scheme in (W, BJ):
-                assert quantize_monomial(scheme, PhaseMono(a=r, c=s)) == one_pair_oracle(
+                assert quantize_monomial(scheme, Monomial(a=r, c=s)) == one_pair_oracle(
                     scheme, r, s, x_index=True
                 )
-                assert quantize_monomial(scheme, PhaseMono(b=r, d=s)) == one_pair_oracle(
+                assert quantize_monomial(scheme, Monomial(b=r, d=s)) == one_pair_oracle(
                     scheme, r, s, x_index=False
                 )
 
 
 def test_mixed_monomial_factorizes():
     for scheme in (W, BJ):
-        mixed = quantize_monomial(scheme, PhaseMono(a=2, b=1, c=2, d=3))
+        mixed = quantize_monomial(scheme, Monomial(a=2, b=1, c=2, d=3))
         assert mixed == op_mul(
             one_pair_oracle(scheme, 2, 2, x_index=True),
             one_pair_oracle(scheme, 1, 3, x_index=False),
@@ -82,17 +81,17 @@ def test_mixed_monomial_factorizes():
 
 
 def test_xp_coincides_across_schemes():
-    expected = Operator.monomial(OpMono(a=1, c=1)) - Operator.constant(
+    expected = Operator.monomial(Monomial(a=1, c=1)) - Operator.constant(
         I_HBAR * Fraction(1, 2)
     )
-    assert quantize_monomial(W, PhaseMono(a=1, c=1)) == expected
-    assert quantize_monomial(BJ, PhaseMono(a=1, c=1)) == expected
+    assert quantize_monomial(W, Monomial(a=1, c=1)) == expected
+    assert quantize_monomial(BJ, Monomial(a=1, c=1)) == expected
 
 
 def test_y2py2_under_both_schemes():
-    weyl = quantize_monomial(W, PhaseMono(b=2, d=2))
-    bj = quantize_monomial(BJ, PhaseMono(b=2, d=2))
-    base = Operator.monomial(OpMono(b=2, d=2)) - Operator.monomial(OpMono(b=1, d=1)) * (
+    weyl = quantize_monomial(W, Monomial(b=2, d=2))
+    bj = quantize_monomial(BJ, Monomial(b=2, d=2))
+    base = Operator.monomial(Monomial(b=2, d=2)) - Operator.monomial(Monomial(b=1, d=1)) * (
         I_HBAR * 2
     )
     assert weyl == base - Operator.constant(H2 * Fraction(1, 2))
@@ -105,12 +104,12 @@ def test_schemes_agree_on_low_powers():
             for c in range(4):
                 for d in range(4):
                     if min(a, c) <= 1 and min(b, d) <= 1:
-                        mono = PhaseMono(a, b, c, d)
+                        mono = Monomial(a, b, c, d)
                         assert quantize_monomial(W, mono) == quantize_monomial(BJ, mono)
 
 
 def test_schemes_differ_for_x2px2():
-    mono = PhaseMono(a=2, c=2)
+    mono = Monomial(a=2, c=2)
     diff = quantize_monomial(BJ, mono) - quantize_monomial(W, mono)
     assert diff == Operator.constant(H2 * Fraction(-1, 6))
 
@@ -160,7 +159,7 @@ def test_hamiltonian_quantization_scheme_independent():
 
 def test_k11_quantization():
     k11 = k_integral(OscillatorParams(1, 1))
-    expected = Operator.monomial(OpMono(a=1, d=1)) - Operator.monomial(OpMono(b=1, c=1))
+    expected = Operator.monomial(Monomial(a=1, d=1)) - Operator.monomial(Monomial(b=1, c=1))
     assert quantize(W, k11) == expected
     assert quantize(BJ, k11) == expected
 
@@ -231,29 +230,29 @@ def test_proof_intermediates_differential_form():
     i = Coefficient.i()
     # quantized y^2 py^2: -(hbar^2/2)(2 y^2 d^2 + 4 y d + 1) for Weyl,
     # -(hbar^2/3)(3 y^2 d^2 + 6 y d + 2) for Born-Jordan
-    q1_weyl = differential_terms(quantize_monomial(W, PhaseMono(b=2, d=2)))
+    q1_weyl = differential_terms(quantize_monomial(W, Monomial(b=2, d=2)))
     assert q1_weyl == flatten(Operator, {
-        OpMono(b=2, d=2): -H2,
-        OpMono(b=1, d=1): H2 * -2,
-        OpMono(): H2 * Fraction(-1, 2),
+        Monomial(b=2, d=2): -H2,
+        Monomial(b=1, d=1): H2 * -2,
+        Monomial(): H2 * Fraction(-1, 2),
     }).terms
-    q1_bj = differential_terms(quantize_monomial(BJ, PhaseMono(b=2, d=2)))
+    q1_bj = differential_terms(quantize_monomial(BJ, Monomial(b=2, d=2)))
     assert q1_bj == flatten(Operator, {
-        OpMono(b=2, d=2): -H2,
-        OpMono(b=1, d=1): H2 * -2,
-        OpMono(): H2 * Fraction(-2, 3),
+        Monomial(b=2, d=2): -H2,
+        Monomial(b=1, d=1): H2 * -2,
+        Monomial(): H2 * Fraction(-2, 3),
     }).terms
     # quantized y py^3: i(hbar^3/2)(2 y d^3 + 3 d^2), both schemes
     q2_expected = flatten(Operator, {
-        OpMono(b=1, d=3): i * h3,
-        OpMono(d=2): i * h3 * Fraction(3, 2),
+        Monomial(b=1, d=3): i * h3,
+        Monomial(d=2): i * h3 * Fraction(3, 2),
     }).terms
-    assert differential_terms(quantize_monomial(W, PhaseMono(b=1, d=3))) == q2_expected
-    assert differential_terms(quantize_monomial(BJ, PhaseMono(b=1, d=3))) == q2_expected
+    assert differential_terms(quantize_monomial(W, Monomial(b=1, d=3))) == q2_expected
+    assert differential_terms(quantize_monomial(BJ, Monomial(b=1, d=3))) == q2_expected
     # quantized y^3 py: -i(hbar/2) y^2 (2 y d + 3), both schemes
     q3_expected = flatten(Operator, {
-        OpMono(b=3, d=1): -(i * hbar),
-        OpMono(b=2): i * hbar * Fraction(-3, 2),
+        Monomial(b=3, d=1): -(i * hbar),
+        Monomial(b=2): i * hbar * Fraction(-3, 2),
     }).terms
-    assert differential_terms(quantize_monomial(W, PhaseMono(b=3, d=1))) == q3_expected
-    assert differential_terms(quantize_monomial(BJ, PhaseMono(b=3, d=1))) == q3_expected
+    assert differential_terms(quantize_monomial(W, Monomial(b=3, d=1))) == q3_expected
+    assert differential_terms(quantize_monomial(BJ, Monomial(b=3, d=1))) == q3_expected

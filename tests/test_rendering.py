@@ -9,13 +9,12 @@ from fractions import Fraction
 
 import pytest
 
-from quantlab.coeffring import Coefficient
+from quantlab.coeffring import Coefficient, Monomial
 from quantlab.quantizer import Scheme, quantize
 from quantlab.vlab.parser import parse_polynomial
 from quantlab.vlab.report import operator_json, record_latex
 from quantlab.vlab.verify import verify_pair
 from quantlab.weylalgebra import (
-    OpMono,
     Operator,
     differential_latex,
     differential_text,
@@ -69,12 +68,12 @@ def _built_operator() -> Operator:
     return flatten(
         Operator,
         {
-            OpMono(a=2, c=1, d=1): i * Fraction(3, 4),
-            OpMono(b=1, c=2): -Coefficient.omega(2),
-            OpMono(c=1): -i,
-            OpMono(a=1, d=3): Coefficient.hbar() + Coefficient.sqrt2(),
-            OpMono(): Fraction(-1, 2) + Fraction(5, 3) * i,
-            OpMono(b=2): Coefficient.of(-1),
+            Monomial(a=2, c=1, d=1): i * Fraction(3, 4),
+            Monomial(b=1, c=2): -Coefficient.omega(2),
+            Monomial(c=1): -i,
+            Monomial(a=1, d=3): Coefficient.hbar() + Coefficient.sqrt2(),
+            Monomial(): Fraction(-1, 2) + Fraction(5, 3) * i,
+            Monomial(b=2): Coefficient.of(-1),
         }
     )
 

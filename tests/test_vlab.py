@@ -5,9 +5,9 @@ import json
 import pytest
 
 from quantlab import weylalgebra
-from quantlab.coeffring import Coefficient
+from quantlab.coeffring import Coefficient, Monomial
 from quantlab.generators import OscillatorParams, hamiltonian, k_integral
-from quantlab.phasepoly import PhaseMono, PhasePoly, PhaseVar
+from quantlab.phasepoly import PhasePoly, PhaseVar
 from quantlab.quantizer import Scheme, quantize
 from quantlab.vlab import verify as verify_module
 from quantlab.vlab.report import (
@@ -287,12 +287,12 @@ def test_exponential_probe_names_high_order_term(monkeypatch):
     wrong = px_hat() ** 4 * Coefficient.hbar(3)
     result = commutator_matches_action(h_op, weyl_op, weyl_comm + wrong)
     assert not result
-    assert result.term == PhaseMono(c=4)
+    assert result.term == Monomial(c=4)
     # the symbol (-i hbar)^4 hbar^3 s^4
-    assert result.direct - result.nested == PhasePoly.monomial(PhaseMono(c=4, h=7))
+    assert result.direct - result.nested == PhasePoly.monomial(Monomial(c=4, h=7))
     _perturb_commutator(monkeypatch, Scheme.WEYL, params, wrong)
     record = verify_pair(4, 1)
-    assert record.oracle_failure == ("weyl", PhaseMono(c=4))
+    assert record.oracle_failure == ("weyl", Monomial(c=4))
     assert (
         "(m, n) = (4, 1), target k: symbolic commutator disagrees with action"
         " oracle (weyl check, first differing term d^4/dx^4)"
@@ -316,13 +316,13 @@ def test_oracle_names_failing_scheme_and_probe(monkeypatch, m, n, scheme, name):
     )
     record = verify_pair(m, n)
     assert record.oracle_agreement is False
-    assert record.oracle_failure == (name, PhaseMono(a=1, d=1))
+    assert record.oracle_failure == (name, Monomial(a=1, d=1))
     # the failing check returns both images of e^(sx+ty)
     disagreement = answers[-1]
-    assert disagreement.term == PhaseMono(a=1, d=1)
+    assert disagreement.term == Monomial(a=1, d=1)
     assert disagreement.direct != disagreement.nested
     # the symbol of _WRONG_TERM: -i hbar^3 x t
-    error = PhasePoly.monomial(PhaseMono(a=1, d=1, h=3, e=1), -1)
+    error = PhasePoly.monomial(Monomial(a=1, d=1, h=3, e=1), -1)
     assert disagreement.direct - disagreement.nested == error
     assert (
         f"(m, n) = ({m}, {n}), target k: symbolic commutator disagrees with action"

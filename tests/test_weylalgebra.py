@@ -6,12 +6,11 @@ from random import Random
 
 import pytest
 
-from quantlab.coeffring import Coefficient
+from quantlab.coeffring import Coefficient, Monomial
 from quantlab.generators import OscillatorParams, hamiltonian, k_integral, ladder_integrals
-from quantlab.phasepoly import PhaseMono, PhasePoly, PhaseVar, poisson
+from quantlab.phasepoly import PhasePoly, PhaseVar, poisson
 from quantlab.quantizer import Scheme, quantize
 from quantlab.weylalgebra import (
-    OpMono,
     Operator,
     adjoint,
     apply_to_polynomial,
@@ -70,10 +69,10 @@ def test_closed_form_matches_iterated_swaps():
         for s in range(7):
             naive = normal_order_word(("p",) * s + ("x",) * r)
             via_x = op_mul(px_hat() ** s, x_hat() ** r)
-            expected_x = flatten(Operator, {OpMono(a=k[0], c=k[1]): v for k, v in naive.items()})
+            expected_x = flatten(Operator, {Monomial(a=k[0], c=k[1]): v for k, v in naive.items()})
             assert via_x == expected_x
             via_y = op_mul(py_hat() ** s, y_hat() ** r)
-            expected_y = flatten(Operator, {OpMono(b=k[0], d=k[1]): v for k, v in naive.items()})
+            expected_y = flatten(Operator, {Monomial(b=k[0], d=k[1]): v for k, v in naive.items()})
             assert via_y == expected_y
 
 
@@ -88,7 +87,7 @@ def test_mul_examples():
         - Operator.constant(Coefficient.hbar(2) * 2)
     )
     assert px_hat() ** 2 * x_hat() ** 2 == expected
-    assert x_hat() * py_hat() == Operator.monomial(OpMono(a=1, d=1))
+    assert x_hat() * py_hat() == Operator.monomial(Monomial(a=1, d=1))
 
 
 def test_commutator_examples():
@@ -102,7 +101,7 @@ def test_classical_symbol():
         - x_hat() * px_hat() * (I_HBAR * 4)
         - Operator.constant(Coefficient.hbar(2) * 2)
     )
-    assert classical_symbol(op) == PhasePoly.monomial(PhaseMono(a=2, c=2))
+    assert classical_symbol(op) == PhasePoly.monomial(Monomial(a=2, c=2))
     assert classical_symbol(Operator.constant(I_HBAR)).is_zero()
 
 
@@ -113,7 +112,7 @@ def test_apply_one_derivative():
 
 def test_apply_weyl_ordered_square():
     # quantized y^2 py^2 (Weyl) acting on y^2 gives -13/2 hbar^2 y^2
-    op = quantize(Scheme.WEYL, PhasePoly.monomial(PhaseMono(b=2, d=2)))
+    op = quantize(Scheme.WEYL, PhasePoly.monomial(Monomial(b=2, d=2)))
     result = apply_to_polynomial(op, YPOS ** 2)
     assert result == YPOS ** 2 * (Coefficient.hbar(2) * Fraction(-13, 2))
 
@@ -244,7 +243,7 @@ def test_action_determines_operator():
         seen_difference = False
         for i in range(bound + 1):
             for j in range(bound + 1 - i):
-                probe = PhasePoly.monomial(PhaseMono(a=i, b=j))
+                probe = PhasePoly.monomial(Monomial(a=i, b=j))
                 if apply_to_polynomial(a, probe) != apply_to_polynomial(b, probe):
                     seen_difference = True
                     break
@@ -267,7 +266,7 @@ def test_symbolic_commutator_matches_action_oracle():
         )
         for i in range(bound + 1):
             for j in range(bound + 1 - i):
-                probe = PhasePoly.monomial(PhaseMono(a=i, b=j))
+                probe = PhasePoly.monomial(Monomial(a=i, b=j))
                 direct = apply_to_polynomial(comm, probe)
                 nested = apply_to_polynomial(a, apply_to_polynomial(b, probe)) - (
                     apply_to_polynomial(b, apply_to_polynomial(a, probe))
@@ -308,7 +307,7 @@ def test_min_exponent_helpers():
 def test_differential_form():
     op = px_hat() * (Coefficient.i() * Coefficient.hbar(3) * Coefficient.omega(2) * -32)
     terms = differential_terms(op)
-    assert terms == flatten(Operator, {OpMono(c=1): Coefficient.hbar(4) * Coefficient.omega(2) * -32}).terms
+    assert terms == flatten(Operator, {Monomial(c=1): Coefficient.hbar(4) * Coefficient.omega(2) * -32}).terms
     assert differential_text(op) == "-32 * hbar^4 * omega^2 * d/dx"
 
 
