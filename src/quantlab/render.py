@@ -6,8 +6,11 @@ The two formats differ only in the fixed style records TEXT and LATEX
 display names).  Term maps are flat, so grouped is the one reader of a
 map for output: it groups the numerators by phase part (a, b, c, d),
 then by (h, w, r), into the Gaussian rational (re, im), each part a
-(numerator, denominator) pair in lowest terms; the JSON reports read
-the same groups.  join_terms, the one sum renderer, writes each group as
+(numerator, denominator) pair in lowest terms.  Each map builds this
+view once, on first use, and keeps it (TermMap.groups); text, LaTeX and
+the JSON reports read that one view, and the derivative form of an
+operator relabels it (weylalgebra.derivative_groups) instead of grouping
+again.  join_terms, the one sum renderer, writes each group as
 a coefficient times its key, rendered by its caller (powers, or x^a y^b
 and a derivative).  Keys are read by position, so this module imports
 nothing from the package.
@@ -15,8 +18,9 @@ nothing from the package.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+from functools import lru_cache
 from math import gcd
-from typing import NamedTuple
 
 # A rational as (numerator, denominator) in lowest terms.
 Rational = tuple[int, int]
@@ -26,7 +30,9 @@ _ONE = (1, 1)
 _MINUS_ONE = (-1, 1)
 
 
-class Style(NamedTuple):
+# Compared and hashed by identity, so a style can key a cache.
+@dataclass(frozen=True, eq=False)
+class Style:
     fraction: str  # |numerator|, denominator of a non-integer rational
     join: str  # between the factors of one term
     open: str  # around a sum used as a factor
@@ -97,6 +103,15 @@ def power_factors(names, exponents, style: Style) -> list[str]:
     return out
 
 
+@lru_cache(maxsize=None)
+def cached_powers(names: tuple, exponents: tuple, style: Style) -> tuple[str, ...]:
+    """power_factors, kept for the keys that repeat most and take few
+    values: coefficient parameters (h, w, r) and the (x, y) and (dx, dy)
+    halves of a derivative word; the input caps bound their exponents.
+    Phase keys (a, b, c, d) take many more values and are not kept."""
+    return tuple(power_factors(names, exponents, style))
+
+
 def grouped(nums: dict, den: int) -> list[tuple]:
     """A flat term map, numerators nums over den, as [(phase, group), ...],
     phase the exponents (a, b, c, d) and group its coefficient
@@ -137,13 +152,14 @@ def scalar(re: Rational, im: Rational, style: Style) -> str:
     return fraction(re, style) + sign + _imaginary((abs(im[0]), im[1]), style)
 
 
-def scalar_factors(re: Rational, im: Rational, tail: list[str], style: Style) -> list[str]:
-    """Factors of (re + im*i) * <tail>, folding a unit scalar into the tail."""
+def scalar_factors(re: Rational, im: Rational, tail, style: Style):
+    """Factors of (re + im*i) * <tail>, folding a unit scalar into the tail;
+    tail and the result are sequences of strings."""
     if im == _ZERO:
         if re == _ONE and tail:
             return tail
         if re == _MINUS_ONE and tail and (style.fold_powers or "^" not in tail[0]):
-            return ["-" + tail[0]] + tail[1:]
+            return ["-" + tail[0], *tail[1:]]
         head = [fraction(re, style)]
     elif re != _ZERO:
         head = [style.open + scalar(re, im, style) + style.close]
@@ -151,7 +167,8 @@ def scalar_factors(re: Rational, im: Rational, tail: list[str], style: Style) ->
         head = [_imaginary(im, style)]
     else:
         head = [fraction(im, style), "i"]
-    return head + tail
+    head.extend(tail)
+    return head
 
 
 def coefficient(group, style: Style) -> str:
@@ -160,7 +177,7 @@ def coefficient(group, style: Style) -> str:
         return scalar(group[0][1], group[0][2], style)
     names = style.names["coefficient"]
     return _join(
-        (scalar_factors(re, im, power_factors(names, params, style), style)
+        (scalar_factors(re, im, cached_powers(names, params, style), style)
          for params, re, im in group),
         style,
     )
@@ -172,29 +189,28 @@ def coefficient_factors(group, tail: list[str], style: Style) -> list[str]:
     if len(group) == 1:
         ((params, re, im),) = group
         names = style.names["coefficient"]
-        return scalar_factors(re, im, power_factors(names, params, style) + tail, style)
-    return [style.open + coefficient(group, style) + style.close] + tail
+        return scalar_factors(re, im, [*cached_powers(names, params, style), *tail], style)
+    return [style.open + coefficient(group, style) + style.close, *tail]
 
 
 def differential_factors(phase, style: Style) -> list[str]:
     """x^a y^b then the derivative d^(c+d)/dx^c dy^d of an operator word."""
     x, y, d, dx, dy = style.names["differential"]
-    out = power_factors((x, y), phase[:2], style)
+    out = list(cached_powers((x, y), phase[:2], style))
     order = phase[2] + phase[3]
     if order:
         head = d if order == 1 else style.power % (d, order)
-        dens = style.derivative_join.join(power_factors((dx, dy), phase[2:], style))
+        dens = style.derivative_join.join(cached_powers((dx, dy), phase[2:], style))
         out.append(style.derivative % (head, dens))
     return out
 
 
-def join_terms(nums: dict, den: int, key_factors, style: Style) -> str:
-    """Sum of coefficient * key over the groups of a flat term map, nums
-    over den, with binary +/-; "0" for none.  key_factors(phase, style)
-    renders a key."""
+def join_terms(groups, key_factors, style: Style) -> str:
+    """Sum of coefficient * key over the groups of a flat term map (as
+    grouped returns them), with binary +/-; "0" for none.
+    key_factors(phase, style) renders a key."""
     return _join(
-        (coefficient_factors(group, key_factors(phase, style), style)
-         for phase, group in grouped(nums, den)),
+        (coefficient_factors(group, key_factors(phase, style), style) for phase, group in groups),
         style,
     )
 

@@ -149,9 +149,20 @@ def _cmd_commutator(args) -> int:
     return 0
 
 
+def _join_expr(argv: list[str]) -> list[str]:
+    """argv with each "--expr VALUE" joined into "--expr=VALUE": the value
+    is an expression, so a leading '-' (as in "-x") is not an option."""
+    out = []
+    args = iter(argv)
+    for arg in args:
+        value = next(args, None) if arg == "--expr" else None
+        out.append(arg if value is None else f"--expr={value}")
+    return out
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_join_expr(sys.argv[1:] if argv is None else argv))
     try:
         return args.func(args)
     except ValueError as exc:  # ParseError included

@@ -82,11 +82,31 @@ class Neg:
     operand: "ExprAST"
 
 
-@dataclass(frozen=True)
+# A sum or product of n operands is a left-deep chain of n - 1 BinOps, so
+# repr, == and hash walk the chain in a loop (_chain) where the generated
+# methods would recurse once per operand.
+@dataclass(frozen=True, repr=False, eq=False)
 class BinOp:
     op: str  # '+', '-' or '*'
     left: "ExprAST"
     right: "ExprAST"
+
+    def __repr__(self) -> str:
+        head, rest = _chain(self, "+-*")
+        return "".join(
+            [f"BinOp(op={op!r}, left=" for op, _ in reversed(rest)]
+            + [repr(head)]
+            + [f", right={right!r})" for _, right in rest]
+        )
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not BinOp:
+            return NotImplemented
+        return _chain(self, "+-*") == _chain(other, "+-*")
+
+    def __hash__(self) -> int:
+        head, rest = _chain(self, "+-*")
+        return hash((head, tuple(rest)))
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import json
 
-from quantlab import render
 from quantlab.weylalgebra import Operator, differential_latex, differential_text
 from quantlab.vlab.verify import VerificationRecord, failed_claims
 
@@ -39,7 +38,7 @@ def coefficient_json(group: list[tuple]) -> dict:
 def operator_json(op: Operator) -> list[dict]:
     return [
         {"a": a, "b": b, "c": c, "d": d, "coeff": coefficient_json(group)}
-        for (a, b, c, d), group in render.grouped(op.numerators, op.denominator)
+        for (a, b, c, d), group in op.groups
     ]
 
 

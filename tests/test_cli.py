@@ -127,12 +127,20 @@ _NESTING = "error: parentheses and unary minus nest deeper than the maximum 100 
 def test_oversized_expression_rejected(capsys, expr, message):
     # one case per cap: the exponent literal, the degree bound, the term
     # count, the term pairs of one product, the nesting depth; and a
-    # product too long for a recursive walk.  "--expr=" keeps argparse
-    # from reading a leading '-' as an option.
+    # product too long for a recursive walk.
     start = time.perf_counter()
     code, out, err = run(capsys, "quantize", "--scheme", "bj", f"--expr={expr}")
     assert time.perf_counter() - start < 5.0
     assert (code, out, err) == (2, "", message)
+
+
+@pytest.mark.parametrize("expr", ["-x", "-x*py+1/2", "-(x^2)*px"])
+def test_quantize_expr_with_leading_minus(capsys, expr):
+    # the word after --expr is the expression even when it starts with '-'
+    joined = run(capsys, "quantize", "--scheme", "bj", f"--expr={expr}")
+    spaced = run(capsys, "quantize", "--scheme", "bj", "--expr", expr)
+    assert joined[0] == 0
+    assert spaced == joined
 
 
 def test_commutator_command(capsys):

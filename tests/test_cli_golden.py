@@ -56,7 +56,6 @@ CASES = {
     "error_expr_deep_parentheses": [
         "quantize", "--scheme", "bj", "--expr", "(" * 250 + "x" + ")" * 250,
     ],
-    # "--expr=" keeps argparse from reading the leading '-' as an option
     "error_expr_unary_minus_chain": ["quantize", "--scheme", "bj", "--expr=" + "-" * 3000 + "x"],
     "error_expr_long_product": ["quantize", "--scheme", "bj", "--expr", " * ".join(["x"] * 1000)],
 }

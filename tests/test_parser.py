@@ -2,6 +2,7 @@
 print-then-parse round trip."""
 
 from fractions import Fraction
+from functools import reduce
 from itertools import islice, product
 from random import Random
 
@@ -22,7 +23,10 @@ from quantlab.vlab.parser import (
     MAX_NESTING,
     MAX_PAIRS,
     MAX_TERMS,
+    BinOp,
+    Num,
     ParseError,
+    Sym,
     UnknownSymbolError,
     degree_bound,
     parse,
@@ -148,6 +152,37 @@ def test_long_chains_parse_without_recursion():
     # a product of 1000 factors reaches the degree cap, not the recursion limit
     with pytest.raises(ValueError, match="degree may reach 1000"):
         parse(" * ".join(["x"] * 1000))
+
+
+def test_long_chains_print_compare_and_hash_without_recursion():
+    # a 1500-term sum from the parser, and a 1500-factor product built as
+    # the parser would build it (parse itself stops such a product at the
+    # degree cap)
+    text = " + ".join(f"x * {k}" for k in range(1500))
+
+    def long_product():
+        return reduce(lambda left, right: BinOp("*", left, right), [Sym("x")] * 1500)
+
+    for build, binops in ((lambda: parse(text), 2999), (long_product, 1499)):
+        first, second = build(), build()
+        assert first == second and hash(first) == hash(second)
+        assert repr(first) == repr(second)
+        assert repr(first).count("BinOp(") == binops
+    assert parse(text) != parse(text + " + x")
+    assert parse(text) != parse(text.replace("x * 7 ", "x * 8 "))
+    # the methods agree with what the dataclass would generate
+    small = parse("x + 2*y - (px - 1)")
+    assert repr(small) == (
+        "BinOp(op='-', left=BinOp(op='+', left=Sym(name='x'), right=BinOp(op='*', "
+        "left=Num(value=Fraction(2, 1)), right=Sym(name='y'))), right=BinOp(op='-', "
+        "left=Sym(name='px'), right=Num(value=Fraction(1, 1))))"
+    )
+    assert small == BinOp(
+        "-",
+        BinOp("+", Sym("x"), BinOp("*", Num(Fraction(2)), Sym("y"))),
+        BinOp("-", Sym("px"), Num(Fraction(1))),
+    )
+    assert small != parse("x + 2*y - (px - 2)") and small != Sym("x")
 
 
 def test_nesting_capped():

@@ -6,23 +6,29 @@ operator hats, derivative forms) shows up here.
 """
 
 from fractions import Fraction
+from random import Random
 
 import pytest
 
+from quantlab import render
 from quantlab.coeffring import Coefficient, Monomial
+from quantlab.generators import OscillatorParams, hamiltonian, k_integral
 from quantlab.quantizer import Scheme, quantize
 from quantlab.vlab.parser import parse_polynomial
 from quantlab.vlab.report import operator_json, record_latex
 from quantlab.vlab.verify import verify_pair
 from quantlab.weylalgebra import (
     Operator,
+    commutator,
+    derivative_groups,
+    derivative_words,
     differential_latex,
     differential_text,
     px_hat,
     x_hat,
 )
 
-from randgen import flatten
+from randgen import flatten, rand_operator
 
 POLYS = [
     (
@@ -163,3 +169,54 @@ def test_gaussian_coefficient_next_to_a_second_group():
         },
         {"a": 0, "b": 0, "c": 1, "d": 0, "coeff": {"terms": [_term_json(0, 0, 0, 3, 1)]}},
     ]
+
+
+def _grouped_derivative_words(op: Operator) -> list:
+    return render.grouped(derivative_words(op), op.denominator)
+
+
+def test_derivative_groups_relabel_the_grouped_view_of_k():
+    # K's Weyl and Born-Jordan operators and their commutators with H
+    seen = 0
+    for total in range(2, 9):
+        for m in range(1, total):
+            params = OscillatorParams(m, total - m)
+            h_op = quantize(Scheme.WEYL, hamiltonian(params))
+            for scheme in Scheme:
+                op = quantize(scheme, k_integral(params))
+                for each in (op, commutator(h_op, op)):
+                    assert derivative_groups(each) == _grouped_derivative_words(each)
+                    seen += bool(each)
+    # every K, and the Born-Jordan commutator of each of the 19 pairs where the schemes differ
+    assert seen == 28 * 2 + 19
+
+
+def test_derivative_groups_relabel_the_grouped_view_of_random_operators():
+    rng = Random(1301)
+    odd_order_with_i = 0
+    for _ in range(300):
+        op = rand_operator(rng, max_terms=4, max_exp=3)
+        assert derivative_groups(op) == _grouped_derivative_words(op)
+        odd_order_with_i += any(key.e and (key.c + key.d) % 2 for key in op.numerators)
+    assert odd_order_with_i >= 50
+
+
+def test_five_renders_group_once(monkeypatch):
+    calls = []
+    original = render.grouped
+
+    def counting(nums, den):
+        calls.append(len(nums))
+        return original(nums, den)
+
+    monkeypatch.setattr(render, "grouped", counting)
+    op = quantize(Scheme.BORN_JORDAN, parse_polynomial("x^2*py^3 - (1/2 + i)*hbar*y*px + sqrt2"))
+    renders = [
+        op.text(), op.latex(), operator_json(op), differential_text(op), differential_latex(op)
+    ]
+    assert calls == [len(op.numerators)]
+    # a second round reads the same view
+    assert [
+        op.text(), op.latex(), operator_json(op), differential_text(op), differential_latex(op)
+    ] == renders
+    assert len(calls) == 1
