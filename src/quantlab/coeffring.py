@@ -21,8 +21,8 @@ of two keys and the one place where both reductions live; beside it,
 neg_i_hbar states (-i hbar)^k, the factor of the momentum realization
 p = -i hbar d/dq, as a key and a sign.  A Coefficient is the map whose
 keys have a zero phase part; render groups a flat map by phase part and
-parameters, once per map: the grouped view is built on its first read and
-shared by every output format.
+parameters, and the map rendered last keeps its grouped view, so the
+output formats of one map, written one after another, group it once.
 
 Values are immutable and operations are pure, so sharing between
 concurrent tasks is safe.
@@ -138,7 +138,6 @@ def _canonical(cls, nums: dict, den: int = 1):
     out = cls.__new__(cls)
     out._nums = nums
     out._den = den
-    out._groups = None
     return out
 
 
@@ -182,6 +181,11 @@ def linear_extension(cls, image, source: "TermMap"):
     return _reduced(cls, acc, source._den * den)
 
 
+# (map, its grouped view) for the map whose view was read last: one tuple,
+# read and replaced whole, so concurrent readers at worst group again.
+_last_groups: tuple = (None, ())
+
+
 class TermMap:
     """Sparse map from Monomial keys to nonzero int numerators over one
     positive int denominator, kept in lowest terms (no zero numerator,
@@ -199,7 +203,7 @@ class TermMap:
     everything.
     """
 
-    __slots__ = ("_nums", "_den", "_groups")
+    __slots__ = ("_nums", "_den")
     _names: str
 
     def __init__(self, terms: dict | None = None):
@@ -207,7 +211,6 @@ class TermMap:
         den = lcm(*(part_den for _, part_den in ratios.values()))
         nums = {key: num * (den // part_den) for key, (num, part_den) in ratios.items() if num}
         self._nums, self._den = _lowest(nums, den)
-        self._groups = None
 
     # -- constructors ----------------------------------------------------
 
@@ -254,16 +257,17 @@ class TermMap:
         return fraction_view(self._nums, self._den)
 
     @property
-    def groups(self) -> list:
-        """The map grouped for output (render.grouped), built on the first
-        read and shared by every reader, so treat it as read-only; the map
-        is immutable, so the view never goes stale.  Lists, not tuples:
-        CPython keeps up to 2000 freed tuples of each size below 20 for
-        reuse, and tuple groups raised quantize-render's peak RSS by 1.3%
-        (seed 2) against 0.3% for lists."""
-        groups = self._groups
-        if groups is None:
-            groups = self._groups = render.grouped(self._nums, self._den)
+    def groups(self) -> tuple:
+        """The map grouped for output (render.grouped), as nested tuples.
+        The output formats of one map are written one after another (a
+        normal-ordered form, then its derivative form or JSON), so the map
+        read last keeps its view for the next reader of the same map; no
+        view outlives the next map's."""
+        global _last_groups
+        last, groups = _last_groups
+        if last is not self:
+            groups = render.grouped(self._nums, self._den)
+            _last_groups = (self, groups)
         return groups
 
     def is_zero(self) -> bool:
@@ -403,4 +407,4 @@ class Coefficient(TermMap):
     # A coefficient standing alone is written "1/2 - 3*i", not "(1/2 - 3*i)".
     def _render(self, style: render.Style) -> str:
         groups = self.groups
-        return render.coefficient(groups[0][1] if groups else [], style)
+        return render.coefficient(groups[0][1] if groups else (), style)

@@ -6,11 +6,12 @@ The two formats differ only in the fixed style records TEXT and LATEX
 display names).  Term maps are flat, so grouped is the one reader of a
 map for output: it groups the numerators by phase part (a, b, c, d),
 then by (h, w, r), into the Gaussian rational (re, im), each part a
-(numerator, denominator) pair in lowest terms.  Each map builds this
-view once, on first use, and keeps it (TermMap.groups); text, LaTeX and
-the JSON reports read that one view, and the derivative form of an
-operator relabels it (weylalgebra.derivative_groups) instead of grouping
-again.  join_terms, the one sum renderer, writes each group as
+(numerator, denominator) pair in lowest terms.  The view is nested
+tuples, and the map rendered last keeps it (TermMap.groups), so text,
+LaTeX and the JSON reports of one map, written one after another, read
+one view; derivative_groups relabels an operator's view into that of its
+derivative form instead of grouping again.  join_terms, the one sum
+renderer, writes each group as
 a coefficient times its key, rendered by its caller (powers, or x^a y^b
 and a derivative).  Keys are read by position, so this module imports
 nothing from the package.
@@ -18,9 +19,8 @@ nothing from the package.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import lru_cache
 from math import gcd
+from typing import NamedTuple
 
 # A rational as (numerator, denominator) in lowest terms.
 Rational = tuple[int, int]
@@ -30,9 +30,7 @@ _ONE = (1, 1)
 _MINUS_ONE = (-1, 1)
 
 
-# Compared and hashed by identity, so a style can key a cache.
-@dataclass(frozen=True, eq=False)
-class Style:
+class Style(NamedTuple):
     fraction: str  # |numerator|, denominator of a non-integer rational
     join: str  # between the factors of one term
     open: str  # around a sum used as a factor
@@ -103,30 +101,47 @@ def power_factors(names, exponents, style: Style) -> list[str]:
     return out
 
 
-@lru_cache(maxsize=None)
-def cached_powers(names: tuple, exponents: tuple, style: Style) -> tuple[str, ...]:
-    """power_factors, kept for the keys that repeat most and take few
-    values: coefficient parameters (h, w, r) and the (x, y) and (dx, dy)
-    halves of a derivative word; the input caps bound their exponents.
-    Phase keys (a, b, c, d) take many more values and are not kept."""
-    return tuple(power_factors(names, exponents, style))
-
-
-def grouped(nums: dict, den: int) -> list[tuple]:
-    """A flat term map, numerators nums over den, as [(phase, group), ...],
+def grouped(nums: dict, den: int) -> tuple:
+    """A flat term map, numerators nums over den, as ((phase, group), ...),
     phase the exponents (a, b, c, d) and group its coefficient
-    [((h, w, r), re, im), ...], re and im (numerator, denominator) pairs
+    (((h, w, r), re, im), ...), re and im (numerator, denominator) pairs
     in lowest terms; both levels descending, phase parts by degree first."""
     groups: dict[tuple, dict] = {}
     for key, num in nums.items():
         parts = groups.setdefault(key[:4], {}).setdefault(key[4:7], [_ZERO, _ZERO])
         g = gcd(num, den)
         parts[key[7]] = (num // g, den // g)
-    by_degree = [(phase, groups[phase]) for phase in ordered(groups)]
-    return [
-        (phase, [(params, re, im) for params, (re, im) in sorted(group.items(), reverse=True)])
-        for phase, group in by_degree
-    ]
+    out = []
+    for phase in ordered(groups):
+        terms = sorted(groups[phase].items(), reverse=True)
+        out.append((phase, tuple([(params, re, im) for params, (re, im) in terms])))
+    return tuple(out)
+
+
+def derivative_groups(groups: tuple) -> tuple:
+    """The grouped view of an operator's derivative form, x^a y^b
+    d^(c+d)/dx^c dy^d, from the operator's own view: read as -i hbar
+    d/dq, the momenta of a phase part put (-i hbar)^k on its group, k =
+    c + d, so each (h, w, r) becomes (h + k, w, r) and each (re, im) is
+    multiplied by (-i)^k.  The shift of h is the same across a group, so
+    the order is kept, and the result is grouped(derivative_words(op))
+    (weylalgebra), which the action reads."""
+    out = []
+    for phase, group in groups:
+        k = phase[2] + phase[3]
+        if k:
+            group = tuple(
+                [((h + k, w, r), *_times_neg_i(re, im, k)) for (h, w, r), re, im in group]
+            )
+        out.append((phase, group))
+    return tuple(out)
+
+
+def _times_neg_i(re: Rational, im: Rational, k: int) -> tuple[Rational, Rational]:
+    """(re + im i) (-i)^k as (re, im); (re + im i) (-i) = im - re i."""
+    for _ in range(k % 4):
+        re, im = im, (-re[0], re[1])
+    return re, im
 
 
 def ordered(phases) -> list[tuple]:
@@ -152,14 +167,13 @@ def scalar(re: Rational, im: Rational, style: Style) -> str:
     return fraction(re, style) + sign + _imaginary((abs(im[0]), im[1]), style)
 
 
-def scalar_factors(re: Rational, im: Rational, tail, style: Style):
-    """Factors of (re + im*i) * <tail>, folding a unit scalar into the tail;
-    tail and the result are sequences of strings."""
+def scalar_factors(re: Rational, im: Rational, tail: list[str], style: Style) -> list[str]:
+    """Factors of (re + im*i) * <tail>, folding a unit scalar into the tail."""
     if im == _ZERO:
         if re == _ONE and tail:
             return tail
         if re == _MINUS_ONE and tail and (style.fold_powers or "^" not in tail[0]):
-            return ["-" + tail[0], *tail[1:]]
+            return ["-" + tail[0]] + tail[1:]
         head = [fraction(re, style)]
     elif re != _ZERO:
         head = [style.open + scalar(re, im, style) + style.close]
@@ -167,8 +181,7 @@ def scalar_factors(re: Rational, im: Rational, tail, style: Style):
         head = [_imaginary(im, style)]
     else:
         head = [fraction(im, style), "i"]
-    head.extend(tail)
-    return head
+    return head + tail
 
 
 def coefficient(group, style: Style) -> str:
@@ -177,7 +190,7 @@ def coefficient(group, style: Style) -> str:
         return scalar(group[0][1], group[0][2], style)
     names = style.names["coefficient"]
     return _join(
-        (scalar_factors(re, im, cached_powers(names, params, style), style)
+        (scalar_factors(re, im, power_factors(names, params, style), style)
          for params, re, im in group),
         style,
     )
@@ -189,18 +202,18 @@ def coefficient_factors(group, tail: list[str], style: Style) -> list[str]:
     if len(group) == 1:
         ((params, re, im),) = group
         names = style.names["coefficient"]
-        return scalar_factors(re, im, [*cached_powers(names, params, style), *tail], style)
-    return [style.open + coefficient(group, style) + style.close, *tail]
+        return scalar_factors(re, im, power_factors(names, params, style) + tail, style)
+    return [style.open + coefficient(group, style) + style.close] + tail
 
 
 def differential_factors(phase, style: Style) -> list[str]:
     """x^a y^b then the derivative d^(c+d)/dx^c dy^d of an operator word."""
     x, y, d, dx, dy = style.names["differential"]
-    out = list(cached_powers((x, y), phase[:2], style))
+    out = power_factors((x, y), phase[:2], style)
     order = phase[2] + phase[3]
     if order:
         head = d if order == 1 else style.power % (d, order)
-        dens = style.derivative_join.join(cached_powers((dx, dy), phase[2:], style))
+        dens = style.derivative_join.join(power_factors((dx, dy), phase[2:], style))
         out.append(style.derivative % (head, dens))
     return out
 

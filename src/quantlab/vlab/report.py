@@ -18,7 +18,7 @@ SWEEP_NOTE = (
 )
 
 
-def coefficient_json(group: list[tuple]) -> dict:
+def coefficient_json(group: tuple) -> dict:
     return {
         "terms": [
             {

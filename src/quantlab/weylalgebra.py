@@ -233,39 +233,14 @@ def differential_terms(op: Operator) -> dict:
     return fraction_view(derivative_words(op), op.denominator)
 
 
-def derivative_groups(op: Operator) -> list:
-    """The grouped view of derivative_words(op), as render.grouped would
-    build it, relabeled from the operator's cached view (op.groups) instead
-    of grouped again.  A phase group with k = c + d absorbs (-i hbar)^k:
-    each (h, w, r) becomes (h + k, w, r) and (re, im) is multiplied by
-    (-i)^k, that is by i^(k mod 2) and the sign of neg_i_hbar(k).  The
-    shift of h is uniform within a group, so the order is unchanged."""
-    out = []
-    for phase, group in op.groups:
-        k = phase[2] + phase[3]
-        if k:
-            _, sign = neg_i_hbar(k)
-            group = [
-                ((h + k, w, r), *_unit_times(k & 1, sign, re, im)) for (h, w, r), re, im in group
-            ]
-        out.append((phase, group))
-    return out
-
-
-def _unit_times(rotate: int, sign: int, re: tuple, im: tuple) -> tuple:
-    """(re', im') with re' + im' i = sign * i^rotate * (re + im i), the
-    parts (numerator, denominator) pairs."""
-    if rotate:
-        re, im = (-im[0], im[1]), re
-    if sign < 0:
-        re, im = (-re[0], re[1]), (-im[0], im[1])
-    return re, im
-
-
 def differential_text(op: Operator) -> str:
     """Plain-text rendering in derivative form."""
-    return render.join_terms(derivative_groups(op), render.differential_factors, render.TEXT)
+    return render.join_terms(
+        render.derivative_groups(op.groups), render.differential_factors, render.TEXT
+    )
 
 
 def differential_latex(op: Operator) -> str:
-    return render.join_terms(derivative_groups(op), render.differential_factors, render.LATEX)
+    return render.join_terms(
+        render.derivative_groups(op.groups), render.differential_factors, render.LATEX
+    )

@@ -20,7 +20,6 @@ from quantlab.vlab.verify import verify_pair
 from quantlab.weylalgebra import (
     Operator,
     commutator,
-    derivative_groups,
     derivative_words,
     differential_latex,
     differential_text,
@@ -171,8 +170,12 @@ def test_gaussian_coefficient_next_to_a_second_group():
     ]
 
 
-def _grouped_derivative_words(op: Operator) -> list:
+def _grouped_derivative_words(op: Operator) -> tuple:
     return render.grouped(derivative_words(op), op.denominator)
+
+
+def derivative_groups(op: Operator) -> tuple:
+    return render.derivative_groups(op.groups)
 
 
 def test_derivative_groups_relabel_the_grouped_view_of_k():
@@ -201,6 +204,10 @@ def test_derivative_groups_relabel_the_grouped_view_of_random_operators():
     assert odd_order_with_i >= 50
 
 
+def _five_renders(op: Operator) -> list:
+    return [op.text(), op.latex(), operator_json(op), differential_text(op), differential_latex(op)]
+
+
 def test_five_renders_group_once(monkeypatch):
     calls = []
     original = render.grouped
@@ -211,12 +218,31 @@ def test_five_renders_group_once(monkeypatch):
 
     monkeypatch.setattr(render, "grouped", counting)
     op = quantize(Scheme.BORN_JORDAN, parse_polynomial("x^2*py^3 - (1/2 + i)*hbar*y*px + sqrt2"))
-    renders = [
-        op.text(), op.latex(), operator_json(op), differential_text(op), differential_latex(op)
-    ]
+    renders = _five_renders(op)
     assert calls == [len(op.numerators)]
     # a second round reads the same view
-    assert [
-        op.text(), op.latex(), operator_json(op), differential_text(op), differential_latex(op)
-    ] == renders
+    assert _five_renders(op) == renders
     assert len(calls) == 1
+    # a view is kept only until another map is read, so a process that
+    # keeps many rendered maps alive keeps none of their views
+    other = quantize(Scheme.WEYL, parse_polynomial("x*px"))
+    other.text()
+    assert _five_renders(op) == renders
+    assert calls == [len(op.numerators), len(other.numerators), len(op.numerators)]
+
+
+def test_grouped_view_is_read_only():
+    # every reader shares the view, so no reader may change a later render
+    op = quantize(Scheme.WEYL, parse_polynomial("x^2*py^3 - (1/2 + i)*hbar*y*px + sqrt2*x"))
+    renders = _five_renders(op)
+    view = op.groups
+    assert op.groups is view
+    with pytest.raises(AttributeError):
+        view.sort()
+    with pytest.raises(AttributeError):
+        view[0][1].append(view[-1][1][0])
+    with pytest.raises(TypeError):
+        view[0] = view[-1]
+    with pytest.raises(TypeError):
+        view[0][1][0] = view[-1][1][0]
+    assert _five_renders(op) == renders
