@@ -3,17 +3,23 @@
 The anisotropic oscillator with rational frequency ratio carries, besides
 the Hamiltonian itself, the separation integral L, a polynomial integral
 K built from L's flow, and a pair of ladder-product integrals.  All of
-them are returned as exact phase-space polynomials.
+them are returned as exact phase-space polynomials.  The ladder builder
+also gives the products as normal-ordered operators: each ladder power
+b^k is written in closed form (BCH, as [q, p] is central; the classical
+power is its hbar-free slice), and F1 and F2 are read off the one
+product b1^n b2*^m, split by the automorphism i -> -i, hbar -> -hbar
+that sends it to b1*^n b2^m.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import comb, factorial
 
-from quantlab.coeffring import Coefficient, Monomial
+from quantlab.coeffring import Coefficient, Monomial, _add_product, _make, _reduced
 from quantlab.phasepoly import PhasePoly, PhaseVar, poisson
+from quantlab.weylalgebra import Operator
 
 _X = PhasePoly.variable(PhaseVar.X)
 _Y = PhasePoly.variable(PhaseVar.Y)
@@ -104,34 +110,67 @@ def k_integral(params: OscillatorParams) -> PhasePoly:
     return p_poly(params) * g + d_poly(params) * poisson(g, l_integral())
 
 
-def ladder_products(x, y, px, py, params: OscillatorParams, which: tuple[int, ...]):
-    """Ladder products F_w for each w in `which`, from four atoms of one algebra.
+def _ladder_power(k: int, ratio: Fraction, axis: int, quantum: bool):
+    """b^k in normal order as (numerators, denominator), for the ladder
+    factor b = p + alpha q with alpha = i * ratio * sqrt2 * omega.
+
+    [alpha q, p] = i alpha hbar is central, so BCH gives
+    b^k = sum over j + l + 2h = k of k!/(j! l! h!) alpha^(j+h) (-i hbar/2)^h q^j p^l.
+    The units combine to i^j and ratio^(j+h) carries the sign;
+    sqrt2^(j+h) is 2^((j+h)//2) sqrt2^((j+h) mod 2).  The classical
+    power is the h = 0 slice.  (q, p) is (x, px) for axis 0 and (y, py)
+    for axis 1.
+    """
+    top = k // 2 if quantum else 0
+    nums = {}
+    for h in range(top + 1):
+        for j in range(k - 2 * h + 1):
+            l, g = k - 2 * h - j, j + h
+            value = (
+                factorial(k) // (factorial(j) * factorial(l) * factorial(h))
+                * ratio.numerator ** g * ratio.denominator ** (k - g) * 2 ** (g // 2 + top - h)
+            )
+            phase = (j, 0, l, 0) if axis == 0 else (0, j, 0, l)
+            # i^j = (-1)^(j // 2) i^(j mod 2)
+            nums[_make(Monomial, phase + (h, g, g & 1, j & 1))] = -value if j & 2 else value
+    return nums, ratio.denominator ** k * 2 ** top
+
+
+def ladder_products(params: OscillatorParams, which: tuple[int, ...], quantum: bool = False):
+    """Ladder products F_w for each w in `which`, as phase-space
+    polynomials or, when quantum, as normal-ordered operators.
 
     With b1 = px - i*omega1*x and b2 = py - i*omega2*y (and their
     conjugates), F1 = (b1^n b2*^m + b1*^n b2^m)/2 and
-    F2 = -(i/2)(b1^n b2*^m - b1*^n b2^m).  The atoms may be phase-space
-    variables or operators: each summand is a product of powers of two
-    commuting factors, so no ordering ambiguity arises.
+    F2 = -(i/2)(b1^n b2*^m - b1*^n b2^m).  The two pairs commute, so
+    forward = b1^n b2*^m is the plain product of two closed-form powers.
+    The map i -> -i, hbar -> -hbar keeps [x, px] = i hbar, sends b1 to
+    b1* and b2* to b2, and so sends forward to backward = b1*^n b2^m: it
+    flips the sign of each term whose i and hbar exponents have an odd
+    sum.  F1 is forward's even terms and F2 is -i times its odd terms.
     """
-    omega1 = Coefficient.monomial(Monomial(w=1, r=1))
-    omega2 = omega1 * Fraction(params.n, params.m)
-    i_unit = Coefficient.i()
-    b1 = px - x * (i_unit * omega1)
-    b1_conj = px + x * (i_unit * omega1)
-    b2 = py - y * (i_unit * omega2)
-    b2_conj = py + y * (i_unit * omega2)
-    forward = b1 ** params.n * b2_conj ** params.m
-    backward = b1_conj ** params.n * b2 ** params.m
-    return tuple(
-        (forward + backward) * _HALF if w == 1 else (forward - backward) * (i_unit * -_HALF)
-        for w in which
-    )
+    m, n = params.m, params.n
+    # b1 has alpha = -i sqrt2 omega, b2* has alpha = i (n/m) sqrt2 omega
+    x_nums, x_den = _ladder_power(n, Fraction(-1), 0, quantum)
+    y_nums, y_den = _ladder_power(m, Fraction(n, m), 1, quantum)
+    forward: dict = {}
+    for key, value in x_nums.items():
+        _add_product(forward, key, value, y_nums)
+    parts: tuple[dict, dict] = ({}, {})
+    for key, value in forward.items():
+        if (key.e + key.h) & 1:
+            # -i * i = 1 and -i * 1 = -i
+            parts[1][_make(Monomial, key[:7] + (1 - key.e,))] = value if key.e else -value
+        else:
+            parts[0][key] = value
+    cls = Operator if quantum else PhasePoly
+    return tuple(_reduced(cls, parts[w - 1], x_den * y_den) for w in which)
 
 
 def ladder_integrals(params: OscillatorParams) -> tuple[PhasePoly, PhasePoly]:
-    """Unnormalized ladder-product integrals (F1, F2) of ladder_products.
+    """Unnormalized ladder-product integrals (F1, F2), read off one product.
 
     The 1/sqrt(2*omega_j) normalizations are dropped: they rescale by an
     overall constant and do not affect first-integral status.
     """
-    return ladder_products(_X, _Y, _PX, _PY, params, (1, 2))
+    return ladder_products(params, (1, 2))

@@ -10,8 +10,11 @@ a monomial is one flat map over the two pair rules, each term carrying
 coeffring.neg_i_hbar.  Output is always normal ordered, which makes
 operator equality a structural check.
 
-The module also provides the direct ladder-operator quantization: the
-classical ladder products with momenta replaced by momentum operators.
+The module also provides the direct ladder-operator quantization, a
+route apart from the ordering rules: generators.ladder_products writes
+each ladder power b^k in normal order in closed form (BCH, as [q, p] is
+central) and reads F1 and F2 off the one product b1^n b2*^m, split by
+the automorphism i -> -i, hbar -> -hbar that sends it to b1*^n b2^m.
 """
 
 from __future__ import annotations
@@ -23,14 +26,7 @@ from math import comb
 from quantlab.coeffring import Monomial, _reduced, linear_extension, neg_i_hbar
 from quantlab.generators import OscillatorParams, ladder_products
 from quantlab.phasepoly import PhasePoly
-from quantlab.weylalgebra import (
-    Operator,
-    px_hat,
-    py_hat,
-    swap_weight,
-    x_hat,
-    y_hat,
-)
+from quantlab.weylalgebra import Operator, swap_weight
 
 
 class Scheme(Enum):
@@ -94,11 +90,11 @@ def quantize(scheme: Scheme, poly: PhasePoly) -> Operator:
 def quantize_ladder(params: OscillatorParams, which: int) -> Operator:
     """Quantize ladder integral F1 (which = 1) or F2 (which = 2) directly.
 
-    The classical ladder products are rebuilt with position and momentum
-    operators in place of the phase-space variables, unnormalized to
-    match the classical ladder integrals.
+    The ladder products are built as normal-ordered operators in closed
+    form (generators.ladder_products), unnormalized to match the
+    classical ladder integrals.
     """
     if which not in (1, 2):
         raise ValueError("which must be 1 or 2")
-    (op,) = ladder_products(x_hat(), y_hat(), px_hat(), py_hat(), params, (which,))
+    (op,) = ladder_products(params, (which,), quantum=True)
     return op

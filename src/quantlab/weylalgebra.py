@@ -18,8 +18,9 @@ same algebra for cross-checks.  Momentum is realized as -i*hbar times
 the coordinate derivative (derivative_words), and act applies the
 resulting words by the Leibniz rule to a state p(x, y, s, t) e^(sx+ty),
 with s and t symbolic.  The derivative words are the image of
-e^(sx+ty) itself, so one state decides an operator identity;
-apply_to_polynomial is the same kernel on states with no s or t.
+e^(sx+ty) itself, so one state decides an operator identity.
+apply_to_polynomial applies the same words to a position polynomial,
+each word taking its derivatives of the polynomial alone.
 """
 
 from __future__ import annotations
@@ -178,14 +179,25 @@ def act(acc: dict, words: dict, state: dict, scale: int = 1) -> None:
 
 
 def apply_to_polynomial(op: Operator, poly: PhasePoly) -> PhasePoly:
-    """Act on a position polynomial, a state with no s or t, keeping the
-    image's s^0 t^0 part; rejects px and py."""
+    """Act on a position polynomial; rejects px and py.
+
+    The word x^a y^b d^c/dx^c d^d/dy^d sends x^i y^j to
+    i!/(i-c)! j!/(j-d)! x^(a+i-c) y^(b+j-d) when c <= i and d <= j, and
+    to 0 otherwise; the parameter parts multiply through mono_mul.
+    """
     if any(key.c or key.d for key in poly.numerators):
         raise ValueError("operators act on position polynomials (no px or py)")
     acc: dict = {}
-    act(acc, derivative_words(op), poly.numerators)
-    nums = {key: value for key, value in acc.items() if not (key.c or key.d)}
-    return _reduced(PhasePoly, nums, op.denominator * poly.denominator)
+    for word, v in derivative_words(op).items():
+        c, d = word[2], word[3]
+        for term, u in poly.numerators.items():
+            i, j = term[0], term[1]
+            if c > i or d > j:
+                continue
+            base, factor = mono_mul(word, term)
+            key = _make(Monomial, (base[0] - c, base[1] - d, 0, 0) + base[4:])
+            _accumulate(acc, key, v * u * factor * perm(i, c) * perm(j, d))
+    return _reduced(PhasePoly, acc, op.denominator * poly.denominator)
 
 
 def adjoint(op: Operator) -> Operator:

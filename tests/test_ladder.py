@@ -1,0 +1,72 @@
+"""The closed-form ladder builder against ladder atoms raised to powers.
+
+generators.ladder_products writes b^n directly in normal order and reads
+F1 and F2 off the one product b1^n b2*^m.  The reference here is the
+atom-power construction it replaced: the ladder factors built from the
+four phase-space variables or operators, raised with ** and multiplied
+(op_mul for operators), forward and backward products both built.
+"""
+
+from fractions import Fraction
+
+import pytest
+
+from quantlab import generators, quantizer
+from quantlab.coeffring import Coefficient, Monomial
+from quantlab.generators import OscillatorParams, ladder_integrals
+from quantlab.phasepoly import PhasePoly, PhaseVar
+from quantlab.quantizer import quantize_ladder
+from quantlab.weylalgebra import px_hat, py_hat, x_hat, y_hat
+
+from test_oracle import _code_names
+
+_HALF = Fraction(1, 2)
+_PAIRS = [(m, s - m) for s in range(2, 15) for m in range(1, s)]
+
+
+def reference_ladder(x, y, px, py, params: OscillatorParams):
+    """(F1, F2) from four atoms of one algebra: F1 = (b1^n b2*^m + b1*^n b2^m)/2,
+    F2 = -(i/2)(b1^n b2*^m - b1*^n b2^m), with b1 = px - i*omega1*x and
+    b2 = py - i*omega2*y.  On operators * is op_mul."""
+    omega1 = Coefficient.monomial(Monomial(w=1, r=1))
+    omega2 = omega1 * Fraction(params.n, params.m)
+    i_unit = Coefficient.i()
+    b1 = px - x * (i_unit * omega1)
+    b1_conj = px + x * (i_unit * omega1)
+    b2 = py - y * (i_unit * omega2)
+    b2_conj = py + y * (i_unit * omega2)
+    forward = b1 ** params.n * b2_conj ** params.m
+    backward = b1_conj ** params.n * b2 ** params.m
+    return (forward + backward) * _HALF, (forward - backward) * (i_unit * -_HALF)
+
+
+_PHASE_ATOMS = tuple(PhasePoly.variable(var) for var in PhaseVar)
+
+
+@pytest.mark.parametrize("m, n", _PAIRS)
+def test_closed_form_matches_atom_powers(m, n):
+    params = OscillatorParams(m, n)
+    assert ladder_integrals(params) == reference_ladder(*_PHASE_ATOMS, params)
+    f1_op, f2_op = reference_ladder(x_hat(), y_hat(), px_hat(), py_hat(), params)
+    assert quantize_ladder(params, 1) == f1_op
+    assert quantize_ladder(params, 2) == f2_op
+
+
+def test_ladder_route_references_no_ordering_rule():
+    # ladder_equals_weyl is a check only while the ladder route derives its
+    # normal order from BCH, not from the quantizer's ordering rules
+    route = (
+        generators.ladder_products,
+        generators._ladder_power,
+        quantizer.quantize_ladder,
+    )
+    names = set().union(*(_code_names(fn.__code__) for fn in route))
+    assert {"ladder_products", "_ladder_power"} <= names
+    assert not names & {
+        "quantize",
+        "quantize_monomial",
+        "_pair_rule",
+        "swap_weight",
+        "_corrections",
+        "op_mul",
+    }

@@ -211,7 +211,7 @@ def test_ladder_operator_commutes_isotropic():
 
 
 def test_ladder_symbol_is_classical_integral():
-    for m, n in ((1, 1), (2, 1), (3, 2)):
+    for m, n in ((m, s - m) for s in range(2, 15) for m in range(1, s)):
         params = OscillatorParams(m, n)
         f1, f2 = ladder_integrals(params)
         assert classical_symbol(quantize_ladder(params, 1)) == f1

@@ -176,6 +176,42 @@ def test_mul_properties_random():
         assert (a + b) * c == a * c + b * c
 
 
+def sigma(op: Operator) -> Operator:
+    """i -> -i, hbar -> -hbar on the coefficients, words fixed: the sign
+    of each term whose i and hbar exponents have an odd sum flips."""
+    nums = {key: -value if (key.e + key.h) & 1 else value for key, value in op.numerators.items()}
+    return Operator(nums) * Fraction(1, op.denominator)
+
+
+def test_sigma_is_an_automorphism_of_normal_order():
+    # sigma fixes i*hbar = [X, P], hence every reordering correction
+    rng = Random(1729)
+    odd = 0
+    for _ in range(200):
+        a = rand_operator(rng)
+        b = rand_operator(rng)
+        odd += sigma(a) != a
+        assert sigma(op_mul(a, b)) == op_mul(sigma(a), sigma(b))
+    assert odd > 50
+
+
+def test_sigma_swaps_the_ladder_products():
+    # the closed-form ladder builder reads b1*^n b2^m as sigma(b1^n b2*^m)
+    omega1 = Coefficient.monomial(Monomial(w=1, r=1))
+    i_unit = Coefficient.i()
+    for ratio in (Fraction(1), Fraction(3, 2)):
+        omega2 = omega1 * ratio
+        b1 = px_hat() - x_hat() * (i_unit * omega1)
+        b1_conj = px_hat() + x_hat() * (i_unit * omega1)
+        b2 = py_hat() - y_hat() * (i_unit * omega2)
+        b2_conj = py_hat() + y_hat() * (i_unit * omega2)
+        for n in range(5):
+            for m in range(5):
+                forward = op_mul(b1 ** n, b2_conj ** m)
+                backward = op_mul(b1_conj ** n, b2 ** m)
+                assert sigma(forward) == backward
+
+
 def test_commutator_properties_random():
     rng = Random(161803)
     for _ in range(400):
