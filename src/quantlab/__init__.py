@@ -37,7 +37,7 @@ from quantlab.weylalgebra import (
     y_hat,
 )
 from quantlab.quantizer import Scheme, quantize, quantize_ladder, quantize_monomial
-from quantlab.vlab.parser import ParseError, UnknownSymbolError, parse, parse_polynomial
+from quantlab.vlab.parser import ParseError, UnknownSymbolError, parse_polynomial
 from quantlab.vlab.verify import VerificationRecord, sweep, verify_ladder_pair, verify_pair
 
 __version__ = "0.1.0"

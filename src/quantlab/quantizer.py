@@ -5,6 +5,8 @@ Two monomial ordering rules are implemented for each canonical pair:
     Born-Jordan:  x^r p^s -> 1/(s+1)   sum_k          P^(s-k) X^r P^k
     Weyl:         x^r p^s -> 1/2^s     sum_k C(s, k)  P^(s-k) X^r P^k
 
+Each sum has a closed normal-ordered form (_pair_rule).
+
 Mixed monomials factor across the two commuting pairs, so the image of
 a monomial is one flat map over the two pair rules, each term carrying
 coeffring.neg_i_hbar.  Output is always normal ordered, which makes
@@ -21,7 +23,6 @@ from __future__ import annotations
 
 from enum import Enum
 from functools import lru_cache
-from math import comb
 
 from quantlab.coeffring import Monomial, _reduced, linear_extension, neg_i_hbar
 from quantlab.generators import OscillatorParams, ladder_products
@@ -34,25 +35,21 @@ class Scheme(Enum):
     WEYL = "weyl"
 
 
-# Weight w_k of P^(s-k) X^r P^k in the image of x^r p^s, as the
-# numerators of the w_k and their one denominator.
-_ORDERING_WEIGHTS = {
-    Scheme.BORN_JORDAN: lambda s: ([1] * (s + 1), s + 1),
-    Scheme.WEYL: lambda s: ([comb(s, k) for k in range(s + 1)], 2 ** s),
-}
-
-
 @lru_cache(maxsize=None)
 def _pair_rule(scheme: Scheme, r: int, s: int) -> tuple[tuple[int, ...], int]:
     """Normal-ordered image of one canonical pair, as (rule, denominator).
 
     x^r p^s maps to sum_j rule[j] / denominator * (-i hbar)^j * X^(r-j)
-    P^(s-j), where rule[j] collapses the ordering sum through the swap
-    identity; every rule[j] is positive.
+    P^(s-j).  Swapping P^(s-k) past X^r term by term, the ordering sum
+    collapses to rule[j] / denominator = swap_weight(s, r, j) * mu_j, with
+    mu_j = 1/(j+1) for Born-Jordan (sum_k C(s-k, j) = C(s+1, j+1)) and
+    2^-j for Weyl (sum_k C(s, k) C(s-k, j) = C(s, j) 2^(s-j)); every
+    rule[j] is a positive integer.
     """
-    weights, den = _ORDERING_WEIGHTS[scheme](s)
+    born_jordan = scheme is Scheme.BORN_JORDAN
+    den = s + 1 if born_jordan else 2 ** s
     rule = tuple(
-        sum(w * swap_weight(s - k, r, j) for k, w in enumerate(weights))
+        swap_weight(s, r, j) * den // (j + 1 if born_jordan else 2 ** j)
         for j in range(min(r, s) + 1)
     )
     return rule, den

@@ -10,15 +10,21 @@ Grammar (whitespace insensitive, explicit '*' required):
 A base that starts with unary '-' takes no exponent: "-x^2" could mean
 -(x^2) or (-x)^2, so it is a ParseError that asks for one of those.
 
-The eight legal symbols are i, hbar, omega, sqrt2, x, y, px, py.  The
-AST lowers to a canonical PhasePoly, so printing a polynomial and
-parsing it back reproduces the same value exactly.
+The eight legal symbols are i, hbar, omega, sqrt2, x, y, px, py.  Each
+rule of the recursive descent returns the canonical PhasePoly of what it
+read, so printing a polynomial and parsing it back reproduces the same
+value exactly; sums and products are read in loops, not by recursion.
 
-Input is bounded so that no expression runs unbounded: an exponent
-literal and the AST's degree bound may not exceed MAX_DEGREE,
-parentheses and unary minus may not nest deeper than MAX_NESTING, no
-lowered polynomial may hold more than MAX_TERMS terms, and no product
-may multiply more than MAX_PAIRS pairs of terms.
+Input is bounded so that no expression runs unbounded.  Each rule also
+returns a degree bound (1 for a number or symbol, the max over a sum,
+the sum over a product, times the exponent for a power); an exponent
+literal and every bound may not exceed MAX_DEGREE, and a product or
+power is refused by its bound before anything is multiplied.
+Parentheses and unary minus may not nest deeper than MAX_NESTING, no
+polynomial read may hold more than MAX_TERMS terms, and no product may
+multiply more than MAX_PAIRS pairs of terms.  The first cap broken in
+reading order is the one reported, so a rejected input has cost only
+the work of the prefix already read.
 """
 
 from __future__ import annotations
@@ -38,7 +44,7 @@ MAX_DEGREE = 40
 # frames of recursive descent, so this keeps parsing far from the
 # interpreter's recursion limit.
 MAX_NESTING = 100
-# Largest number of terms of a lowered polynomial, or of any part of it.
+# Largest number of terms of the polynomial read, or of any part of it.
 MAX_TERMS = 2000
 # Largest number of term pairs one product may multiply: a part at the
 # term cap times a 50-term factor, under a second of multiplying.  Checked
@@ -66,56 +72,6 @@ class Token:
     line: int
     column: int
 
-
-@dataclass(frozen=True)
-class Num:
-    value: Fraction
-
-
-@dataclass(frozen=True)
-class Sym:
-    name: str
-
-
-@dataclass(frozen=True)
-class Neg:
-    operand: "ExprAST"
-
-
-# A sum or product of n operands is a left-deep chain of n - 1 BinOps, so
-# repr, == and hash walk the chain in a loop (_chain) where the generated
-# methods would recurse once per operand.
-@dataclass(frozen=True, repr=False, eq=False)
-class BinOp:
-    op: str  # '+', '-' or '*'
-    left: "ExprAST"
-    right: "ExprAST"
-
-    def __repr__(self) -> str:
-        head, rest = _chain(self, "+-*")
-        return "".join(
-            [f"BinOp(op={op!r}, left=" for op, _ in reversed(rest)]
-            + [repr(head)]
-            + [f", right={right!r})" for _, right in rest]
-        )
-
-    def __eq__(self, other) -> bool:
-        if type(other) is not BinOp:
-            return NotImplemented
-        return _chain(self, "+-*") == _chain(other, "+-*")
-
-    def __hash__(self) -> int:
-        head, rest = _chain(self, "+-*")
-        return hash((head, tuple(rest)))
-
-
-@dataclass(frozen=True)
-class Pow:
-    base: "ExprAST"
-    exponent: int
-
-
-ExprAST = Num | Sym | Neg | BinOp | Pow
 
 _OP_CHARS = set("+-*^/()")
 # ASCII only: str.isdigit() also accepts digits such as '²' that int() rejects
@@ -188,46 +144,58 @@ class _Parser:
         shown = token.text if token.kind != "end" else "end of input"
         return ParseError(f"{message}, got {shown!r}", token.line, token.column)
 
-    def expr(self) -> ExprAST:
-        node = self.term()
-        while True:
-            op = self.match_op("+", "-")
-            if op is None:
-                return node
-            node = BinOp(op.text, node, self.term())
 
-    def term(self) -> ExprAST:
-        node = self.factor()
+    # Each rule returns the polynomial it read and an upper bound on its
+    # degree, counting every number and symbol as degree 1.
+
+    def expr(self) -> tuple[PhasePoly, int]:
+        poly, bound = self.term()
+        while op := self.match_op("+", "-"):
+            right, right_bound = self.term()
+            poly = _capped(poly + right if op.text == "+" else poly - right)
+            bound = max(bound, right_bound)
+        return poly, bound
+
+    def term(self) -> tuple[PhasePoly, int]:
+        factors = [self.factor()]
         while self.match_op("*"):
-            node = BinOp("*", node, self.factor())
-        return node
+            factors.append(self.factor())
+        bound = _degree_checked(sum(bound for _, bound in factors))
+        poly = factors[0][0]
+        for right, _ in factors[1:]:
+            poly = _product(poly, right)
+        return poly, bound
 
-    def factor(self) -> ExprAST:
+    def factor(self) -> tuple[PhasePoly, int]:
         negated = self.peek().text == "-"
-        node = self.base()
+        poly, bound = self.base()
         caret = self.match_op("^")
-        if caret:
-            if negated:
-                raise ParseError(
-                    "ambiguous unary minus before '^'; write -(x^2) or (-x)^2",
-                    caret.line,
-                    caret.column,
-                )
-            token = self.peek()
-            if token.kind != "int":
-                raise self.error("exponent must be a nonnegative integer literal")
-            self.advance()
-            exponent = int(token.text)
-            if exponent > MAX_DEGREE:
-                raise ParseError(
-                    f"exponent {exponent} exceeds the maximum {MAX_DEGREE}",
-                    token.line,
-                    token.column,
-                )
-            return Pow(node, exponent)
-        return node
+        if not caret:
+            return poly, bound
+        if negated:
+            raise ParseError(
+                "ambiguous unary minus before '^'; write -(x^2) or (-x)^2",
+                caret.line,
+                caret.column,
+            )
+        token = self.peek()
+        if token.kind != "int":
+            raise self.error("exponent must be a nonnegative integer literal")
+        self.advance()
+        exponent = int(token.text)
+        if exponent > MAX_DEGREE:
+            raise ParseError(
+                f"exponent {exponent} exceeds the maximum {MAX_DEGREE}",
+                token.line,
+                token.column,
+            )
+        bound = _degree_checked(bound * exponent)
+        out = PhasePoly.one()
+        for _ in range(exponent):
+            out = _product(out, poly)
+        return out, bound
 
-    def base(self) -> ExprAST:
+    def base(self) -> tuple[PhasePoly, int]:
         token = self.peek()
         if token.kind == "int":
             self.advance()
@@ -244,8 +212,8 @@ class _Parser:
                         den_token.line,
                         den_token.column,
                     )
-                return Num(Fraction(numerator, denominator))
-            return Num(Fraction(numerator))
+                return PhasePoly.constant(Fraction(numerator, denominator)), 1
+            return PhasePoly.constant(Fraction(numerator)), 1
         if token.kind == "name":
             self.advance()
             if token.text not in SYMBOLS:
@@ -255,7 +223,7 @@ class _Parser:
                     token.line,
                     token.column,
                 )
-            return Sym(token.text)
+            return _SYMBOL_POLYS[token.text], 1
         if token.kind == "op" and token.text in ("(", "-"):
             self.advance()
             self.depth += 1
@@ -263,56 +231,15 @@ class _Parser:
                 message = f"parentheses and unary minus nest deeper than the maximum {MAX_NESTING}"
                 raise ParseError(message, token.line, token.column)
             if token.text == "-":
-                node = Neg(self.base())
+                poly, bound = self.base()
+                poly = -poly
             else:
-                node = self.expr()
+                poly, bound = self.expr()
                 if not self.match_op(")"):
                     raise self.error("expected ')'")
             self.depth -= 1
-            return node
+            return poly, bound
         raise self.error("expected a number, symbol, '(' or '-'")
-
-
-def parse(text: str) -> ExprAST:
-    """Parse an expression string into an AST; raises ParseError on bad
-    input and ValueError when its degree bound exceeds MAX_DEGREE."""
-    parser = _Parser(_tokenize(text))
-    node = parser.expr()
-    tail = parser.peek()
-    if tail.kind != "end":
-        raise parser.error("unexpected token after expression", tail)
-    bound = degree_bound(node)
-    if bound > MAX_DEGREE:
-        raise ValueError(f"expression degree may reach {bound}; the maximum is {MAX_DEGREE}")
-    return node
-
-
-def _chain(node: BinOp, ops: str) -> tuple[ExprAST, list[tuple[str, ExprAST]]]:
-    """A left-deep chain of BinOps with an op in ops, as its leftmost
-    operand and the (op, right operand) pairs in source order.  Sums and
-    products of any length are chains, walked here without recursion."""
-    rest = []
-    while isinstance(node, BinOp) and node.op in ops:
-        rest.append((node.op, node.right))
-        node = node.left
-    return node, rest[::-1]
-
-
-def degree_bound(node: ExprAST) -> int:
-    """An upper bound on the degree of the lowered polynomial, counting
-    every atom (number or symbol) as degree 1."""
-    match node:
-        case Num() | Sym():
-            return 1
-        case Neg(operand):
-            return degree_bound(operand)
-        case BinOp(op):
-            head, rest = _chain(node, "*" if op == "*" else "+-")
-            bounds = [degree_bound(head), *(degree_bound(right) for _, right in rest)]
-            return sum(bounds) if op == "*" else max(bounds)
-        case Pow(base, exponent):
-            return degree_bound(base) * exponent
-    raise TypeError(f"not an expression node: {node!r}")
 
 
 _SYMBOL_POLYS = {
@@ -327,38 +254,10 @@ _SYMBOL_POLYS = {
 }
 
 
-def lower(node: ExprAST) -> PhasePoly:
-    """Lower an AST to its unique canonical polynomial.
-
-    Raises ValueError before a product of more than MAX_PAIRS term pairs
-    and as soon as a partial result holds more than MAX_TERMS terms.
-    """
-    match node:
-        case Num(value):
-            return PhasePoly.constant(value)
-        case Sym(name):
-            return _SYMBOL_POLYS[name]
-        case Neg(operand):
-            return -lower(operand)
-        case BinOp("*"):
-            head, rest = _chain(node, "*")
-            out = lower(head)
-            for _, right in rest:
-                out = _product(out, lower(right))
-            return out
-        case BinOp():
-            head, rest = _chain(node, "+-")
-            out = lower(head)
-            for op, right in rest:
-                out = _capped(out + lower(right) if op == "+" else out - lower(right))
-            return out
-        case Pow(base, exponent):
-            base = lower(base)
-            out = PhasePoly.one()
-            for _ in range(exponent):
-                out = _product(out, base)
-            return out
-    raise TypeError(f"not an expression node: {node!r}")
+def _degree_checked(bound: int) -> int:
+    if bound > MAX_DEGREE:
+        raise ValueError(f"expression degree may reach {bound}; the maximum is {MAX_DEGREE}")
+    return bound
 
 
 def _capped(poly: PhasePoly) -> PhasePoly:
@@ -375,5 +274,14 @@ def _product(left: PhasePoly, right: PhasePoly) -> PhasePoly:
 
 
 def parse_polynomial(text: str) -> PhasePoly:
-    """Parse and lower in one step."""
-    return lower(parse(text))
+    """Parse an expression string into its canonical polynomial.
+
+    Raises ParseError on bad input and ValueError as soon as a part of
+    it breaks a cap; only the prefix read so far has been multiplied.
+    """
+    parser = _Parser(_tokenize(text))
+    poly, _ = parser.expr()
+    tail = parser.peek()
+    if tail.kind != "end":
+        raise parser.error("unexpected token after expression", tail)
+    return poly

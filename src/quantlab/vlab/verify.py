@@ -19,17 +19,13 @@ from dataclasses import dataclass
 
 from quantlab import render
 from quantlab.coeffring import Monomial, _reduced
-from quantlab.generators import (
-    OscillatorParams,
-    hamiltonian,
-    k_integral,
-    ladder_integrals,
-)
+from quantlab.generators import OscillatorParams, hamiltonian, k_integral
 from quantlab.phasepoly import PhasePoly, poisson
 from quantlab.quantizer import Scheme, quantize, quantize_ladder
 from quantlab.weylalgebra import (
     Operator,
     act,
+    classical_symbol,
     commutator,
     derivative_words,
     min_hbar_exponent,
@@ -71,12 +67,11 @@ def verify_pair(m: int, n: int) -> VerificationRecord:
 
 def verify_ladder_pair(m: int, n: int, which: int = 1) -> VerificationRecord:
     """Run the pipeline on ladder integral F1 or F2, and also record
-    whether direct ladder quantization coincides with the Weyl operator."""
+    whether direct ladder quantization coincides with the Weyl operator.
+    The classical integral is the symbol of the one ladder operator built."""
     params = OscillatorParams(m, n)
-    if which not in (1, 2):
-        raise ValueError("which must be 1 or 2")
-    classical = ladder_integrals(params)[which - 1]
-    return _verify(params, classical, f"f{which}", quantize_ladder(params, which))
+    ladder_op = quantize_ladder(params, which)
+    return _verify(params, classical_symbol(ladder_op), f"f{which}", ladder_op)
 
 
 def _verify(

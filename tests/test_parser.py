@@ -2,7 +2,6 @@
 print-then-parse round trip."""
 
 from fractions import Fraction
-from functools import reduce
 from itertools import islice, product
 from random import Random
 
@@ -18,18 +17,14 @@ from quantlab.generators import (
     ladder_integrals,
 )
 from quantlab.phasepoly import PhasePoly, PhaseVar
+from quantlab.vlab import parser
 from quantlab.vlab.parser import (
     MAX_DEGREE,
     MAX_NESTING,
     MAX_PAIRS,
     MAX_TERMS,
-    BinOp,
-    Num,
     ParseError,
-    Sym,
     UnknownSymbolError,
-    degree_bound,
-    parse,
     parse_polynomial,
 )
 
@@ -119,14 +114,51 @@ def test_exponent_literal_capped():
 
 
 def test_degree_bound_capped():
-    # atoms count 1, '+' takes the max, '*' sums and '^' multiplies
-    assert degree_bound(parse("(x + 2*y)^3 * px - 1")) == 7
-    assert degree_bound(parse("-(hbar^2)")) == 2
-    parse(" * ".join(["x"] * MAX_DEGREE))
-    with pytest.raises(ValueError, match="degree may reach 41"):
-        parse(" * ".join(["x"] * (MAX_DEGREE + 1)))
+    # atoms count 1, '+' takes the max, '*' sums and '^' multiplies: each
+    # pair reaches MAX_DEGREE, then goes one over it
+    half = MAX_DEGREE // 2
+    for accepted, rejected in (
+        (" * ".join(["x"] * MAX_DEGREE), " * ".join(["x"] * (MAX_DEGREE + 1))),
+        (" * ".join(["2"] * MAX_DEGREE), " * ".join(["2"] * (MAX_DEGREE + 1))),
+        (f"(x^{half} + y^{half}) * y^{half}", f"(x^{half} + y^{half + 1}) * y^{half}"),
+        (f"x^{half} * y^{half}", f"x^{half} * y^{half} * hbar"),
+        (f"(x * y)^{half}", f"(x * y)^{half} * 2"),
+        (f"-(x^{half}) * y^{half}", f"-(x^{half}) * y^{half} * px"),
+    ):
+        parse_polynomial(accepted)
+        with pytest.raises(ValueError, match=f"degree may reach {MAX_DEGREE + 1};"):
+            parse_polynomial(rejected)
     with pytest.raises(ValueError, match="degree may reach 1600"):
-        parse("(2^40)^40")
+        parse_polynomial("(2^40)^40")
+
+
+def test_over_degree_cap_multiplies_nothing(monkeypatch):
+    calls = []
+
+    def counted(left, right, product=parser._product):
+        calls.append((left, right))
+        return product(left, right)
+
+    monkeypatch.setattr(parser, "_product", counted)
+    parse_polynomial(" * ".join(["(x + y)"] * MAX_DEGREE))
+    assert len(calls) == MAX_DEGREE - 1
+    calls.clear()
+    # a product chain is refused by its summed bound before any product
+    with pytest.raises(ValueError, match=f"degree may reach {MAX_DEGREE + 1};"):
+        parse_polynomial(" * ".join(["(x + y)"] * (MAX_DEGREE + 1)))
+    assert calls == []
+    # a power is refused by its bound; only its base x * y was multiplied
+    with pytest.raises(ValueError, match=f"degree may reach {MAX_DEGREE + 2};"):
+        parse_polynomial(f"(x * y)^{MAX_DEGREE // 2 + 1}")
+    assert len(calls) == 1
+
+
+def test_zeroth_power_of_part_over_degree_cap_rejected():
+    assert parse_polynomial(f"(x^{MAX_DEGREE})^0") == PhasePoly.one()
+    assert parse_polynomial(f"x^0 * y^{MAX_DEGREE}") == Y ** MAX_DEGREE
+    # the part is refused before its exponent is read
+    with pytest.raises(ValueError, match=f"degree may reach {MAX_DEGREE + 1};"):
+        parse_polynomial(f"(x^{MAX_DEGREE} * x)^0")
 
 
 def test_term_count_capped():
@@ -143,46 +175,15 @@ def test_term_count_capped():
 
 
 def test_long_chains_parse_without_recursion():
-    # a sum of 1500 distinct monomials is one left-deep chain of BinOps
+    # a sum of 1500 distinct monomials, read in one loop of the sum rule
     keys = [Monomial(*exps) for exps in islice(product(range(7), repeat=4), 1500)]
     text = " + ".join(f"x^{a} * y^{b} * px^{c} * py^{d}" for a, b, c, d, *_ in keys)
-    assert degree_bound(parse(text)) == max(map(sum, keys)) == 21
+    assert max(map(sum, keys)) == 21
     assert parse_polynomial(text) == PhasePoly({key: 1 for key in keys})
     assert parse_polynomial(" - ".join(["x"] * 1500)) == X * -1498
     # a product of 1000 factors reaches the degree cap, not the recursion limit
     with pytest.raises(ValueError, match="degree may reach 1000"):
-        parse(" * ".join(["x"] * 1000))
-
-
-def test_long_chains_print_compare_and_hash_without_recursion():
-    # a 1500-term sum from the parser, and a 1500-factor product built as
-    # the parser would build it (parse itself stops such a product at the
-    # degree cap)
-    text = " + ".join(f"x * {k}" for k in range(1500))
-
-    def long_product():
-        return reduce(lambda left, right: BinOp("*", left, right), [Sym("x")] * 1500)
-
-    for build, binops in ((lambda: parse(text), 2999), (long_product, 1499)):
-        first, second = build(), build()
-        assert first == second and hash(first) == hash(second)
-        assert repr(first) == repr(second)
-        assert repr(first).count("BinOp(") == binops
-    assert parse(text) != parse(text + " + x")
-    assert parse(text) != parse(text.replace("x * 7 ", "x * 8 "))
-    # the methods agree with what the dataclass would generate
-    small = parse("x + 2*y - (px - 1)")
-    assert repr(small) == (
-        "BinOp(op='-', left=BinOp(op='+', left=Sym(name='x'), right=BinOp(op='*', "
-        "left=Num(value=Fraction(2, 1)), right=Sym(name='y'))), right=BinOp(op='-', "
-        "left=Sym(name='px'), right=Num(value=Fraction(1, 1))))"
-    )
-    assert small == BinOp(
-        "-",
-        BinOp("+", Sym("x"), BinOp("*", Num(Fraction(2)), Sym("y"))),
-        BinOp("-", Sym("px"), Num(Fraction(1))),
-    )
-    assert small != parse("x + 2*y - (px - 2)") and small != Sym("x")
+        parse_polynomial(" * ".join(["x"] * 1000))
 
 
 def test_nesting_capped():
@@ -196,7 +197,7 @@ def test_nesting_capped():
         "-(" * deep + "-x" + ")" * deep,
     ):
         with pytest.raises(ParseError, match=f"nest deeper than the maximum {MAX_NESTING}") as err:
-            parse(text)
+            parse_polynomial(text)
         assert (err.value.line, err.value.column) == (1, MAX_NESTING + 1)
 
 
@@ -242,11 +243,6 @@ def test_minus_outside_power_base_accepted():
     assert parse_polynomial("0 - x^2") == -(X ** 2)
     assert parse_polynomial("1 - -2") == PhasePoly.constant(3)
     assert parse_polynomial("-1/2 * x") == X * Fraction(-1, 2)
-
-
-def test_parse_returns_ast():
-    node = parse("x * py")
-    assert type(node).__name__ == "BinOp"
 
 
 def test_round_trip_generated_observables():

@@ -18,7 +18,7 @@ from quantlab.generators import (
     p_poly,
 )
 from quantlab.phasepoly import PhasePoly, PhaseVar
-from quantlab.quantizer import Scheme, quantize, quantize_ladder, quantize_monomial
+from quantlab.quantizer import Scheme, _pair_rule, quantize, quantize_ladder, quantize_monomial
 from quantlab.weylalgebra import (
     Operator,
     adjoint,
@@ -28,6 +28,7 @@ from quantlab.weylalgebra import (
     differential_terms,
     op_mul,
     px_hat,
+    swap_weight,
     x_hat,
 )
 
@@ -69,6 +70,25 @@ def test_monomial_rule_matches_word_sums():
                 assert quantize_monomial(scheme, Monomial(b=r, d=s)) == one_pair_oracle(
                     scheme, r, s, x_index=False
                 )
+
+
+def summed_pair_rule(scheme, r, s):
+    """The pair rule as the ordering sum itself: the weight w_k of
+    P^(s-k) X^r P^k times the swap weight of P^(s-k) X^r, summed over k."""
+    weights = [1] * (s + 1) if scheme is BJ else [comb(s, k) for k in range(s + 1)]
+    den = s + 1 if scheme is BJ else 2 ** s
+    rule = tuple(
+        sum(w * swap_weight(s - k, r, j) for k, w in enumerate(weights))
+        for j in range(min(r, s) + 1)
+    )
+    return rule, den
+
+
+def test_pair_rule_closed_form_matches_ordering_sum():
+    for scheme in (W, BJ):
+        for r in range(15):
+            for s in range(15):
+                assert _pair_rule(scheme, r, s) == summed_pair_rule(scheme, r, s)
 
 
 def test_mixed_monomial_factorizes():
