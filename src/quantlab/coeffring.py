@@ -16,13 +16,19 @@ nonzero int numerator, over one positive int denominator shared by the
 whole map.  The map is kept in lowest terms, gcd(den, *nums) == 1, so
 equality stays structural and the ring's arithmetic is int arithmetic:
 denominators multiply in products and meet at their lcm in sums, and
-every result is reduced by one gcd pass.  mono_mul is the one product
-of two keys and the one place where both reductions live; beside it,
-neg_i_hbar states (-i hbar)^k, the factor of the momentum realization
-p = -i hbar d/dq, as a key and a sign.  A Coefficient is the map whose
-keys have a zero phase part; render groups a flat map by phase part and
-parameters, and the map rendered last keeps its grouped view, so the
-output formats of one map, written one after another, group it once.
+every result is reduced by one gcd pass.  The two reductions live in
+two places: mono_mul multiplies two Monomial keys, where a single
+product is needed; the quadratic kernels of weylalgebra (op_mul,
+commutator and the action) pack each key into one int (pack_terms), so
+a product is one int add, k1 + k2, and the reductions are two mask
+tests on it, R2 for sqrt2 * sqrt2 = 2 and E2 for i * i = -1.  Beside
+them, neg_i_hbar states (-i hbar)^k, the factor of the momentum
+realization p = -i hbar d/dq, as a key and a sign.  A Coefficient is
+the map whose keys have a zero phase part; render groups a flat map by
+phase part and parameters, and the map rendered last keeps its grouped
+view (and, for an operator, that view relabelled into its derivative
+form), so the output formats of one map, written one after another,
+group it once and relabel it once.
 
 Values are immutable and operations are pure, so sharing between
 concurrent tasks is safe.
@@ -86,9 +92,10 @@ class Monomial(namedtuple("Monomial", "a b c d h w r e")):
 def mono_mul(m1, m2) -> tuple[Monomial, int]:
     """The product of two keys as (key, factor), factor in {1, -1, 2, -2}.
 
-    Exponents add, then the two reductions of the ring apply.  Keys that
-    commute multiply through this rule alone; the operator product adds
-    its reordering corrections as further keys.
+    Exponents add, then the two reductions of the ring apply.  This is
+    the product where a single one is needed (commutative products of
+    term maps, the derivative relabel); the operator kernels add packed
+    keys instead (pack_terms).
     """
     a1, b1, c1, d1, h1, w1, r1, e1 = m1
     a2, b2, c2, d2, h2, w2, r2, e2 = m2
@@ -112,11 +119,61 @@ def neg_i_hbar(k: int) -> tuple[Monomial, int]:
     return _make(Monomial, (0, 0, 0, 0, k, 0, 0, k & 1)), -1 if k % 4 in (1, 2) else 1
 
 
+# Packed keys, the layout stated once.  Inside the operator kernels
+# (weylalgebra.op_mul, commutator and act) a key is one int: a, b, c, d, h
+# and w take 16 bits each from bit 0 up, and r and e sit at bits 96 and 98,
+# each with a guard bit above it.  A key product is then one int add,
+# k1 + k2, and the ring's two reductions are two mask tests on it: with R2
+# set, sqrt2 * sqrt2 = 2 takes R2 off and doubles the value; with E2 set,
+# i * i = -1 takes E2 off and negates it.  A reordering correction or a
+# Leibniz term is one signed int added to a key.  Every stored map keeps
+# Monomial keys: a kernel packs each input map once, adds values with
+# acc.get(k, 0) + v, and unpacks its result once, dropping zeros.
+_FIELD = 0xFFFF
+R2 = 2 << 96
+E2 = 2 << 98
+# Exponents below PACK_LIMIT keep every field of a product below 2^15, and
+# a correction adds at most c1 + d1 < 2^15 to h, so no field carries; a
+# Leibniz shift only lowers fields.  pack_terms refuses anything larger.
+PACK_LIMIT = 1 << 14
+
+
+def pack_terms(nums: dict) -> list[tuple[int, int, int, int, int, int]]:
+    """The terms of nums as (packed key, value, a, b, c, d): the phase
+    exponents ride along, as the kernels look up their tables by them.
+    ValueError for an exponent of PACK_LIMIT or more, which a kernel's sums
+    could carry into the next field."""
+    if nums and max(map(max, nums)) >= PACK_LIMIT:
+        raise ValueError(f"exponent too large for a packed key (limit {PACK_LIMIT - 1})")
+    return [
+        (a | b << 16 | c << 32 | d << 48 | h << 64 | w << 80 | r << 96 | e << 98, v, a, b, c, d)
+        for (a, b, c, d, h, w, r, e), v in nums.items()
+    ]
+
+
+def pack(key: Monomial) -> int:
+    """key as one int in the packed layout."""
+    return pack_terms({key: 1})[0][0]
+
+
+def unpack_terms(acc: dict) -> dict:
+    """A packed accumulator {packed key: int} as {Monomial: int}, its zero
+    values dropped; its keys are reduced (r and e are 0 or 1)."""
+    m = _FIELD
+    return {
+        _make(Monomial, (k & m, k >> 16 & m, k >> 32 & m, k >> 48 & m,
+                         k >> 64 & m, k >> 80 & m, k >> 96 & 1, k >> 98)): v
+        for k, v in acc.items()
+        if v
+    }
+
+
 def _accumulate(acc: dict, key, value) -> None:
     """Add value into acc[key] in place, dropping the key when the sum is zero.
 
-    Every sparse sum in the package accumulates through this one rule,
-    which keeps term maps canonical.
+    Every sparse sum over Monomial keys accumulates through this one
+    rule, which keeps term maps canonical; the packed kernels drop their
+    zeros when they unpack (unpack_terms).
     """
     prev = acc.get(key)
     total = value if prev is None else prev + value
@@ -181,9 +238,10 @@ def linear_extension(cls, image, source: "TermMap"):
     return _reduced(cls, acc, source._den * den)
 
 
-# (map, its grouped view) for the map whose view was read last: one tuple,
-# read and replaced whole, so concurrent readers at worst group again.
-_last_groups: tuple = (None, ())
+# (map, its grouped view, the view of its derivative form or None) for the
+# map whose view was read last: one tuple, read and replaced whole, so
+# concurrent readers at worst group or relabel again.
+_last_view: tuple = (None, (), None)
 
 
 class TermMap:
@@ -263,12 +321,21 @@ class TermMap:
         normal-ordered form, then its derivative form or JSON), so the map
         read last keeps its view for the next reader of the same map; no
         view outlives the next map's."""
-        global _last_groups
-        last, groups = _last_groups
-        if last is not self:
-            groups = render.grouped(self._nums, self._den)
-            _last_groups = (self, groups)
-        return groups
+        return self._view(False)[1]
+
+    def _view(self, derivative: bool) -> tuple:
+        """(self, groups, derivative view or None) under the one-map rule of
+        groups; with derivative, the relabel of groups into the operator's
+        derivative form (render.derivative_groups) is made once and kept
+        beside it."""
+        global _last_view
+        view = _last_view
+        if view[0] is not self:
+            view = (self, render.grouped(self._nums, self._den), None)
+        if derivative and view[2] is None:
+            view = (self, view[1], render.derivative_groups(view[1]))
+        _last_view = view
+        return view
 
     def is_zero(self) -> bool:
         return not self._nums

@@ -10,8 +10,9 @@ then by (h, w, r), into the Gaussian rational (re, im), each part a
 tuples, and the map rendered last keeps it (TermMap.groups), so text,
 LaTeX and the JSON reports of one map, written one after another, read
 one view; derivative_groups relabels an operator's view into that of its
-derivative form instead of grouping again.  join_terms, the one sum
-renderer, writes each group as
+derivative form instead of grouping again, and the operator keeps that
+relabel beside its view (Operator.derivative_groups).  join_terms, the
+one sum renderer, writes each group as
 a coefficient times its key, rendered by its caller (powers, or x^a y^b
 and a derivative).  Keys are read by position, so this module imports
 nothing from the package.

@@ -94,8 +94,9 @@ def _cmd_verify(args) -> int:
 def _cmd_sweep(args) -> int:
     _check_sum(args.max_sum, "--max-sum")
     records = sweep(args.max_sum, args.target)
-    sys.stdout.write(report.render_sweep(records, args.max_sum, args.target, args.format))
-    failures = [fail for record in records for fail in failed_claims(record)]
+    claims = [failed_claims(record) for record in records]
+    sys.stdout.write(report.render_sweep(records, args.max_sum, args.target, args.format, claims))
+    failures = [fail for fails in claims for fail in fails]
     return _fail(failures) if failures else 0
 
 

@@ -118,8 +118,9 @@ def render_record(record: VerificationRecord, fmt: str) -> str:
     return record_text(record)
 
 
-def sweep_json(records: list[VerificationRecord], max_sum: int, target: str) -> dict:
-    failures = [fail for record in records for fail in failed_claims(record)]
+def sweep_json(records: list[VerificationRecord], max_sum: int, target: str, claims: list) -> dict:
+    """The JSON sweep report; claims is failed_claims of each record, in order."""
+    failures = [fail for fails in claims for fail in fails]
     return {
         "max_sum": max_sum,
         "target": target,
@@ -130,7 +131,8 @@ def sweep_json(records: list[VerificationRecord], max_sum: int, target: str) -> 
     }
 
 
-def sweep_text(records: list[VerificationRecord], max_sum: int, target: str) -> str:
+def sweep_text(records: list[VerificationRecord], max_sum: int, target: str, claims: list) -> str:
+    """The text sweep report; claims is failed_claims of each record, in order."""
     lines = [f"sweep: max_sum={max_sum} target={target}"]
     for record in records:
         extra = (
@@ -146,7 +148,6 @@ def sweep_text(records: list[VerificationRecord], max_sum: int, target: str) -> 
             f" min_h={record.min_h_exp} min_w={record.min_w_exp}"
             f" oracle={_yes_no(record.oracle_agreement)}{extra}"
         )
-    claims = [failed_claims(record) for record in records]
     passed = sum(1 for fails in claims if not fails)
     lines.append(f"claims: {passed}/{len(records)} records pass")
     for fails in claims:
@@ -155,7 +156,17 @@ def sweep_text(records: list[VerificationRecord], max_sum: int, target: str) -> 
     return "\n".join(lines) + "\n"
 
 
-def render_sweep(records: list[VerificationRecord], max_sum: int, target: str, fmt: str) -> str:
+def render_sweep(
+    records: list[VerificationRecord],
+    max_sum: int,
+    target: str,
+    fmt: str,
+    claims: list[list[str]] | None = None,
+) -> str:
+    """The sweep report in fmt; claims, failed_claims of each record in
+    order, is computed here unless the caller has it."""
+    if claims is None:
+        claims = [failed_claims(record) for record in records]
     if fmt == "json":
-        return json.dumps(sweep_json(records, max_sum, target), indent=2) + "\n"
-    return sweep_text(records, max_sum, target)
+        return json.dumps(sweep_json(records, max_sum, target, claims), indent=2) + "\n"
+    return sweep_text(records, max_sum, target, claims)

@@ -18,7 +18,7 @@ from collections import namedtuple
 from dataclasses import dataclass
 
 from quantlab import render
-from quantlab.coeffring import Monomial, _reduced
+from quantlab.coeffring import Monomial, _reduced, unpack_terms
 from quantlab.generators import OscillatorParams, hamiltonian, k_integral
 from quantlab.phasepoly import PhasePoly, poisson
 from quantlab.quantizer import Scheme, quantize, quantize_ladder
@@ -148,10 +148,11 @@ def commutator_matches_action(
     """
     left_words, right_words, comm_words = (derivative_words(op) for op in (left, right, comm))
     scale = left.denominator * right.denominator
-    diff: dict = {}  # nested - direct, over scale * comm.denominator
-    act(diff, left_words, right_words, comm.denominator)
-    act(diff, right_words, left_words, -comm.denominator)
-    act(diff, comm_words, {Monomial(): 1}, -scale)
+    acc: dict = {}  # packed: nested - direct, over scale * comm.denominator
+    act(acc, left_words, right_words, comm.denominator)
+    act(acc, right_words, left_words, -comm.denominator)
+    act(acc, comm_words, {Monomial(): 1}, -scale)
+    diff = unpack_terms(acc)
     if not diff:
         return True
     term = Monomial(*render.ordered({key[:4] for key in diff})[0])

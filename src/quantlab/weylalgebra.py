@@ -13,6 +13,12 @@ the same value in either order, so a commutator builds neither product:
 the base terms cancel, and it accumulates only the reordering
 corrections (k > 0) of both orders, with opposite signs.
 
+op_mul, commutator and act work on packed keys (coeffring.pack_terms):
+each reordering correction (_corrections, shared by op_mul and
+commutator) or Leibniz term (_leibniz_shifts, the action's own) is one
+signed shift of the product's key, after which only i * i = -1 can need
+reducing again.
+
 A separate differential action provides an independent route to the
 same algebra for cross-checks.  Momentum is realized as -i*hbar times
 the coordinate derivative (derivative_words), and act applies the
@@ -30,6 +36,8 @@ from math import comb, perm
 
 from quantlab import render
 from quantlab.coeffring import (
+    E2,
+    R2,
     Monomial,
     TermMap,
     _accumulate,
@@ -39,6 +47,9 @@ from quantlab.coeffring import (
     fraction_view,
     mono_mul,
     neg_i_hbar,
+    pack,
+    pack_terms,
+    unpack_terms,
 )
 from quantlab.phasepoly import PhasePoly
 
@@ -48,21 +59,27 @@ def swap_weight(s: int, r: int, k: int) -> int:
     return perm(s, k) * comb(r, k)
 
 
+# The packed keys of x px and y py: a shift by -k times one lowers a
+# position exponent and its momentum (or s, t) exponent by k together.
+_X_PX = pack(Monomial(a=1, c=1))
+_Y_PY = pack(Monomial(b=1, d=1))
+
+
 @lru_cache(maxsize=None)
-def _corrections(s1: int, r1: int, s2: int, r2: int) -> tuple[tuple[Monomial, int], ...]:
-    """(key, weight) of each reordering correction of the swap identity for
-    P^s1 X^r1 and P^s2 Y^r2, the terms with k1 + k2 > 0: the key lowers X
-    and Px by k1, Y and Py by k2 (to be added to the product of the two
-    words) and carries (-i hbar)^(k1+k2), whose sign joins the two swap
-    weights.  Empty when the words commute."""
+def _corrections(s1: int, r1: int, s2: int, r2: int) -> tuple[tuple[int, int], ...]:
+    """(shift, weight) of each reordering correction of the swap identity
+    for P^s1 X^r1 and P^s2 Y^r2, the terms with k1 + k2 > 0: the shift is
+    a signed packed key, added to the product of the two words, that
+    lowers X and Px by k1, Y and Py by k2 and carries (-i hbar)^(k1+k2),
+    whose sign joins the two swap weights.  Empty when the words commute."""
     out = []
     for k1 in range(min(s1, r1) + 1):
         for k2 in range(min(s2, r2) + 1):
             if not (k1 or k2):
                 continue
             power, sign = neg_i_hbar(k1 + k2)
-            key = _make(Monomial, (-k1, -k2, -k1, -k2) + power[4:])
-            out.append((key, sign * swap_weight(s1, r1, k1) * swap_weight(s2, r2, k2)))
+            shift = pack(power) - k1 * _X_PX - k2 * _Y_PY
+            out.append((shift, sign * swap_weight(s1, r1, k1) * swap_weight(s2, r2, k2)))
     return tuple(out)
 
 
@@ -74,6 +91,12 @@ class Operator(TermMap):
 
     def _product(self, other: "Operator") -> "Operator":
         return op_mul(self, other)
+
+    @property
+    def derivative_groups(self) -> tuple:
+        """The grouped view of the derivative form, relabelled from groups
+        once and kept with it (TermMap.groups)."""
+        return self._view(True)[2]
 
     def momentum_order(self) -> int:
         return max((m.c + m.d for m in self._nums), default=0)
@@ -105,13 +128,26 @@ def op_mul(left: Operator, right: Operator) -> Operator:
     commute with each other.
     """
     acc: dict = {}
-    for m1, v1 in left._nums.items():
-        for m2, v2 in right._nums.items():
-            base, factor = mono_mul(m1, m2)
-            value = v1 * v2 * factor
-            _accumulate(acc, base, value)
-            _add_corrections(acc, base, value, _corrections(m1.c, m2.a, m1.d, m2.b))
-    return _reduced(Operator, acc, left._den * right._den)
+    get = acc.get
+    right_terms = pack_terms(right._nums)
+    for k1, v1, _, _, c1, d1 in pack_terms(left._nums):
+        for k2, v2, a2, b2, _, _ in right_terms:
+            base = k1 + k2
+            value = v1 * v2
+            if base & R2:
+                base -= R2
+                value *= 2
+            if base & E2:
+                base -= E2
+                value = -value
+            acc[base] = get(base, 0) + value
+            for shift, weight in _corrections(c1, a2, d1, b2):
+                key = base + shift
+                if key & E2:
+                    key -= E2
+                    weight = -weight
+                acc[key] = get(key, 0) + value * weight
+    return _reduced(Operator, unpack_terms(acc), left._den * right._den)
 
 
 def commutator(left: Operator, right: Operator) -> Operator:
@@ -123,25 +159,35 @@ def commutator(left: Operator, right: Operator) -> Operator:
     accumulated, and a pair whose words commute is skipped.
     """
     acc: dict = {}
-    for m1, v1 in left._nums.items():
-        for m2, v2 in right._nums.items():
-            forward = _corrections(m1.c, m2.a, m1.d, m2.b)
-            backward = _corrections(m2.c, m1.a, m2.d, m1.b)
+    get = acc.get
+    right_terms = pack_terms(right._nums)
+    for k1, v1, a1, b1, c1, d1 in pack_terms(left._nums):
+        for k2, v2, a2, b2, c2, d2 in right_terms:
+            forward = _corrections(c1, a2, d1, b2)
+            backward = _corrections(c2, a1, d2, b1)
             if not (forward or backward):
                 continue
-            base, factor = mono_mul(m1, m2)
-            value = v1 * v2 * factor
-            _add_corrections(acc, base, value, forward)
-            _add_corrections(acc, base, -value, backward)
-    return _reduced(Operator, acc, left._den * right._den)
-
-
-def _add_corrections(acc: dict, base: Monomial, value: int, corrections) -> None:
-    """Accumulate value times each (shift, weight) of a _corrections table,
-    each shift moved onto the base key of the product."""
-    for shift, weight in corrections:
-        key, sign = mono_mul(base, shift)
-        _accumulate(acc, key, value * sign * weight)
+            base = k1 + k2
+            value = v1 * v2
+            if base & R2:
+                base -= R2
+                value *= 2
+            if base & E2:
+                base -= E2
+                value = -value
+            for shift, weight in forward:
+                key = base + shift
+                if key & E2:
+                    key -= E2
+                    weight = -weight
+                acc[key] = get(key, 0) + value * weight
+            for shift, weight in backward:
+                key = base + shift
+                if key & E2:
+                    key -= E2
+                    weight = -weight
+                acc[key] = get(key, 0) - value * weight
+    return _reduced(Operator, unpack_terms(acc), left._den * right._den)
 
 
 def classical_symbol(op: Operator) -> PhasePoly:
@@ -151,31 +197,49 @@ def classical_symbol(op: Operator) -> PhasePoly:
 
 
 @lru_cache(maxsize=None)
-def _leibniz(c: int, i: int) -> tuple[tuple[int, int], ...]:
-    """(k, C(c,k) i!/(i-k)!) for k <= min(c, i): the terms of d^c/dx^c (x^i e^(sx))."""
-    return tuple((k, comb(c, k) * perm(i, k)) for k in range(min(c, i) + 1))
+def _leibniz_shifts(c: int, i: int, d: int, j: int) -> tuple[tuple[int, int], ...]:
+    """(shift, weight) for each k <= min(c, i) and l <= min(d, j), not both
+    zero, the terms of d^c/dx^c d^d/dy^d (x^i y^j e^(sx+ty)) beside
+    x^i y^j s^c t^d e^(sx+ty) itself: the signed packed key shift lowers x
+    and s by k, y and t by l, and the weight is
+    C(c,k) i!/(i-k)! C(d,l) j!/(j-l)!."""
+    return tuple(
+        (-k * _X_PX - l * _Y_PY, comb(c, k) * perm(i, k) * comb(d, l) * perm(j, l))
+        for k in range(min(c, i) + 1)
+        for l in range(min(d, j) + 1)
+        if k or l
+    )
 
 
 def act(acc: dict, words: dict, state: dict, scale: int = 1) -> None:
-    """Accumulate scale times the action of derivative words on a state into acc.
+    """Accumulate scale times the action of derivative words on a state into
+    acc, a packed accumulator (coeffring.unpack_terms reads it).
 
     A state is p(x, y, s, t) e^(sx + ty), held as the numerators of p with
     the exponents of s and t in the c and d slots.  By the Leibniz rule the
     word x^a y^b d^c/dx^c d^d/dy^d sends x^i y^j s^u t^v e^(sx+ty) to the
     sum over k <= min(c, i) and l <= min(d, j) of
     C(c,k) i!/(i-k)! C(d,l) j!/(j-l)! x^(a+i-k) y^(b+j-l) s^(u+c-k) t^(v+d-l)
-    times e^(sx+ty); the parameter parts multiply through mono_mul.
+    times e^(sx+ty): the packed word plus the packed term, reduced, is the
+    k = l = 0 term, and each shift of _leibniz_shifts moves it to another.
     """
-    for word, v in words.items():
-        for term, u in state.items():
-            base, factor = mono_mul(word, term)
-            value = scale * v * u * factor
-            a, b, s, t = base[:4]
-            params = base[4:]
-            for k, x_weight in _leibniz(word[2], term[0]):
-                for l, y_weight in _leibniz(word[3], term[1]):
-                    key = _make(Monomial, (a - k, b - l, s - k, t - l) + params)
-                    _accumulate(acc, key, value * x_weight * y_weight)
+    get = acc.get
+    state_terms = pack_terms(state)
+    for word, v, _, _, c, d in pack_terms(words):
+        v *= scale
+        for term, u, i, j, _, _ in state_terms:
+            base = word + term
+            value = v * u
+            if base & R2:
+                base -= R2
+                value *= 2
+            if base & E2:
+                base -= E2
+                value = -value
+            acc[base] = get(base, 0) + value
+            for shift, weight in _leibniz_shifts(c, i, d, j):
+                key = base + shift
+                acc[key] = get(key, 0) + value * weight
 
 
 def apply_to_polynomial(op: Operator, poly: PhasePoly) -> PhasePoly:
@@ -247,12 +311,8 @@ def differential_terms(op: Operator) -> dict:
 
 def differential_text(op: Operator) -> str:
     """Plain-text rendering in derivative form."""
-    return render.join_terms(
-        render.derivative_groups(op.groups), render.differential_factors, render.TEXT
-    )
+    return render.join_terms(op.derivative_groups, render.differential_factors, render.TEXT)
 
 
 def differential_latex(op: Operator) -> str:
-    return render.join_terms(
-        render.derivative_groups(op.groups), render.differential_factors, render.LATEX
-    )
+    return render.join_terms(op.derivative_groups, render.differential_factors, render.LATEX)

@@ -1,0 +1,76 @@
+"""Tuple-key reference kernels for the packed ones of weylalgebra.
+
+op_mul, commutator and act here work on Monomial keys term by term: every
+product goes through coeffring.mono_mul, every reordering correction is
+lowered and multiplied by (-i hbar)^k as a key of its own, and every sum
+goes through coeffring._accumulate.  They are slow and plain on purpose;
+tests/test_packed_kernels.py checks the packed kernels against them.
+"""
+
+from math import comb, factorial, perm
+
+from quantlab.coeffring import Monomial, _accumulate, _reduced, mono_mul, neg_i_hbar
+from quantlab.weylalgebra import Operator
+
+
+def _lowered(key: Monomial, k1: int, k2: int) -> Monomial:
+    """key with X and Px lowered by k1, Y and Py by k2."""
+    a, b, c, d = key[:4]
+    return key._replace(a=a - k1, b=b - k2, c=c - k1, d=d - k2)
+
+
+def _corrections(s1: int, r1: int, s2: int, r2: int) -> list:
+    """(k1, k2, weight) of each reordering correction of P^s1 X^r1 and
+    P^s2 Y^r2, weight k! C(s,k) C(r,k) for each pair, k1 + k2 > 0."""
+    return [
+        (k1, k2, _swap(s1, r1, k1) * _swap(s2, r2, k2))
+        for k1 in range(min(s1, r1) + 1)
+        for k2 in range(min(s2, r2) + 1)
+        if k1 or k2
+    ]
+
+
+def _swap(s: int, r: int, k: int) -> int:
+    return factorial(k) * comb(s, k) * comb(r, k)
+
+
+def _add_corrections(acc: dict, base: Monomial, value: int, corrections: list) -> None:
+    for k1, k2, weight in corrections:
+        power, sign = neg_i_hbar(k1 + k2)
+        key, factor = mono_mul(_lowered(base, k1, k2), power)
+        _accumulate(acc, key, value * sign * factor * weight)
+
+
+def op_mul(left: Operator, right: Operator) -> Operator:
+    acc: dict = {}
+    for m1, v1 in left.numerators.items():
+        for m2, v2 in right.numerators.items():
+            base, factor = mono_mul(m1, m2)
+            _accumulate(acc, base, v1 * v2 * factor)
+            _add_corrections(acc, base, v1 * v2 * factor, _corrections(m1.c, m2.a, m1.d, m2.b))
+    return _reduced(Operator, acc, left.denominator * right.denominator)
+
+
+def commutator(left: Operator, right: Operator) -> Operator:
+    acc: dict = {}
+    for m1, v1 in left.numerators.items():
+        for m2, v2 in right.numerators.items():
+            base, factor = mono_mul(m1, m2)
+            value = v1 * v2 * factor
+            _add_corrections(acc, base, value, _corrections(m1.c, m2.a, m1.d, m2.b))
+            _add_corrections(acc, base, -value, _corrections(m2.c, m1.a, m2.d, m1.b))
+    return _reduced(Operator, acc, left.denominator * right.denominator)
+
+
+def act(words: dict, state: dict, scale: int = 1) -> dict:
+    """scale times the action of derivative words on a state, as
+    {Monomial: int} with no zero value (see weylalgebra.act)."""
+    acc: dict = {}
+    for word, v in words.items():
+        for term, u in state.items():
+            base, factor = mono_mul(word, term)
+            for k in range(min(word.c, term.a) + 1):
+                for l in range(min(word.d, term.b) + 1):
+                    weight = comb(word.c, k) * perm(term.a, k) * comb(word.d, l) * perm(term.b, l)
+                    _accumulate(acc, _lowered(base, k, l), scale * v * u * factor * weight)
+    return acc

@@ -73,6 +73,23 @@ def test_sweep_json(capsys):
     assert len(data["records"]) == 6
 
 
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_sweep_checks_each_record_once(capsys, monkeypatch, fmt):
+    # the report and the exit code read one list of failed claims
+    checked = []
+    original = verify_module.failed_claims
+
+    def counting(record):
+        checked.append((record.m, record.n))
+        return original(record)
+
+    monkeypatch.setattr(cli, "failed_claims", counting)
+    monkeypatch.setattr(cli.report, "failed_claims", counting)
+    code, _, _ = run(capsys, "sweep", "--max-sum", "4", "--format", fmt)
+    assert code == 0
+    assert checked == [(1, 1), (1, 2), (2, 1), (1, 3), (2, 2), (3, 1)]
+
+
 def test_sweep_rejects_small_bound(capsys):
     code, _, err = run(capsys, "sweep", "--max-sum", "1")
     assert code == 2

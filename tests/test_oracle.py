@@ -12,7 +12,7 @@ from random import Random
 
 import pytest
 
-from quantlab import render, weylalgebra
+from quantlab import coeffring, render, weylalgebra
 from quantlab.coeffring import Coefficient, Monomial
 from quantlab.generators import OscillatorParams, hamiltonian, k_integral
 from quantlab.phasepoly import PhasePoly
@@ -113,14 +113,19 @@ def _code_names(code) -> set[str]:
 
 def test_exponential_probe_references_no_normal_ordering_kernel():
     # the Leibniz weight C(c,k) i!/(i-k)! equals swap_weight(c, i, k); the
-    # oracle derives it from its own derivative rule instead
+    # oracle derives it from its own derivative rule instead.  The pack
+    # helpers of coeffring, which it shares with the ordering kernels, are
+    # checked with it
     kernel = (
         verify_module.commutator_matches_action,
         weylalgebra.act,
-        weylalgebra._leibniz.__wrapped__,
+        weylalgebra._leibniz_shifts.__wrapped__,
         weylalgebra.derivative_words,
         weylalgebra.apply_to_polynomial,
+        coeffring.pack,
+        coeffring.pack_terms,
+        coeffring.unpack_terms,
     )
     names = set().union(*(_code_names(fn.__code__) for fn in kernel))
-    assert "act" in names
+    assert {"act", "_leibniz_shifts", "pack_terms", "unpack_terms"} <= names
     assert not names & {"swap_weight", "_corrections", "op_mul", "commutator"}

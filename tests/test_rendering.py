@@ -174,10 +174,6 @@ def _grouped_derivative_words(op: Operator) -> tuple:
     return render.grouped(derivative_words(op), op.denominator)
 
 
-def derivative_groups(op: Operator) -> tuple:
-    return render.derivative_groups(op.groups)
-
-
 def test_derivative_groups_relabel_the_grouped_view_of_k():
     # K's Weyl and Born-Jordan operators and their commutators with H
     seen = 0
@@ -188,7 +184,7 @@ def test_derivative_groups_relabel_the_grouped_view_of_k():
             for scheme in Scheme:
                 op = quantize(scheme, k_integral(params))
                 for each in (op, commutator(h_op, op)):
-                    assert derivative_groups(each) == _grouped_derivative_words(each)
+                    assert each.derivative_groups == _grouped_derivative_words(each)
                     seen += bool(each)
     # every K, and the Born-Jordan commutator of each of the 19 pairs where the schemes differ
     assert seen == 28 * 2 + 19
@@ -199,7 +195,7 @@ def test_derivative_groups_relabel_the_grouped_view_of_random_operators():
     odd_order_with_i = 0
     for _ in range(300):
         op = rand_operator(rng, max_terms=4, max_exp=3)
-        assert derivative_groups(op) == _grouped_derivative_words(op)
+        assert op.derivative_groups == _grouped_derivative_words(op)
         odd_order_with_i += any(key.e and (key.c + key.d) % 2 for key in op.numerators)
     assert odd_order_with_i >= 50
 
@@ -210,25 +206,36 @@ def _five_renders(op: Operator) -> list:
 
 def test_five_renders_group_once(monkeypatch):
     calls = []
+    relabels = []
     original = render.grouped
+    original_relabel = render.derivative_groups
 
     def counting(nums, den):
         calls.append(len(nums))
         return original(nums, den)
 
+    def counting_relabel(groups):
+        relabels.append(len(groups))
+        return original_relabel(groups)
+
     monkeypatch.setattr(render, "grouped", counting)
+    monkeypatch.setattr(render, "derivative_groups", counting_relabel)
     op = quantize(Scheme.BORN_JORDAN, parse_polynomial("x^2*py^3 - (1/2 + i)*hbar*y*px + sqrt2"))
     renders = _five_renders(op)
     assert calls == [len(op.numerators)]
-    # a second round reads the same view
+    # the differential text and LaTeX read one relabelled view
+    assert relabels == [len(op.groups)]
+    # a second round reads the same views
     assert _five_renders(op) == renders
     assert len(calls) == 1
+    assert len(relabels) == 1
     # a view is kept only until another map is read, so a process that
     # keeps many rendered maps alive keeps none of their views
     other = quantize(Scheme.WEYL, parse_polynomial("x*px"))
     other.text()
     assert _five_renders(op) == renders
     assert calls == [len(op.numerators), len(other.numerators), len(op.numerators)]
+    assert len(relabels) == 2
 
 
 def test_grouped_view_is_read_only():

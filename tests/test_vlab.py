@@ -17,7 +17,6 @@ from quantlab.vlab.report import (
     record_latex,
     record_text,
     render_sweep,
-    sweep_json,
 )
 from quantlab.vlab.verify import (
     commutator_matches_action,
@@ -222,8 +221,8 @@ def test_record_latex_names_the_ladder_target():
 
 
 def test_reports_deterministic():
-    a = json.dumps(sweep_json(sweep(4, "k"), 4, "k"))
-    b = json.dumps(sweep_json(sweep(4, "k"), 4, "k"))
+    a = render_sweep(sweep(4, "k"), 4, "k", "json")
+    b = render_sweep(sweep(4, "k"), 4, "k", "json")
     assert a == b
     ta = render_sweep(sweep(4, "k"), 4, "k", "text")
     tb = render_sweep(sweep(4, "k"), 4, "k", "text")
