@@ -136,9 +136,9 @@ def _ladder_power(k: int, ratio: Fraction, axis: int, quantum: bool):
     return nums, ratio.denominator ** k * 2 ** top
 
 
-def ladder_products(params: OscillatorParams, which: tuple[int, ...], quantum: bool = False):
-    """Ladder products F_w for each w in `which`, as phase-space
-    polynomials or, when quantum, as normal-ordered operators.
+def ladder_products(params: OscillatorParams, quantum: bool = False) -> tuple:
+    """The ladder products (F1, F2), as phase-space polynomials or, when
+    quantum, as normal-ordered operators.
 
     With b1 = px - i*omega1*x and b2 = py - i*omega2*y (and their
     conjugates), F1 = (b1^n b2*^m + b1*^n b2^m)/2 and
@@ -164,7 +164,7 @@ def ladder_products(params: OscillatorParams, which: tuple[int, ...], quantum: b
         else:
             parts[0][key] = value
     cls = Operator if quantum else PhasePoly
-    return tuple(_reduced(cls, parts[w - 1], x_den * y_den) for w in which)
+    return tuple(_reduced(cls, part, x_den * y_den) for part in parts)
 
 
 def ladder_integrals(params: OscillatorParams) -> tuple[PhasePoly, PhasePoly]:
@@ -173,4 +173,4 @@ def ladder_integrals(params: OscillatorParams) -> tuple[PhasePoly, PhasePoly]:
     The 1/sqrt(2*omega_j) normalizations are dropped: they rescale by an
     overall constant and do not affect first-integral status.
     """
-    return ladder_products(params, (1, 2))
+    return ladder_products(params)

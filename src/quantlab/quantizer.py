@@ -93,5 +93,4 @@ def quantize_ladder(params: OscillatorParams, which: int) -> Operator:
     """
     if which not in (1, 2):
         raise ValueError("which must be 1 or 2")
-    (op,) = ladder_products(params, (which,), quantum=True)
-    return op
+    return ladder_products(params, quantum=True)[which - 1]

@@ -20,11 +20,9 @@ import sys
 from quantlab.generators import OscillatorParams, hamiltonian, k_integral
 from quantlab.quantizer import Scheme, quantize
 from quantlab.weylalgebra import commutator, differential_text
-from quantlab.vlab import report
+from quantlab.vlab import report, verify
 from quantlab.vlab.parser import parse_polynomial
 from quantlab.vlab.verify import failed_claims, sweep, verify_ladder_pair, verify_pair
-
-_SCHEMES = {"bj": Scheme.BORN_JORDAN, "weyl": Scheme.WEYL}
 
 # Largest m + n the commands accept.  Work grows steeply with the degree
 # m + n of K, so a larger value would run for an unbounded time.
@@ -43,22 +41,23 @@ def _build_parser() -> argparse.ArgumentParser:
         "superintegrable 2D anisotropic oscillator.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    schemes = [scheme.value for scheme in Scheme]
 
     p_verify = sub.add_parser("verify", help="verify one (m, n) pair")
     p_verify.add_argument("--m", type=int, required=True)
     p_verify.add_argument("--n", type=int, required=True)
-    p_verify.add_argument("--target", choices=("k", "f1", "f2"), default="k")
+    p_verify.add_argument("--target", choices=list(verify.TARGETS), default=verify.K.name)
     p_verify.add_argument("--format", choices=("text", "json", "latex"), default="text")
     p_verify.set_defaults(func=_cmd_verify)
 
     p_sweep = sub.add_parser("sweep", help="verify all pairs with m + n <= bound")
     p_sweep.add_argument("--max-sum", type=int, required=True)
-    p_sweep.add_argument("--target", choices=("k", "f"), default="k")
+    p_sweep.add_argument("--target", choices=list(verify.SWEEP_TARGETS), default=verify.K.name)
     p_sweep.add_argument("--format", choices=("text", "json"), default="text")
     p_sweep.set_defaults(func=_cmd_sweep)
 
     p_quantize = sub.add_parser("quantize", help="quantize a classical expression")
-    p_quantize.add_argument("--scheme", choices=("bj", "weyl"), required=True)
+    p_quantize.add_argument("--scheme", choices=schemes, required=True)
     p_quantize.add_argument("--expr", required=True)
     p_quantize.add_argument("--format", choices=("text", "json"), default="text")
     p_quantize.set_defaults(func=_cmd_quantize)
@@ -66,7 +65,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_comm = sub.add_parser(
         "commutator", help="commutator of quantized H and K for one pair"
     )
-    p_comm.add_argument("--scheme", choices=("bj", "weyl"), required=True)
+    p_comm.add_argument("--scheme", choices=schemes, required=True)
     p_comm.add_argument("--m", type=int, required=True)
     p_comm.add_argument("--n", type=int, required=True)
     p_comm.add_argument("--format", choices=("text", "json"), default="text")
@@ -82,10 +81,8 @@ def _fail(failures: list[str]) -> int:
 
 def _cmd_verify(args) -> int:
     _check_sum(args.m + args.n, "m + n")
-    if args.target == "k":
-        record = verify_pair(args.m, args.n)
-    else:
-        record = verify_ladder_pair(args.m, args.n, int(args.target[1]))
+    which = verify.TARGETS[args.target].ladder
+    record = verify_ladder_pair(args.m, args.n, which) if which else verify_pair(args.m, args.n)
     sys.stdout.write(report.render_record(record, args.format))
     failures = failed_claims(record)
     return _fail(failures) if failures else 0
@@ -102,7 +99,7 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_quantize(args) -> int:
     poly = parse_polynomial(args.expr)
-    op = quantize(_SCHEMES[args.scheme], poly)
+    op = quantize(Scheme(args.scheme), poly)
     if args.format == "json":
         data = {
             "scheme": args.scheme,
@@ -127,7 +124,7 @@ def _cmd_quantize(args) -> int:
 def _cmd_commutator(args) -> int:
     _check_sum(args.m + args.n, "m + n")
     params = OscillatorParams(args.m, args.n)
-    scheme = _SCHEMES[args.scheme]
+    scheme = Scheme(args.scheme)
     h_op = quantize(scheme, hamiltonian(params))
     k_op = quantize(scheme, k_integral(params))
     comm = commutator(h_op, k_op)

@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 
 from quantlab.weylalgebra import Operator, differential_latex, differential_text
-from quantlab.vlab.verify import VerificationRecord, failed_claims
+from quantlab.vlab.verify import TARGETS, VerificationRecord, failed_claims
 
 SWEEP_NOTE = (
     "exact evidence for the swept range only; commutation outside the range "
@@ -42,13 +42,17 @@ def operator_json(op: Operator) -> list[dict]:
     ]
 
 
+def _is_ladder(record: VerificationRecord) -> bool:
+    return TARGETS[record.target].ladder is not None
+
+
 def record_json(record: VerificationRecord) -> dict:
     params = {"m": record.m, "n": record.n}
     operators = {
         "bj_equals_weyl": record.bj_equals_weyl,
         "bj_minus_weyl": operator_json(record.bj_minus_weyl),
     }
-    if record.target != "k":
+    if _is_ladder(record):
         params["target"] = record.target
         operators["ladder_equals_weyl"] = record.ladder_equals_weyl
     return {
@@ -76,7 +80,7 @@ def record_text(record: VerificationRecord) -> str:
         f"classical bracket zero: {_yes_no(record.classical_bracket_zero)}",
         f"bj equals weyl: {_yes_no(record.bj_equals_weyl)}",
     ]
-    if record.ladder_equals_weyl is not None:
+    if _is_ladder(record):
         lines.append(f"ladder equals weyl: {_yes_no(record.ladder_equals_weyl)}")
     lines += [
         f"bj minus weyl: {record.bj_minus_weyl.text()}",
@@ -93,12 +97,8 @@ def record_text(record: VerificationRecord) -> str:
     return "\n".join(lines) + "\n"
 
 
-# LaTeX name of each verified integral
-_TARGET_LATEX = {"k": "K", "f1": "F_1", "f2": "F_2"}
-
-
 def record_latex(record: VerificationRecord) -> str:
-    name = _TARGET_LATEX[record.target]
+    name = TARGETS[record.target].latex
     lines = [
         r"\paragraph{Pair $(%d, %d)$, target %s.}" % (record.m, record.n, record.target),
         r"$\hat %s^{BJ} - \hat %s^{W} = %s$" % (name, name, record.bj_minus_weyl.latex()),
@@ -135,11 +135,7 @@ def sweep_text(records: list[VerificationRecord], max_sum: int, target: str, cla
     """The text sweep report; claims is failed_claims of each record, in order."""
     lines = [f"sweep: max_sum={max_sum} target={target}"]
     for record in records:
-        extra = (
-            ""
-            if record.ladder_equals_weyl is None
-            else f" ladder==weyl={_yes_no(record.ladder_equals_weyl)}"
-        )
+        extra = f" ladder==weyl={_yes_no(record.ladder_equals_weyl)}" if _is_ladder(record) else ""
         lines.append(
             f"({record.m},{record.n}) {record.target}:"
             f" bj==weyl={_yes_no(record.bj_equals_weyl)}"

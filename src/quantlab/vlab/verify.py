@@ -6,10 +6,10 @@ computes both commutators with the quantized Hamiltonian, and
 cross-checks every symbolic commutator against the differential action
 on one exponential probe e^(sx+ty), s and t symbolic.  The action oracle
 never calls the normal-ordering product or its swap weights: it applies
-the derivative words of each operator by the Leibniz rule (weylalgebra.act),
-and the Born-Jordan commutator is checked through its difference from the
-Weyl one.  A nonzero bracket is reported by failed_claims; it does not
-stop a sweep.
+the derivative words of each operator by the Leibniz rule (weylalgebra.act).
+The Born-Jordan commutator is built and checked through its difference
+from the Weyl one.  A nonzero bracket is reported by failed_claims; it
+does not stop a sweep.
 """
 
 from __future__ import annotations
@@ -18,8 +18,8 @@ from collections import namedtuple
 from dataclasses import dataclass
 
 from quantlab import render
-from quantlab.coeffring import Monomial, _reduced, unpack_terms
-from quantlab.generators import OscillatorParams, hamiltonian, k_integral
+from quantlab.coeffring import Monomial, _reduced, pack_terms, unpack_terms
+from quantlab.generators import OscillatorParams, hamiltonian, k_integral, ladder_products
 from quantlab.phasepoly import PhasePoly, poisson
 from quantlab.quantizer import Scheme, quantize, quantize_ladder
 from quantlab.weylalgebra import (
@@ -32,7 +32,15 @@ from quantlab.weylalgebra import (
     min_omega_exponent,
 )
 
-TARGET_K = "k"
+# The target table.  A Target is an integral a record verifies: its name
+# in records and on the command line, its LaTeX symbol, and the w of the
+# ladder integral F_w it builds (generators.ladder_products), None for the
+# integral K.  SWEEP_TARGETS gives the targets of each sweep target, in
+# record order.
+Target = namedtuple("Target", "name latex ladder")
+K, F1, F2 = Target("k", "K", None), Target("f1", "F_1", 1), Target("f2", "F_2", 2)
+TARGETS = {target.name: target for target in (K, F1, F2)}
+SWEEP_TARGETS = {K.name: (K,), "f": (F1, F2)}
 
 
 @dataclass
@@ -61,44 +69,44 @@ class VerificationRecord:
 
 def verify_pair(m: int, n: int) -> VerificationRecord:
     """Run the full pipeline on the polynomial integral K of (m, n)."""
-    params = OscillatorParams(m, n)
-    return _verify(params, k_integral(params), TARGET_K, ladder_op=None)
+    return _verify(OscillatorParams(m, n), K)
 
 
 def verify_ladder_pair(m: int, n: int, which: int = 1) -> VerificationRecord:
-    """Run the pipeline on ladder integral F1 or F2, and also record
-    whether direct ladder quantization coincides with the Weyl operator.
-    The classical integral is the symbol of the one ladder operator built."""
+    """Run the pipeline on ladder integral F1 or F2 (which = 1 or 2), and
+    also record whether direct ladder quantization coincides with Weyl's."""
     params = OscillatorParams(m, n)
     ladder_op = quantize_ladder(params, which)
-    return _verify(params, classical_symbol(ladder_op), f"f{which}", ladder_op)
+    return _verify(params, (F1, F2)[which - 1], ladder_op)
 
 
 def _verify(
-    params: OscillatorParams,
-    classical: PhasePoly,
-    target: str,
-    ladder_op: Operator | None,
+    params: OscillatorParams, target: Target, ladder_op: Operator | None = None
 ) -> VerificationRecord:
+    """The record of target; a ladder target passes its ladder operator,
+    whose symbol is the classical integral."""
+    classical = k_integral(params) if ladder_op is None else classical_symbol(ladder_op)
     h = hamiltonian(params)
     bracket = poisson(h, classical)
     h_op = quantize(Scheme.WEYL, h)
     weyl_op = quantize(Scheme.WEYL, classical)
     bj_op = quantize(Scheme.BORN_JORDAN, classical)
     diff = bj_op - weyl_op
+    # The schemes agree at orders hbar^0 and hbar^1, so the difference is
+    # the smaller operator.  [H, BJ] = [H, W] + [H, BJ - W] by
+    # bilinearity, and the oracle checks the two terms one by one.
     weyl_comm = commutator(h_op, weyl_op)
-    bj_comm = commutator(h_op, bj_op)
-    # By linearity, once [H, W] = weyl_comm holds, [H, BJ] = bj_comm holds
-    # exactly when [H, BJ - W] = bj_comm - weyl_comm does.
+    diff_comm = commutator(h_op, diff)
+    bj_comm = weyl_comm + diff_comm
     scheme = "weyl"
     check = commutator_matches_action(h_op, weyl_op, weyl_comm)
     if check:
         scheme = "bj"
-        check = commutator_matches_action(h_op, diff, bj_comm - weyl_comm)
+        check = commutator_matches_action(h_op, diff, diff_comm)
     return VerificationRecord(
         m=params.m,
         n=params.n,
-        target=target,
+        target=target.name,
         classical_bracket_zero=bracket.is_zero(),
         bj_equals_weyl=diff.is_zero(),
         weyl_commutes=weyl_comm.is_zero(),
@@ -146,12 +154,13 @@ def commutator_matches_action(
     left(right(e)) - right(left(e)) - comm(e) == 0 on numerators, the
     three denominators cleared by cross-multiplying.
     """
-    left_words, right_words, comm_words = (derivative_words(op) for op in (left, right, comm))
+    left_words, right_words = (pack_terms(derivative_words(op)) for op in (left, right))
+    comm_words = derivative_words(comm)
     scale = left.denominator * right.denominator
     acc: dict = {}  # packed: nested - direct, over scale * comm.denominator
     act(acc, left_words, right_words, comm.denominator)
     act(acc, right_words, left_words, -comm.denominator)
-    act(acc, comm_words, {Monomial(): 1}, -scale)
+    act(acc, pack_terms(comm_words), pack_terms({Monomial(): 1}), -scale)
     diff = unpack_terms(acc)
     if not diff:
         return True
@@ -160,26 +169,27 @@ def commutator_matches_action(
     return Disagreement(term, direct, direct + _reduced(PhasePoly, diff, scale * comm.denominator))
 
 
-def sweep(max_sum: int, target: str = TARGET_K) -> list[VerificationRecord]:
+def sweep(max_sum: int, target: str = K.name) -> list[VerificationRecord]:
     """Records for all m, n >= 1 with m + n <= max_sum.
 
-    Deterministic order: m + n ascending, then m ascending.  target "k"
-    verifies the polynomial integrals; target "f" verifies both ladder
-    integrals for each pair.
+    Deterministic order: m + n ascending, then m ascending, then the
+    targets that target expands to (SWEEP_TARGETS).  The ladder targets
+    of one pair share one build of (F1, F2).
     """
     if not isinstance(max_sum, int) or max_sum < 2:
         raise ValueError("max_sum must be an integer >= 2")
-    if target not in ("k", "f"):
-        raise ValueError("target must be 'k' or 'f'")
+    targets = SWEEP_TARGETS.get(target)
+    if targets is None:
+        raise ValueError(f"target must be one of {', '.join(map(repr, SWEEP_TARGETS))}")
     records = []
     for total in range(2, max_sum + 1):
         for m in range(1, total):
-            n = total - m
-            if target == TARGET_K:
-                records.append(verify_pair(m, n))
+            params = OscillatorParams(m, total - m)
+            if targets == (K,):
+                records.append(_verify(params, K))
             else:
-                records.append(verify_ladder_pair(m, n, 1))
-                records.append(verify_ladder_pair(m, n, 2))
+                ladder_ops = ladder_products(params, quantum=True)
+                records += [_verify(params, t, ladder_ops[t.ladder - 1]) for t in targets]
     return records
 
 

@@ -211,9 +211,10 @@ def _leibniz_shifts(c: int, i: int, d: int, j: int) -> tuple[tuple[int, int], ..
     )
 
 
-def act(acc: dict, words: dict, state: dict, scale: int = 1) -> None:
-    """Accumulate scale times the action of derivative words on a state into
-    acc, a packed accumulator (coeffring.unpack_terms reads it).
+def act(acc: dict, words: list, state: list, scale: int = 1) -> None:
+    """Accumulate scale times the action of derivative words on a state,
+    both packed by coeffring.pack_terms, into acc, a packed accumulator
+    (coeffring.unpack_terms reads it).
 
     A state is p(x, y, s, t) e^(sx + ty), held as the numerators of p with
     the exponents of s and t in the c and d slots.  By the Leibniz rule the
@@ -224,10 +225,9 @@ def act(acc: dict, words: dict, state: dict, scale: int = 1) -> None:
     k = l = 0 term, and each shift of _leibniz_shifts moves it to another.
     """
     get = acc.get
-    state_terms = pack_terms(state)
-    for word, v, _, _, c, d in pack_terms(words):
+    for word, v, _, _, c, d in words:
         v *= scale
-        for term, u, i, j, _, _ in state_terms:
+        for term, u, i, j, _, _ in state:
             base = word + term
             value = v * u
             if base & R2:

@@ -12,7 +12,7 @@ from random import Random
 
 import pytest
 
-from quantlab.coeffring import PACK_LIMIT, Coefficient, Monomial, unpack_terms
+from quantlab.coeffring import PACK_LIMIT, Coefficient, Monomial, pack_terms, unpack_terms
 from quantlab.weylalgebra import Operator, act, commutator, op_mul
 
 import reference_kernels as ref
@@ -29,7 +29,7 @@ def _op(key: Monomial, value=1) -> Operator:
 
 def packed_act(words: dict, state: dict, scale: int = 1) -> dict:
     acc: dict = {}
-    act(acc, words, state, scale)
+    act(acc, pack_terms(words), pack_terms(state), scale)
     return unpack_terms(acc)
 
 
@@ -103,4 +103,4 @@ def test_exponents_at_the_pack_limit_are_refused(field):
             op_mul(left, right)
     for words, state in (({over: 1}, {Monomial(): 1}), ({Monomial(c=1): 1}, {over: 1})):
         with pytest.raises(ValueError, match="packed key"):
-            act({}, words, state)
+            packed_act(words, state)

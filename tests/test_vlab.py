@@ -151,6 +151,46 @@ def test_ladder_sweep_targets():
     assert all(r.ladder_equals_weyl is not None for r in records)
 
 
+def test_ladder_sweep_builds_each_pair_once(monkeypatch):
+    calls = []
+    real = verify_module.ladder_products
+
+    def counted(params, quantum=False):
+        calls.append((params.m, params.n, quantum))
+        return real(params, quantum)
+
+    monkeypatch.setattr(verify_module, "ladder_products", counted)
+    records = sweep(4, "f")
+    pairs = [(1, 1), (1, 2), (2, 1), (1, 3), (2, 2), (3, 1)]
+    assert calls == [(m, n, True) for m, n in pairs]
+    assert [(r.m, r.n) for r in records] == [pair for pair in pairs for _ in (1, 2)]
+    # one build serves both records of a pair
+    for f1, f2 in zip(records[::2], records[1::2]):
+        assert f1 == verify_ladder_pair(f1.m, f1.n, 1)
+        assert f2 == verify_ladder_pair(f2.m, f2.n, 2)
+
+
+def test_verify_commutes_h_with_weyl_and_the_difference_only(monkeypatch):
+    # [H, BJ] is built as [H, W] + [H, BJ - W]; [H, BJ] itself never is
+    rights = []
+    real = verify_module.commutator
+    monkeypatch.setattr(
+        verify_module, "commutator", lambda left, right: rights.append(right) or real(left, right)
+    )
+    params = OscillatorParams(4, 1)
+    record = verify_pair(4, 1)
+    weyl_op = quantize(Scheme.WEYL, k_integral(params))
+    bj_op = quantize(Scheme.BORN_JORDAN, k_integral(params))
+    assert rights == [weyl_op, bj_op - weyl_op]
+    assert record.bj_commutator == real(quantize(Scheme.WEYL, hamiltonian(params)), bj_op)
+    assert not record.bj_commutes
+    # two commutators per ladder record too, the second on BJ - W
+    rights.clear()
+    records = sweep(3, "f")
+    assert len(rights) == 2 * len(records)
+    assert rights[1::2] == [record.bj_minus_weyl for record in records]
+
+
 def test_record_json_schema():
     record = verify_pair(4, 1)
     data = record_json(record)
@@ -264,8 +304,12 @@ _WRONG_TERM = x_hat() * py_hat() * Coefficient.hbar(2)
 
 
 def _perturb_commutator(monkeypatch, scheme, params, wrong=_WRONG_TERM):
-    """Make _verify's commutator for one scheme's quantized K wrong by wrong."""
+    """Make _verify's commutator for one scheme's quantized K wrong by wrong.
+    _verify builds the Born-Jordan commutator through the difference
+    BJ - W, so for Born-Jordan the difference's commutator is perturbed."""
     wrong_right = quantize(scheme, k_integral(params))
+    if scheme is Scheme.BORN_JORDAN:
+        wrong_right = wrong_right - quantize(Scheme.WEYL, k_integral(params))
     real = verify_module.commutator
 
     def perturbed(left, right):
