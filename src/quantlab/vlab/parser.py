@@ -29,7 +29,7 @@ the work of the prefix already read.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import re
 from fractions import Fraction
 
 from quantlab.coeffring import Coefficient
@@ -65,85 +65,64 @@ class UnknownSymbolError(ParseError):
     pass
 
 
-@dataclass(frozen=True)
-class Token:
-    kind: str  # "int", "name", "op", "end"
-    text: str
-    line: int
-    column: int
+# One token per match: an ASCII integer literal, a name (\w is str.isalnum()
+# or '_'), an operator, or any other non-space character, which is an error.
+# finditer skips only what no branch matches, which is whitespace (\s is
+# str.isspace()).
+_TOKEN = re.compile(r"(?P<int>[0-9]+)|(?P<name>\w+)|(?P<op>[-+*^/()])|(?P<bad>\S)")
 
 
-_OP_CHARS = set("+-*^/()")
-# ASCII only: str.isdigit() also accepts digits such as '²' that int() rejects
-_DIGITS = set("0123456789")
-
-
-def _tokenize(text: str) -> list[Token]:
-    tokens = []
-    line, col = 1, 1
-    pos = 0
-    while pos < len(text):
-        ch = text[pos]
-        if ch == "\n":
-            line += 1
-            col = 1
-            pos += 1
-            continue
-        if ch.isspace():
-            col += 1
-            pos += 1
-            continue
-        if ch in _DIGITS:
-            start = pos
-            start_col = col
-            while pos < len(text) and text[pos] in _DIGITS:
-                pos += 1
-                col += 1
-            tokens.append(Token("int", text[start:pos], line, start_col))
-            continue
-        if ch.isalpha() or ch == "_":
-            start = pos
-            start_col = col
-            while pos < len(text) and (text[pos].isalnum() or text[pos] == "_"):
-                pos += 1
-                col += 1
-            tokens.append(Token("name", text[start:pos], line, start_col))
-            continue
-        if ch in _OP_CHARS:
-            tokens.append(Token("op", ch, line, col))
-            pos += 1
-            col += 1
-            continue
-        raise ParseError(f"unexpected character {ch!r}", line, col)
-    tokens.append(Token("end", "", line, col))
+def _tokenize(text: str) -> list[tuple[str, str, int]]:
+    """The (kind, text, offset) tokens of text, closed by an end token
+    whose text is what an error shows for it."""
+    tokens = [(m.lastgroup, m.group(), m.start()) for m in _TOKEN.finditer(text)]
+    tokens.append(("end", "end of input", len(text)))
     return tokens
 
 
 class _Parser:
-    def __init__(self, tokens: list[Token]):
-        self.tokens = tokens
+    def __init__(self, text: str):
+        self.text = text
+        self.tokens = _tokenize(text)
         self.pos = 0
         self.depth = 0
+        # a name starts with a letter (str.isalpha()) or '_'; \w also starts
+        # one at a digit or number such as '²', '½' or '٣', which int() rejects
+        for kind, chars, offset in self.tokens:
+            if kind == "bad" or kind == "name" and not (chars[0].isalpha() or chars[0] == "_"):
+                raise self.fail(f"unexpected character {chars[0]!r}", offset)
 
-    def peek(self) -> Token:
+    def fail(self, message: str, offset: int, error=ParseError) -> ParseError:
+        """The error for message at a text offset, with its line and column."""
+        line = self.text.count("\n", 0, offset) + 1
+        return error(message, line, offset - self.text.rfind("\n", 0, offset))
+
+    def peek(self) -> tuple[str, str, int]:
         return self.tokens[self.pos]
 
-    def advance(self) -> Token:
+    def advance(self) -> tuple[str, str, int]:
         token = self.tokens[self.pos]
         self.pos += 1
         return token
 
-    def match_op(self, *ops: str) -> Token | None:
-        token = self.peek()
-        if token.kind == "op" and token.text in ops:
+    def match_op(self, *ops: str) -> tuple[str, str, int] | None:
+        kind, chars, _ = self.peek()
+        if kind == "op" and chars in ops:
             return self.advance()
         return None
 
-    def error(self, message: str, token: Token | None = None) -> ParseError:
-        token = token or self.peek()
-        shown = token.text if token.kind != "end" else "end of input"
-        return ParseError(f"{message}, got {shown!r}", token.line, token.column)
+    def error(self, message: str) -> ParseError:
+        _, chars, offset = self.peek()
+        return self.fail(f"{message}, got {chars!r}", offset)
 
+    def literal(self, message: str) -> tuple[int, int]:
+        """Read the integer literal next and return its value and offset;
+        any other token raises message, naming the token."""
+        kind, chars, offset = self.peek()
+        if kind != "int":
+            raise self.error(message)
+        self.advance()
+        return int(chars), offset
 
     # Each rule returns the polynomial it read and an upper bound on its
     # degree, counting every number and symbol as degree 1.
@@ -152,7 +131,7 @@ class _Parser:
         poly, bound = self.term()
         while op := self.match_op("+", "-"):
             right, right_bound = self.term()
-            poly = _capped(poly + right if op.text == "+" else poly - right)
+            poly = _capped(poly + right if op[1] == "+" else poly - right)
             bound = max(bound, right_bound)
         return poly, bound
 
@@ -167,28 +146,16 @@ class _Parser:
         return poly, bound
 
     def factor(self) -> tuple[PhasePoly, int]:
-        negated = self.peek().text == "-"
+        negated = self.peek()[1] == "-"
         poly, bound = self.base()
         caret = self.match_op("^")
         if not caret:
             return poly, bound
         if negated:
-            raise ParseError(
-                "ambiguous unary minus before '^'; write -(x^2) or (-x)^2",
-                caret.line,
-                caret.column,
-            )
-        token = self.peek()
-        if token.kind != "int":
-            raise self.error("exponent must be a nonnegative integer literal")
-        self.advance()
-        exponent = int(token.text)
+            raise self.fail("ambiguous unary minus before '^'; write -(x^2) or (-x)^2", caret[2])
+        exponent, offset = self.literal("exponent must be a nonnegative integer literal")
         if exponent > MAX_DEGREE:
-            raise ParseError(
-                f"exponent {exponent} exceeds the maximum {MAX_DEGREE}",
-                token.line,
-                token.column,
-            )
+            raise self.fail(f"exponent {exponent} exceeds the maximum {MAX_DEGREE}", offset)
         bound = _degree_checked(bound * exponent)
         out = PhasePoly.one()
         for _ in range(exponent):
@@ -196,41 +163,28 @@ class _Parser:
         return out, bound
 
     def base(self) -> tuple[PhasePoly, int]:
-        token = self.peek()
-        if token.kind == "int":
+        kind, chars, offset = self.peek()
+        if kind == "int":
             self.advance()
-            numerator = int(token.text)
             if self.match_op("/"):
-                den_token = self.peek()
-                if den_token.kind != "int":
-                    raise self.error("expected integer denominator")
-                self.advance()
-                denominator = int(den_token.text)
+                denominator, den_offset = self.literal("expected integer denominator")
                 if denominator == 0:
-                    raise ParseError(
-                        "zero denominator in rational literal",
-                        den_token.line,
-                        den_token.column,
-                    )
-                return PhasePoly.constant(Fraction(numerator, denominator)), 1
-            return PhasePoly.constant(Fraction(numerator)), 1
-        if token.kind == "name":
+                    raise self.fail("zero denominator in rational literal", den_offset)
+                return PhasePoly.constant(Fraction(int(chars), denominator)), 1
+            return PhasePoly.constant(Fraction(int(chars))), 1
+        if kind == "name":
             self.advance()
-            if token.text not in SYMBOLS:
-                raise UnknownSymbolError(
-                    f"unknown symbol {token.text!r}; legal symbols are "
-                    + ", ".join(SYMBOLS),
-                    token.line,
-                    token.column,
-                )
-            return _SYMBOL_POLYS[token.text], 1
-        if token.kind == "op" and token.text in ("(", "-"):
+            if chars not in SYMBOLS:
+                message = f"unknown symbol {chars!r}; legal symbols are " + ", ".join(SYMBOLS)
+                raise self.fail(message, offset, UnknownSymbolError)
+            return _SYMBOL_POLYS[chars], 1
+        if kind == "op" and chars in ("(", "-"):
             self.advance()
             self.depth += 1
             if self.depth > MAX_NESTING:
                 message = f"parentheses and unary minus nest deeper than the maximum {MAX_NESTING}"
-                raise ParseError(message, token.line, token.column)
-            if token.text == "-":
+                raise self.fail(message, offset)
+            if chars == "-":
                 poly, bound = self.base()
                 poly = -poly
             else:
@@ -279,9 +233,8 @@ def parse_polynomial(text: str) -> PhasePoly:
     Raises ParseError on bad input and ValueError as soon as a part of
     it breaks a cap; only the prefix read so far has been multiplied.
     """
-    parser = _Parser(_tokenize(text))
+    parser = _Parser(text)
     poly, _ = parser.expr()
-    tail = parser.peek()
-    if tail.kind != "end":
-        raise parser.error("unexpected token after expression", tail)
+    if parser.peek()[0] != "end":
+        raise parser.error("unexpected token after expression")
     return poly

@@ -98,12 +98,6 @@ class Operator(TermMap):
         once and kept with it (TermMap.groups)."""
         return self._view(True)[2]
 
-    def momentum_order(self) -> int:
-        return max((m.c + m.d for m in self._nums), default=0)
-
-    def position_order(self) -> int:
-        return max((m.a + m.b for m in self._nums), default=0)
-
 
 def x_hat() -> Operator:
     return Operator.monomial(Monomial(a=1))
@@ -211,7 +205,7 @@ def _leibniz_shifts(c: int, i: int, d: int, j: int) -> tuple[tuple[int, int], ..
     )
 
 
-def act(acc: dict, words: list, state: list, scale: int = 1) -> None:
+def act(acc: dict, words: list, state: list, scale: int) -> None:
     """Accumulate scale times the action of derivative words on a state,
     both packed by coeffring.pack_terms, into acc, a packed accumulator
     (coeffring.unpack_terms reads it).

@@ -79,6 +79,13 @@ def rand_position_poly(rng: Random, max_terms: int = 4, max_exp: int = 3) -> Pha
     return flatten(PhasePoly, terms)
 
 
+def orders(op: Operator) -> tuple[int, int]:
+    """The momentum order and position degree of an operator: the largest
+    c + d and a + b over its terms, 0 for the zero operator."""
+    keys = op.numerators
+    return max((m.c + m.d for m in keys), default=0), max((m.a + m.b for m in keys), default=0)
+
+
 def rand_operator(rng: Random, max_terms: int = 3, max_exp: int = 2) -> Operator:
     terms = {}
     for _ in range(rng.randint(0, max_terms)):

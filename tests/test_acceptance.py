@@ -35,7 +35,7 @@ from quantlab.weylalgebra import (
     x_hat,
 )
 
-from randgen import flatten, rand_coefficient, rand_operator, rand_phase_poly
+from randgen import flatten, orders, rand_coefficient, rand_operator, rand_phase_poly
 
 W = Scheme.WEYL
 BJ = Scheme.BORN_JORDAN
@@ -206,12 +206,7 @@ def test_criterion_07_classical_brackets():
 
 def _triangle_oracle_check(left, right):
     comm = commutator(left, right)
-    bound = (
-        left.momentum_order()
-        + right.momentum_order()
-        + left.position_order()
-        + right.position_order()
-    )
+    bound = sum(orders(left)) + sum(orders(right))
     for i in range(bound + 1):
         for j in range(bound + 1 - i):
             probe = PhasePoly.monomial(Monomial(a=i, b=j))

@@ -81,6 +81,8 @@ def test_symbols_lower_to_constants():
 
 def test_whitespace_insensitive():
     assert parse_polynomial("x\n  *py-y * px") == X * PY - Y * PX
+    # every str.isspace() character separates, the separator '\x1c' too
+    assert parse_polynomial("x\x1c+ y") == X + Y
 
 
 def test_implicit_multiplication_rejected():
@@ -222,6 +224,33 @@ def test_non_ascii_digit_rejected():
         parse_polynomial("x^²")
     assert err.value.line == 1
     assert err.value.column == 3
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        # the end of input sits after the last character, on the last line
+        ("x^\n", "got 'end of input' (line 2, column 1)"),
+        ("x^\t", "got 'end of input' (line 1, column 4)"),
+        # only '\n' starts a line; every other space, '\r' too, is a column
+        ("x +\n\n  q", "unknown symbol 'q'; legal symbols are i, hbar, omega, sqrt2, x, y, px, py (line 3, column 3)"),
+        ("\tqq", "unknown symbol 'qq'; legal symbols are i, hbar, omega, sqrt2, x, y, px, py (line 1, column 2)"),
+        ("x\r\n+ )", "got ')' (line 2, column 3)"),
+        ("  x ) ", "unexpected token after expression, got ')' (line 1, column 5)"),
+        # a name starts with a letter or '_' (str.isalpha) and goes on with
+        # letters, digits or '_' (str.isalnum): not with '\u00bd' (1/2) or
+        # '\u0663' (Arabic-Indic three), but with '\u00e9' (e acute) and on
+        # with '\u00b2' (superscript two)
+        ("x * \u00bd", "unexpected character '\u00bd' (line 1, column 5)"),
+        ("\u0663 * x", "unexpected character '\u0663' (line 1, column 1)"),
+        ("\u00e9", "unknown symbol '\u00e9'; legal symbols are i, hbar, omega, sqrt2, x, y, px, py (line 1, column 1)"),
+        ("x\u00b2", "unknown symbol 'x\u00b2'; legal symbols are i, hbar, omega, sqrt2, x, y, px, py (line 1, column 1)"),
+    ],
+)
+def test_scanner_positions_and_characters(text, message):
+    with pytest.raises(ParseError) as err:
+        parse_polynomial(text)
+    assert str(err.value).endswith(message)
 
 
 @pytest.mark.parametrize(

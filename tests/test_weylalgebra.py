@@ -27,7 +27,7 @@ from quantlab.weylalgebra import (
     y_hat,
 )
 
-from randgen import flatten, rand_operator, rand_phase_poly, rand_position_poly
+from randgen import flatten, orders, rand_operator, rand_phase_poly, rand_position_poly
 
 I_HBAR = Coefficient.i() * Coefficient.hbar()
 MINUS_I_HBAR = -I_HBAR
@@ -273,9 +273,7 @@ def test_action_determines_operator():
         b = rand_operator(rng, max_terms=3, max_exp=2)
         if a == b:
             continue
-        bound = max(a.momentum_order(), b.momentum_order()) + max(
-            a.position_order(), b.position_order()
-        )
+        bound = sum(map(max, orders(a), orders(b)))
         seen_difference = False
         for i in range(bound + 1):
             for j in range(bound + 1 - i):
@@ -294,12 +292,7 @@ def test_symbolic_commutator_matches_action_oracle():
         a = rand_operator(rng, max_terms=3, max_exp=2)
         b = rand_operator(rng, max_terms=3, max_exp=2)
         comm = commutator(a, b)
-        bound = (
-            a.momentum_order()
-            + b.momentum_order()
-            + a.position_order()
-            + b.position_order()
-        )
+        bound = sum(orders(a)) + sum(orders(b))
         for i in range(bound + 1):
             for j in range(bound + 1 - i):
                 probe = PhasePoly.monomial(Monomial(a=i, b=j))
