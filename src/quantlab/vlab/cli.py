@@ -92,7 +92,8 @@ def _cmd_sweep(args) -> int:
     _check_sum(args.max_sum, "--max-sum")
     records = sweep(args.max_sum, args.target)
     claims = [failed_claims(record) for record in records]
-    sys.stdout.write(report.render_sweep(records, args.max_sum, args.target, args.format, claims))
+    chunks = report.sweep_chunks(records, args.max_sum, args.target, args.format, claims)
+    sys.stdout.writelines(chunks)
     failures = [fail for fails in claims for fail in fails]
     return _fail(failures) if failures else 0
 
@@ -105,11 +106,11 @@ def _cmd_quantize(args) -> int:
             "scheme": args.scheme,
             "input": args.expr,
             "classical": poly.text(),
-            "operator": report.operator_json(op),
+            "operator": op,
             "operator_text": op.text(),
             "differential_text": differential_text(op),
         }
-        sys.stdout.write(json.dumps(data, indent=2) + "\n")
+        sys.stdout.writelines(report.json_chunks(data))
     else:
         sys.stdout.write(
             f"input: {args.expr}\n"
@@ -132,11 +133,11 @@ def _cmd_commutator(args) -> int:
         data = {
             "params": {"m": args.m, "n": args.n},
             "scheme": args.scheme,
-            "commutator": report.operator_json(comm),
+            "commutator": comm,
             "commutator_text": comm.text(),
             "differential_text": differential_text(comm),
         }
-        sys.stdout.write(json.dumps(data, indent=2) + "\n")
+        sys.stdout.writelines(report.json_chunks(data))
     else:
         sys.stdout.write(
             f"pair: ({args.m}, {args.n})\n"

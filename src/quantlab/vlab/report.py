@@ -3,11 +3,20 @@
 JSON is the canonical machine format; text and LaTeX are views.  All
 serialization iterates terms in canonical order, so reports over the
 same inputs are byte identical across runs.
+
+One writer, json_chunks, produces every JSON report, the bytes of
+json.dumps(value, indent=2) plus a newline, in chunks, so a sweep is
+written record by record and never held whole.  It writes an Operator
+value as operator_json would make it, straight from the operator's
+grouped view; record_json and sweep_json hand their operators over that
+way when expand is False.
 """
 
 from __future__ import annotations
 
-import json
+from collections.abc import Iterable, Iterator
+from functools import lru_cache
+from json.encoder import encode_basestring_ascii
 
 from quantlab.weylalgebra import Operator, differential_latex, differential_text
 from quantlab.vlab.verify import TARGETS, VerificationRecord, failed_claims
@@ -42,15 +51,87 @@ def operator_json(op: Operator) -> list[dict]:
     ]
 
 
+@lru_cache(maxsize=None)
+def _operator_templates(indent: str) -> tuple[str, str, str]:
+    """The %-templates of one operator_json term nested at indent: its head
+    up to the coefficient terms, one coefficient term, and its tail."""
+    i1, i2, i3, i4, i5 = (indent + "  " * k for k in range(1, 6))
+    head = f'\n{i1}{{' + "".join(f'\n{i2}"{name}": %d,' for name in "abcd")
+    head += f'\n{i2}"coeff": {{\n{i3}"terms": ['
+    fields = ("h", "w", "r", "re_num", "re_den", "im_num", "im_den")
+    coeff = f"\n{i4}{{" + ",".join(f'\n{i5}"{name}": %d' for name in fields) + f"\n{i4}}}"
+    return head, coeff, f"\n{i3}]\n{i2}}}\n{i1}}}"
+
+
+def _operator_text(op: Operator, indent: str) -> str:
+    """operator_json(op) as json.dumps(..., indent=2) writes it at indent."""
+    groups = op.groups
+    if not groups:
+        return "[]"
+    head, coeff, tail = _operator_templates(indent)
+    terms = (
+        head % phase
+        + ",".join(coeff % (*hwr, *re, *im) for hwr, re, im in group)
+        + tail
+        for phase, group in groups
+    )
+    return "[" + ",".join(terms) + "\n" + indent + "]"
+
+
+def _chunks(value, indent: str) -> Iterator[str]:
+    """json.dumps(value, indent=2) for a value nested at indent."""
+    if isinstance(value, Operator):
+        yield _operator_text(value, indent)
+    elif isinstance(value, dict):
+        inner = indent + "  "
+        sep = "{\n" + inner
+        for key, item in value.items():
+            yield sep + encode_basestring_ascii(key) + ": "
+            yield from _chunks(item, inner)
+            sep = ",\n" + inner
+        yield "\n" + indent + "}" if value else "{}"
+    elif isinstance(value, list):
+        inner = indent + "  "
+        sep = "[\n" + inner
+        for item in value:
+            yield sep
+            yield from _chunks(item, inner)
+            sep = ",\n" + inner
+        yield "\n" + indent + "]" if value else "[]"
+    elif isinstance(value, str):
+        yield encode_basestring_ascii(value)
+    elif value is None or isinstance(value, bool):
+        yield "null" if value is None else "true" if value else "false"
+    elif isinstance(value, int):
+        yield int.__repr__(value)
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+def json_chunks(value) -> Iterator[str]:
+    """json.dumps(value, indent=2) + "\n", in chunks; value is made of
+    dicts with str keys, lists, str, int, bool, None and Operator values,
+    which are written as operator_json(op)."""
+    yield from _chunks(value, "")
+    yield "\n"
+
+
+def _unexpanded(op: Operator) -> Operator:
+    return op
+
+
 def _is_ladder(record: VerificationRecord) -> bool:
     return TARGETS[record.target].ladder is not None
 
 
-def record_json(record: VerificationRecord) -> dict:
+def record_json(record: VerificationRecord, expand: bool = True) -> dict:
+    """The record's JSON value; with expand False its operators stay
+    Operator values, for json_chunks."""
+    op_json = operator_json if expand else _unexpanded
     params = {"m": record.m, "n": record.n}
     operators = {
         "bj_equals_weyl": record.bj_equals_weyl,
-        "bj_minus_weyl": operator_json(record.bj_minus_weyl),
+        "bj_minus_weyl": op_json(record.bj_minus_weyl),
     }
     if _is_ladder(record):
         params["target"] = record.target
@@ -60,8 +141,8 @@ def record_json(record: VerificationRecord) -> dict:
         "classical": {"bracket_zero": record.classical_bracket_zero},
         "operators": operators,
         "commutators": {
-            "weyl": operator_json(record.weyl_commutator),
-            "bj": operator_json(record.bj_commutator),
+            "weyl": op_json(record.weyl_commutator),
+            "bj": op_json(record.bj_commutator),
             "min_h_exp": record.min_h_exp,
             "min_w_exp": record.min_w_exp,
         },
@@ -112,14 +193,17 @@ def record_latex(record: VerificationRecord) -> str:
 
 def render_record(record: VerificationRecord, fmt: str) -> str:
     if fmt == "json":
-        return json.dumps(record_json(record), indent=2) + "\n"
+        return "".join(json_chunks(record_json(record, expand=False)))
     if fmt == "latex":
         return record_latex(record)
     return record_text(record)
 
 
-def sweep_json(records: list[VerificationRecord], max_sum: int, target: str, claims: list) -> dict:
-    """The JSON sweep report; claims is failed_claims of each record, in order."""
+def sweep_json(
+    records: list[VerificationRecord], max_sum: int, target: str, claims: list, expand: bool = True
+) -> dict:
+    """The JSON sweep report; claims is failed_claims of each record, in
+    order, and expand is passed to record_json."""
     failures = [fail for fails in claims for fail in fails]
     return {
         "max_sum": max_sum,
@@ -127,7 +211,7 @@ def sweep_json(records: list[VerificationRecord], max_sum: int, target: str, cla
         "note": SWEEP_NOTE,
         "all_claims_hold": not failures,
         "failures": failures,
-        "records": [record_json(record) for record in records],
+        "records": [record_json(record, expand) for record in records],
     }
 
 
@@ -152,6 +236,17 @@ def sweep_text(records: list[VerificationRecord], max_sum: int, target: str, cla
     return "\n".join(lines) + "\n"
 
 
+def sweep_chunks(
+    records: list[VerificationRecord], max_sum: int, target: str, fmt: str, claims: list
+) -> Iterable[str]:
+    """The sweep report in fmt, in chunks; claims is failed_claims of each
+    record, in order.  The JSON report is encoded as it is read, an
+    operator at a time."""
+    if fmt == "json":
+        return json_chunks(sweep_json(records, max_sum, target, claims, expand=False))
+    return (sweep_text(records, max_sum, target, claims),)
+
+
 def render_sweep(
     records: list[VerificationRecord],
     max_sum: int,
@@ -163,6 +258,4 @@ def render_sweep(
     order, is computed here unless the caller has it."""
     if claims is None:
         claims = [failed_claims(record) for record in records]
-    if fmt == "json":
-        return json.dumps(sweep_json(records, max_sum, target, claims), indent=2) + "\n"
-    return sweep_text(records, max_sum, target, claims)
+    return "".join(sweep_chunks(records, max_sum, target, fmt, claims))
