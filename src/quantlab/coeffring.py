@@ -225,19 +225,6 @@ def _add_product(acc: dict, key: Monomial, value: int, nums: dict) -> None:
         _accumulate(acc, product, value * v * factor)
 
 
-def linear_extension(cls, image, source: "TermMap"):
-    """The coefficient-linear extension of image to source: the cls map of
-    each term's parameters times the image of its phase part.  image maps
-    a phase monomial to the (numerators, denominator) of its image; the
-    images meet at the lcm of their denominators."""
-    parts = [(key.params(), value, *image(key.phase())) for key, value in source._nums.items()]
-    den = lcm(*(part[3] for part in parts))
-    acc: dict[Monomial, int] = {}
-    for key, value, nums, part_den in parts:
-        _add_product(acc, key, value * (den // part_den), nums)
-    return _reduced(cls, acc, source._den * den)
-
-
 # (map, its grouped view, the view of its derivative form or None) for the
 # map whose view was read last: one tuple, read and replaced whole, so
 # concurrent readers at worst group or relabel again.
@@ -414,7 +401,7 @@ class TermMap:
         return _reduced(type(self), acc, self._den * other._den)
 
     def __pow__(self, exponent: int):
-        if not isinstance(exponent, int) or exponent < 0:
+        if type(exponent) is not int or exponent < 0:
             raise ValueError("exponent must be a nonnegative integer")
         if exponent == 0:
             return self.one()

@@ -23,8 +23,9 @@ from __future__ import annotations
 
 from enum import Enum
 from functools import lru_cache
+from math import lcm
 
-from quantlab.coeffring import Monomial, _reduced, linear_extension, neg_i_hbar
+from quantlab.coeffring import Monomial, _add_product, _reduced, neg_i_hbar
 from quantlab.generators import OscillatorParams, ladder_products
 from quantlab.phasepoly import PhasePoly
 from quantlab.weylalgebra import Operator, swap_weight
@@ -75,13 +76,15 @@ def quantize_monomial(scheme: Scheme, mono: Monomial) -> Operator:
 
 def quantize(scheme: Scheme, poly: PhasePoly) -> Operator:
     """Coefficient-linear extension of the monomial rule: each term's
-    parameter part multiplies the image of its phase part."""
-
-    def image(mono: Monomial) -> tuple[dict, int]:
-        op = quantize_monomial(scheme, mono)
-        return op.numerators, op.denominator
-
-    return linear_extension(Operator, image, poly)
+    parameter part multiplies the image of its phase part, and the images
+    meet at the lcm of their denominators."""
+    parts = [(key.params(), value, quantize_monomial(scheme, key.phase()))
+             for key, value in poly._nums.items()]
+    den = lcm(*(op._den for _, _, op in parts))
+    acc: dict[Monomial, int] = {}
+    for key, value, op in parts:
+        _add_product(acc, key, value * (den // op._den), op._nums)
+    return _reduced(Operator, acc, poly._den * den)
 
 
 def quantize_ladder(params: OscillatorParams, which: int) -> Operator:

@@ -17,7 +17,7 @@ op_mul, commutator and act work on packed keys (coeffring.pack_terms):
 each reordering correction (_corrections, shared by op_mul and
 commutator) or Leibniz term (_leibniz_shifts, the action's own) is one
 signed shift of the product's key, after which only i * i = -1 can need
-reducing again.
+reducing again.  op_mul and act share one product loop (_expand).
 
 A separate differential action provides an independent route to the
 same algebra for cross-checks.  Momentum is realized as -i*hbar times
@@ -119,28 +119,13 @@ def op_mul(left: Operator, right: Operator) -> Operator:
     """Exact noncommutative product, re-expressed in normal order.
 
     Only same-index pairs produce correction terms; the x and y families
-    commute with each other.
+    commute with each other.  A correction's i can meet the base term's:
+    i * i = -1 is folded once, after the loop.
     """
     acc: dict = {}
-    get = acc.get
-    right_terms = pack_terms(right._nums)
-    for k1, v1, _, _, c1, d1 in pack_terms(left._nums):
-        for k2, v2, a2, b2, _, _ in right_terms:
-            base = k1 + k2
-            value = v1 * v2
-            if base & R2:
-                base -= R2
-                value *= 2
-            if base & E2:
-                base -= E2
-                value = -value
-            acc[base] = get(base, 0) + value
-            for shift, weight in _corrections(c1, a2, d1, b2):
-                key = base + shift
-                if key & E2:
-                    key -= E2
-                    weight = -weight
-                acc[key] = get(key, 0) + value * weight
+    _expand(acc, pack_terms(left._nums), pack_terms(right._nums), 1, _corrections)
+    for key in [k for k in acc if k & E2]:
+        acc[key - E2] = acc.get(key - E2, 0) - acc.pop(key)
     return _reduced(Operator, unpack_terms(acc), left._den * right._den)
 
 
@@ -205,6 +190,28 @@ def _leibniz_shifts(c: int, i: int, d: int, j: int) -> tuple[tuple[int, int], ..
     )
 
 
+def _expand(acc: dict, left: list, right: list, scale: int, table) -> None:
+    """Accumulate scale times the product of two packed term lists into
+    acc: a pair's keys added and reduced, plus each unreduced (shift,
+    weight) of table(c, i, d, j), c, d of the left term and i, j of the right."""
+    get = acc.get
+    for word, v, _, _, c, d in left:
+        v *= scale
+        for term, u, i, j, _, _ in right:
+            base = word + term
+            value = v * u
+            if base & R2:
+                base -= R2
+                value *= 2
+            if base & E2:
+                base -= E2
+                value = -value
+            acc[base] = get(base, 0) + value
+            for shift, weight in table(c, i, d, j):
+                key = base + shift
+                acc[key] = get(key, 0) + value * weight
+
+
 def act(acc: dict, words: list, state: list, scale: int) -> None:
     """Accumulate scale times the action of derivative words on a state,
     both packed by coeffring.pack_terms, into acc, a packed accumulator
@@ -218,22 +225,7 @@ def act(acc: dict, words: list, state: list, scale: int) -> None:
     times e^(sx+ty): the packed word plus the packed term, reduced, is the
     k = l = 0 term, and each shift of _leibniz_shifts moves it to another.
     """
-    get = acc.get
-    for word, v, _, _, c, d in words:
-        v *= scale
-        for term, u, i, j, _, _ in state:
-            base = word + term
-            value = v * u
-            if base & R2:
-                base -= R2
-                value *= 2
-            if base & E2:
-                base -= E2
-                value = -value
-            acc[base] = get(base, 0) + value
-            for shift, weight in _leibniz_shifts(c, i, d, j):
-                key = base + shift
-                acc[key] = get(key, 0) + value * weight
+    _expand(acc, words, state, scale, _leibniz_shifts)
 
 
 def apply_to_polynomial(op: Operator, poly: PhasePoly) -> PhasePoly:

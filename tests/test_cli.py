@@ -187,6 +187,22 @@ def test_verification_failure_exit_code(capsys, monkeypatch):
     assert any("Weyl commutator is nonzero" in f for f in failures)
 
 
+@pytest.mark.parametrize(
+    "field, value, claim",
+    [
+        ("bj_commutes", True, "schemes differ but BJ commutator vanishes"),
+        ("min_h_exp", 1, "BJ commutator term with hbar exponent < 2"),
+    ],
+)
+def test_born_jordan_claim_failures_exit_code(capsys, monkeypatch, field, value, claim):
+    record = verify_module.verify_pair(4, 1)
+    setattr(record, field, value)
+    monkeypatch.setattr(cli, "verify_pair", lambda m, n: record)
+    code, out, err = run(capsys, "verify", "--m", "4", "--n", "1")
+    assert code == 1
+    assert json.loads(err)["failures"] == [f"(m, n) = (4, 1), target k: {claim}"]
+
+
 def test_deterministic_output(capsys):
     _, out1, _ = run(capsys, "sweep", "--max-sum", "4", "--format", "json")
     _, out2, _ = run(capsys, "sweep", "--max-sum", "4", "--format", "json")

@@ -209,6 +209,13 @@ def test_coercion_rejects_non_ring_operands():
         Coefficient.of(True)
     with pytest.raises(TypeError):
         Coefficient.of(0.5)
+    with pytest.raises(TypeError):
+        x_hat() - 0.5
+    assert not x_hat() == "x"
+    for exponent in (True, -1, 2.0):
+        with pytest.raises(ValueError):
+            x_hat() ** exponent
+    assert repr(x_hat()) == "Operator(x)"
 
 
 def test_scalar_is_canonical_sparse_map():

@@ -114,11 +114,12 @@ def _code_names(code) -> set[str]:
 def test_exponential_probe_references_no_normal_ordering_kernel():
     # the Leibniz weight C(c,k) i!/(i-k)! equals swap_weight(c, i, k); the
     # oracle derives it from its own derivative rule instead.  The pack
-    # helpers of coeffring, which it shares with the ordering kernels, are
-    # checked with it
+    # helpers of coeffring and the product loop (_expand), which it shares
+    # with the ordering kernels, are checked with it
     kernel = (
         verify_module.commutator_matches_action,
         weylalgebra.act,
+        weylalgebra._expand,
         weylalgebra._leibniz_shifts.__wrapped__,
         weylalgebra.derivative_words,
         weylalgebra.apply_to_polynomial,
@@ -127,5 +128,5 @@ def test_exponential_probe_references_no_normal_ordering_kernel():
         coeffring.unpack_terms,
     )
     names = set().union(*(_code_names(fn.__code__) for fn in kernel))
-    assert {"act", "_leibniz_shifts", "pack_terms", "unpack_terms"} <= names
+    assert {"act", "_expand", "_leibniz_shifts", "pack_terms", "unpack_terms"} <= names
     assert not names & {"swap_weight", "_corrections", "op_mul", "commutator"}

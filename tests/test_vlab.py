@@ -1,6 +1,7 @@
 """Verification pipelines and report rendering."""
 
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -392,3 +393,24 @@ def test_action_oracle_builds_no_normal_ordered_product(monkeypatch):
     monkeypatch.setattr(verify_module, "commutator", forbidden)
     assert commutator_matches_action(h_op, bj_op, comm) is True
     assert not commutator_matches_action(h_op, bj_op, comm + _WRONG_TERM)
+
+
+@pytest.mark.parametrize(
+    "m, n, field, value, message",
+    [
+        (2, 1, "classical_bracket_zero", False, "classical bracket is nonzero"),
+        (2, 1, "oracle_agreement", False, "symbolic commutator disagrees with action oracle"),
+        (2, 1, "weyl_commutes", False, "Weyl commutator is nonzero"),
+        (2, 1, "bj_commutes", False, "schemes coincide but BJ commutator is nonzero"),
+        (4, 1, "bj_commutes", True, "schemes differ but BJ commutator vanishes"),
+        (4, 1, "min_h_exp", 1, "BJ commutator term with hbar exponent < 2"),
+        (4, 1, "min_w_exp", 0, "BJ commutator term with omega exponent < 1"),
+    ],
+)
+def test_each_failed_claim_has_its_message(m, n, field, value, message):
+    # BJ and Weyl coincide at (2, 1) and differ at (4, 1); one field set
+    # against a real record breaks exactly one claim
+    record = verify_pair(m, n)
+    assert not failed_claims(record)
+    broken = replace(record, **{field: value})
+    assert failed_claims(broken) == [f"(m, n) = ({m}, {n}), target k: {message}"]
