@@ -92,8 +92,9 @@ def quantize_ladder(params: OscillatorParams, which: int) -> Operator:
 
     The ladder products are built as normal-ordered operators in closed
     form (generators.ladder_products), unnormalized to match the
-    classical ladder integrals.
+    classical ladder integrals.  which is the int 1 or 2: a bool or float
+    equal to one is refused.
     """
-    if which not in (1, 2):
+    if isinstance(which, bool) or not isinstance(which, int) or which not in (1, 2):
         raise ValueError("which must be 1 or 2")
     return ladder_products(params, quantum=True)[which - 1]

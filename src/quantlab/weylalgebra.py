@@ -13,11 +13,11 @@ the same value in either order, so a commutator builds neither product:
 the base terms cancel, and it accumulates only the reordering
 corrections (k > 0) of both orders, with opposite signs.
 
-op_mul, commutator and act work on packed keys (coeffring.pack_terms):
-each reordering correction (_corrections, shared by op_mul and
-commutator) or Leibniz term (_leibniz_shifts, the action's own) is one
-signed shift of the product's key, after which only i * i = -1 can need
-reducing again.  op_mul and act share one product loop (_expand).
+The kernels work on packed keys (coeffring.pack_terms): a reordering
+correction (_corrections) or Leibniz term (_leibniz_shifts) is one signed
+shift of the product's key.  op_mul, adjoint and act run on one product
+loop (_expand), commutator on its own; op_mul and adjoint share the fold
+of i * i = -1 after the loop (_folded), where a correction's i meets one.
 
 A separate differential action provides an independent route to the
 same algebra for cross-checks.  Momentum is realized as -i*hbar times
@@ -116,17 +116,18 @@ def py_hat() -> Operator:
 
 
 def op_mul(left: Operator, right: Operator) -> Operator:
-    """Exact noncommutative product, re-expressed in normal order.
-
-    Only same-index pairs produce correction terms; the x and y families
-    commute with each other.  A correction's i can meet the base term's:
-    i * i = -1 is folded once, after the loop.
-    """
+    """Exact noncommutative product, re-expressed in normal order."""
     acc: dict = {}
     _expand(acc, pack_terms(left._nums), pack_terms(right._nums), 1, _corrections)
+    return _folded(acc, left._den * right._den)
+
+
+def _folded(acc: dict, den: int) -> Operator:
+    """acc, filled by _expand with _corrections, as an Operator over den: a
+    correction's i can meet the term's, so i * i = -1 is folded once here."""
     for key in [k for k in acc if k & E2]:
         acc[key - E2] = acc.get(key - E2, 0) - acc.pop(key)
-    return _reduced(Operator, unpack_terms(acc), left._den * right._den)
+    return _reduced(Operator, unpack_terms(acc), den)
 
 
 def commutator(left: Operator, right: Operator) -> Operator:
@@ -251,13 +252,12 @@ def apply_to_polynomial(op: Operator, poly: PhasePoly) -> PhasePoly:
 
 
 def adjoint(op: Operator) -> Operator:
-    """Formal adjoint: reverse each word and conjugate its coefficient."""
-    out = Operator.zero()
-    for mono, num in op.numerators.items():
-        momenta = Operator.monomial(Monomial(c=mono.c, d=mono.d))
-        positions = Operator.monomial(mono._replace(c=0, d=0), num).conjugate()
-        out = out + op_mul(momenta, positions)
-    return _reduced(Operator, out.numerators, out.denominator * op.denominator)
+    """Formal adjoint: reverse each word and conjugate its coefficient, each
+    reversed word Px^c Py^d X^a Y^b normal ordered into one accumulator."""
+    acc: dict = {}
+    for key, value, a, b, c, d in pack_terms(op.conjugate()._nums):
+        _expand(acc, [(0, 1, 0, 0, c, d)], [(key, value, a, b, 0, 0)], 1, _corrections)
+    return _folded(acc, op._den)
 
 
 def min_hbar_exponent(op: Operator) -> int:

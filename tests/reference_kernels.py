@@ -3,7 +3,9 @@
 op_mul, commutator and act here work on Monomial keys term by term: every
 product goes through coeffring.mono_mul, every reordering correction is
 lowered and multiplied by (-i hbar)^k as a key of its own, and every sum
-goes through coeffring._accumulate.  They are slow and plain on purpose;
+goes through coeffring._accumulate.  adjoint builds each reversed word as
+two operators, multiplies them with the op_mul here and adds the products
+one by one.  They are slow and plain on purpose;
 tests/test_packed_kernels.py checks the packed kernels against them.
 """
 
@@ -74,3 +76,14 @@ def act(words: dict, state: dict, scale: int = 1) -> dict:
                     weight = comb(word.c, k) * perm(term.a, k) * comb(word.d, l) * perm(term.b, l)
                     _accumulate(acc, _lowered(base, k, l), scale * v * u * factor * weight)
     return acc
+
+
+def adjoint(op: Operator) -> Operator:
+    """Reverse each word and conjugate its coefficient: Px^c Py^d times the
+    conjugated X^a Y^b term, multiplied by op_mul and summed term by term."""
+    out = Operator.zero()
+    for mono, num in op.numerators.items():
+        momenta = Operator.monomial(Monomial(c=mono.c, d=mono.d))
+        positions = Operator.monomial(mono._replace(c=0, d=0), num).conjugate()
+        out = out + op_mul(momenta, positions)
+    return _reduced(Operator, out.numerators, out.denominator * op.denominator)

@@ -16,6 +16,7 @@ from quantlab.coeffring import Coefficient, Monomial
 from quantlab.generators import OscillatorParams, ladder_integrals
 from quantlab.phasepoly import PhasePoly, PhaseVar
 from quantlab.quantizer import quantize_ladder
+from quantlab.vlab.verify import verify_ladder_pair
 from quantlab.weylalgebra import px_hat, py_hat, x_hat, y_hat
 
 from test_oracle import _code_names
@@ -70,3 +71,13 @@ def test_ladder_route_references_no_ordering_rule():
         "_corrections",
         "op_mul",
     }
+
+
+@pytest.mark.parametrize("which", [True, False, 1.0, 2.0, 0, 3, "1", None])
+def test_which_is_the_int_one_or_two(which):
+    # a bool or float equal to 1 or 2 would index the ladder pair
+    params = OscillatorParams(1, 1)
+    with pytest.raises(ValueError, match="which must be 1 or 2"):
+        quantize_ladder(params, which)
+    with pytest.raises(ValueError, match="which must be 1 or 2"):
+        verify_ladder_pair(1, 1, which)

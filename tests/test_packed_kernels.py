@@ -1,6 +1,6 @@
 """The packed-key kernels of weylalgebra against tuple-key references.
 
-op_mul, commutator and act pack each input map's keys into one int
+op_mul, commutator, act and adjoint pack each input map's keys into one int
 (coeffring.pack_terms) and unpack their result once.  Here they must
 equal the Monomial-key kernels of reference_kernels.py on seeded random
 operators, through both ring reductions at the base product and at a
@@ -12,8 +12,9 @@ from random import Random
 
 import pytest
 
-from quantlab.coeffring import PACK_LIMIT, Coefficient, Monomial, pack_terms, unpack_terms
-from quantlab.weylalgebra import Operator, act, commutator, op_mul
+from quantlab import weylalgebra
+from quantlab.coeffring import PACK_LIMIT, Coefficient, Monomial, TermMap, pack_terms, unpack_terms
+from quantlab.weylalgebra import Operator, act, adjoint, commutator, op_mul
 
 import reference_kernels as ref
 from randgen import rand_operator
@@ -104,3 +105,62 @@ def test_exponents_at_the_pack_limit_are_refused(field):
     for words, state in (({over: 1}, {Monomial(): 1}), ({Monomial(c=1): 1}, {over: 1})):
         with pytest.raises(ValueError, match="packed key"):
             packed_act(words, state)
+
+
+def _meets_correction_i(key: Monomial) -> bool:
+    """An i on a term whose reversed word Px^c Py^d X^a Y^b has an odd
+    correction, whose (-i hbar)^k brings an i of its own."""
+    return bool(key.e and (min(key.a, key.c) or min(key.b, key.d)))
+
+
+def test_packed_adjoint_matches_reference_on_random_operators():
+    rng = Random(20261021)
+    meetings = 0
+    for _ in range(600):
+        op = rand_operator(rng, max_terms=6, max_exp=3)
+        assert adjoint(op) == ref.adjoint(op)
+        meetings += any(map(_meets_correction_i, op.numerators))
+    # operators with a term whose i meets a correction's i
+    assert meetings >= 100
+
+
+def test_adjoint_folds_a_correction_i_into_the_term_i():
+    # (i X Px)^+ = -i Px X = -i X Px - hbar: the correction's -i hbar
+    # meets the conjugated -i
+    op = I * _op(Monomial(a=1, c=1))
+    assert adjoint(op) == -I * _op(Monomial(a=1, c=1)) - HBAR
+    assert adjoint(op) == ref.adjoint(op)
+    # sqrt2 and i on one term, corrections in both pairs
+    op = _op(Monomial(a=2, b=1, c=1, d=3, r=1, e=1), 5) + _op(Monomial(a=1, d=1, h=2, e=1), -3)
+    assert adjoint(op) == ref.adjoint(op)
+    assert adjoint(adjoint(op)) == op
+
+
+def test_adjoint_up_to_the_pack_limit():
+    # every field at its largest packable value; the words keep the other
+    # exponent of each pair small, so the reference's corrections are few
+    terms = (
+        Monomial(a=1, b=LARGEST, c=LARGEST, d=2, h=LARGEST, w=LARGEST, r=1, e=1),
+        Monomial(a=LARGEST, b=1, c=2, d=LARGEST, h=LARGEST - 1, e=1),
+        Monomial(a=LARGEST, b=LARGEST, w=LARGEST, r=1),
+    )
+    op = _op(terms[0], 3) + _op(terms[1], -2) + _op(terms[2], 7)
+    assert adjoint(op) == ref.adjoint(op)
+
+
+@pytest.mark.parametrize("field", "abcdhw")
+def test_adjoint_at_the_pack_limit_is_refused(field):
+    op = _op(Monomial(a=1, c=1)) + _op(Monomial(**{field: PACK_LIMIT}))
+    with pytest.raises(ValueError, match="packed key"):
+        adjoint(op)
+
+
+def test_adjoint_runs_no_product_and_no_sum_per_term(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("adjoint builds its result in one accumulator")
+
+    op = _op(Monomial(a=2, c=1, e=1), 3) + _op(Monomial(b=1, d=2, r=1), -1) + _op(Monomial(a=1))
+    expected = ref.adjoint(op)
+    monkeypatch.setattr(weylalgebra, "op_mul", refuse)
+    monkeypatch.setattr(TermMap, "_combine", refuse)
+    assert adjoint(op) == expected

@@ -276,3 +276,18 @@ def test_proof_intermediates_differential_form():
     }).terms
     assert differential_terms(quantize_monomial(W, Monomial(b=3, d=1))) == q3_expected
     assert differential_terms(quantize_monomial(BJ, Monomial(b=3, d=1))) == q3_expected
+
+
+def test_both_quantizations_of_every_integral_are_symmetric():
+    # real symbols quantize to formally self-adjoint operators: K, F1 and
+    # F2 under both schemes, and the two directly quantized ladder
+    # integrals, on every pair with m + n <= 12
+    pairs = [(m, s - m) for s in range(2, 13) for m in range(1, s)]
+    assert len(pairs) == 66
+    for m, n in pairs:
+        params = OscillatorParams(m, n)
+        integrals = (k_integral(params), *ladder_integrals(params))
+        ops = [quantize(scheme, f) for f in integrals for scheme in (W, BJ)]
+        ops += [quantize_ladder(params, which) for which in (1, 2)]
+        for op in ops:
+            assert adjoint(op) == op, (m, n)
