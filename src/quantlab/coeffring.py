@@ -74,6 +74,8 @@ class Monomial(namedtuple("Monomial", "a b c d h w r e")):
 
     def __new__(cls, a=0, b=0, c=0, d=0, h=0, w=0, r=0, e=0):
         exps = (a, b, c, d, h, w, r, e)
+        if set(map(type, exps)) != {int}:
+            raise ValueError("exponents must be ints")
         if min(exps) < 0:
             raise ValueError("exponents must be nonnegative")
         if r > 1 or e > 1:
@@ -87,6 +89,13 @@ class Monomial(namedtuple("Monomial", "a b c d h w r e")):
     def params(self) -> "Monomial":
         """The key with its phase part dropped: a Coefficient key."""
         return _make(Monomial, (0, 0, 0, 0) + self[4:])
+
+
+def _key(key) -> Monomial:
+    """key itself, if it is a Monomial: the key type of every term map."""
+    if isinstance(key, Monomial):
+        return key
+    raise TypeError(f"expected Monomial key, got {type(key).__name__}")
 
 
 def mono_mul(m1, m2) -> tuple[Monomial, int]:
@@ -252,7 +261,7 @@ class TermMap:
     _names: str
 
     def __init__(self, terms: dict | None = None):
-        ratios = {key: _ratio(value) for key, value in (terms or {}).items()}
+        ratios = {_key(key): _ratio(value) for key, value in (terms or {}).items()}
         den = lcm(*(part_den for _, part_den in ratios.values()))
         nums = {key: num * (den // part_den) for key, (num, part_den) in ratios.items() if num}
         self._nums, self._den = _lowest(nums, den)
@@ -282,7 +291,7 @@ class TermMap:
     @classmethod
     def monomial(cls, key: Monomial, value=1):
         num, den = _ratio(value)
-        return _canonical(cls, {key: num}, den) if num else _canonical(cls, {})
+        return _canonical(cls, {_key(key): num}, den) if num else _canonical(cls, {})
 
     # -- queries ----------------------------------------------------------
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from enum import Enum
 
-from quantlab.coeffring import Monomial, TermMap, _reduced
+from quantlab.coeffring import Monomial, TermMap, _make, _reduced
 
 
 class PhaseVar(Enum):
@@ -49,8 +49,9 @@ class PhasePoly(TermMap):
             exp = mono[slot]
             if exp:
                 exps = list(mono)
+                # a positive exponent lowered by one: still a valid key
                 exps[slot] = exp - 1
-                out[Monomial(*exps)] = value * exp
+                out[_make(Monomial, exps)] = value * exp
         return _reduced(PhasePoly, out, self._den)
 
 

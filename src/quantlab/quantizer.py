@@ -25,7 +25,7 @@ from enum import Enum
 from functools import lru_cache
 from math import lcm
 
-from quantlab.coeffring import Monomial, _add_product, _reduced, neg_i_hbar
+from quantlab.coeffring import Monomial, _add_product, _make, _reduced, neg_i_hbar
 from quantlab.generators import OscillatorParams, ladder_products
 from quantlab.phasepoly import PhasePoly
 from quantlab.weylalgebra import Operator, swap_weight
@@ -69,7 +69,8 @@ def quantize_monomial(scheme: Scheme, mono: Monomial) -> Operator:
     for j, wx in enumerate(rule_x):
         for k, wy in enumerate(rule_y):
             power, sign = neg_i_hbar(j + k)
-            key = Monomial(mono.a - j, mono.b - k, mono.c - j, mono.d - k, *power[4:])
+            # j <= min(a, c) and k <= min(b, d), so no exponent goes negative
+            key = _make(Monomial, (mono.a - j, mono.b - k, mono.c - j, mono.d - k) + power[4:])
             nums[key] = sign * wx * wy
     return _reduced(Operator, nums, den_x * den_y)
 

@@ -21,12 +21,8 @@ from quantlab.generators import OscillatorParams, hamiltonian, k_integral
 from quantlab.quantizer import Scheme, quantize
 from quantlab.weylalgebra import commutator, differential_text
 from quantlab.vlab import report, verify
-from quantlab.vlab.parser import parse_polynomial
+from quantlab.vlab.parser import MAX_SUM, parse_polynomial
 from quantlab.vlab.verify import failed_claims, sweep, verify_ladder_pair, verify_pair
-
-# Largest m + n the commands accept.  Work grows steeply with the degree
-# m + n of K, so a larger value would run for an unbounded time.
-MAX_SUM = 20
 
 
 def _check_sum(total: int, name: str) -> None:
@@ -98,28 +94,27 @@ def _cmd_sweep(args) -> int:
     return _fail(failures) if failures else 0
 
 
+def _write_operator(fmt: str, fields: dict, lines: list[str], name: str, op) -> int:
+    """Write a command's report of one operator: its own fields (JSON) or
+    lines (text), then the operator normal-ordered and in derivative form."""
+    if fmt == "json":
+        texts = {f"{name}_text": op.text(), "differential_text": differential_text(op)}
+        sys.stdout.writelines(report.json_chunks({**fields, name: op, **texts}))
+    else:
+        sys.stdout.writelines(f"{line}\n" for line in lines)
+        sys.stdout.write(f"{name} (normal-ordered): {op.text()}\n")
+        sys.stdout.write(f"{name} (differential): {differential_text(op)}\n")
+    return 0
+
+
 def _cmd_quantize(args) -> int:
     poly = parse_polynomial(args.expr)
     op = quantize(Scheme(args.scheme), poly)
-    if args.format == "json":
-        data = {
-            "scheme": args.scheme,
-            "input": args.expr,
-            "classical": poly.text(),
-            "operator": op,
-            "operator_text": op.text(),
-            "differential_text": differential_text(op),
-        }
-        sys.stdout.writelines(report.json_chunks(data))
-    else:
-        sys.stdout.write(
-            f"input: {args.expr}\n"
-            f"classical (canonical): {poly.text()}\n"
-            f"scheme: {args.scheme}\n"
-            f"operator (normal-ordered): {op.text()}\n"
-            f"operator (differential): {differential_text(op)}\n"
-        )
-    return 0
+    classical = poly.text()
+    fields = {"scheme": args.scheme, "input": args.expr, "classical": classical}
+    lines = [f"input: {args.expr}", f"classical (canonical): {classical}"]
+    lines.append(f"scheme: {args.scheme}")
+    return _write_operator(args.format, fields, lines, "operator", op)
 
 
 def _cmd_commutator(args) -> int:
@@ -129,23 +124,9 @@ def _cmd_commutator(args) -> int:
     h_op = quantize(scheme, hamiltonian(params))
     k_op = quantize(scheme, k_integral(params))
     comm = commutator(h_op, k_op)
-    if args.format == "json":
-        data = {
-            "params": {"m": args.m, "n": args.n},
-            "scheme": args.scheme,
-            "commutator": comm,
-            "commutator_text": comm.text(),
-            "differential_text": differential_text(comm),
-        }
-        sys.stdout.writelines(report.json_chunks(data))
-    else:
-        sys.stdout.write(
-            f"pair: ({args.m}, {args.n})\n"
-            f"scheme: {args.scheme}\n"
-            f"commutator (normal-ordered): {comm.text()}\n"
-            f"commutator (differential): {differential_text(comm)}\n"
-        )
-    return 0
+    fields = {"params": {"m": args.m, "n": args.n}, "scheme": args.scheme}
+    lines = [f"pair: ({args.m}, {args.n})", f"scheme: {args.scheme}"]
+    return _write_operator(args.format, fields, lines, "commutator", comm)
 
 
 def _join_expr(argv: list[str]) -> list[str]:

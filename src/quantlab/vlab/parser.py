@@ -37,9 +37,13 @@ from quantlab.phasepoly import PhasePoly, PhaseVar
 
 SYMBOLS = ("i", "hbar", "omega", "sqrt2", "x", "y", "px", "py")
 
-# Largest exponent literal and degree bound: twice the largest m + n the
-# commands accept (cli.MAX_SUM), since K has degree m + n.
-MAX_DEGREE = 40
+# Largest m + n the commands accept (cli.MAX_SUM).  Work grows steeply
+# with the degree m + n of K, so a larger value would run for an unbounded
+# time.
+MAX_SUM = 20
+# Largest exponent literal and degree bound: twice MAX_SUM, since K has
+# degree m + n.
+MAX_DEGREE = 2 * MAX_SUM
 # Deepest nesting of parentheses and unary minus.  Each level costs a few
 # frames of recursive descent, so this keeps parsing far from the
 # interpreter's recursion limit.

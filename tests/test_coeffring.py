@@ -69,10 +69,17 @@ def test_conjugation_examples():
 
 
 def test_mono_validation():
-    # sqrt2 and i are reduced to the powers 0 and 1; no exponent is negative
+    # sqrt2 and i are reduced to the powers 0 and 1; no exponent is negative,
+    # and every exponent is an int: a float or bool would print as an int
+    # and fail later, inside quantize
     for fields in ({"r": 2}, {"e": 2}, {"r": -1}, {"e": -1}, {"a": -1}, {"d": -2}, {"h": -1}):
         with pytest.raises(ValueError):
             Monomial(**fields)
+    for fields in ({"a": 1.5}, {"c": 2.0}, {"h": True}, {"e": False}, {"w": Fraction(1)}):
+        with pytest.raises(ValueError):
+            Monomial(**fields)
+    with pytest.raises(ValueError):
+        Coefficient.hbar(2.0)
 
 
 def test_mono_mul_states_both_reductions():
@@ -211,6 +218,15 @@ def test_coercion_rejects_non_ring_operands():
         Coefficient.of(0.5)
     with pytest.raises(TypeError):
         x_hat() - 0.5
+    # a term map is keyed by Monomials only: a plain tuple would build a map
+    # that prints but fails in conjugate, min_hbar_exponent or text
+    for key in ((0, 0, 0, 0, 1, 0, 0, 1), (1, 2), "x"):
+        with pytest.raises(TypeError):
+            Operator({key: 1})
+        with pytest.raises(TypeError):
+            PhasePoly({key: 1})
+        with pytest.raises(TypeError):
+            Operator.monomial(key)
     assert not x_hat() == "x"
     for exponent in (True, -1, 2.0):
         with pytest.raises(ValueError):

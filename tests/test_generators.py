@@ -17,6 +17,7 @@ from quantlab.generators import (
     p_poly,
 )
 from quantlab.phasepoly import PhasePoly, PhaseVar, poisson
+from quantlab.vlab.parser import MAX_SUM
 
 X = PhasePoly.variable(PhaseVar.X)
 Y = PhasePoly.variable(PhaseVar.Y)
@@ -184,10 +185,15 @@ def test_ladder_isotropic_values():
 
 
 def test_ladder_proportional_to_angular_momentum():
-    f1, f2 = ladder_integrals(OscillatorParams(1, 1))
-    k11 = k_integral(OscillatorParams(1, 1))
+    # F2 = -sqrt2 omega (n/m)^m K on every pair of the supported range; for
+    # (1, 1) K is the angular momentum.  The closed-form ladder build and
+    # K = P G + D X_L(G) share no code beyond the ring.
     sw = Coefficient.sqrt2() * Coefficient.omega()
-    assert f2 == k11 * (-sw)
+    for total in range(2, MAX_SUM + 1):
+        for m in range(1, total):
+            params = OscillatorParams(m, total - m)
+            factor = -sw * Fraction(params.n, m) ** m
+            assert ladder_integrals(params)[1] == k_integral(params) * factor, (m, params.n)
 
 
 def test_ladder_brackets_vanish():

@@ -171,6 +171,20 @@ def test_ladder_sweep_builds_each_pair_once(monkeypatch):
         assert f2 == verify_ladder_pair(f2.m, f2.n, 2)
 
 
+def test_f2_record_repeats_the_k_record():
+    # F2 = -sqrt2 omega (n/m)^m K (test_generators), so by linearity the f2
+    # record of a pair gives the k record's verdict; the factor carries one
+    # omega, so min_w_exp is one higher where the BJ commutator is nonzero
+    k_records = sweep(10, "k")
+    f2_records = [r for r in sweep(10, "f") if r.target == "f2"]
+    assert [(r.m, r.n) for r in f2_records] == [(r.m, r.n) for r in k_records]
+    assert not all(r.bj_commutes for r in k_records)
+    for k, f2 in zip(k_records, f2_records):
+        for field in ("bj_equals_weyl", "weyl_commutes", "bj_commutes", "min_h_exp"):
+            assert getattr(f2, field) == getattr(k, field), (k.m, k.n, field)
+        assert f2.min_w_exp == k.min_w_exp + (not k.bj_commutes), (k.m, k.n)
+
+
 def test_verify_commutes_h_with_weyl_and_the_difference_only(monkeypatch):
     # [H, BJ] is built as [H, W] + [H, BJ - W]; [H, BJ] itself never is
     rights = []
