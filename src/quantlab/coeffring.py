@@ -18,12 +18,19 @@ equality stays structural and the ring's arithmetic is int arithmetic:
 denominators multiply in products and meet at their lcm in sums, and
 every result is reduced by one gcd pass.  The two reductions live in
 two places: mono_mul multiplies two Monomial keys, where a single
-product is needed; the quadratic kernels of weylalgebra (op_mul,
+product is needed (the commutative product of term maps and
+phasepoly.poisson); the quadratic kernels of weylalgebra (op_mul,
 commutator and the action) pack each key into one int (pack_terms), so
 a product is one int add, k1 + k2, and the reductions are two mask
-tests on it, R2 for sqrt2 * sqrt2 = 2 and E2 for i * i = -1.  Beside
-them, neg_i_hbar states (-i hbar)^k, the factor of the momentum
-realization p = -i hbar d/dq, as a key and a sign.  A Coefficient is
+tests on it, R2 for sqrt2 * sqrt2 = 2 and E2 for i * i = -1 (_folded
+reduces the i a reordering correction brings).  One more product
+reduces i * i = -1 alone: quantizer.quantize joins each term's
+parameter part to its image's keys inline, as those carry only hbar and
+i beside their phase part.  Beside them, neg_i_hbar states (-i hbar)^k,
+the factor of the momentum realization p = -i hbar d/dq, as a key and a
+sign; the powers of i written in closed form are reduced where they are
+written (generators' ladder powers i^j and -i F2, render's (-i)^k of
+the derivative form).  A Coefficient is
 the map whose keys have a zero phase part; render groups a flat map by
 phase part and parameters, and the map rendered last keeps its grouped
 view (and, for an operator, that view relabelled into its derivative
@@ -81,14 +88,6 @@ class Monomial(namedtuple("Monomial", "a b c d h w r e")):
         if r > 1 or e > 1:
             raise ValueError("sqrt2 and i exponents must be reduced to 0 or 1")
         return _make(cls, exps)
-
-    def phase(self) -> "Monomial":
-        """The key with its parameter part dropped."""
-        return _make(Monomial, self[:4] + (0, 0, 0, 0))
-
-    def params(self) -> "Monomial":
-        """The key with its phase part dropped: a Coefficient key."""
-        return _make(Monomial, (0, 0, 0, 0) + self[4:])
 
 
 def _key(key) -> Monomial:

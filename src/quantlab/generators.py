@@ -17,15 +17,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
 
-from quantlab.coeffring import Coefficient, Monomial, _add_product, _make, _reduced
-from quantlab.phasepoly import PhasePoly, PhaseVar, poisson
+from quantlab.coeffring import Monomial, _add_product, _canonical, _make, _ratio, _reduced
+from quantlab.phasepoly import PhasePoly
 from quantlab.weylalgebra import Operator
 
-_X = PhasePoly.variable(PhaseVar.X)
-_Y = PhasePoly.variable(PhaseVar.Y)
-_PX = PhasePoly.variable(PhaseVar.PX)
-_PY = PhasePoly.variable(PhaseVar.PY)
-_HALF = Fraction(1, 2)
+# the keys of H and L: px^2, py^2, omega^2 x^2 and omega^2 y^2
+_PX2, _PY2 = Monomial(c=2), Monomial(d=2)
+_X2, _Y2 = Monomial(a=2, w=2), Monomial(b=2, w=2)
 
 
 @dataclass(frozen=True)
@@ -47,32 +45,36 @@ class OscillatorParams:
 
 
 def hamiltonian(params: OscillatorParams) -> PhasePoly:
-    """H = (px^2 + py^2)/2 + omega^2 (x^2 + (n/m)^2 y^2)."""
-    ratio_sq = Fraction(params.n, params.m) ** 2
-    kinetic = (_PX ** 2 + _PY ** 2) * _HALF
-    potential = _X ** 2 * Coefficient.omega(2) + _Y ** 2 * (Coefficient.omega(2) * ratio_sq)
-    return kinetic + potential
+    """H = (px^2 + py^2)/2 + omega^2 (x^2 + (n/m)^2 y^2), written over
+    2 m^2 as (m^2 px^2 + m^2 py^2 + 2 m^2 omega^2 x^2 + 2 n^2 omega^2 y^2)."""
+    m2, n2 = params.m * params.m, params.n * params.n
+    return _reduced(PhasePoly, {_PX2: m2, _PY2: m2, _X2: 2 * m2, _Y2: 2 * n2}, 2 * m2)
 
 
 def l_integral() -> PhasePoly:
     """Separation integral L = px^2/2 + omega^2 x^2 of the x axis."""
-    return _PX ** 2 * _HALF + _X ** 2 * Coefficient.omega(2)
+    return _canonical(PhasePoly, {_PX2: 1, _X2: 2}, 2)
 
 
 def _binomial_half(k: int, parity: int, s, t, axis: int, scale=1) -> PhasePoly:
     """scale * sum over j = parity (mod 2) of
     C(k, j) s^j t^(k-j) (-2 omega^2)^(j//2) q^j p^(k-j).
 
-    (q, p) is (x, px) for axis 0 and (y, py) for axis 1.  G_n, P and D
-    are each one parity half of this expansion.
+    (q, p) is (x, px) for axis 0 and (y, py) for axis 1.  G_n, E_n, P
+    and D are each one parity half of this expansion.  t and scale are
+    ints or Fractions; each term is an int over scale's denominator times
+    t's to the k, as t^(k-j) = t_num^(k-j) t_den^j / t_den^k.
     """
-    terms = {}
+    t_num, t_den = _ratio(t)
+    scale_num, scale_den = _ratio(scale)
+    nums = {}
     for j in range(parity, k + 1, 2):
-        exps = [0, 0, 0, 0]
+        exps = [0, 0, 0, 0, 0, j - parity, 0, 0]
         exps[axis], exps[axis + 2] = j, k - j
-        value = scale * comb(k, j) * s ** j * t ** (k - j) * (-2) ** (j // 2)
-        terms[Monomial(*exps, w=j - parity)] = value
-    return PhasePoly(terms)
+        nums[_make(Monomial, exps)] = (
+            scale_num * comb(k, j) * s ** j * t_num ** (k - j) * t_den ** j * (-2) ** (j // 2)
+        )
+    return _reduced(PhasePoly, nums, scale_den * t_den ** k)
 
 
 def g_poly(n: int) -> PhasePoly:
@@ -105,9 +107,17 @@ def d_poly(params: OscillatorParams) -> PhasePoly:
 
 def k_integral(params: OscillatorParams) -> PhasePoly:
     """Polynomial first integral K = P * G_n + D * X_L(G_n) of degree m + n,
-    where X_L(G_n) = {G_n, L} is G_n's derivative along L's flow."""
-    g = g_poly(params.n)
-    return p_poly(params) * g + d_poly(params) * poisson(g, l_integral())
+    where X_L(G_n) = {G_n, L} is G_n's derivative along L's flow.
+
+    With b = px + i sqrt2 omega x, b^n = E_n + i sqrt2 omega G_n, E_n the
+    even half of the binomial expansion of which G_n is the odd half, and
+    {b, L} = i sqrt2 omega b, so {b^n, L} = i sqrt2 omega n b^n.  E_n, G_n
+    and L are real, and the real part reads X_L(G_n) = n E_n: K is built
+    as P G_n + n D E_n with no bracket taken.
+    """
+    n = params.n
+    e_n = _binomial_half(n, parity=0, s=1, t=1, axis=0, scale=n)
+    return p_poly(params) * g_poly(n) + d_poly(params) * e_n
 
 
 def _ladder_power(k: int, ratio: Fraction, axis: int, quantum: bool):

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from enum import Enum
 
-from quantlab.coeffring import Monomial, TermMap, _make, _reduced
+from quantlab.coeffring import Monomial, TermMap, _make, _reduced, mono_mul
 
 
 class PhaseVar(Enum):
@@ -24,9 +24,6 @@ class PhaseVar(Enum):
 
 # slot index of each variable in a Monomial (a, b, c, d, ...)
 _VAR_SLOT = {PhaseVar.X: 0, PhaseVar.Y: 1, PhaseVar.PX: 2, PhaseVar.PY: 3}
-
-# conjugate momentum slot for each position slot, used by the bracket
-_CANONICAL_PAIRS = ((PhaseVar.X, PhaseVar.PX), (PhaseVar.Y, PhaseVar.PY))
 
 
 class PhasePoly(TermMap):
@@ -60,8 +57,31 @@ def poisson(f: PhasePoly, g: PhasePoly) -> PhasePoly:
 
     Convention: {f, g} = sum over canonical pairs of
     df/dq * dg/dp - df/dp * dg/dq, so that {x, px} = 1.
+
+    One pass over term pairs: for keys x^a1 y^b1 px^c1 py^d1 and
+    x^a2 y^b2 px^c2 py^d2 the (x, px) pair contributes the key product
+    lowered by one in a and c with weight a1 c2 - c1 a2, and the (y, py)
+    pair the product lowered by one in b and d with weight b1 d2 - d1 b2.
+    A pair with both weights zero contributes nothing.
     """
-    out = PhasePoly.zero()
-    for pos, mom in _CANONICAL_PAIRS:
-        out = out + f.partial(pos) * g.partial(mom) - f.partial(mom) * g.partial(pos)
-    return out
+    if not (isinstance(f, PhasePoly) and isinstance(g, PhasePoly)):
+        raise TypeError("poisson takes two PhasePoly operands")
+    g_terms = [(k2, v2, *k2[:4]) for k2, v2 in g._nums.items()]
+    acc: dict[Monomial, int] = {}
+    for k1, v1 in f._nums.items():
+        a1, b1, c1, d1 = k1[:4]
+        for k2, v2, a2, b2, c2, d2 in g_terms:
+            x = a1 * c2 - c1 * a2
+            y = b1 * d2 - d1 * b2
+            if not (x or y):
+                continue
+            (a, b, c, d, h, w, r, e), factor = mono_mul(k1, k2)
+            value = v1 * v2 * factor
+            # a nonzero x needs a >= 1 and c >= 1, a nonzero y b and d
+            if x:
+                key = _make(Monomial, (a - 1, b, c - 1, d, h, w, r, e))
+                acc[key] = acc.get(key, 0) + value * x
+            if y:
+                key = _make(Monomial, (a, b - 1, c, d - 1, h, w, r, e))
+                acc[key] = acc.get(key, 0) + value * y
+    return _reduced(PhasePoly, {k: v for k, v in acc.items() if v}, f._den * g._den)

@@ -25,7 +25,7 @@ from enum import Enum
 from functools import lru_cache
 from math import lcm
 
-from quantlab.coeffring import Monomial, _add_product, _make, _reduced, neg_i_hbar
+from quantlab.coeffring import Monomial, _make, _reduced, neg_i_hbar
 from quantlab.generators import OscillatorParams, ladder_products
 from quantlab.phasepoly import PhasePoly
 from quantlab.weylalgebra import Operator, swap_weight
@@ -45,8 +45,11 @@ def _pair_rule(scheme: Scheme, r: int, s: int) -> tuple[tuple[int, ...], int]:
     collapses to rule[j] / denominator = swap_weight(s, r, j) * mu_j, with
     mu_j = 1/(j+1) for Born-Jordan (sum_k C(s-k, j) = C(s+1, j+1)) and
     2^-j for Weyl (sum_k C(s, k) C(s-k, j) = C(s, j) 2^(s-j)); every
-    rule[j] is a positive integer.
+    rule[j] is a positive integer.  TypeError for a scheme that is not a
+    Scheme member: only a cache miss runs this check.
     """
+    if not isinstance(scheme, Scheme):
+        raise TypeError(f"scheme must be a Scheme member, got {scheme!r}")
     born_jordan = scheme is Scheme.BORN_JORDAN
     den = s + 1 if born_jordan else 2 ** s
     rule = tuple(
@@ -78,14 +81,29 @@ def quantize_monomial(scheme: Scheme, mono: Monomial) -> Operator:
 def quantize(scheme: Scheme, poly: PhasePoly) -> Operator:
     """Coefficient-linear extension of the monomial rule: each term's
     parameter part multiplies the image of its phase part, and the images
-    meet at the lcm of their denominators."""
-    parts = [(key.params(), value, quantize_monomial(scheme, key.phase()))
+    meet at the lcm of their denominators.
+
+    An image key carries only hbar and i beside its phase part, so the
+    term's (h, w, r, e) joins it inline: exponents add, and i * i = -1
+    is the one reduction.
+    """
+    if not isinstance(poly, PhasePoly):
+        raise TypeError(f"quantize takes a PhasePoly, got {type(poly).__name__}")
+    parts = [(key, value, quantize_monomial(scheme, _make(Monomial, key[:4] + (0, 0, 0, 0))))
              for key, value in poly._nums.items()]
     den = lcm(*(op._den for _, _, op in parts))
     acc: dict[Monomial, int] = {}
-    for key, value, op in parts:
-        _add_product(acc, key, value * (den // op._den), op._nums)
-    return _reduced(Operator, acc, poly._den * den)
+    for (_, _, _, _, h, w, r, e), value, op in parts:
+        scale = value * (den // op._den)
+        for (a, b, c, d, h2, _, _, e2), v in op._nums.items():
+            if e & e2:
+                # i * i = -1
+                key = _make(Monomial, (a, b, c, d, h + h2, w, r, 0))
+                v = -v
+            else:
+                key = _make(Monomial, (a, b, c, d, h + h2, w, r, e | e2))
+            acc[key] = acc.get(key, 0) + scale * v
+    return _reduced(Operator, {k: v for k, v in acc.items() if v}, poly._den * den)
 
 
 def quantize_ladder(params: OscillatorParams, which: int) -> Operator:

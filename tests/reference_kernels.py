@@ -1,17 +1,36 @@
-"""Tuple-key reference kernels for the packed ones of weylalgebra.
+"""Plain reference routes for the fast kernels of the package.
 
 op_mul, commutator and act here work on Monomial keys term by term: every
 product goes through coeffring.mono_mul, every reordering correction is
 lowered and multiplied by (-i hbar)^k as a key of its own, and every sum
 goes through coeffring._accumulate.  adjoint builds each reversed word as
 two operators, multiplies them with the op_mul here and adds the products
-one by one.  They are slow and plain on purpose;
-tests/test_packed_kernels.py checks the packed kernels against them.
+one by one.  tests/test_packed_kernels.py checks the packed kernels of
+weylalgebra against them.
+
+The classical layer has its own: poisson takes partial derivatives and
+multiplies and adds whole term maps, hamiltonian builds H from powers of
+the phase variables and Fraction weights, and quantize multiplies each
+term's parameter part into the image of its phase part through
+coeffring._add_product.  tests/test_phasepoly.py, test_generators.py and
+test_quantizer.py check the one-pass kernels against them.  They are
+slow and plain on purpose.
 """
 
-from math import comb, factorial, perm
+from fractions import Fraction
+from math import comb, factorial, lcm, perm
 
-from quantlab.coeffring import Monomial, _accumulate, _reduced, mono_mul, neg_i_hbar
+from quantlab.coeffring import (
+    Coefficient,
+    Monomial,
+    _accumulate,
+    _add_product,
+    _reduced,
+    mono_mul,
+    neg_i_hbar,
+)
+from quantlab.phasepoly import PhasePoly, PhaseVar
+from quantlab.quantizer import quantize_monomial
 from quantlab.weylalgebra import Operator
 
 
@@ -87,3 +106,36 @@ def adjoint(op: Operator) -> Operator:
         positions = Operator.monomial(mono._replace(c=0, d=0), num).conjugate()
         out = out + op_mul(momenta, positions)
     return _reduced(Operator, out.numerators, out.denominator * op.denominator)
+
+
+def poisson(f: PhasePoly, g: PhasePoly) -> PhasePoly:
+    """{f, g} as the sum over canonical pairs of df/dq * dg/dp -
+    df/dp * dg/dq, each partial derivative a term map of its own."""
+    out = PhasePoly.zero()
+    for pos, mom in ((PhaseVar.X, PhaseVar.PX), (PhaseVar.Y, PhaseVar.PY)):
+        out = out + f.partial(pos) * g.partial(mom) - f.partial(mom) * g.partial(pos)
+    return out
+
+
+def hamiltonian(params) -> PhasePoly:
+    """H = (px^2 + py^2)/2 + omega^2 (x^2 + (n/m)^2 y^2) from powers and
+    products of the phase variables."""
+    x, y, px, py = (PhasePoly.variable(var) for var in PhaseVar)
+    omega_sq = Coefficient.omega(2)
+    kinetic = (px ** 2 + py ** 2) * Fraction(1, 2)
+    return kinetic + x ** 2 * omega_sq + y ** 2 * (omega_sq * Fraction(params.n, params.m) ** 2)
+
+
+def quantize(scheme, poly: PhasePoly) -> Operator:
+    """Each term's parameter part times the image of its phase part, one
+    key product (mono_mul) per image term, over the lcm of the images'
+    denominators."""
+    parts = []
+    for key, value in poly.numerators.items():
+        image = quantize_monomial(scheme, key._replace(h=0, w=0, r=0, e=0))
+        parts.append((key._replace(a=0, b=0, c=0, d=0), value, image))
+    den = lcm(*(op.denominator for _, _, op in parts))
+    acc: dict = {}
+    for key, value, op in parts:
+        _add_product(acc, key, value * (den // op.denominator), op.numerators)
+    return _reduced(Operator, acc, poly.denominator * den)

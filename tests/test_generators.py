@@ -19,6 +19,8 @@ from quantlab.generators import (
 from quantlab.phasepoly import PhasePoly, PhaseVar, poisson
 from quantlab.vlab.parser import MAX_SUM
 
+import reference_kernels as ref
+
 X = PhasePoly.variable(PhaseVar.X)
 Y = PhasePoly.variable(PhaseVar.Y)
 PX = PhasePoly.variable(PhaseVar.PX)
@@ -56,6 +58,18 @@ def test_hamiltonian_ratio_one_four():
     h = hamiltonian(OscillatorParams(1, 4))
     expected = (PX ** 2 + PY ** 2) * Fraction(1, 2) + X ** 2 * W2 + Y ** 2 * (W2 * 16)
     assert h == expected
+
+
+def supported_pairs():
+    """Every OscillatorParams with m + n <= MAX_SUM (190 pairs)."""
+    return [
+        OscillatorParams(m, total - m) for total in range(2, MAX_SUM + 1) for m in range(1, total)
+    ]
+
+
+def test_hamiltonian_matches_the_product_route():
+    for params in supported_pairs():
+        assert hamiltonian(params) == ref.hamiltonian(params), params
 
 
 def test_l_integral():
@@ -157,6 +171,18 @@ def test_k_integral_four_one():
         + X * Y ** 4 * (W4 * Fraction(1, 64))
     ) * 256
     assert k_integral(OscillatorParams(4, 1)) == expected
+
+
+def test_k_integral_is_p_g_plus_d_times_the_flow_of_g():
+    # k_integral writes X_L(G_n) = {G_n, L} in closed form, n E_n; here the
+    # bracket is taken through partial derivatives
+    pairs = supported_pairs()
+    assert len(pairs) == 190
+    l = l_integral()
+    for params in pairs:
+        g = g_poly(params.n)
+        expected = p_poly(params) * g + d_poly(params) * ref.poisson(g, l)
+        assert k_integral(params) == expected, params
 
 
 def test_k_degree_is_m_plus_n():

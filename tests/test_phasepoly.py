@@ -4,10 +4,14 @@ bracket."""
 from fractions import Fraction
 from random import Random
 
+import pytest
+
 from quantlab.coeffring import Coefficient, Monomial
 from quantlab.phasepoly import PhasePoly, PhaseVar, poisson
+from quantlab.weylalgebra import x_hat
 
-from randgen import rand_phase_poly
+import reference_kernels as ref
+from randgen import rand_coefficient, rand_phase_poly
 
 X = PhasePoly.variable(PhaseVar.X)
 Y = PhasePoly.variable(PhaseVar.Y)
@@ -67,6 +71,50 @@ def test_poisson_properties_random():
             + poisson(h, poisson(f, g))
         )
         assert jacobi.is_zero()
+
+
+def test_poisson_matches_partial_derivative_route():
+    # the one-pass bracket against the route through partial derivatives
+    # (reference_kernels.poisson), on operands whose keys carry hbar, omega, sqrt2 and i;
+    # about one operand in ten is zero and one in ten a nonzero constant
+    rng = Random(20261019)
+    shapes = {"zero": 0, "constant": 0, "polynomial": 0}
+    both_reductions = 0
+    for _ in range(2_000):
+        operands = []
+        for _ in range(2):
+            draw = rng.randrange(10)
+            if draw == 0:
+                poly = PhasePoly.zero()
+            elif draw == 1:
+                poly = PhasePoly.constant(rand_coefficient(rng) + 1)
+            else:
+                poly = rand_phase_poly(rng, max_terms=4, max_exp=3)
+            if poly.is_zero():
+                shapes["zero"] += 1
+            elif all(not any(key[:4]) for key in poly.numerators):
+                shapes["constant"] += 1
+            else:
+                shapes["polynomial"] += 1
+            operands.append(poly)
+        f, g = operands
+        assert poisson(f, g) == ref.poisson(f, g)
+        both_reductions += any(
+            k1.r and k2.r and k1.e and k2.e for k1 in f.numerators for k2 in g.numerators
+        )
+    assert min(shapes.values()) >= 300 and shapes["polynomial"] >= 2_000
+    assert both_reductions >= 300
+
+
+def test_poisson_refuses_an_operator():
+    # an Operator is a term map over the same keys, but not a polynomial
+    op = x_hat() * x_hat()
+    with pytest.raises(TypeError):
+        poisson(op, X)
+    with pytest.raises(TypeError):
+        poisson(X, op)
+    with pytest.raises(TypeError):
+        poisson(op, op)
 
 
 def test_flow_examples():

@@ -32,6 +32,7 @@ from quantlab.weylalgebra import (
     x_hat,
 )
 
+import reference_kernels as ref
 from randgen import flatten, rand_phase_poly
 from test_weylalgebra import normal_order_word
 
@@ -147,6 +148,47 @@ def test_quantize_linear():
         assert quantize(scheme, f * alpha + g * beta) == quantize(scheme, f) * alpha + (
             quantize(scheme, g) * beta
         )
+
+
+def test_quantize_matches_the_key_product_route():
+    # each image term joins its term's parameter part inline; the reference
+    # multiplies the two keys through mono_mul.  Count the terms whose i
+    # meets an i of their image, where i * i = -1 reduces.
+    rng = Random(20261021)
+    meetings = 0
+    for index in range(1_500):
+        poly = rand_phase_poly(rng, max_terms=4, max_exp=3)
+        scheme = (W, BJ)[index % 2]
+        assert quantize(scheme, poly) == ref.quantize(scheme, poly)
+        for key in poly.numerators:
+            image = quantize_monomial(scheme, key._replace(h=0, w=0, r=0, e=0))
+            meetings += key.e and any(k.e for k in image.numerators)
+    assert meetings >= 1_000
+
+
+def test_repeated_quantize_hits_the_monomial_cache():
+    # the benchmark reads quantizer.monomial_cache.hit_ratio from here
+    h = hamiltonian(OscillatorParams(2, 3))
+    first = quantize(W, h)
+    hits = quantize_monomial.cache_info().hits
+    assert quantize(W, h) == first
+    assert quantize_monomial.cache_info().hits == hits + len(h.numerators)
+
+
+def test_quantize_refuses_a_scheme_that_is_not_a_member():
+    # "bj" is Scheme.BORN_JORDAN's value, not the scheme
+    poly = PhasePoly.variable(PhaseVar.X) ** 2 * PhasePoly.variable(PhaseVar.PX) ** 2
+    for scheme in ("bj", "weyl", None, 1):
+        with pytest.raises(TypeError):
+            quantize(scheme, poly)
+    assert quantize(BJ, poly) != quantize(W, poly)
+
+
+def test_quantize_refuses_an_operand_that_is_not_a_phase_poly():
+    for operand in (x_hat() * x_hat(), Coefficient.i(), Monomial(a=1)):
+        for scheme in (W, BJ):
+            with pytest.raises(TypeError):
+                quantize(scheme, operand)
 
 
 def test_symbol_round_trip():

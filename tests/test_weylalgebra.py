@@ -130,7 +130,7 @@ def _naive_action(op: Operator, poly: PhasePoly) -> PhasePoly:
     (-i hbar)^(c+d), multiply by x^a y^b; no derivative form, no Leibniz table."""
     out = PhasePoly.zero()
     for mono, value in op.terms.items():
-        coeff = Coefficient.monomial(mono.params(), value)
+        coeff = Coefficient.monomial(mono._replace(a=0, b=0, c=0, d=0), value)
         term = poly
         for _ in range(mono.c):
             term = term.partial(PhaseVar.X)
