@@ -45,7 +45,6 @@ from __future__ import annotations
 
 from collections import namedtuple
 from fractions import Fraction
-from functools import partial
 from math import gcd, lcm
 
 from quantlab import render
@@ -428,8 +427,7 @@ class TermMap:
     # -- rendering -------------------------------------------------------------
 
     def _render(self, style: render.Style) -> str:
-        key_factors = partial(render.power_factors, style.names[self._names])
-        return render.join_terms(self.groups, key_factors, style)
+        return render.join_terms(self.groups, self._names, style)
 
     def text(self) -> str:
         return self._render(render.TEXT)

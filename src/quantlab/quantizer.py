@@ -87,6 +87,8 @@ def quantize(scheme: Scheme, poly: PhasePoly) -> Operator:
     term's (h, w, r, e) joins it inline: exponents add, and i * i = -1
     is the one reduction.
     """
+    if not isinstance(scheme, Scheme):
+        raise TypeError(f"scheme must be a Scheme member, got {scheme!r}")
     if not isinstance(poly, PhasePoly):
         raise TypeError(f"quantize takes a PhasePoly, got {type(poly).__name__}")
     parts = [(key, value, quantize_monomial(scheme, _make(Monomial, key[:4] + (0, 0, 0, 0))))

@@ -11,15 +11,22 @@ tuples, and the map rendered last keeps it (TermMap.groups), so text,
 LaTeX and the JSON reports of one map, written one after another, read
 one view; derivative_groups relabels an operator's view into that of its
 derivative form instead of grouping again, and the operator keeps that
-relabel beside its view (Operator.derivative_groups).  join_terms, the
-one sum renderer, writes each group as
-a coefficient times its key, rendered by its caller (powers, or x^a y^b
-and a derivative).  Keys are read by position, so this module imports
-nothing from the package.
+relabel beside its view (Operator.derivative_groups).
+
+join_terms, the one sum renderer, writes each group as a coefficient
+times its key from runs of factors, each a joined string and whether its
+first factor carries '^'.  A key is two halves, (a, b) and (c, d), as
+powers or, in derivative form, x^a y^b then d^(c+d)/dx^c dy^d; each
+half's run, and each coefficient's (h, w, r), is made once per style and
+names and kept, never a whole key, so the caches grow with the degree
+rendered, not with the terms.  key_text reads one key the same way.
+Keys are read by position, so this module imports nothing from the
+package.
 """
 
 from __future__ import annotations
 
+from functools import partial
 from math import gcd
 from typing import NamedTuple
 
@@ -91,17 +98,6 @@ def fraction(q: Rational, style: Style) -> str:
     return ("-" if num < 0 else "") + style.fraction % (abs(num), den)
 
 
-def power_factors(names, exponents, style: Style) -> list[str]:
-    """name^exp for each nonzero exponent, a bare name for exponent 1."""
-    out = []
-    for name, exp in zip(names, exponents):
-        if exp == 1:
-            out.append(name)
-        elif exp:
-            out.append(style.power % (name, exp))
-    return out
-
-
 def grouped(nums: dict, den: int) -> tuple:
     """A flat term map, numerators nums over den, as ((phase, group), ...),
     phase the exponents (a, b, c, d) and group its coefficient
@@ -168,75 +164,124 @@ def scalar(re: Rational, im: Rational, style: Style) -> str:
     return fraction(re, style) + sign + _imaginary((abs(im[0]), im[1]), style)
 
 
-def scalar_factors(re: Rational, im: Rational, tail: list[str], style: Style) -> list[str]:
-    """Factors of (re + im*i) * <tail>, folding a unit scalar into the tail."""
+# A run is the factors of one term joined by style.join, held as (text,
+# caret): caret tells whether its first factor carries '^', which is all
+# the fold of -1 reads.  The empty run ("", False) is the factor 1.
+
+
+def _cat(left: tuple[str, bool], right: tuple[str, bool], join: str) -> tuple[str, bool]:
+    """The run of left's factors, then right's."""
+    if not right[0]:
+        return left
+    if not left[0]:
+        return right
+    return left[0] + join + right[0], left[1]
+
+
+def _powers(style: Style, names: tuple, exponents: tuple, join: str = "") -> tuple[str, bool]:
+    """The run of name^exp, or name for exp 1, joined by join or style.join."""
+    factors = [name if exp == 1 else style.power % (name, exp)
+               for name, exp in zip(names, exponents) if exp]
+    return (join or style.join).join(factors), bool(factors) and "^" in factors[0]
+
+
+def _derivative(style: Style, names: tuple, exponents: tuple) -> tuple[str, bool]:
+    """The one-factor run d^(c+d)/dx^c dy^d; names are (d, dx, dy)."""
+    order = exponents[0] + exponents[1]
+    if not order:
+        return "", False
+    d, dx, dy = names
+    head = d if order == 1 else style.power % (d, order)
+    text = style.derivative % (head, _powers(style, (dx, dy), exponents, style.derivative_join)[0])
+    return text, "^" in text
+
+
+class _Halves(dict):
+    """Runs by exponents, each made by make(exponents) on its first lookup."""
+
+    __slots__ = ("make",)
+
+    def __init__(self, make):
+        self.make = make
+
+    def __missing__(self, exponents: tuple) -> tuple[str, bool]:
+        run = self[exponents] = self.make(exponents)
+        return run
+
+
+# The half-key caches, by maker, style formats and names.
+_halves_cache: dict[tuple, _Halves] = {}
+
+
+def _halves(make, style: Style, names: tuple) -> _Halves:
+    key = (make, style[:-1], names)
+    if key not in _halves_cache:
+        _halves_cache[key] = _Halves(partial(make, style, names))
+    return _halves_cache[key]
+
+
+def _key_halves(kind: str, style: Style) -> tuple[_Halves, _Halves]:
+    """The caches of halves (a, b) and (c, d) of a kind of key (style.names)."""
+    names = style.names[kind]
+    second = _derivative if kind == "differential" else _powers
+    return _halves(_powers, style, names[:2]), _halves(second, style, names[2:])
+
+
+def key_text(phase, kind: str, style: Style) -> str:
+    """The key (a, b, c, d) of a kind of term map as text; "" for 1."""
+    firsts, seconds = _key_halves(kind, style)
+    return _cat(firsts[phase[:2]], seconds[phase[2:]], style.join)[0]
+
+
+def _scaled(re: Rational, im: Rational, run: tuple[str, bool], style: Style) -> str:
+    """(re + im*i) times a run: 1 leaves it, -1 negates it unless the style
+    may not fold -1 onto its first factor, a power."""
+    text, caret = run
     if im == _ZERO:
-        if re == _ONE and tail:
-            return tail
-        if re == _MINUS_ONE and tail and (style.fold_powers or "^" not in tail[0]):
-            return ["-" + tail[0]] + tail[1:]
-        head = [fraction(re, style)]
+        if re == _ONE and text:
+            return text
+        if re == _MINUS_ONE and text and (style.fold_powers or not caret):
+            return "-" + text
+        head = fraction(re, style)
     elif re != _ZERO:
-        head = [style.open + scalar(re, im, style) + style.close]
+        head = style.open + scalar(re, im, style) + style.close
     elif im in (_ONE, _MINUS_ONE):
-        head = [_imaginary(im, style)]
+        head = _imaginary(im, style)
     else:
-        head = [fraction(im, style), "i"]
-    return head + tail
+        head = fraction(im, style) + style.join + "i"
+    return head + style.join + text if text else head
 
 
 def coefficient(group, style: Style) -> str:
     """A group's coefficient as a sum; a lone constant is written bare, "1 - 2*i"."""
     if len(group) == 1 and not any(group[0][0]):
         return scalar(group[0][1], group[0][2], style)
-    names = style.names["coefficient"]
-    return _join(
-        (scalar_factors(re, im, power_factors(names, params, style), style)
-         for params, re, im in group),
-        style,
-    )
+    params = _halves(_powers, style, style.names["coefficient"])
+    return _sum([_scaled(re, im, params[hwr], style) for hwr, re, im in group])
 
 
-def coefficient_factors(group, tail: list[str], style: Style) -> list[str]:
-    """Factors of a group's coefficient times <tail>: one term folds into
-    the tail, a sum is parenthesized."""
-    if len(group) == 1:
-        ((params, re, im),) = group
-        names = style.names["coefficient"]
-        return scalar_factors(re, im, power_factors(names, params, style) + tail, style)
-    return [style.open + coefficient(group, style) + style.close] + tail
-
-
-def differential_factors(phase, style: Style) -> list[str]:
-    """x^a y^b then the derivative d^(c+d)/dx^c dy^d of an operator word."""
-    x, y, d, dx, dy = style.names["differential"]
-    out = power_factors((x, y), phase[:2], style)
-    order = phase[2] + phase[3]
-    if order:
-        head = d if order == 1 else style.power % (d, order)
-        dens = style.derivative_join.join(power_factors((dx, dy), phase[2:], style))
-        out.append(style.derivative % (head, dens))
-    return out
-
-
-def join_terms(groups, key_factors, style: Style) -> str:
+def join_terms(groups, kind: str, style: Style) -> str:
     """Sum of coefficient * key over the groups of a flat term map (as
-    grouped returns them), with binary +/-; "0" for none.
-    key_factors(phase, style) renders a key."""
-    return _join(
-        (coefficient_factors(group, key_factors(phase, style), style) for phase, group in groups),
-        style,
-    )
-
-
-def _join(factor_lists, style: Style) -> str:
-    parts = []
-    for factors in factor_lists:
-        term = style.join.join(factors)
-        if not parts:
-            parts.append(term)
-        elif term.startswith("-"):
-            parts.append(" - " + term[1:])
+    grouped returns them), with binary +/-; "0" for none.  kind names the
+    keys (style.names); a sum coefficient is parenthesized."""
+    firsts, seconds = _key_halves(kind, style)
+    params = _halves(_powers, style, style.names["coefficient"])
+    join = style.join
+    terms = []
+    for phase, group in groups:
+        key = _cat(firsts[phase[:2]], seconds[phase[2:]], join)
+        if len(group) == 1:
+            ((hwr, re, im),) = group
+            terms.append(_scaled(re, im, _cat(params[hwr], key, join), style))
         else:
-            parts.append(" + " + term)
-    return "".join(parts) or "0"
+            head = style.open + coefficient(group, style) + style.close
+            terms.append(_cat((head, False), key, join)[0])
+    return _sum(terms)
+
+
+def _sum(terms: list[str]) -> str:
+    """The terms joined by binary + and -; "0" for none."""
+    out = "".join([" - " + term[1:] if term[0] == "-" else " + " + term for term in terms])
+    if not out:
+        return "0"
+    return out[3:] if out[1] == "+" else "-" + out[3:]

@@ -161,8 +161,10 @@ class _Parser:
         if exponent > MAX_DEGREE:
             raise self.fail(f"exponent {exponent} exceeds the maximum {MAX_DEGREE}", offset)
         bound = _degree_checked(bound * exponent)
-        out = PhasePoly.one()
-        for _ in range(exponent):
+        if not exponent:
+            return PhasePoly.one(), bound
+        out = poly
+        for _ in range(exponent - 1):
             out = _product(out, poly)
         return out, bound
 
@@ -175,7 +177,7 @@ class _Parser:
                 if denominator == 0:
                     raise self.fail("zero denominator in rational literal", den_offset)
                 return PhasePoly.constant(Fraction(int(chars), denominator)), 1
-            return PhasePoly.constant(Fraction(int(chars))), 1
+            return PhasePoly.constant(int(chars)), 1
         if kind == "name":
             self.advance()
             if chars not in SYMBOLS:

@@ -297,8 +297,8 @@ def differential_terms(op: Operator) -> dict:
 
 def differential_text(op: Operator) -> str:
     """Plain-text rendering in derivative form."""
-    return render.join_terms(op.derivative_groups, render.differential_factors, render.TEXT)
+    return render.join_terms(op.derivative_groups, "differential", render.TEXT)
 
 
 def differential_latex(op: Operator) -> str:
-    return render.join_terms(op.derivative_groups, render.differential_factors, render.LATEX)
+    return render.join_terms(op.derivative_groups, "differential", render.LATEX)

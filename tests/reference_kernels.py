@@ -13,13 +13,17 @@ multiplies and adds whole term maps, hamiltonian builds H from powers of
 the phase variables and Fraction weights, and quantize multiplies each
 term's parameter part into the image of its phase part through
 coeffring._add_product.  tests/test_phasepoly.py, test_generators.py and
-test_quantizer.py check the one-pass kernels against them.  They are
-slow and plain on purpose.
+test_quantizer.py check the one-pass kernels against them.
+
+The renderer has one too: a list of factor strings per term, folded and
+joined (join_terms, coefficient, differential_factors).  They are slow
+and plain on purpose.
 """
 
 from fractions import Fraction
 from math import comb, factorial, lcm, perm
 
+from quantlab import render
 from quantlab.coeffring import (
     Coefficient,
     Monomial,
@@ -139,3 +143,95 @@ def quantize(scheme, poly: PhasePoly) -> Operator:
     for key, value, op in parts:
         _add_product(acc, key, value * (den // op.denominator), op.numerators)
     return _reduced(Operator, acc, poly.denominator * den)
+
+
+# -- rendering ----------------------------------------------------------------
+# The list-based renderer: every term is a list of factor strings, built
+# anew for each term, folded and joined.  tests/test_rendering.py checks
+# render.join_terms, render.coefficient and render.key_text against it.
+
+_ZERO, _ONE, _MINUS_ONE = (0, 1), (1, 1), (-1, 1)
+
+
+def power_factors(names, exponents, style) -> list[str]:
+    """name^exp for each nonzero exponent, a bare name for exponent 1."""
+    out = []
+    for name, exp in zip(names, exponents):
+        if exp == 1:
+            out.append(name)
+        elif exp:
+            out.append(style.power % (name, exp))
+    return out
+
+
+def scalar_factors(re, im, tail: list[str], style) -> list[str]:
+    """Factors of (re + im*i) * <tail>, folding a unit scalar into the tail."""
+    if im == _ZERO:
+        if re == _ONE and tail:
+            return tail
+        if re == _MINUS_ONE and tail and (style.fold_powers or "^" not in tail[0]):
+            return ["-" + tail[0]] + tail[1:]
+        head = [render.fraction(re, style)]
+    elif re != _ZERO:
+        head = [style.open + render.scalar(re, im, style) + style.close]
+    elif im in (_ONE, _MINUS_ONE):
+        head = ["i" if im == _ONE else "-i"]
+    else:
+        head = [render.fraction(im, style), "i"]
+    return head + tail
+
+
+def coefficient(group, style) -> str:
+    """A group's coefficient as a sum; a lone constant is written bare."""
+    if len(group) == 1 and not any(group[0][0]):
+        return render.scalar(group[0][1], group[0][2], style)
+    names = style.names["coefficient"]
+    return _join(
+        (scalar_factors(re, im, power_factors(names, params, style), style)
+         for params, re, im in group),
+        style,
+    )
+
+
+def coefficient_factors(group, tail: list[str], style) -> list[str]:
+    """Factors of a group's coefficient times <tail>: one term folds into
+    the tail, a sum is parenthesized."""
+    if len(group) == 1:
+        ((params, re, im),) = group
+        names = style.names["coefficient"]
+        return scalar_factors(re, im, power_factors(names, params, style) + tail, style)
+    return [style.open + coefficient(group, style) + style.close] + tail
+
+
+def differential_factors(phase, style) -> list[str]:
+    """x^a y^b then the derivative d^(c+d)/dx^c dy^d of an operator word."""
+    x, y, d, dx, dy = style.names["differential"]
+    out = power_factors((x, y), phase[:2], style)
+    order = phase[2] + phase[3]
+    if order:
+        head = d if order == 1 else style.power % (d, order)
+        dens = style.derivative_join.join(power_factors((dx, dy), phase[2:4], style))
+        out.append(style.derivative % (head, dens))
+    return out
+
+
+def join_terms(groups, key_factors, style) -> str:
+    """Sum of coefficient * key over grouped term maps; key_factors(phase,
+    style) renders a key."""
+    return _join(
+        (coefficient_factors(group, key_factors(phase, style), style) for phase, group in groups),
+        style,
+    )
+
+
+def _join(factor_lists, style) -> str:
+    parts = []
+    for factors in factor_lists:
+        term = style.join.join(factors)
+        if not parts:
+            parts.append(term)
+        elif term.startswith("-"):
+            parts.append(" - " + term[1:])
+        else:
+            parts.append(" + " + term)
+    return "".join(parts) or "0"

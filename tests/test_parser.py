@@ -155,6 +155,23 @@ def test_over_degree_cap_multiplies_nothing(monkeypatch):
     assert len(calls) == 1
 
 
+def test_power_starts_from_its_base(monkeypatch):
+    # x^k makes k - 1 products, none of them by 1, and x^0 makes none
+    calls = []
+
+    def counted(left, right, product=parser._product):
+        calls.append((left, right))
+        return product(left, right)
+
+    monkeypatch.setattr(parser, "_product", counted)
+    base = X + Y
+    for exponent in range(6):
+        calls.clear()
+        assert parse_polynomial(f"(x + y)^{exponent}") == base ** exponent
+        assert len(calls) == max(exponent - 1, 0)
+        assert all(left != PhasePoly.one() and right == base for left, right in calls)
+
+
 def test_zeroth_power_of_part_over_degree_cap_rejected():
     assert parse_polynomial(f"(x^{MAX_DEGREE})^0") == PhasePoly.one()
     assert parse_polynomial(f"x^0 * y^{MAX_DEGREE}") == Y ** MAX_DEGREE

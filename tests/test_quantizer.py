@@ -184,6 +184,14 @@ def test_quantize_refuses_a_scheme_that_is_not_a_member():
     assert quantize(BJ, poly) != quantize(W, poly)
 
 
+def test_quantize_refuses_a_bad_scheme_for_a_poly_with_no_terms():
+    # no term reaches quantize_monomial, so the scheme is checked up front
+    for scheme in ("bj", "weyl", None):
+        with pytest.raises(TypeError, match="scheme must be a Scheme member"):
+            quantize(scheme, PhasePoly.zero())
+    assert quantize(BJ, PhasePoly.zero()) == Operator.zero()
+
+
 def test_quantize_refuses_an_operand_that_is_not_a_phase_poly():
     for operand in (x_hat() * x_hat(), Coefficient.i(), Monomial(a=1)):
         for scheme in (W, BJ):

@@ -5,7 +5,10 @@ text or LaTeX conventions (fractions, signs, folding of -1, parentheses,
 operator hats, derivative forms) shows up here.
 """
 
+import importlib.util
+from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 from random import Random
 
 import pytest
@@ -15,7 +18,7 @@ from quantlab.coeffring import Coefficient, Monomial
 from quantlab.generators import OscillatorParams, hamiltonian, k_integral
 from quantlab.quantizer import Scheme, quantize
 from quantlab.vlab.parser import parse_polynomial
-from quantlab.vlab.report import operator_json, record_latex
+from quantlab.vlab.report import operator_json, record_latex, render_record
 from quantlab.vlab.verify import verify_pair
 from quantlab.weylalgebra import (
     Operator,
@@ -27,7 +30,8 @@ from quantlab.weylalgebra import (
     x_hat,
 )
 
-from randgen import flatten, rand_operator
+import reference_kernels as ref
+from randgen import flatten, rand_operator, rand_phase_poly
 
 POLYS = [
     (
@@ -253,3 +257,150 @@ def test_grouped_view_is_read_only():
     with pytest.raises(TypeError):
         view[0][1][0] = view[-1][1][0]
     assert _five_renders(op) == renders
+
+
+# -- the string renderer against the list-based reference ----------------------
+
+_UNITS = [(1, 1), (-1, 1)]
+# (re, im) of one coefficient term: the units, real, imaginary and Gaussian
+_SCALARS = [
+    ((-1, 1), (0, 1)),
+    ((1, 1), (0, 1)),
+    ((0, 1), (1, 1)),
+    ((0, 1), (-1, 1)),
+    ((3, 4), (0, 1)),
+    ((0, 1), (-7, 3)),
+    ((-2, 1), (5, 1)),
+    ((1, 1), (-1, 1)),
+]
+
+
+def _ref_key_factors(kind: str):
+    if kind == "differential":
+        return ref.differential_factors
+    return lambda phase, style: ref.power_factors(style.names[kind], phase, style)
+
+
+def _rand_exponents(rng: Random, size: int) -> tuple:
+    return tuple(rng.choice((0, 0, 0, 1, 2, 3)) for _ in range(size))
+
+
+def _rand_groups(rng: Random) -> tuple:
+    """A grouped view, as render.grouped returns one, drawn directly: any
+    phase part under any coefficient, so -1 meets every kind of first
+    factor, also a derivative with no hbar before it."""
+    phases = {_rand_exponents(rng, 4) for _ in range(rng.randint(0, 4))}
+    out = []
+    for phase in render.ordered(phases):
+        size = rng.choice((1, 1, 1, 2, 3))
+        params = {
+            rng.choice(((0, 0, 0), _rand_exponents(rng, 2) + (rng.randint(0, 1),)))
+            for _ in range(size)
+        }
+        group = [(hwr, *rng.choice(_SCALARS)) for hwr in sorted(params, reverse=True)]
+        out.append((phase, tuple(group)))
+    return tuple(out)
+
+
+def _features(groups: tuple, kind: str, style: render.Style) -> set:
+    """The cases of the fold and of the heads that a view's render meets."""
+    seen = set() if groups else {"zero"}
+    for phase, group in groups:
+        if len(group) > 1:
+            seen.add("sum")
+            continue
+        ((hwr, re, im),) = group
+        tail = ref.power_factors(style.names["coefficient"], hwr, style)
+        tail += _ref_key_factors(kind)(phase, style)
+        if not tail:
+            seen.add("constant")
+        elif (re, im) == ((-1, 1), (0, 1)) and "^" in tail[0]:
+            derivative = tail[0].startswith(style.derivative.split("%s")[0] + style.names[kind][2])
+            seen.add(("-1 before", "derivative" if derivative else "power", style.fold_powers))
+        elif re == (0, 1) and im in _UNITS:
+            seen.add(render.scalar(re, im, style))
+        elif re != (0, 1) and im != (0, 1):
+            seen.add("gaussian")
+    return seen
+
+
+def _check_view(groups: tuple, kinds: tuple, seen: Counter) -> None:
+    for style in (render.TEXT, render.LATEX):
+        for kind in kinds:
+            expected = ref.join_terms(groups, _ref_key_factors(kind), style)
+            assert render.join_terms(groups, kind, style) == expected
+            seen.update(_features(groups, kind, style))
+        for phase, group in groups:
+            assert render.coefficient(group, style) == ref.coefficient(group, style)
+            for kind in kinds:
+                expected = style.join.join(_ref_key_factors(kind)(phase, style))
+                assert render.key_text(phase, kind, style) == expected
+
+
+def test_renderer_matches_the_list_based_reference():
+    rng = Random(2411)
+    seen: Counter = Counter()
+    for _ in range(2000):
+        _check_view(_rand_groups(rng), ("phase", "operator", "differential"), seen)
+    for _ in range(1000):
+        poly = rand_phase_poly(rng, max_exp=3)
+        _check_view(poly.groups, ("phase",), seen)
+        for style, out in ((render.TEXT, poly.text()), (render.LATEX, poly.latex())):
+            assert out == ref.join_terms(poly.groups, _ref_key_factors("phase"), style)
+    for _ in range(1000):
+        op = rand_operator(rng, max_terms=4, max_exp=3)
+        _check_view(op.groups, ("operator",), seen)
+        _check_view(op.derivative_groups, ("differential",), seen)
+        for key_factors, groups, text, latex in (
+            (_ref_key_factors("operator"), op.groups, op.text(), op.latex()),
+            (ref.differential_factors, op.derivative_groups,
+             differential_text(op), differential_latex(op)),
+        ):
+            assert text == ref.join_terms(groups, key_factors, render.TEXT)
+            assert latex == ref.join_terms(groups, key_factors, render.LATEX)
+    for _ in range(500):
+        coeff = flatten(Coefficient, {Monomial(): rng.choice((1, -1, Fraction(2, 3)))})
+        coeff = coeff * rng.choice((1, Coefficient.i(), Coefficient.hbar() + 1))
+        group = coeff.groups[0][1] if coeff.groups else ()
+        assert coeff.text() == ref.coefficient(group, render.TEXT)
+        assert coeff.latex() == ref.coefficient(group, render.LATEX)
+    assert Operator.zero().text() == differential_latex(Operator.zero()) == "0"
+    # every fold of -1, both unit imaginary heads, Gaussian heads, sums,
+    # lone constants and the zero map were met, each many times
+    for case in (
+        ("-1 before", "power", False),
+        ("-1 before", "derivative", False),
+        ("-1 before", "power", True),
+        ("-1 before", "derivative", True),
+        "i", "-i", "gaussian", "sum", "constant", "zero",
+    ):
+        assert seen[case] >= 20, case
+
+
+def _load_workloads():
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _cache_entries() -> int:
+    return sum(len(halves) for halves in render._halves_cache.values())
+
+
+def test_key_cache_stays_small(monkeypatch):
+    # only halves of keys are cached, never whole keys: one cache per
+    # style and set of names, each holding the distinct (a, b), (c, d) or
+    # (h, w, r) met, so the caches grow with the degree, not with the terms
+    monkeypatch.setattr(render, "_halves_cache", {})
+    workloads = _load_workloads()
+    for item in workloads.make_inputs("quantize-render", "full", 1):
+        workloads.render_item(item)
+    assert 100 < _cache_entries() < 500
+    # the (10, 10) report has terms of degree 16 with (a, b) up to (10, 6)
+    record = verify_pair(10, 10)
+    for fmt in ("text", "json", "latex"):
+        render_record(record, fmt)
+    assert _cache_entries() < 1000
+    assert max(map(len, render._halves_cache.values())) < 150
