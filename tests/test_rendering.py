@@ -2,7 +2,9 @@
 
 Every expected string is pinned byte for byte, so any change to the
 text or LaTeX conventions (fractions, signs, folding of -1, parentheses,
-operator hats, derivative forms) shows up here.
+operator hats, derivative forms) shows up here.  The string renderer is
+also checked, byte for byte, against the list-based reference renderer
+of reference_kernels on drawn views, polynomials and operators.
 """
 
 import importlib.util
