@@ -24,13 +24,13 @@ commutator and the action) pack each key into one int (pack_terms), so
 a product is one int add, k1 + k2, and the reductions are two mask
 tests on it, R2 for sqrt2 * sqrt2 = 2 and E2 for i * i = -1 (_folded
 reduces the i a reordering correction brings).  One more product
-reduces i * i = -1 alone: quantizer.quantize joins each term's
-parameter part to its image's keys inline, as those carry only hbar and
-i beside their phase part.  Beside them, neg_i_hbar states (-i hbar)^k,
-the factor of the momentum realization p = -i hbar d/dq, as a key and a
-sign; the powers of i written in closed form are reduced where they are
-written (generators' ladder powers i^j and -i F2, render's (-i)^k of
-the derivative form).  A Coefficient is
+reduces i alone: quantizer.quantize joins each term's parameter part to
+the keys of its two one-pair images (only hbar and i beside their phase
+part), and the three powers of i reduce as one.  Beside them, neg_i_hbar
+states (-i hbar)^k, the factor of the momentum realization p = -i hbar
+d/dq, as a key and a sign; the powers of i written in closed form are
+reduced where they are written (generators' ladder powers i^j and -i F2,
+render's (-i)^k of the derivative form).  A Coefficient is
 the map whose keys have a zero phase part; render groups a flat map by
 phase part and parameters, and the map rendered last keeps its grouped
 view (and, for an operator, that view relabelled into its derivative

@@ -5,11 +5,13 @@ Two monomial ordering rules are implemented for each canonical pair:
     Born-Jordan:  x^r p^s -> 1/(s+1)   sum_k          P^(s-k) X^r P^k
     Weyl:         x^r p^s -> 1/2^s     sum_k C(s, k)  P^(s-k) X^r P^k
 
-Each sum has a closed normal-ordered form (_pair_rule).
+Each sum has a closed normal-ordered form (quantize_monomial), cached
+per one-pair monomial, so the degree range bounds the cache.
 
-Mixed monomials factor across the two commuting pairs, so the image of
-a monomial is one flat map over the two pair rules, each term carrying
-coeffring.neg_i_hbar.  Output is always normal ordered, which makes
+The pairs commute, so quantize joins each term's two one-pair images
+with the term's parameter part in one double loop: exponents of hbar
+add, and three powers of i (coeffring.neg_i_hbar in each image, and the
+term's own) reduce as one.  Output is always normal ordered, which makes
 operator equality a structural check.
 
 The module also provides the direct ladder-operator quantization, a
@@ -37,74 +39,62 @@ class Scheme(Enum):
 
 
 @lru_cache(maxsize=None)
-def _pair_rule(scheme: Scheme, r: int, s: int) -> tuple[tuple[int, ...], int]:
-    """Normal-ordered image of one canonical pair, as (rule, denominator).
+def quantize_monomial(scheme: Scheme, mono: Monomial) -> Operator:
+    """Quantize the phase part of a classical monomial under the given
+    scheme.  quantize reads only one-pair and constant images from here.
 
-    x^r p^s maps to sum_j rule[j] / denominator * (-i hbar)^j * X^(r-j)
+    x^r p^s on one axis maps to sum_j rule_j / den (-i hbar)^j X^(r-j)
     P^(s-j).  Swapping P^(s-k) past X^r term by term, the ordering sum
-    collapses to rule[j] / denominator = swap_weight(s, r, j) * mu_j, with
+    collapses to rule_j / den = swap_weight(s, r, j) mu_j, with
     mu_j = 1/(j+1) for Born-Jordan (sum_k C(s-k, j) = C(s+1, j+1)) and
-    2^-j for Weyl (sum_k C(s, k) C(s-k, j) = C(s, j) 2^(s-j)); every
-    rule[j] is a positive integer.  TypeError for a scheme that is not a
-    Scheme member: only a cache miss runs this check.
+    2^-j for Weyl (sum_k C(s, k) C(s-k, j) = C(s, j) 2^(s-j)).  A mixed
+    monomial's image is the product of its one-pair images, joined by
+    quantize.  TypeError for a scheme that is not a Scheme member: only a
+    cache miss runs this check.
     """
     if not isinstance(scheme, Scheme):
         raise TypeError(f"scheme must be a Scheme member, got {scheme!r}")
+    a, b, c, d = mono[:4]
+    if (a or c) and (b or d):
+        return quantize(scheme, PhasePoly.monomial(Monomial(a, b, c, d)))
     born_jordan = scheme is Scheme.BORN_JORDAN
+    r, s = a + b, c + d
     den = s + 1 if born_jordan else 2 ** s
-    rule = tuple(
-        swap_weight(s, r, j) * den // (j + 1 if born_jordan else 2 ** j)
-        for j in range(min(r, s) + 1)
-    )
-    return rule, den
-
-
-@lru_cache(maxsize=None)
-def quantize_monomial(scheme: Scheme, mono: Monomial) -> Operator:
-    """Quantize a single classical monomial under the given scheme.
-
-    The pairs commute, so x^a y^b px^c py^d maps to the sum over j, k of
-    (-i hbar)^(j+k) rule_x[j] rule_y[k] X^(a-j) Y^(b-k) Px^(c-j) Py^(d-k).
-    """
-    rule_x, den_x = _pair_rule(scheme, mono.a, mono.c)
-    rule_y, den_y = _pair_rule(scheme, mono.b, mono.d)
     nums = {}
-    for j, wx in enumerate(rule_x):
-        for k, wy in enumerate(rule_y):
-            power, sign = neg_i_hbar(j + k)
-            # j <= min(a, c) and k <= min(b, d), so no exponent goes negative
-            key = _make(Monomial, (mono.a - j, mono.b - k, mono.c - j, mono.d - k) + power[4:])
-            nums[key] = sign * wx * wy
-    return _reduced(Operator, nums, den_x * den_y)
+    for j in range(min(r, s) + 1):
+        power, sign = neg_i_hbar(j)
+        # one pair's exponents are nonzero, and j <= min(r, s) lowers only them
+        key = _make(Monomial, (a and a - j, b and b - j, c and c - j, d and d - j) + power[4:])
+        nums[key] = sign * swap_weight(s, r, j) * den // (j + 1 if born_jordan else 2 ** j)
+    return _reduced(Operator, nums, den)
 
 
 def quantize(scheme: Scheme, poly: PhasePoly) -> Operator:
     """Coefficient-linear extension of the monomial rule: each term's
-    parameter part multiplies the image of its phase part, and the images
-    meet at the lcm of their denominators.
-
-    An image key carries only hbar and i beside its phase part, so the
-    term's (h, w, r, e) joins it inline: exponents add, and i * i = -1
-    is the one reduction.
-    """
+    parameter part times the images of its one-pair parts x^a px^c and
+    y^b py^d, the products meeting at the lcm of their denominators."""
     if not isinstance(scheme, Scheme):
         raise TypeError(f"scheme must be a Scheme member, got {scheme!r}")
     if not isinstance(poly, PhasePoly):
         raise TypeError(f"quantize takes a PhasePoly, got {type(poly).__name__}")
-    parts = [(key, value, quantize_monomial(scheme, _make(Monomial, key[:4] + (0, 0, 0, 0))))
-             for key, value in poly._nums.items()]
-    den = lcm(*(op._den for _, _, op in parts))
+    parts = []
+    for key, value in poly._nums.items():
+        a, b, c, d = key[:4]
+        x = quantize_monomial(scheme, _make(Monomial, (a, 0, c, 0, 0, 0, 0, 0)))
+        y = quantize_monomial(scheme, _make(Monomial, (0, b, 0, d, 0, 0, 0, 0)))
+        parts.append((key, value, x, y))
+    den = lcm(*(x._den * y._den for _, _, x, y in parts))
     acc: dict[Monomial, int] = {}
-    for (_, _, _, _, h, w, r, e), value, op in parts:
-        scale = value * (den // op._den)
-        for (a, b, c, d, h2, _, _, e2), v in op._nums.items():
-            if e & e2:
-                # i * i = -1
-                key = _make(Monomial, (a, b, c, d, h + h2, w, r, 0))
-                v = -v
-            else:
-                key = _make(Monomial, (a, b, c, d, h + h2, w, r, e | e2))
-            acc[key] = acc.get(key, 0) + scale * v
+    for (_, _, _, _, h, w, r, e), value, x, y in parts:
+        scale = value * (den // (x._den * y._den))
+        y_terms = y._nums.items()
+        for (a, _, c, _, hx, _, _, ex), vx in x._nums.items():
+            vx *= scale
+            for (_, b, _, d, hy, _, _, ey), vy in y_terms:
+                i = e + ex + ey
+                key = _make(Monomial, (a, b, c, d, h + hx + hy, w, r, i & 1))
+                # i^2 = -1 when two or all three powers of i meet
+                acc[key] = acc.get(key, 0) + (-vx * vy if i & 2 else vx * vy)
     return _reduced(Operator, {k: v for k, v in acc.items() if v}, poly._den * den)
 
 

@@ -19,7 +19,8 @@ Input is bounded so that no expression runs unbounded.  Each rule also
 returns a degree bound (1 for a number or symbol, the max over a sum,
 the sum over a product, times the exponent for a power); an exponent
 literal and every bound may not exceed MAX_DEGREE, and a product or
-power is refused by its bound before anything is multiplied.
+power is refused by its bound before anything is multiplied.  An integer
+literal over MAX_DIGITS digits is refused before anything is read.
 Parentheses and unary minus may not nest deeper than MAX_NESTING, no
 polynomial read may hold more than MAX_TERMS terms, and no product may
 multiply more than MAX_PAIRS pairs of terms.  The first cap broken in
@@ -50,6 +51,10 @@ MAX_DEGREE = 2 * MAX_SUM
 MAX_NESTING = 100
 # Largest number of terms of the polynomial read, or of any part of it.
 MAX_TERMS = 2000
+# Longest integer literal: CPython's default bound on the digits int()
+# reads (sys.get_int_max_str_digits), so a longer literal is a ParseError
+# with one message on every interpreter, not int()'s own ValueError.
+MAX_DIGITS = 4300
 # Largest number of term pairs one product may multiply: a part at the
 # term cap times a 50-term factor, under a second of multiplying.  Checked
 # before the product, as two parts under the term cap may still have
@@ -95,6 +100,9 @@ class _Parser:
         for kind, chars, offset in self.tokens:
             if kind == "bad" or kind == "name" and not (chars[0].isalpha() or chars[0] == "_"):
                 raise self.fail(f"unexpected character {chars[0]!r}", offset)
+            if kind == "int" and len(chars) > MAX_DIGITS:
+                message = f"integer literal of {len(chars)} digits exceeds the maximum {MAX_DIGITS}"
+                raise self.fail(message, offset)
 
     def fail(self, message: str, offset: int, error=ParseError) -> ParseError:
         """The error for message at a text offset, with its line and column."""

@@ -63,12 +63,29 @@ def rand_phase_poly(
     real_only: bool = False,
     hbar_free: bool = False,
 ) -> PhasePoly:
-    terms = {}
-    for _ in range(rng.randint(0, max_terms)):
-        terms[rand_mono(rng, max_exp)] = rand_coefficient(
-            rng, real_only=real_only, hbar_free=hbar_free
-        )
-    return flatten(PhasePoly, terms)
+    """A nonzero polynomial of at most max_terms terms: a draw whose terms
+    all vanish or cancel is drawn again, so a suite states its zero cases."""
+    while True:
+        terms = {}
+        for _ in range(rng.randint(1, max_terms)):
+            terms[rand_mono(rng, max_exp)] = rand_coefficient(
+                rng, real_only=real_only, hbar_free=hbar_free
+            )
+        poly = flatten(PhasePoly, terms)
+        if not poly.is_zero():
+            return poly
+
+
+def zero_case(index: int, *operands: PhasePoly) -> tuple:
+    """The operands of case index of a suite, its first cases made zero
+    cases: case i < len(operands) zeroes operand i, and the case after
+    them, for two or more operands, zeroes every operand."""
+    count = len(operands)
+    if index < count:
+        return operands[:index] + (PhasePoly.zero(),) + operands[index + 1:]
+    if index == count > 1:
+        return (PhasePoly.zero(),) * count
+    return operands
 
 
 def rand_position_poly(rng: Random, max_terms: int = 4, max_exp: int = 3) -> PhasePoly:

@@ -10,10 +10,11 @@ weylalgebra against them.
 
 The classical layer has its own: poisson takes partial derivatives and
 multiplies and adds whole term maps, hamiltonian builds H from powers of
-the phase variables and Fraction weights, and quantize multiplies each
-term's parameter part into the image of its phase part through
-coeffring._add_product.  tests/test_phasepoly.py, test_generators.py and
-test_quantizer.py check the one-pass kernels against them.
+the phase variables and Fraction weights, and quantize multiplies the
+two one-pair images of each term's phase part with the op_mul here and
+its parameter part into that product through coeffring._add_product.
+tests/test_phasepoly.py, test_generators.py and test_quantizer.py check
+the one-pass kernels against them.
 
 The renderer has one too: a list of factor strings per term, folded and
 joined (join_terms, coefficient, differential_factors).  They are slow
@@ -133,10 +134,14 @@ def hamiltonian(params) -> PhasePoly:
 def quantize(scheme, poly: PhasePoly) -> Operator:
     """Each term's parameter part times the image of its phase part, one
     key product (mono_mul) per image term, over the lcm of the images'
-    denominators."""
+    denominators.  The image of the phase part is the op_mul here of its
+    two one-pair images."""
     parts = []
     for key, value in poly.numerators.items():
-        image = quantize_monomial(scheme, key._replace(h=0, w=0, r=0, e=0))
+        image = op_mul(
+            quantize_monomial(scheme, Monomial(a=key.a, c=key.c)),
+            quantize_monomial(scheme, Monomial(b=key.b, d=key.d)),
+        )
         parts.append((key._replace(a=0, b=0, c=0, d=0), value, image))
     den = lcm(*(op.denominator for _, _, op in parts))
     acc: dict = {}

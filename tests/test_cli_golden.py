@@ -57,6 +57,7 @@ CASES = {
         "quantize", "--scheme", "bj", "--expr", "(" * 250 + "x" + ")" * 250,
     ],
     "error_expr_unary_minus_chain": ["quantize", "--scheme", "bj", "--expr=" + "-" * 3000 + "x"],
+    "error_expr_long_literal": ["quantize", "--scheme", "bj", "--expr", "x + " + "7" * 5000],
     "error_expr_long_product": ["quantize", "--scheme", "bj", "--expr", " * ".join(["x"] * 1000)],
 }
 

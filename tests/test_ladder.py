@@ -66,7 +66,6 @@ def test_ladder_route_references_no_ordering_rule():
     assert not names & {
         "quantize",
         "quantize_monomial",
-        "_pair_rule",
         "swap_weight",
         "_corrections",
         "op_mul",

@@ -20,6 +20,7 @@ from quantlab.phasepoly import PhasePoly, PhaseVar
 from quantlab.vlab import parser
 from quantlab.vlab.parser import (
     MAX_DEGREE,
+    MAX_DIGITS,
     MAX_NESTING,
     MAX_PAIRS,
     MAX_TERMS,
@@ -28,7 +29,7 @@ from quantlab.vlab.parser import (
     parse_polynomial,
 )
 
-from randgen import rand_phase_poly
+from randgen import rand_phase_poly, zero_case
 
 X = PhasePoly.variable(PhaseVar.X)
 Y = PhasePoly.variable(PhaseVar.Y)
@@ -243,6 +244,21 @@ def test_non_ascii_digit_rejected():
     assert err.value.column == 3
 
 
+def test_long_integer_literal_is_a_parse_error():
+    # int() alone refuses a literal this long with a ValueError whose text
+    # varies by interpreter and names no line or column
+    digits = "7" * MAX_DIGITS
+    assert parse_polynomial(f"x + {digits}/{digits}") == X + 1
+    for text, length, line, column in (
+        ("x + " + "7" * 5000, 5000, 1, 5),
+        ("1/\n  " + "9" * (MAX_DIGITS + 1), MAX_DIGITS + 1, 2, 3),
+    ):
+        with pytest.raises(ParseError) as err:
+            parse_polynomial(text)
+        message = f"integer literal of {length} digits exceeds the maximum {MAX_DIGITS}"
+        assert (err.value.message, err.value.line, err.value.column) == (message, line, column)
+
+
 @pytest.mark.parametrize(
     "text, message",
     [
@@ -308,6 +324,6 @@ def test_round_trip_generated_observables():
 
 def test_round_trip_random():
     rng = Random(2718281828)
-    for _ in range(1_000):
-        poly = rand_phase_poly(rng, max_terms=5, max_exp=3)
+    for index in range(1_000):
+        (poly,) = zero_case(index, rand_phase_poly(rng, max_terms=5, max_exp=3))
         assert parse_polynomial(poly.text()) == poly

@@ -18,7 +18,7 @@ from quantlab.generators import (
     p_poly,
 )
 from quantlab.phasepoly import PhasePoly, PhaseVar
-from quantlab.quantizer import Scheme, _pair_rule, quantize, quantize_ladder, quantize_monomial
+from quantlab.quantizer import Scheme, quantize, quantize_ladder, quantize_monomial
 from quantlab.weylalgebra import (
     Operator,
     adjoint,
@@ -33,7 +33,7 @@ from quantlab.weylalgebra import (
 )
 
 import reference_kernels as ref
-from randgen import flatten, rand_phase_poly
+from randgen import flatten, rand_phase_poly, zero_case
 from test_weylalgebra import normal_order_word
 
 W = Scheme.WEYL
@@ -86,10 +86,20 @@ def summed_pair_rule(scheme, r, s):
 
 
 def test_pair_rule_closed_form_matches_ordering_sum():
+    # the one-pair images of quantize_monomial, on either axis, against
+    # sum_j rule[j] / den (-i hbar)^j X^(r-j) P^(s-j) of the summed rule
     for scheme in (W, BJ):
         for r in range(15):
             for s in range(15):
-                assert _pair_rule(scheme, r, s) == summed_pair_rule(scheme, r, s)
+                rule, den = summed_pair_rule(scheme, r, s)
+                for x_index in (True, False):
+                    expected = Operator.zero()
+                    for j, weight in enumerate(rule):
+                        word = Monomial(a=r - j, c=s - j) if x_index else Monomial(b=r - j, d=s - j)
+                        term = Operator.monomial(word, Fraction(weight, den))
+                        expected = expected + term * (-I_HBAR) ** j
+                    mono = Monomial(a=r, c=s) if x_index else Monomial(b=r, d=s)
+                    assert quantize_monomial(scheme, mono) == expected
 
 
 def test_mixed_monomial_factorizes():
@@ -137,9 +147,10 @@ def test_schemes_differ_for_x2px2():
 
 def test_quantize_linear():
     rng = Random(424242)
-    for _ in range(1_000):
+    for index in range(1_000):
         f = rand_phase_poly(rng, max_terms=3, max_exp=2)
         g = rand_phase_poly(rng, max_terms=3, max_exp=2)
+        f, g = zero_case(index, f, g)
         alpha = Coefficient.hbar() * rng.randint(-3, 3) + (
             Fraction(rng.randint(-3, 3)) + Fraction(rng.randint(-3, 3)) * Coefficient.i()
         )
@@ -157,7 +168,7 @@ def test_quantize_matches_the_key_product_route():
     rng = Random(20261021)
     meetings = 0
     for index in range(1_500):
-        poly = rand_phase_poly(rng, max_terms=4, max_exp=3)
+        (poly,) = zero_case(index, rand_phase_poly(rng, max_terms=4, max_exp=3))
         scheme = (W, BJ)[index % 2]
         assert quantize(scheme, poly) == ref.quantize(scheme, poly)
         for key in poly.numerators:
@@ -167,12 +178,28 @@ def test_quantize_matches_the_key_product_route():
 
 
 def test_repeated_quantize_hits_the_monomial_cache():
-    # the benchmark reads quantizer.monomial_cache.hit_ratio from here
+    # the benchmark reads quantizer.monomial_cache.hit_ratio from here; a
+    # term looks up its two one-pair parts, x^a px^c and y^b py^d
     h = hamiltonian(OscillatorParams(2, 3))
     first = quantize(W, h)
     hits = quantize_monomial.cache_info().hits
     assert quantize(W, h) == first
-    assert quantize_monomial.cache_info().hits == hits + len(h.numerators)
+    assert quantize_monomial.cache_info().hits == hits + 2 * len(h.numerators)
+
+
+def test_the_monomial_cache_holds_one_pair_images_only():
+    # no two pairs share a monomial of K, but they share its one-pair
+    # parts, so a cache of whole monomials would grow with the pairs
+    quantize_monomial.cache_clear()
+    parts = set()
+    for total in range(2, 21):
+        for m in range(1, total):
+            k = k_integral(OscillatorParams(m, total - m))
+            for scheme in (W, BJ):
+                quantize(scheme, k)
+            for a, b, c, d, *_ in k.numerators:
+                parts |= {(a, 0, c, 0), (0, b, 0, d)}
+    assert quantize_monomial.cache_info().currsize <= 2 * len(parts)
 
 
 def test_quantize_refuses_a_scheme_that_is_not_a_member():
@@ -203,16 +230,16 @@ def test_symbol_round_trip():
     # symbol extraction drops every hbar-carrying term, so the round trip
     # is an identity on hbar-free classical inputs
     rng = Random(5050)
-    for _ in range(1_000):
-        f = rand_phase_poly(rng, max_terms=4, max_exp=3, hbar_free=True)
+    for index in range(1_000):
+        (f,) = zero_case(index, rand_phase_poly(rng, max_terms=4, max_exp=3, hbar_free=True))
         assert classical_symbol(quantize(W, f)) == f
         assert classical_symbol(quantize(BJ, f)) == f
 
 
 def test_hermiticity_surrogate():
     rng = Random(6174)
-    for _ in range(1_000):
-        f = rand_phase_poly(rng, max_terms=4, max_exp=2, real_only=True)
+    for index in range(1_000):
+        (f,) = zero_case(index, rand_phase_poly(rng, max_terms=4, max_exp=2, real_only=True))
         for scheme in (W, BJ):
             op = quantize(scheme, f)
             assert adjoint(op) == op
