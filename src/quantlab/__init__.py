@@ -26,11 +26,11 @@ from quantlab.weylalgebra import (
     apply_to_polynomial,
     classical_symbol,
     commutator,
-    differential_terms,
     differential_text,
     min_hbar_exponent,
     min_omega_exponent,
     op_mul,
+    probe_image,
     px_hat,
     py_hat,
     x_hat,

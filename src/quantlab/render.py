@@ -121,8 +121,8 @@ def derivative_groups(groups: tuple) -> tuple:
     d/dq, the momenta of a phase part put (-i hbar)^k on its group, k =
     c + d, so each (h, w, r) becomes (h + k, w, r) and each (re, im) is
     multiplied by (-i)^k.  The shift of h is the same across a group, so
-    the order is kept, and the result is grouped(derivative_words(op))
-    (weylalgebra), which the action reads."""
+    the order is kept, and the result is the grouped view of
+    weylalgebra.probe_image(op), whose numerators the action reads."""
     out = []
     for phase, group in groups:
         k = phase[2] + phase[3]

@@ -22,9 +22,13 @@ literal and every bound may not exceed MAX_DEGREE, and a product or
 power is refused by its bound before anything is multiplied.  An integer
 literal over MAX_DIGITS digits is refused before anything is read.
 Parentheses and unary minus may not nest deeper than MAX_NESTING, no
-polynomial read may hold more than MAX_TERMS terms, and no product may
-multiply more than MAX_PAIRS pairs of terms.  The first cap broken in
-reading order is the one reported, so a rejected input has cost only
+polynomial read may hold more than MAX_TERMS terms, no product may
+multiply more than MAX_PAIRS pairs of terms, and no numerator or
+denominator read may have more than MAX_COEFFICIENT_DIGITS digits.  The
+last cap is kept like the degree: each rule returns a bound on the bits
+of its part's numerators and denominator, and the part itself is
+measured only when that bound could break the cap.  The first cap broken
+in reading order is the one reported, so a rejected input has cost only
 the work of the prefix already read.
 """
 
@@ -51,6 +55,18 @@ MAX_DEGREE = 2 * MAX_SUM
 MAX_NESTING = 100
 # Largest number of terms of the polynomial read, or of any part of it.
 MAX_TERMS = 2000
+# Most digits of a numerator or of the denominator of the polynomial read,
+# or of any part of it.  Quantizing adds about 20 digits at most within
+# MAX_DEGREE ((x + px)^39 under Born-Jordan adds the most), so every report
+# stays far under CPython's 4300-digit bound on printing an int
+# (sys.get_int_max_str_digits).
+MAX_COEFFICIENT_DIGITS = 4000
+_COEFFICIENT_LIMIT = 10**MAX_COEFFICIENT_DIGITS
+# Below 2^_SAFE_BITS an int has at most MAX_COEFFICIENT_DIGITS digits.
+_SAFE_BITS = _COEFFICIENT_LIMIT.bit_length() - 1
+# A product's numerator sums at most MAX_TERMS term pairs, each doubled at
+# most by sqrt2 * sqrt2 = 2, so it is below 2^_PAIR_BITS times the factors'.
+_PAIR_BITS = MAX_TERMS.bit_length() + 1
 # Longest integer literal: CPython's default bound on the digits int()
 # reads (sys.get_int_max_str_digits), so a longer literal is a ParseError
 # with one message on every interpreter, not int()'s own ValueError.
@@ -136,33 +152,39 @@ class _Parser:
         self.advance()
         return int(chars), offset
 
-    # Each rule returns the polynomial it read and an upper bound on its
-    # degree, counting every number and symbol as degree 1.
+    # Each rule returns the polynomial it read, an upper bound on its
+    # degree, counting every number and symbol as degree 1, and an upper
+    # bound on the bit length of its numerators and denominator.
 
-    def expr(self) -> tuple[PhasePoly, int]:
-        poly, bound = self.term()
+    def expr(self) -> tuple[PhasePoly, int, int]:
+        poly, bound, bits = self.term()
         while op := self.match_op("+", "-"):
-            right, right_bound = self.term()
+            right, right_bound, right_bits = self.term()
             poly = _capped(poly + right if op[1] == "+" else poly - right)
             bound = max(bound, right_bound)
-        return poly, bound
+            # over the lcm of the denominators, each side's numerator is
+            # below 2^(bits + right_bits), and their sum below twice that
+            bits += right_bits + 1
+            if bits > _SAFE_BITS:
+                bits = _measured_bits(poly)
+        return poly, bound, bits
 
-    def term(self) -> tuple[PhasePoly, int]:
+    def term(self) -> tuple[PhasePoly, int, int]:
         factors = [self.factor()]
         while self.match_op("*"):
             factors.append(self.factor())
-        bound = _degree_checked(sum(bound for _, bound in factors))
-        poly = factors[0][0]
-        for right, _ in factors[1:]:
-            poly = _product(poly, right)
-        return poly, bound
+        bound = _degree_checked(sum(bound for _, bound, _ in factors))
+        poly, _, bits = factors[0]
+        for right, _, right_bits in factors[1:]:
+            poly, bits = _product(poly, right, bits + right_bits)
+        return poly, bound, bits
 
-    def factor(self) -> tuple[PhasePoly, int]:
+    def factor(self) -> tuple[PhasePoly, int, int]:
         negated = self.peek()[1] == "-"
-        poly, bound = self.base()
+        poly, bound, bits = self.base()
         caret = self.match_op("^")
         if not caret:
-            return poly, bound
+            return poly, bound, bits
         if negated:
             raise self.fail("ambiguous unary minus before '^'; write -(x^2) or (-x)^2", caret[2])
         exponent, offset = self.literal("exponent must be a nonnegative integer literal")
@@ -170,28 +192,31 @@ class _Parser:
             raise self.fail(f"exponent {exponent} exceeds the maximum {MAX_DEGREE}", offset)
         bound = _degree_checked(bound * exponent)
         if not exponent:
-            return PhasePoly.one(), bound
-        out = poly
+            return PhasePoly.one(), bound, 1
+        out, out_bits = poly, bits
         for _ in range(exponent - 1):
-            out = _product(out, poly)
-        return out, bound
+            out, out_bits = _product(out, poly, out_bits + bits)
+        return out, bound, out_bits
 
-    def base(self) -> tuple[PhasePoly, int]:
+    def base(self) -> tuple[PhasePoly, int, int]:
         kind, chars, offset = self.peek()
         if kind == "int":
             self.advance()
+            value = int(chars)
             if self.match_op("/"):
                 denominator, den_offset = self.literal("expected integer denominator")
                 if denominator == 0:
                     raise self.fail("zero denominator in rational literal", den_offset)
-                return PhasePoly.constant(Fraction(int(chars), denominator)), 1
-            return PhasePoly.constant(int(chars)), 1
+                value = Fraction(value, denominator)
+            poly = PhasePoly.constant(value)
+            bits = max(value.numerator, value.denominator).bit_length()
+            return poly, 1, bits if bits <= _SAFE_BITS else _measured_bits(poly)
         if kind == "name":
             self.advance()
             if chars not in SYMBOLS:
                 message = f"unknown symbol {chars!r}; legal symbols are " + ", ".join(SYMBOLS)
                 raise self.fail(message, offset, UnknownSymbolError)
-            return _SYMBOL_POLYS[chars], 1
+            return _SYMBOL_POLYS[chars], 1, 1
         if kind == "op" and chars in ("(", "-"):
             self.advance()
             self.depth += 1
@@ -199,14 +224,14 @@ class _Parser:
                 message = f"parentheses and unary minus nest deeper than the maximum {MAX_NESTING}"
                 raise self.fail(message, offset)
             if chars == "-":
-                poly, bound = self.base()
+                poly, bound, bits = self.base()
                 poly = -poly
             else:
-                poly, bound = self.expr()
+                poly, bound, bits = self.expr()
                 if not self.match_op(")"):
                     raise self.error("expected ')'")
             self.depth -= 1
-            return poly, bound
+            return poly, bound, bits
         raise self.error("expected a number, symbol, '(' or '-'")
 
 
@@ -234,11 +259,26 @@ def _capped(poly: PhasePoly) -> PhasePoly:
     return poly
 
 
-def _product(left: PhasePoly, right: PhasePoly) -> PhasePoly:
+def _measured_bits(poly: PhasePoly) -> int:
+    """The bit length of poly's largest numerator or denominator;
+    ValueError if one has more than MAX_COEFFICIENT_DIGITS digits."""
+    largest = max([poly.denominator, *map(abs, poly.numerators.values())])
+    if largest >= _COEFFICIENT_LIMIT:
+        raise ValueError(f"expression has a coefficient of more than {MAX_COEFFICIENT_DIGITS} digits")
+    return largest.bit_length()
+
+
+def _product(left: PhasePoly, right: PhasePoly, bits: int) -> tuple[PhasePoly, int]:
+    """left * right and its coefficient bit bound, from bits, the sum of the
+    factors' bounds."""
     n, m = len(left.numerators), len(right.numerators)
     if n * m > MAX_PAIRS:
         raise ValueError(f"expression multiplies {n} by {m} terms, more than {MAX_PAIRS} term pairs")
-    return _capped(left * right)
+    poly = _capped(left * right)
+    bits += _PAIR_BITS
+    if bits > _SAFE_BITS:
+        bits = _measured_bits(poly)
+    return poly, bits
 
 
 def parse_polynomial(text: str) -> PhasePoly:
@@ -248,7 +288,7 @@ def parse_polynomial(text: str) -> PhasePoly:
     it breaks a cap; only the prefix read so far has been multiplied.
     """
     parser = _Parser(text)
-    poly, _ = parser.expr()
+    poly, _, _ = parser.expr()
     if parser.peek()[0] != "end":
         raise parser.error("unexpected token after expression")
     return poly

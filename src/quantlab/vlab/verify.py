@@ -4,12 +4,14 @@ Each pipeline builds a classical integral, records whether its bracket
 with the Hamiltonian vanishes, quantizes it under both ordering rules,
 computes both commutators with the quantized Hamiltonian, and
 cross-checks every symbolic commutator against the differential action
-on one exponential probe e^(sx+ty), s and t symbolic.  The action oracle
-never calls the normal-ordering product or its swap weights: it applies
-the derivative words of each operator by the Leibniz rule (weylalgebra.act).
-The Born-Jordan commutator is built and checked through its difference
-from the Weyl one.  A nonzero bracket is reported by failed_claims; it
-does not stop a sweep.
+on one exponential probe e^(sx+ty), s and t symbolic: the claimed
+commutator's image of the probe (weylalgebra.probe_image) must equal the
+bracket of the two factors' actions on it (weylalgebra.probe_bracket).
+The action oracle never calls the normal-ordering product or its swap
+weights, and only weylalgebra handles its packed keys.  The Born-Jordan
+commutator is built and checked through its difference from the Weyl
+one.  A nonzero bracket is reported by failed_claims; it does not stop a
+sweep.
 """
 
 from __future__ import annotations
@@ -18,18 +20,18 @@ from collections import namedtuple
 from dataclasses import dataclass
 
 from quantlab import render
-from quantlab.coeffring import Monomial, _reduced, pack_terms, unpack_terms
+from quantlab.coeffring import Monomial
 from quantlab.generators import OscillatorParams, hamiltonian, k_integral, ladder_products
-from quantlab.phasepoly import PhasePoly, poisson
+from quantlab.phasepoly import poisson
 from quantlab.quantizer import Scheme, quantize, quantize_ladder
 from quantlab.weylalgebra import (
     Operator,
-    act,
     classical_symbol,
     commutator,
-    derivative_words,
     min_hbar_exponent,
     min_omega_exponent,
+    probe_bracket,
+    probe_image,
 )
 
 # The target table.  A Target is an integral a record verifies: its name
@@ -123,11 +125,11 @@ def _verify(
 
 
 class Disagreement(namedtuple("Disagreement", "term direct nested")):
-    """A refuted commutator: term is the first derivative word, in render
-    order, on which the two sides differ; direct is the claimed commutator's
-    image of e^(sx+ty) and nested is left(right(e)) - right(left(e)), each a
-    PhasePoly in x, y, s, t (s and t in the px and py slots), so
-    direct - nested is the symbol of the error.
+    """A refuted commutator: direct is the claimed commutator's image of
+    e^(sx+ty) (probe_image) and nested is left(right(e)) - right(left(e))
+    (probe_bracket), each a PhasePoly in x, y, s, t (s and t in the px and
+    py slots), so direct - nested is the symbol of the error; term is the
+    first derivative word, in render order, on which the two differ.
 
     Falsy, so a caller can test the oracle's answer as a bool.
     """
@@ -146,27 +148,18 @@ def commutator_matches_action(
     Returns True on agreement, else the Disagreement.  One probe decides:
     for D = sum c x^a y^b d^c/dx^c d^d/dy^d,
     D e^(sx+ty) = (sum c x^a y^b s^c t^d) e^(sx+ty), and that polynomial,
-    the derivative words of D read with (c, d) as exponents of s and t,
-    is zero only when D is.  The nested side applies the words of one
-    factor to the other's image by the Leibniz rule,
+    probe_image(D), is zero only when D is.  The nested side applies the
+    words of one factor to the other's image by the Leibniz rule,
     d^c/dx^c (x^i s^u e^(sx)) = sum_k C(c,k) i!/(i-k)! x^(i-k) s^(u+c-k) e^(sx),
-    and likewise in y (weylalgebra.act).  The check is
-    left(right(e)) - right(left(e)) - comm(e) == 0 on numerators, the
-    three denominators cleared by cross-multiplying.
+    and likewise in y (probe_bracket).  Both images are in lowest terms,
+    so the check is their equality.
     """
-    left_words, right_words = (pack_terms(derivative_words(op)) for op in (left, right))
-    comm_words = derivative_words(comm)
-    scale = left.denominator * right.denominator
-    acc: dict = {}  # packed: nested - direct, over scale * comm.denominator
-    act(acc, left_words, right_words, comm.denominator)
-    act(acc, right_words, left_words, -comm.denominator)
-    act(acc, pack_terms(comm_words), pack_terms({Monomial(): 1}), -scale)
-    diff = unpack_terms(acc)
-    if not diff:
+    nested = probe_bracket(left, right)
+    direct = probe_image(comm)
+    if nested == direct:
         return True
-    term = Monomial(*render.ordered({key[:4] for key in diff})[0])
-    direct = _reduced(PhasePoly, comm_words, comm.denominator)
-    return Disagreement(term, direct, direct + _reduced(PhasePoly, diff, scale * comm.denominator))
+    term = Monomial(*render.ordered({key[:4] for key in (nested - direct).numerators})[0])
+    return Disagreement(term, direct, nested)
 
 
 def sweep(max_sum: int, target: str = K.name) -> list[VerificationRecord]:

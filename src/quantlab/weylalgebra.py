@@ -21,10 +21,11 @@ of i * i = -1 after the loop (_folded), where a correction's i meets one.
 
 A separate differential action provides an independent route to the
 same algebra for cross-checks.  Momentum is realized as -i*hbar times
-the coordinate derivative (derivative_words), and act applies the
-resulting words by the Leibniz rule to a state p(x, y, s, t) e^(sx+ty),
-with s and t symbolic.  The derivative words are the image of
-e^(sx+ty) itself, so one state decides an operator identity.
+the coordinate derivative, and an operator's words, written
+x^a y^b d^c/dx^c d^d/dy^d, are its image of the probe e^(sx+ty), s and t
+symbolic (probe_image).  act applies such words by the Leibniz rule to
+a state p(x, y, s, t) e^(sx+ty), and probe_bracket acts twice for the
+image of a commutator; one probe decides an operator identity.
 apply_to_polynomial applies the same words to a position polynomial,
 each word taking its derivatives of the polynomial alone.
 """
@@ -44,7 +45,6 @@ from quantlab.coeffring import (
     _canonical,
     _make,
     _reduced,
-    fraction_view,
     mono_mul,
     neg_i_hbar,
     pack,
@@ -94,8 +94,8 @@ class Operator(TermMap):
 
     @property
     def derivative_groups(self) -> tuple:
-        """The grouped view of the derivative form, relabelled from groups
-        once and kept with it (TermMap.groups)."""
+        """The grouped view of the derivative form, probe_image(self).groups,
+        relabelled from groups once and kept with it (TermMap.groups)."""
         return self._view(True)[2]
 
 
@@ -214,8 +214,9 @@ def _expand(acc: dict, left: list, right: list, scale: int, table) -> None:
 
 
 def act(acc: dict, words: list, state: list, scale: int) -> None:
-    """Accumulate scale times the action of derivative words on a state,
-    both packed by coeffring.pack_terms, into acc, a packed accumulator
+    """Accumulate scale times the action of derivative words (the
+    numerators of a probe_image) on a state, both packed by
+    coeffring.pack_terms, into acc, a packed accumulator
     (coeffring.unpack_terms reads it).
 
     A state is p(x, y, s, t) e^(sx + ty), held as the numerators of p with
@@ -232,14 +233,14 @@ def act(acc: dict, words: list, state: list, scale: int) -> None:
 def apply_to_polynomial(op: Operator, poly: PhasePoly) -> PhasePoly:
     """Act on a position polynomial; rejects px and py.
 
-    The word x^a y^b d^c/dx^c d^d/dy^d sends x^i y^j to
+    The word x^a y^b d^c/dx^c d^d/dy^d of probe_image(op) sends x^i y^j to
     i!/(i-c)! j!/(j-d)! x^(a+i-c) y^(b+j-d) when c <= i and d <= j, and
     to 0 otherwise; the parameter parts multiply through mono_mul.
     """
     if any(key.c or key.d for key in poly.numerators):
         raise ValueError("operators act on position polynomials (no px or py)")
     acc: dict = {}
-    for word, v in derivative_words(op).items():
+    for word, v in probe_image(op).numerators.items():
         c, d = word[2], word[3]
         for term, u in poly.numerators.items():
             i, j = term[0], term[1]
@@ -270,29 +271,33 @@ def min_omega_exponent(op: Operator) -> int:
     return min((key.w for key in op.numerators), default=0)
 
 
-def derivative_words(op: Operator) -> dict:
-    """The numerators of the operator written as x^a y^b d^c/dx^c d^d/dy^d,
-    over the operator's denominator.
+def probe_image(op: Operator) -> PhasePoly:
+    """op's image of the probe e^(sx+ty), divided by e^(sx+ty): the
+    operator written as x^a y^b d^c/dx^c d^d/dy^d, with d/dx and d/dy read
+    as s and t in the px and py slots.
 
-    The keys keep (c, d) as derivative orders; each term absorbs the
-    (-i*hbar)^(c+d) factor of the momentum realization, a relabel of its
-    key and a sign.  The relabel is injective, so no terms merge.  This
-    one derivative form serves the action.  Read with (c, d) as the
-    exponents of s and t, it is also the state of the operator's image of
-    e^(sx+ty).  It is a plain dict, as an Operator's product would be
-    wrong for derivative words.
+    Each term absorbs the (-i*hbar)^(c+d) factor of the momentum
+    realization, a relabel of its key and a sign.  The relabel is
+    injective, so no terms merge and the denominator is op's.  Its
+    numerators are the derivative words that act applies.
     """
     out: dict = {}
     for mono, num in op.numerators.items():
         power, sign = neg_i_hbar(mono.c + mono.d)
         key, factor = mono_mul(mono, power)
         out[key] = num if sign == factor else -num
-    return out
+    return _canonical(PhasePoly, out, op.denominator)
 
 
-def differential_terms(op: Operator) -> dict:
-    """The derivative form as {Monomial: Fraction}, like TermMap.terms."""
-    return fraction_view(derivative_words(op), op.denominator)
+def probe_bracket(left: Operator, right: Operator) -> PhasePoly:
+    """The image of e^(sx+ty) under left right - right left, divided by
+    e^(sx+ty): left(right(e)) - right(left(e)), each factor's words acting
+    on the other's image (act), in one packed accumulator."""
+    left_words, right_words = (pack_terms(probe_image(op).numerators) for op in (left, right))
+    acc: dict = {}
+    act(acc, left_words, right_words, 1)
+    act(acc, right_words, left_words, -1)
+    return _reduced(PhasePoly, unpack_terms(acc), left.denominator * right.denominator)
 
 
 def differential_text(op: Operator) -> str:

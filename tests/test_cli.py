@@ -8,6 +8,7 @@ import pytest
 from quantlab.coeffring import Coefficient
 from quantlab.vlab import cli
 from quantlab.vlab import verify as verify_module
+from quantlab.vlab.parser import MAX_COEFFICIENT_DIGITS
 from quantlab.weylalgebra import px_hat
 
 
@@ -139,16 +140,37 @@ _NESTING = "error: parentheses and unary minus nest deeper than the maximum 100 
             "error: expression degree may reach 1000; the maximum is 40\n",
             id="long-product",
         ),
+        pytest.param(
+            "7" * 3000 + " * " + "7" * 3000,
+            f"error: expression has a coefficient of more than {MAX_COEFFICIENT_DIGITS} digits\n",
+            id="large-coefficient",
+        ),
     ],
 )
 def test_oversized_expression_rejected(capsys, expr, message):
     # one case per cap: the exponent literal, the degree bound, the term
-    # count, the term pairs of one product, the nesting depth; and a
-    # product too long for a recursive walk.
+    # count, the term pairs of one product, the nesting depth, the digits
+    # of a coefficient; and a product too long for a recursive walk.
     start = time.perf_counter()
     code, out, err = run(capsys, "quantize", "--scheme", "bj", f"--expr={expr}")
     assert time.perf_counter() - start < 5.0
     assert (code, out, err) == (2, "", message)
+
+
+_LARGEST = "9" * MAX_COEFFICIENT_DIGITS
+
+
+@pytest.mark.parametrize("scheme", ["bj", "weyl"])
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("expr", [f"{_LARGEST} * x^18 * px^21", f"1/{_LARGEST} * x^18 * px^21"])
+def test_largest_accepted_coefficient_prints(capsys, scheme, fmt, expr):
+    # quantizing adds the most digits near x^18 px^21: 20 at x^18 px^22 under
+    # Born-Jordan, one degree more than a literal coefficient leaves
+    code, out, err = run(capsys, "quantize", "--scheme", scheme, "--expr", expr, "--format", fmt)
+    assert (code, err) == (0, "")
+    if fmt == "json":
+        out = json.loads(out)["classical"]
+    assert _LARGEST in out
 
 
 @pytest.mark.parametrize("expr", ["-x", "-x*py+1/2", "-(x^2)*px"])

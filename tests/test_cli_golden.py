@@ -5,6 +5,13 @@ and the exit code with the files ``tests/golden/<name>.out``, ``.err``
 and ``.code``.  Any change to a report, a renderer or an error message
 shows up here as a diff against the checked-in file.
 
+The reports at the top of the supported range are pinned by digest
+instead: each ``check NAME SECONDS BOUND ARGS`` row of the CI workflow
+runs ``python -m quantlab ARGS`` and compares the SHA-256 of its stdout
+with ``tests/golden/NAME.sha256``.  The rows are read from the workflow
+file, so CI and this suite run the same list; CI also bounds each row's
+cold-process time and peak RSS.
+
 To rewrite the golden files after a deliberate output change, run
 
     PYTHONPATH=src python3 tests/test_cli_golden.py
@@ -13,7 +20,9 @@ and review the diff before committing it.
 """
 
 import contextlib
+import hashlib
 import io
+import shlex
 import sys
 from pathlib import Path
 
@@ -22,7 +31,10 @@ import pytest
 from quantlab.vlab import cli
 
 GOLDEN = Path(__file__).parent / "golden"
+WORKFLOW = Path(__file__).parent.parent / ".github" / "workflows" / "tests.yml"
 POLY = "x^2*px^3 + (1/2 - 3*i)*hbar*y*py^2"
+# a coefficient of 6000 digits, more than an int may print by default
+LARGE_PRODUCT = "7" * 3000 + " * " + "7" * 3000
 
 CASES = {
     "verify_4_1_text": ["verify", "--m", "4", "--n", "1"],
@@ -59,6 +71,10 @@ CASES = {
     "error_expr_unary_minus_chain": ["quantize", "--scheme", "bj", "--expr=" + "-" * 3000 + "x"],
     "error_expr_long_literal": ["quantize", "--scheme", "bj", "--expr", "x + " + "7" * 5000],
     "error_expr_long_product": ["quantize", "--scheme", "bj", "--expr", " * ".join(["x"] * 1000)],
+    "error_expr_large_coefficient": ["quantize", "--scheme", "bj", "--expr", LARGE_PRODUCT],
+    "error_expr_large_coefficient_json": [
+        "quantize", "--scheme", "bj", "--expr", LARGE_PRODUCT, "--format", "json",
+    ],
 }
 
 
@@ -80,6 +96,32 @@ def test_cli_output_matches_golden(name):
     assert code == _read(GOLDEN / f"{name}.code")
     assert err == _read(GOLDEN / f"{name}.err")
     assert out == _read(GOLDEN / f"{name}.out")
+
+
+def _digest_rows() -> dict[str, list[str]]:
+    """{NAME: ARGS} of each "check NAME SECONDS BOUND ARGS" row of the CI
+    workflow's digest step."""
+    rows = {}
+    for line in WORKFLOW.read_text().splitlines():
+        if line.strip().startswith("check "):
+            _, name, _, _, *args = shlex.split(line)
+            rows[name] = args
+    return rows
+
+
+DIGEST_ROWS = _digest_rows()
+
+
+def test_each_digest_has_one_ci_row():
+    assert sorted(DIGEST_ROWS) == sorted(path.stem for path in GOLDEN.glob("*.sha256"))
+
+
+@pytest.mark.parametrize("name", sorted(DIGEST_ROWS))
+def test_ci_digest_report_matches(name):
+    out, err, code = run_cli(DIGEST_ROWS[name])
+    assert (code, err) == ("0\n", "")
+    digest = hashlib.sha256(out.encode("utf-8")).hexdigest()
+    assert f"{digest}\n" == _read(GOLDEN / f"{name}.sha256")
 
 
 def _write_golden() -> None:

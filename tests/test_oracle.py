@@ -23,7 +23,7 @@ from quantlab.weylalgebra import (
     Operator,
     apply_to_polynomial,
     commutator,
-    differential_terms,
+    probe_image,
     x_hat,
 )
 
@@ -63,7 +63,7 @@ def assert_refutes(left: Operator, right: Operator, comm: Operator, error: Opera
     assert not rectangle_verdict(left, right, comm + error)
     result = commutator_matches_action(left, right, comm + error)
     assert not result
-    symbol = PhasePoly(differential_terms(error))
+    symbol = probe_image(error)
     assert result.direct - result.nested == symbol
     assert result.term == Monomial(*render.ordered({key[:4] for key in symbol.numerators})[0])
 
@@ -121,7 +121,8 @@ def test_exponential_probe_references_no_normal_ordering_kernel():
         weylalgebra.act,
         weylalgebra._expand,
         weylalgebra._leibniz_shifts.__wrapped__,
-        weylalgebra.derivative_words,
+        weylalgebra.probe_image,
+        weylalgebra.probe_bracket,
         weylalgebra.apply_to_polynomial,
         coeffring.pack,
         coeffring.pack_terms,
@@ -130,3 +131,31 @@ def test_exponential_probe_references_no_normal_ordering_kernel():
     names = set().union(*(_code_names(fn.__code__) for fn in kernel))
     assert {"act", "_expand", "_leibniz_shifts", "pack_terms", "unpack_terms"} <= names
     assert not names & {"swap_weight", "_corrections", "op_mul", "commutator"}
+
+
+def test_only_weylalgebra_handles_the_oracles_packed_keys():
+    # verify compares two images; packing, acting and unpacking stay in
+    # weylalgebra and coeffring
+    for name in ("pack_terms", "unpack_terms", "act", "_reduced"):
+        assert not hasattr(verify_module, name)
+
+
+def test_each_oracle_check_acts_twice(monkeypatch):
+    # left(right(e)) and right(left(e)); the claimed commutator's image of
+    # e^(sx+ty) is a relabel of its words, with no action
+    calls = []
+    original = weylalgebra.act
+
+    def counting_act(*args):
+        calls.append(1)
+        return original(*args)
+
+    monkeypatch.setattr(weylalgebra, "act", counting_act)
+    params = OscillatorParams(3, 2)
+    h_op = quantize(Scheme.WEYL, hamiltonian(params))
+    op = quantize(Scheme.BORN_JORDAN, k_integral(params))
+    comm = commutator(h_op, op)
+    for claimed in (comm, comm + BJ_ERROR):
+        calls.clear()
+        commutator_matches_action(h_op, op, claimed)
+        assert len(calls) == 2

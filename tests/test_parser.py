@@ -19,6 +19,7 @@ from quantlab.generators import (
 from quantlab.phasepoly import PhasePoly, PhaseVar
 from quantlab.vlab import parser
 from quantlab.vlab.parser import (
+    MAX_COEFFICIENT_DIGITS,
     MAX_DEGREE,
     MAX_DIGITS,
     MAX_NESTING,
@@ -138,9 +139,9 @@ def test_degree_bound_capped():
 def test_over_degree_cap_multiplies_nothing(monkeypatch):
     calls = []
 
-    def counted(left, right, product=parser._product):
+    def counted(left, right, bits, product=parser._product):
         calls.append((left, right))
-        return product(left, right)
+        return product(left, right, bits)
 
     monkeypatch.setattr(parser, "_product", counted)
     parse_polynomial(" * ".join(["(x + y)"] * MAX_DEGREE))
@@ -160,9 +161,9 @@ def test_power_starts_from_its_base(monkeypatch):
     # x^k makes k - 1 products, none of them by 1, and x^0 makes none
     calls = []
 
-    def counted(left, right, product=parser._product):
+    def counted(left, right, bits, product=parser._product):
         calls.append((left, right))
-        return product(left, right)
+        return product(left, right, bits)
 
     monkeypatch.setattr(parser, "_product", counted)
     base = X + Y
@@ -192,6 +193,32 @@ def test_term_count_capped():
     # two parts under the term cap are refused before their product
     with pytest.raises(ValueError, match=f"more than {MAX_PAIRS} term pairs"):
         parse_polynomial("(x + y + px + py)^20 * (1 + x + y + px + py)^12")
+
+
+def test_coefficient_digits_capped():
+    cap = MAX_COEFFICIENT_DIGITS
+    largest = 10**cap - 1
+    message = f"coefficient of more than {cap} digits"
+    # the cap holds for a numerator, a denominator and a power's product
+    assert parse_polynomial(f"{largest} * x") == X * largest
+    assert parse_polynomial(f"x + 1/{largest}") == X + Fraction(1, largest)
+    assert parse_polynomial(f"({'9' * (cap // 4)})^4") == PhasePoly.constant((10 ** (cap // 4) - 1) ** 4)
+    for text in (
+        f"{largest + 1} * x",
+        f"x + 1/{largest + 1}",
+        f"({'9' * (cap // 4)})^5",
+        "7" * 3000 + " * " + "7" * 3000,
+        # over the shared denominator 3, the numerator of x breaks the cap
+        f"{largest} * x + 1/3",
+    ):
+        with pytest.raises(ValueError, match=message):
+            parse_polynomial(text)
+    # a bound that could break the cap is checked against the part itself:
+    # the sum of 1/k to 2000 has a denominator of 866 digits
+    harmonic = sum(Fraction(1, k) for k in range(1, 2001))
+    assert parse_polynomial(" + ".join(f"1/{k}" for k in range(1, 2001))) == PhasePoly.constant(harmonic)
+    # and so is a literal over the cap that reduces under it
+    assert parse_polynomial(f"{largest + 1}/{largest + 1}") == PhasePoly.one()
 
 
 def test_long_chains_parse_without_recursion():

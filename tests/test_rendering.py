@@ -25,9 +25,9 @@ from quantlab.vlab.verify import verify_pair
 from quantlab.weylalgebra import (
     Operator,
     commutator,
-    derivative_words,
     differential_latex,
     differential_text,
+    probe_image,
     px_hat,
     x_hat,
 )
@@ -176,10 +176,6 @@ def test_gaussian_coefficient_next_to_a_second_group():
     ]
 
 
-def _grouped_derivative_words(op: Operator) -> tuple:
-    return render.grouped(derivative_words(op), op.denominator)
-
-
 def test_derivative_groups_relabel_the_grouped_view_of_k():
     # K's Weyl and Born-Jordan operators and their commutators with H
     seen = 0
@@ -190,7 +186,7 @@ def test_derivative_groups_relabel_the_grouped_view_of_k():
             for scheme in Scheme:
                 op = quantize(scheme, k_integral(params))
                 for each in (op, commutator(h_op, op)):
-                    assert each.derivative_groups == _grouped_derivative_words(each)
+                    assert each.derivative_groups == probe_image(each).groups
                     seen += bool(each)
     # every K, and the Born-Jordan commutator of each of the 19 pairs where the schemes differ
     assert seen == 28 * 2 + 19
@@ -201,7 +197,7 @@ def test_derivative_groups_relabel_the_grouped_view_of_random_operators():
     odd_order_with_i = 0
     for _ in range(300):
         op = rand_operator(rng, max_terms=4, max_exp=3)
-        assert op.derivative_groups == _grouped_derivative_words(op)
+        assert op.derivative_groups == probe_image(op).groups
         odd_order_with_i += any(key.e and (key.c + key.d) % 2 for key in op.numerators)
     assert odd_order_with_i >= 50
 

@@ -16,11 +16,11 @@ from quantlab.weylalgebra import (
     apply_to_polynomial,
     classical_symbol,
     commutator,
-    differential_terms,
     differential_text,
     min_hbar_exponent,
     min_omega_exponent,
     op_mul,
+    probe_image,
     px_hat,
     py_hat,
     x_hat,
@@ -336,7 +336,7 @@ def test_min_exponent_helpers():
 
 def test_differential_form():
     op = px_hat() * (Coefficient.i() * Coefficient.hbar(3) * Coefficient.omega(2) * -32)
-    terms = differential_terms(op)
+    terms = probe_image(op).terms
     assert terms == flatten(Operator, {Monomial(c=1): Coefficient.hbar(4) * Coefficient.omega(2) * -32}).terms
     assert differential_text(op) == "-32 * hbar^4 * omega^2 * d/dx"
 
