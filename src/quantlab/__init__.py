@@ -12,13 +12,10 @@ from quantlab.coeffring import Coefficient, Monomial
 from quantlab.phasepoly import PhasePoly, PhaseVar, poisson
 from quantlab.generators import (
     OscillatorParams,
-    d_poly,
-    g_poly,
     hamiltonian,
     k_integral,
     l_integral,
     ladder_integrals,
-    p_poly,
 )
 from quantlab.weylalgebra import (
     Operator,

@@ -2,22 +2,24 @@
 
 The anisotropic oscillator with rational frequency ratio carries, besides
 the Hamiltonian itself, the separation integral L, a polynomial integral
-K built from L's flow, and a pair of ladder-product integrals.  All of
-them are returned as exact phase-space polynomials.  The ladder builder
-also gives the products as normal-ordered operators: each ladder power
-b^k is written in closed form (BCH, as [q, p] is central; the classical
-power is its hbar-free slice), and F1 and F2 are read off the one
-product b1^n b2*^m, split by the automorphism i -> -i, hbar -> -hbar
-that sends it to b1*^n b2^m.
+K built from L's flow, and a pair of ladder-product integrals F1, F2.
+All of them are returned as exact phase-space polynomials.  The ladder
+builder also gives the products as normal-ordered operators: each ladder
+power b^k is written in closed form (BCH, as [q, p] is central; the
+classical power is its hbar-free slice), and F1 and F2 are read off the
+one product b1^n b2*^m, split by the automorphism i -> -i, hbar -> -hbar
+that sends it to b1*^n b2^m.  K is the constant multiple
+-(m/n)^m / (sqrt2 omega) of F2, so it is read off F2 by a relabel of
+its keys: no binomial is expanded a second time.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial
+from math import factorial
 
-from quantlab.coeffring import Monomial, _add_product, _canonical, _make, _ratio, _reduced
+from quantlab.coeffring import Monomial, _add_product, _canonical, _make, _reduced
 from quantlab.phasepoly import PhasePoly
 from quantlab.weylalgebra import Operator
 
@@ -54,70 +56,6 @@ def hamiltonian(params: OscillatorParams) -> PhasePoly:
 def l_integral() -> PhasePoly:
     """Separation integral L = px^2/2 + omega^2 x^2 of the x axis."""
     return _canonical(PhasePoly, {_PX2: 1, _X2: 2}, 2)
-
-
-def _binomial_half(k: int, parity: int, s, t, axis: int, scale=1) -> PhasePoly:
-    """scale * sum over j = parity (mod 2) of
-    C(k, j) s^j t^(k-j) (-2 omega^2)^(j//2) q^j p^(k-j).
-
-    (q, p) is (x, px) for axis 0 and (y, py) for axis 1.  G_n, E_n, P
-    and D are each one parity half of this expansion.  t and scale are
-    ints or Fractions; each term is an int over scale's denominator times
-    t's to the k, as t^(k-j) = t_num^(k-j) t_den^j / t_den^k.
-    """
-    t_num, t_den = _ratio(t)
-    scale_num, scale_den = _ratio(scale)
-    nums = {}
-    for j in range(parity, k + 1, 2):
-        exps = [0, 0, 0, 0, 0, j - parity, 0, 0]
-        exps[axis], exps[axis + 2] = j, k - j
-        nums[_make(Monomial, exps)] = (
-            scale_num * comb(k, j) * s ** j * t_num ** (k - j) * t_den ** j * (-2) ** (j // 2)
-        )
-    return _reduced(PhasePoly, nums, scale_den * t_den ** k)
-
-
-def g_poly(n: int) -> PhasePoly:
-    """G_n = sum_k C(n, 2k+1) (-2 omega^2)^k x^(2k+1) px^(n-2k-1)."""
-    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
-        raise ValueError("n must be a positive integer")
-    return _binomial_half(n, parity=1, s=1, t=1, axis=0)
-
-
-def p_poly(params: OscillatorParams) -> PhasePoly:
-    """P factor of the K integral, in Cartesian (y, py).
-
-    In the rescaled pair u = (n/m) y, pu = (m/n) py,
-    P = sum_k C(m, 2k) (-(m/n) u)^(2k) pu^(m-2k) (-2 omega^2)^k, so
-    (-(m/n) u)^j = (-y)^j and pu^(m-j) = (m/n)^(m-j) py^(m-j).
-    """
-    return _binomial_half(params.m, parity=0, s=1, t=Fraction(params.m, params.n), axis=1)
-
-
-def d_poly(params: OscillatorParams) -> PhasePoly:
-    """D factor of the K integral, in Cartesian (y, py).
-
-    In the rescaled pair of p_poly,
-    D = (1/n) sum_k C(m, 2k+1) (-(m/n) u)^(2k+1) pu^(m-2k-1) (-2 omega^2)^k.
-    For m = 1 the sum collapses to its single term -(1/n) y.
-    """
-    m, n = params.m, params.n
-    return _binomial_half(m, parity=1, s=-1, t=Fraction(m, n), axis=1, scale=Fraction(1, n))
-
-
-def k_integral(params: OscillatorParams) -> PhasePoly:
-    """Polynomial first integral K = P * G_n + D * X_L(G_n) of degree m + n,
-    where X_L(G_n) = {G_n, L} is G_n's derivative along L's flow.
-
-    With b = px + i sqrt2 omega x, b^n = E_n + i sqrt2 omega G_n, E_n the
-    even half of the binomial expansion of which G_n is the odd half, and
-    {b, L} = i sqrt2 omega b, so {b^n, L} = i sqrt2 omega n b^n.  E_n, G_n
-    and L are real, and the real part reads X_L(G_n) = n E_n: K is built
-    as P G_n + n D E_n with no bracket taken.
-    """
-    n = params.n
-    e_n = _binomial_half(n, parity=0, s=1, t=1, axis=0, scale=n)
-    return p_poly(params) * g_poly(n) + d_poly(params) * e_n
 
 
 def _ladder_power(k: int, ratio: Fraction, axis: int, quantum: bool):
@@ -184,3 +122,25 @@ def ladder_integrals(params: OscillatorParams) -> tuple[PhasePoly, PhasePoly]:
     overall constant and do not affect first-integral status.
     """
     return ladder_products(params)
+
+
+def k_integral(params: OscillatorParams) -> PhasePoly:
+    """Polynomial first integral K = P G_n + D X_L(G_n) of degree m + n,
+    where X_L(G_n) = {G_n, L} is G_n's derivative along L's flow, read
+    off the ladder product F2 as K = -(m/n)^m F2 / (sqrt2 omega).
+
+    With s = sqrt2 omega, b1^n = E_n - i s G_n, where G_n and E_n are
+    the odd and even halves in x of the binomial expansion, and
+    b2*^m = (n/m)^m (P - i n s D), where P and D are the paper's sums
+    in u = (n/m) y, pu = (m/n) py.  {b1*, L} = i s b1*, so
+    X_L(G_n) = n E_n, and F2 = Im(b1^n b2*^m) = -s (n/m)^m (P G_n + n D E_n).
+    Every key of F2 thus carries sqrt2^1, i^0 and an odd power of omega,
+    and dividing by s lowers those two exponents by one.
+    """
+    m, n = params.m, params.n
+    f2 = ladder_products(params)[1]
+    nums = {
+        _make(Monomial, key[:5] + (key.w - 1, 0, 0)): -(m ** m) * value
+        for key, value in f2.numerators.items()
+    }
+    return _reduced(PhasePoly, nums, f2.denominator * n ** m)

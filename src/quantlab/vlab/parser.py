@@ -25,11 +25,10 @@ Parentheses and unary minus may not nest deeper than MAX_NESTING, no
 polynomial read may hold more than MAX_TERMS terms, no product may
 multiply more than MAX_PAIRS pairs of terms, and no numerator or
 denominator read may have more than MAX_COEFFICIENT_DIGITS digits.  The
-last cap is kept like the degree: each rule returns a bound on the bits
-of its part's numerators and denominator, and the part itself is
-measured only when that bound could break the cap.  The first cap broken
-in reading order is the one reported, so a rejected input has cost only
-the work of the prefix already read.
+term and digit caps are checked, in that order, on every number literal,
+sum and product as soon as it is built.  The first cap broken in reading
+order is the one reported, so a rejected input has cost only the work of
+the prefix already read.
 """
 
 from __future__ import annotations
@@ -62,11 +61,6 @@ MAX_TERMS = 2000
 # (sys.get_int_max_str_digits).
 MAX_COEFFICIENT_DIGITS = 4000
 _COEFFICIENT_LIMIT = 10**MAX_COEFFICIENT_DIGITS
-# Below 2^_SAFE_BITS an int has at most MAX_COEFFICIENT_DIGITS digits.
-_SAFE_BITS = _COEFFICIENT_LIMIT.bit_length() - 1
-# A product's numerator sums at most MAX_TERMS term pairs, each doubled at
-# most by sqrt2 * sqrt2 = 2, so it is below 2^_PAIR_BITS times the factors'.
-_PAIR_BITS = MAX_TERMS.bit_length() + 1
 # Longest integer literal: CPython's default bound on the digits int()
 # reads (sys.get_int_max_str_digits), so a longer literal is a ParseError
 # with one message on every interpreter, not int()'s own ValueError.
@@ -152,39 +146,33 @@ class _Parser:
         self.advance()
         return int(chars), offset
 
-    # Each rule returns the polynomial it read, an upper bound on its
-    # degree, counting every number and symbol as degree 1, and an upper
-    # bound on the bit length of its numerators and denominator.
+    # Each rule returns the polynomial it read and an upper bound on its
+    # degree, counting every number and symbol as degree 1.
 
-    def expr(self) -> tuple[PhasePoly, int, int]:
-        poly, bound, bits = self.term()
+    def expr(self) -> tuple[PhasePoly, int]:
+        poly, bound = self.term()
         while op := self.match_op("+", "-"):
-            right, right_bound, right_bits = self.term()
+            right, right_bound = self.term()
             poly = _capped(poly + right if op[1] == "+" else poly - right)
             bound = max(bound, right_bound)
-            # over the lcm of the denominators, each side's numerator is
-            # below 2^(bits + right_bits), and their sum below twice that
-            bits += right_bits + 1
-            if bits > _SAFE_BITS:
-                bits = _measured_bits(poly)
-        return poly, bound, bits
+        return poly, bound
 
-    def term(self) -> tuple[PhasePoly, int, int]:
+    def term(self) -> tuple[PhasePoly, int]:
         factors = [self.factor()]
         while self.match_op("*"):
             factors.append(self.factor())
-        bound = _degree_checked(sum(bound for _, bound, _ in factors))
-        poly, _, bits = factors[0]
-        for right, _, right_bits in factors[1:]:
-            poly, bits = _product(poly, right, bits + right_bits)
-        return poly, bound, bits
+        bound = _degree_checked(sum(bound for _, bound in factors))
+        poly = factors[0][0]
+        for right, _ in factors[1:]:
+            poly = _product(poly, right)
+        return poly, bound
 
-    def factor(self) -> tuple[PhasePoly, int, int]:
+    def factor(self) -> tuple[PhasePoly, int]:
         negated = self.peek()[1] == "-"
-        poly, bound, bits = self.base()
+        poly, bound = self.base()
         caret = self.match_op("^")
         if not caret:
-            return poly, bound, bits
+            return poly, bound
         if negated:
             raise self.fail("ambiguous unary minus before '^'; write -(x^2) or (-x)^2", caret[2])
         exponent, offset = self.literal("exponent must be a nonnegative integer literal")
@@ -192,13 +180,13 @@ class _Parser:
             raise self.fail(f"exponent {exponent} exceeds the maximum {MAX_DEGREE}", offset)
         bound = _degree_checked(bound * exponent)
         if not exponent:
-            return PhasePoly.one(), bound, 1
-        out, out_bits = poly, bits
+            return PhasePoly.one(), bound
+        out = poly
         for _ in range(exponent - 1):
-            out, out_bits = _product(out, poly, out_bits + bits)
-        return out, bound, out_bits
+            out = _product(out, poly)
+        return out, bound
 
-    def base(self) -> tuple[PhasePoly, int, int]:
+    def base(self) -> tuple[PhasePoly, int]:
         kind, chars, offset = self.peek()
         if kind == "int":
             self.advance()
@@ -208,15 +196,13 @@ class _Parser:
                 if denominator == 0:
                     raise self.fail("zero denominator in rational literal", den_offset)
                 value = Fraction(value, denominator)
-            poly = PhasePoly.constant(value)
-            bits = max(value.numerator, value.denominator).bit_length()
-            return poly, 1, bits if bits <= _SAFE_BITS else _measured_bits(poly)
+            return _capped(PhasePoly.constant(value)), 1
         if kind == "name":
             self.advance()
             if chars not in SYMBOLS:
                 message = f"unknown symbol {chars!r}; legal symbols are " + ", ".join(SYMBOLS)
                 raise self.fail(message, offset, UnknownSymbolError)
-            return _SYMBOL_POLYS[chars], 1, 1
+            return _SYMBOL_POLYS[chars], 1
         if kind == "op" and chars in ("(", "-"):
             self.advance()
             self.depth += 1
@@ -224,14 +210,14 @@ class _Parser:
                 message = f"parentheses and unary minus nest deeper than the maximum {MAX_NESTING}"
                 raise self.fail(message, offset)
             if chars == "-":
-                poly, bound, bits = self.base()
+                poly, bound = self.base()
                 poly = -poly
             else:
-                poly, bound, bits = self.expr()
+                poly, bound = self.expr()
                 if not self.match_op(")"):
                     raise self.error("expected ')'")
             self.depth -= 1
-            return poly, bound, bits
+            return poly, bound
         raise self.error("expected a number, symbol, '(' or '-'")
 
 
@@ -254,31 +240,21 @@ def _degree_checked(bound: int) -> int:
 
 
 def _capped(poly: PhasePoly) -> PhasePoly:
-    if len(poly.numerators) > MAX_TERMS:
+    """poly, or ValueError if it has more than MAX_TERMS terms or a
+    numerator or denominator of more than MAX_COEFFICIENT_DIGITS digits."""
+    nums = poly.numerators
+    if len(nums) > MAX_TERMS:
         raise ValueError(f"expression expands to more than {MAX_TERMS} terms")
+    if max([poly.denominator, *map(abs, nums.values())]) >= _COEFFICIENT_LIMIT:
+        raise ValueError(f"expression has a coefficient of more than {MAX_COEFFICIENT_DIGITS} digits")
     return poly
 
 
-def _measured_bits(poly: PhasePoly) -> int:
-    """The bit length of poly's largest numerator or denominator;
-    ValueError if one has more than MAX_COEFFICIENT_DIGITS digits."""
-    largest = max([poly.denominator, *map(abs, poly.numerators.values())])
-    if largest >= _COEFFICIENT_LIMIT:
-        raise ValueError(f"expression has a coefficient of more than {MAX_COEFFICIENT_DIGITS} digits")
-    return largest.bit_length()
-
-
-def _product(left: PhasePoly, right: PhasePoly, bits: int) -> tuple[PhasePoly, int]:
-    """left * right and its coefficient bit bound, from bits, the sum of the
-    factors' bounds."""
+def _product(left: PhasePoly, right: PhasePoly) -> PhasePoly:
     n, m = len(left.numerators), len(right.numerators)
     if n * m > MAX_PAIRS:
         raise ValueError(f"expression multiplies {n} by {m} terms, more than {MAX_PAIRS} term pairs")
-    poly = _capped(left * right)
-    bits += _PAIR_BITS
-    if bits > _SAFE_BITS:
-        bits = _measured_bits(poly)
-    return poly, bits
+    return _capped(left * right)
 
 
 def parse_polynomial(text: str) -> PhasePoly:
@@ -288,7 +264,7 @@ def parse_polynomial(text: str) -> PhasePoly:
     it breaks a cap; only the prefix read so far has been multiplied.
     """
     parser = _Parser(text)
-    poly, _, _ = parser.expr()
+    poly, _ = parser.expr()
     if parser.peek()[0] != "end":
         raise parser.error("unexpected token after expression")
     return poly

@@ -13,8 +13,11 @@ multiplies and adds whole term maps, hamiltonian builds H from powers of
 the phase variables and Fraction weights, and quantize multiplies the
 two one-pair images of each term's phase part with the op_mul here and
 its parameter part into that product through coeffring._add_product.
-tests/test_phasepoly.py, test_generators.py and test_quantizer.py check
-the one-pass kernels against them.
+The paper's K = P G_n + D {G_n, L} is built as the paper writes it:
+naive_g_poly accumulates G_n term by term, paper_p_and_d sums P and D in
+(u, pu) with Fraction weights, and paper_k takes the bracket with the
+poisson here.  tests/test_phasepoly.py, test_generators.py and
+test_quantizer.py check the one-pass kernels against them.
 
 The renderer has one too: a list of factor strings per term, folded and
 joined (join_terms, coefficient, differential_factors).  They are slow
@@ -129,6 +132,58 @@ def hamiltonian(params) -> PhasePoly:
     omega_sq = Coefficient.omega(2)
     kinetic = (px ** 2 + py ** 2) * Fraction(1, 2)
     return kinetic + x ** 2 * omega_sq + y ** 2 * (omega_sq * Fraction(params.n, params.m) ** 2)
+
+
+def naive_g_poly(n: int) -> PhasePoly:
+    """G_n = sum_k C(n, 2k+1) (-2 omega^2)^k x^(2k+1) px^(n-2k-1), each
+    term a product of constants and phase variables, the terms added one
+    by one."""
+    x, px = PhasePoly.variable(PhaseVar.X), PhasePoly.variable(PhaseVar.PX)
+    acc = PhasePoly.zero()
+    for k in range((n - 1) // 2 + 1):
+        term = PhasePoly.constant(comb(n, 2 * k + 1))
+        for _ in range(k):
+            term = term * PhasePoly.constant(Coefficient.omega(2) * (-2))
+        for _ in range(2 * k + 1):
+            term = term * x
+        for _ in range(n - 2 * k - 1):
+            term = term * px
+        acc = acc + term
+    return acc
+
+
+def paper_p_and_d(params) -> tuple[PhasePoly, PhasePoly]:
+    """The paper's P and D: each term of the sums
+    P = sum_k C(m, 2k) (-(m/n) u)^(2k) pu^(m-2k) (-2 omega^2)^k and
+    D = (1/n) sum_k C(m, 2k+1) (-(m/n) u)^(2k+1) pu^(m-2k-1) (-2 omega^2)^k
+    with u -> (n/m) y and pu -> (m/n) py substituted."""
+    m, n = params.m, params.n
+    p_terms, d_terms = {}, {}
+    for j in range(m + 1):
+        # C(m, j) (-(m/n) u)^j pu^(m-j) (-2 omega^2)^(j//2)
+        value = (
+            comb(m, j)
+            * (-Fraction(m, n)) ** j
+            * Fraction(n, m) ** j
+            * Fraction(m, n) ** (m - j)
+            * (-2) ** (j // 2)
+        )
+        key = Monomial(b=j, d=m - j, w=2 * (j // 2))
+        if j % 2 == 0:
+            p_terms[key] = value
+        else:
+            d_terms[key] = value / n
+    return PhasePoly(p_terms), PhasePoly(d_terms)
+
+
+def paper_k(params) -> PhasePoly:
+    """K = P G_n + D {G_n, L}, with L = px^2/2 + omega^2 x^2 and the
+    bracket taken by the poisson here."""
+    x, px = PhasePoly.variable(PhaseVar.X), PhasePoly.variable(PhaseVar.PX)
+    l = px ** 2 * Fraction(1, 2) + x ** 2 * Coefficient.omega(2)
+    p, d = paper_p_and_d(params)
+    g = naive_g_poly(params.n)
+    return p * g + d * poisson(g, l)
 
 
 def quantize(scheme, poly: PhasePoly) -> Operator:

@@ -1,20 +1,16 @@
 """Classical observables: frozen expansions and first-integral checks."""
 
 from fractions import Fraction
-from math import comb
 
 import pytest
 
 from quantlab.coeffring import Coefficient, Monomial
 from quantlab.generators import (
     OscillatorParams,
-    d_poly,
-    g_poly,
     hamiltonian,
     k_integral,
     l_integral,
     ladder_integrals,
-    p_poly,
 )
 from quantlab.phasepoly import PhasePoly, PhaseVar, poisson
 from quantlab.vlab.parser import MAX_SUM
@@ -81,81 +77,49 @@ def test_l_integral():
 
 
 def test_g_poly_small():
-    assert g_poly(1) == X
-    assert g_poly(2) == X * PX * 2
-    assert g_poly(3) == X * PX ** 2 * 3 - X ** 3 * (W2 * 2)
-    with pytest.raises(ValueError):
-        g_poly(0)
+    assert ref.naive_g_poly(1) == X
+    assert ref.naive_g_poly(2) == X * PX * 2
+    assert ref.naive_g_poly(3) == X * PX ** 2 * 3 - X ** 3 * (W2 * 2)
 
 
-def naive_g_poly(n):
-    # term-by-term accumulation, no shared construction code
-    acc = PhasePoly.zero()
-    for k in range((n - 1) // 2 + 1):
-        term = PhasePoly.constant(comb(n, 2 * k + 1))
-        for _ in range(k):
-            term = term * PhasePoly.constant(Coefficient.omega(2) * (-2))
-        for _ in range(2 * k + 1):
-            term = term * X
-        for _ in range(n - 2 * k - 1):
-            term = term * PX
-        acc = acc + term
-    return acc
-
-
-def test_g_poly_matches_naive_accumulation():
-    for n in range(1, 11):
-        assert g_poly(n) == naive_g_poly(n)
+def test_g_is_the_odd_half_of_the_x_ladder_power():
+    # b1*^n - b1^n = 2 i sqrt2 omega G_n for b1 = px - i sqrt2 omega x, the
+    # identity k_integral's derivation starts from
+    alpha = Coefficient.i() * Coefficient.sqrt2() * Coefficient.omega()
+    for n in range(1, MAX_SUM):
+        difference = (PX + X * alpha) ** n - (PX - X * alpha) ** n
+        assert difference == ref.naive_g_poly(n) * (alpha * 2), n
 
 
 def test_p_poly_values():
-    assert p_poly(OscillatorParams(1, 1)) == PY
+    assert ref.paper_p_and_d(OscillatorParams(1, 1))[0] == PY
     expected_41 = PY ** 4 * 256 - Y ** 2 * PY ** 2 * (W2 * 192) + Y ** 4 * (W4 * 4)
-    assert p_poly(OscillatorParams(4, 1)) == expected_41
-    assert p_poly(OscillatorParams(2, 1)) == PY ** 2 * 4 - Y ** 2 * (W2 * 2)
+    assert ref.paper_p_and_d(OscillatorParams(4, 1))[0] == expected_41
+    assert ref.paper_p_and_d(OscillatorParams(2, 1))[0] == PY ** 2 * 4 - Y ** 2 * (W2 * 2)
 
 
 def test_d_poly_values():
-    assert d_poly(OscillatorParams(1, 1)) == -Y
+    assert ref.paper_p_and_d(OscillatorParams(1, 1))[1] == -Y
     expected_41 = -(Y * PY ** 3 * 256) + Y ** 3 * PY * (W2 * 32)
-    assert d_poly(OscillatorParams(4, 1)) == expected_41
-    assert d_poly(OscillatorParams(2, 1)) == -(Y * PY * 4)
+    assert ref.paper_p_and_d(OscillatorParams(4, 1))[1] == expected_41
+    assert ref.paper_p_and_d(OscillatorParams(2, 1))[1] == -(Y * PY * 4)
 
 
 def test_d_poly_closed_form_for_m_one():
     # the general sum collapses to -(1/n^2) u = -(1/n) y for m = 1
     for n in range(1, 6):
-        assert d_poly(OscillatorParams(1, n)) == Y * Fraction(-1, n)
-
-
-def paper_p_and_d(m, n):
-    """The paper's P and D as {Monomial: Fraction}: each term of the sums
-    in (u, pu) with u -> (n/m) y and pu -> (m/n) py substituted."""
-    p_terms, d_terms = {}, {}
-    for j in range(m + 1):
-        # C(m, j) (-(m/n) u)^j pu^(m-j) (-2 omega^2)^(j//2)
-        value = (
-            comb(m, j)
-            * (-Fraction(m, n)) ** j
-            * Fraction(n, m) ** j
-            * Fraction(m, n) ** (m - j)
-            * (-2) ** (j // 2)
-        )
-        key = Monomial(b=j, d=m - j, w=2 * (j // 2))
-        if j % 2 == 0:
-            p_terms[key] = value
-        else:
-            d_terms[key] = value / n
-    return p_terms, d_terms
+        assert ref.paper_p_and_d(OscillatorParams(1, n))[1] == Y * Fraction(-1, n)
 
 
 def test_p_and_d_match_the_paper_formula_in_u_pu():
-    for total in range(2, 21):
-        for m in range(1, total):
-            params = OscillatorParams(m, total - m)
-            p_terms, d_terms = paper_p_and_d(m, total - m)
-            assert p_poly(params).terms == p_terms
-            assert d_poly(params).terms == d_terms
+    # b2*^m = (n/m)^m (P - i n sqrt2 omega D) for b2* = py + i (n/m) sqrt2 omega y,
+    # the other identity k_integral's derivation uses
+    s = Coefficient.sqrt2() * Coefficient.omega()
+    for params in supported_pairs():
+        m, n = params.m, params.n
+        p, d = ref.paper_p_and_d(params)
+        power = (PY + Y * (Coefficient.i() * s * Fraction(n, m))) ** m
+        assert power == (p - d * (Coefficient.i() * s * n)) * Fraction(n, m) ** m, params
 
 
 def test_k_integral_one_one():
@@ -174,15 +138,13 @@ def test_k_integral_four_one():
 
 
 def test_k_integral_is_p_g_plus_d_times_the_flow_of_g():
-    # k_integral writes X_L(G_n) = {G_n, L} in closed form, n E_n; here the
-    # bracket is taken through partial derivatives
+    # k_integral reads K off the ladder product F2; the reference builds
+    # the paper's P G_n + D {G_n, L}, the bracket taken through partial
+    # derivatives
     pairs = supported_pairs()
     assert len(pairs) == 190
-    l = l_integral()
     for params in pairs:
-        g = g_poly(params.n)
-        expected = p_poly(params) * g + d_poly(params) * ref.poisson(g, l)
-        assert k_integral(params) == expected, params
+        assert k_integral(params) == ref.paper_k(params), params
 
 
 def test_k_degree_is_m_plus_n():
@@ -212,8 +174,9 @@ def test_ladder_isotropic_values():
 
 def test_ladder_proportional_to_angular_momentum():
     # F2 = -sqrt2 omega (n/m)^m K on every pair of the supported range; for
-    # (1, 1) K is the angular momentum.  The closed-form ladder build and
-    # K = P G + D X_L(G) share no code beyond the ring.
+    # (1, 1) K is the angular momentum.  k_integral is built on this
+    # identity, so here it checks the relabel of F2's keys; the independent
+    # check of K is test_k_integral_is_p_g_plus_d_times_the_flow_of_g.
     sw = Coefficient.sqrt2() * Coefficient.omega()
     for total in range(2, MAX_SUM + 1):
         for m in range(1, total):
@@ -233,7 +196,10 @@ def test_ladder_brackets_vanish():
 
 
 def test_ladder_integrals_are_real():
-    for m, n in ((1, 1), (2, 3), (4, 1)):
-        f1, f2 = ladder_integrals(OscillatorParams(m, n))
-        assert not any(key.e for key in f1.numerators)
-        assert not any(key.e for key in f2.numerators)
+    # k_integral divides sqrt2 omega out of F2 by lowering r and w on each
+    # key, so every F2 key must carry sqrt2^1 and an odd power of omega
+    for params in supported_pairs():
+        f1, f2 = ladder_integrals(params)
+        assert not any(key.e for key in f1.numerators), params
+        assert not any(key.e for key in f2.numerators), params
+        assert all(key.r == 1 and key.w & 1 for key in f2.numerators), params

@@ -10,12 +10,10 @@ import pytest
 from quantlab.coeffring import Coefficient, Monomial
 from quantlab.generators import (
     OscillatorParams,
-    d_poly,
     hamiltonian,
     k_integral,
     l_integral,
     ladder_integrals,
-    p_poly,
 )
 from quantlab.phasepoly import PhasePoly, PhaseVar
 from quantlab.quantizer import Scheme, quantize, quantize_ladder, quantize_monomial
@@ -274,8 +272,8 @@ def test_commutator_helper_formula():
     params = OscillatorParams(4, 1)
     h_op = quantize(W, hamiltonian(params))
     for scheme in (W, BJ):
-        p_op = quantize(scheme, p_poly(params))
-        d_op = quantize(scheme, d_poly(params))
+        p, d = ref.paper_p_and_d(params)
+        p_op, d_op = quantize(scheme, p), quantize(scheme, d)
         k_op = quantize(scheme, k_integral(params))
         assert k_op == p_op * x_hat() + d_op * px_hat()
         helper = px_hat() * (p_op * (-I_HBAR) + commutator(h_op, d_op)) + x_hat() * (
