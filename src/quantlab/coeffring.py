@@ -127,8 +127,8 @@ def neg_i_hbar(k: int) -> tuple[Monomial, int]:
 
 
 # Packed keys, the layout stated once.  Inside the operator kernels
-# (weylalgebra.op_mul, commutator and act) a key is one int: a, b, c, d, h
-# and w take 16 bits each from bit 0 up, and r and e sit at bits 96 and 98,
+# (weylalgebra.op_mul, commutator and probe_bracket) a key is one int: a, b,
+# c, d, h and w take 16 bits each from bit 0 up, and r and e sit at bits 96 and 98,
 # each with a guard bit above it.  A key product is then one int add,
 # k1 + k2, and the ring's two reductions are two mask tests on it: with R2
 # set, sqrt2 * sqrt2 = 2 takes R2 off and doubles the value; with E2 set,
@@ -141,7 +141,8 @@ R2 = 2 << 96
 E2 = 2 << 98
 # Exponents below PACK_LIMIT keep every field of a product below 2^15, and
 # a correction adds at most c1 + d1 < 2^15 to h, so no field carries; a
-# Leibniz shift only lowers fields.  pack_terms refuses anything larger.
+# Leibniz shift only lowers fields.  pack_terms refuses anything larger,
+# and weylalgebra._packed_words a probe image's h + c + d as large.
 PACK_LIMIT = 1 << 14
 
 

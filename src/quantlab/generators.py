@@ -9,8 +9,9 @@ power b^k is written in closed form (BCH, as [q, p] is central; the
 classical power is its hbar-free slice), and F1 and F2 are read off the
 one product b1^n b2*^m, split by the automorphism i -> -i, hbar -> -hbar
 that sends it to b1*^n b2^m.  K is the constant multiple
--(m/n)^m / (sqrt2 omega) of F2, so it is read off F2 by a relabel of
-its keys: no binomial is expanded a second time.
+-(m/n)^m / (sqrt2 omega) of F2, so it is read off the odd part of the
+product that F2 comes from, by a relabel of its keys: no binomial is
+expanded a second time, and no term of F1 is built.
 """
 
 from __future__ import annotations
@@ -84,6 +85,31 @@ def _ladder_power(k: int, ratio: Fraction, axis: int, quantum: bool):
     return nums, ratio.denominator ** k * 2 ** top
 
 
+def _forward_parts(params: OscillatorParams, quantum: bool, parities: tuple) -> tuple:
+    """The parts of forward = b1^n b2*^m whose keys' i and hbar exponents
+    have a sum of each given parity (0 even, 1 odd), as one numerator map
+    per parity over their one denominator (ladder_products).
+
+    That parity adds over a product of keys, even where i * i = -1 folds,
+    so an odd part takes each odd term of b1^n times the even terms of
+    b2*^m and each even term times the odd ones: no term of another part
+    is built.
+    """
+    m, n = params.m, params.n
+    # b1 has alpha = -i sqrt2 omega, b2* has alpha = i (n/m) sqrt2 omega
+    x_nums, x_den = _ladder_power(n, Fraction(-1), 0, quantum)
+    y_nums, y_den = _ladder_power(m, Fraction(n, m), 1, quantum)
+    y_halves: tuple[dict, dict] = ({}, {})
+    for key, value in y_nums.items():
+        y_halves[(key.e + key.h) & 1][key] = value
+    parts = tuple({} for _ in parities)
+    for key, value in x_nums.items():
+        odd = (key.e + key.h) & 1
+        for part, parity in zip(parts, parities):
+            _add_product(part, key, value, y_halves[parity ^ odd])
+    return parts, x_den * y_den
+
+
 def ladder_products(params: OscillatorParams, quantum: bool = False) -> tuple:
     """The ladder products (F1, F2), as phase-space polynomials or, when
     quantum, as normal-ordered operators.
@@ -95,24 +121,17 @@ def ladder_products(params: OscillatorParams, quantum: bool = False) -> tuple:
     The map i -> -i, hbar -> -hbar keeps [x, px] = i hbar, sends b1 to
     b1* and b2* to b2, and so sends forward to backward = b1*^n b2^m: it
     flips the sign of each term whose i and hbar exponents have an odd
-    sum.  F1 is forward's even terms and F2 is -i times its odd terms.
+    sum.  F1 is forward's even terms and F2 is -i times its odd terms
+    (_forward_parts).
     """
-    m, n = params.m, params.n
-    # b1 has alpha = -i sqrt2 omega, b2* has alpha = i (n/m) sqrt2 omega
-    x_nums, x_den = _ladder_power(n, Fraction(-1), 0, quantum)
-    y_nums, y_den = _ladder_power(m, Fraction(n, m), 1, quantum)
-    forward: dict = {}
-    for key, value in x_nums.items():
-        _add_product(forward, key, value, y_nums)
-    parts: tuple[dict, dict] = ({}, {})
-    for key, value in forward.items():
-        if (key.e + key.h) & 1:
-            # -i * i = 1 and -i * 1 = -i
-            parts[1][_make(Monomial, key[:7] + (1 - key.e,))] = value if key.e else -value
-        else:
-            parts[0][key] = value
+    (even, odd), den = _forward_parts(params, quantum, (0, 1))
+    # -i * i = 1 and -i * 1 = -i
+    f2 = {
+        _make(Monomial, key[:7] + (1 - key.e,)): value if key.e else -value
+        for key, value in odd.items()
+    }
     cls = Operator if quantum else PhasePoly
-    return tuple(_reduced(cls, part, x_den * y_den) for part in parts)
+    return _reduced(cls, even, den), _reduced(cls, f2, den)
 
 
 def ladder_integrals(params: OscillatorParams) -> tuple[PhasePoly, PhasePoly]:
@@ -135,12 +154,15 @@ def k_integral(params: OscillatorParams) -> PhasePoly:
     in u = (n/m) y, pu = (m/n) py.  {b1*, L} = i s b1*, so
     X_L(G_n) = n E_n, and F2 = Im(b1^n b2*^m) = -s (n/m)^m (P G_n + n D E_n).
     Every key of F2 thus carries sqrt2^1, i^0 and an odd power of omega,
-    and dividing by s lowers those two exponents by one.
+    and dividing by s lowers those two exponents by one.  F2 is -i times
+    forward's odd part (ladder_products), whose keys all carry i^1, and
+    -i * i = 1, so K is built from that part alone: each key's r and e go
+    to 0, its w to w - 1, and its value takes the factor -(m/n)^m.
     """
     m, n = params.m, params.n
-    f2 = ladder_products(params)[1]
+    (odd,), den = _forward_parts(params, False, (1,))
     nums = {
         _make(Monomial, key[:5] + (key.w - 1, 0, 0)): -(m ** m) * value
-        for key, value in f2.numerators.items()
+        for key, value in odd.items()
     }
-    return _reduced(PhasePoly, nums, f2.denominator * n ** m)
+    return _reduced(PhasePoly, nums, den * n ** m)

@@ -269,13 +269,23 @@ def join_terms(groups, kind: str, style: Style) -> str:
     join = style.join
     terms = []
     for phase, group in groups:
-        key = _cat(firsts[phase[:2]], seconds[phase[2:]], join)
+        # the runs of the key's halves, then of the coefficient's
+        # parameters, joined as _cat joins them
+        key, caret = firsts[phase[:2]]
+        tail, tail_caret = seconds[phase[2:]]
+        if not key:
+            key, caret = tail, tail_caret
+        elif tail:
+            key += join + tail
         if len(group) == 1:
             ((hwr, re, im),) = group
-            terms.append(_scaled(re, im, _cat(params[hwr], key, join), style))
+            head, head_caret = params[hwr]
+            if head:
+                key, caret = head + join + key if key else head, head_caret
+            terms.append(_scaled(re, im, (key, caret), style))
         else:
             head = style.open + coefficient(group, style) + style.close
-            terms.append(_cat((head, False), key, join)[0])
+            terms.append(head + join + key if key else head)
     return _sum(terms)
 
 

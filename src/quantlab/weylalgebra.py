@@ -15,17 +15,21 @@ corrections (k > 0) of both orders, with opposite signs.
 
 The kernels work on packed keys (coeffring.pack_terms): a reordering
 correction (_corrections) or Leibniz term (_leibniz_shifts) is one signed
-shift of the product's key.  op_mul, adjoint and act run on one product
-loop (_expand), commutator on its own; op_mul and adjoint share the fold
-of i * i = -1 after the loop (_folded), where a correction's i meets one.
+shift of the product's key.  op_mul and adjoint run on one product loop
+(_expand) and share the fold of i * i = -1 after it (_folded), where a
+correction's i meets one; commutator and probe_bracket each run one pass
+of their own.
 
 A separate differential action provides an independent route to the
 same algebra for cross-checks.  Momentum is realized as -i*hbar times
 the coordinate derivative, and an operator's words, written
 x^a y^b d^c/dx^c d^d/dy^d, are its image of the probe e^(sx+ty), s and t
-symbolic (probe_image).  act applies such words by the Leibniz rule to
-a state p(x, y, s, t) e^(sx+ty), and probe_bracket acts twice for the
-image of a commutator; one probe decides an operator identity.
+symbolic (probe_image).  probe_bracket applies each factor's words by
+the Leibniz rule to the other's image, for the image of a commutator,
+in one pass over term pairs: as in commutator, the base terms of the
+two orders cancel.  It relabels the words in packed form
+(_packed_words), the same relabel as probe_image's.  One probe decides
+an operator identity.
 apply_to_polynomial applies the same words to a position polynomial,
 each word taking its derivatives of the polynomial alone.
 """
@@ -38,9 +42,11 @@ from math import comb, perm
 from quantlab import render
 from quantlab.coeffring import (
     E2,
+    PACK_LIMIT,
     R2,
     Monomial,
     TermMap,
+    _FIELD,
     _accumulate,
     _canonical,
     _make,
@@ -63,6 +69,9 @@ def swap_weight(s: int, r: int, k: int) -> int:
 # position exponent and its momentum (or s, t) exponent by k together.
 _X_PX = pack(Monomial(a=1, c=1))
 _Y_PY = pack(Monomial(b=1, d=1))
+# The packed keys of hbar and i, which (-i hbar)^k raises by k and k mod 2.
+_HBAR = pack(Monomial(h=1))
+_I = pack(Monomial(e=1))
 
 
 @lru_cache(maxsize=None)
@@ -118,13 +127,34 @@ def py_hat() -> Operator:
 def op_mul(left: Operator, right: Operator) -> Operator:
     """Exact noncommutative product, re-expressed in normal order."""
     acc: dict = {}
-    _expand(acc, pack_terms(left._nums), pack_terms(right._nums), 1, _corrections)
+    _expand(acc, pack_terms(left._nums), pack_terms(right._nums))
     return _folded(acc, left._den * right._den)
 
 
+def _expand(acc: dict, left: list, right: list) -> None:
+    """Accumulate the product of two packed term lists into acc: a pair's
+    keys added and reduced, plus each unreduced (shift, weight) of its
+    _corrections(c, i, d, j), c, d of the left term and i, j of the right."""
+    get = acc.get
+    for word, v, _, _, c, d in left:
+        for term, u, i, j, _, _ in right:
+            base = word + term
+            value = v * u
+            if base & R2:
+                base -= R2
+                value *= 2
+            if base & E2:
+                base -= E2
+                value = -value
+            acc[base] = get(base, 0) + value
+            for shift, weight in _corrections(c, i, d, j):
+                key = base + shift
+                acc[key] = get(key, 0) + value * weight
+
+
 def _folded(acc: dict, den: int) -> Operator:
-    """acc, filled by _expand with _corrections, as an Operator over den: a
-    correction's i can meet the term's, so i * i = -1 is folded once here."""
+    """acc, filled by _expand, as an Operator over den: a correction's i
+    can meet the term's, so i * i = -1 is folded once here."""
     for key in [k for k in acc if k & E2]:
         acc[key - E2] = acc.get(key - E2, 0) - acc.pop(key)
     return _reduced(Operator, unpack_terms(acc), den)
@@ -191,45 +221,6 @@ def _leibniz_shifts(c: int, i: int, d: int, j: int) -> tuple[tuple[int, int], ..
     )
 
 
-def _expand(acc: dict, left: list, right: list, scale: int, table) -> None:
-    """Accumulate scale times the product of two packed term lists into
-    acc: a pair's keys added and reduced, plus each unreduced (shift,
-    weight) of table(c, i, d, j), c, d of the left term and i, j of the right."""
-    get = acc.get
-    for word, v, _, _, c, d in left:
-        v *= scale
-        for term, u, i, j, _, _ in right:
-            base = word + term
-            value = v * u
-            if base & R2:
-                base -= R2
-                value *= 2
-            if base & E2:
-                base -= E2
-                value = -value
-            acc[base] = get(base, 0) + value
-            for shift, weight in table(c, i, d, j):
-                key = base + shift
-                acc[key] = get(key, 0) + value * weight
-
-
-def act(acc: dict, words: list, state: list, scale: int) -> None:
-    """Accumulate scale times the action of derivative words (the
-    numerators of a probe_image) on a state, both packed by
-    coeffring.pack_terms, into acc, a packed accumulator
-    (coeffring.unpack_terms reads it).
-
-    A state is p(x, y, s, t) e^(sx + ty), held as the numerators of p with
-    the exponents of s and t in the c and d slots.  By the Leibniz rule the
-    word x^a y^b d^c/dx^c d^d/dy^d sends x^i y^j s^u t^v e^(sx+ty) to the
-    sum over k <= min(c, i) and l <= min(d, j) of
-    C(c,k) i!/(i-k)! C(d,l) j!/(j-l)! x^(a+i-k) y^(b+j-l) s^(u+c-k) t^(v+d-l)
-    times e^(sx+ty): the packed word plus the packed term, reduced, is the
-    k = l = 0 term, and each shift of _leibniz_shifts moves it to another.
-    """
-    _expand(acc, words, state, scale, _leibniz_shifts)
-
-
 def apply_to_polynomial(op: Operator, poly: PhasePoly) -> PhasePoly:
     """Act on a position polynomial; rejects px and py.
 
@@ -257,7 +248,7 @@ def adjoint(op: Operator) -> Operator:
     reversed word Px^c Py^d X^a Y^b normal ordered into one accumulator."""
     acc: dict = {}
     for key, value, a, b, c, d in pack_terms(op.conjugate()._nums):
-        _expand(acc, [(0, 1, 0, 0, c, d)], [(key, value, a, b, 0, 0)], 1, _corrections)
+        _expand(acc, [(0, 1, 0, 0, c, d)], [(key, value, a, b, 0, 0)])
     return _folded(acc, op._den)
 
 
@@ -279,7 +270,7 @@ def probe_image(op: Operator) -> PhasePoly:
     Each term absorbs the (-i*hbar)^(c+d) factor of the momentum
     realization, a relabel of its key and a sign.  The relabel is
     injective, so no terms merge and the denominator is op's.  Its
-    numerators are the derivative words that act applies.
+    numerators are the derivative words that probe_bracket applies.
     """
     out: dict = {}
     for mono, num in op.numerators.items():
@@ -289,15 +280,69 @@ def probe_image(op: Operator) -> PhasePoly:
     return _canonical(PhasePoly, out, op.denominator)
 
 
+def _packed_words(op: Operator) -> list:
+    """The numerators of probe_image(op) as coeffring.pack_terms packs
+    them, relabelled in packed form: each key takes (-i hbar)^(c+d), that
+    is hbar^(c+d) and, for an odd c + d, the i bit (i * i folded to -1),
+    and its value the sign of (-i)^(c+d).  ValueError, as from pack_terms,
+    for a relabelled hbar exponent of PACK_LIMIT or more."""
+    out = []
+    for key, value, a, b, c, d in pack_terms(op._nums):
+        k = c + d
+        key += k * _HBAR
+        if key >> 64 & _FIELD >= PACK_LIMIT:
+            raise ValueError(f"exponent too large for a packed key (limit {PACK_LIMIT - 1})")
+        if k & 1:
+            key += _I
+            if key & E2:
+                key -= E2
+                value = -value
+        if k % 4 in (1, 2):
+            value = -value
+        out.append((key, value, a, b, c, d))
+    return out
+
+
 def probe_bracket(left: Operator, right: Operator) -> PhasePoly:
     """The image of e^(sx+ty) under left right - right left, divided by
-    e^(sx+ty): left(right(e)) - right(left(e)), each factor's words acting
-    on the other's image (act), in one packed accumulator."""
-    left_words, right_words = (pack_terms(probe_image(op).numerators) for op in (left, right))
+    e^(sx+ty): left(right(e)) - right(left(e)), each factor's derivative
+    words (probe_image) acting on the other's image.
+
+    A state p(x, y, s, t) e^(sx+ty) is held as the numerators of p, with
+    the exponents of s and t in the c and d slots.  By the Leibniz rule
+    the word x^a y^b d^c/dx^c d^d/dy^d sends x^i y^j s^u t^v e^(sx+ty) to
+    the sum over k <= min(c, i) and l <= min(d, j) of
+    C(c,k) i!/(i-k)! C(d,l) j!/(j-l)! x^(a+i-k) y^(b+j-l) s^(u+c-k) t^(v+d-l)
+    times e^(sx+ty).  Its k = l = 0 term, the two packed keys added and
+    reduced, is the same for a pair of words in either order and cancels;
+    so one pass over the term pairs accumulates only the other terms, the
+    shifts of _leibniz_shifts, of left's word on right's (sign +) and of
+    right's word on left's (sign -), and skips a pair with neither.
+    """
     acc: dict = {}
-    act(acc, left_words, right_words, 1)
-    act(acc, right_words, left_words, -1)
-    return _reduced(PhasePoly, unpack_terms(acc), left.denominator * right.denominator)
+    get = acc.get
+    right_words = _packed_words(right)
+    for k1, v1, a1, b1, c1, d1 in _packed_words(left):
+        for k2, v2, a2, b2, c2, d2 in right_words:
+            forward = _leibniz_shifts(c1, a2, d1, b2)
+            backward = _leibniz_shifts(c2, a1, d2, b1)
+            if not (forward or backward):
+                continue
+            base = k1 + k2
+            value = v1 * v2
+            if base & R2:
+                base -= R2
+                value *= 2
+            if base & E2:
+                base -= E2
+                value = -value
+            for shift, weight in forward:
+                key = base + shift
+                acc[key] = get(key, 0) + value * weight
+            for shift, weight in backward:
+                key = base + shift
+                acc[key] = get(key, 0) - value * weight
+    return _reduced(PhasePoly, unpack_terms(acc), left._den * right._den)
 
 
 def differential_text(op: Operator) -> str:

@@ -5,8 +5,9 @@ product goes through coeffring.mono_mul, every reordering correction is
 lowered and multiplied by (-i hbar)^k as a key of its own, and every sum
 goes through coeffring._accumulate.  adjoint builds each reversed word as
 two operators, multiplies them with the op_mul here and adds the products
-one by one.  tests/test_packed_kernels.py checks the packed kernels of
-weylalgebra against them.
+one by one.  probe_bracket runs act twice, each factor's probe_image words
+on the other's, and subtracts.  tests/test_packed_kernels.py checks the
+packed kernels of weylalgebra against them.
 
 The classical layer has its own: poisson takes partial derivatives and
 multiplies and adds whole term maps, hamiltonian builds H from powers of
@@ -39,7 +40,7 @@ from quantlab.coeffring import (
 )
 from quantlab.phasepoly import PhasePoly, PhaseVar
 from quantlab.quantizer import quantize_monomial
-from quantlab.weylalgebra import Operator
+from quantlab.weylalgebra import Operator, probe_image
 
 
 def _lowered(key: Monomial, k1: int, k2: int) -> Monomial:
@@ -92,8 +93,9 @@ def commutator(left: Operator, right: Operator) -> Operator:
 
 
 def act(words: dict, state: dict, scale: int = 1) -> dict:
-    """scale times the action of derivative words on a state, as
-    {Monomial: int} with no zero value (see weylalgebra.act)."""
+    """scale times the action of derivative words x^a y^b d^c/dx^c d^d/dy^d
+    on a state p(x, y, s, t) e^(sx+ty), s and t in the c and d slots, by
+    the Leibniz rule, as {Monomial: int} with no zero value."""
     acc: dict = {}
     for word, v in words.items():
         for term, u in state.items():
@@ -103,6 +105,16 @@ def act(words: dict, state: dict, scale: int = 1) -> dict:
                     weight = comb(word.c, k) * perm(term.a, k) * comb(word.d, l) * perm(term.b, l)
                     _accumulate(acc, _lowered(base, k, l), scale * v * u * factor * weight)
     return acc
+
+
+def probe_bracket(left: Operator, right: Operator) -> PhasePoly:
+    """left(right(e)) - right(left(e)) for e = e^(sx+ty), divided by e: two
+    whole actions of the factors' probe_image words, base terms included."""
+    left_words, right_words = probe_image(left).numerators, probe_image(right).numerators
+    acc = act(left_words, right_words)
+    for key, value in act(right_words, left_words, -1).items():
+        _accumulate(acc, key, value)
+    return _reduced(PhasePoly, acc, left.denominator * right.denominator)
 
 
 def adjoint(op: Operator) -> Operator:

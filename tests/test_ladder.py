@@ -58,11 +58,12 @@ def test_ladder_route_references_no_ordering_rule():
     # normal order from BCH, not from the quantizer's ordering rules
     route = (
         generators.ladder_products,
+        generators._forward_parts,
         generators._ladder_power,
         quantizer.quantize_ladder,
     )
     names = set().union(*(_code_names(fn.__code__) for fn in route))
-    assert {"ladder_products", "_ladder_power"} <= names
+    assert {"ladder_products", "_forward_parts", "_ladder_power"} <= names
     assert not names & {
         "quantize",
         "quantize_monomial",

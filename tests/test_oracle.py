@@ -113,13 +113,12 @@ def _code_names(code) -> set[str]:
 
 def test_exponential_probe_references_no_normal_ordering_kernel():
     # the Leibniz weight C(c,k) i!/(i-k)! equals swap_weight(c, i, k); the
-    # oracle derives it from its own derivative rule instead.  The pack
-    # helpers of coeffring and the product loop (_expand), which it shares
-    # with the ordering kernels, are checked with it
+    # oracle derives it from its own derivative rule instead, and it runs
+    # its own pass over term pairs, not the product loop of op_mul and
+    # adjoint (_expand).  The pack helpers of coeffring are checked with it
     kernel = (
         verify_module.commutator_matches_action,
-        weylalgebra.act,
-        weylalgebra._expand,
+        weylalgebra._packed_words,
         weylalgebra._leibniz_shifts.__wrapped__,
         weylalgebra.probe_image,
         weylalgebra.probe_bracket,
@@ -129,33 +128,39 @@ def test_exponential_probe_references_no_normal_ordering_kernel():
         coeffring.unpack_terms,
     )
     names = set().union(*(_code_names(fn.__code__) for fn in kernel))
-    assert {"act", "_expand", "_leibniz_shifts", "pack_terms", "unpack_terms"} <= names
-    assert not names & {"swap_weight", "_corrections", "op_mul", "commutator"}
+    assert {"_leibniz_shifts", "pack_terms", "unpack_terms"} <= names
+    assert not names & {"swap_weight", "_corrections", "op_mul", "commutator", "_expand"}
 
 
 def test_only_weylalgebra_handles_the_oracles_packed_keys():
     # verify compares two images; packing, acting and unpacking stay in
     # weylalgebra and coeffring
-    for name in ("pack_terms", "unpack_terms", "act", "_reduced"):
+    for name in ("pack_terms", "unpack_terms", "_packed_words", "_reduced"):
         assert not hasattr(verify_module, name)
 
 
-def test_each_oracle_check_acts_twice(monkeypatch):
-    # left(right(e)) and right(left(e)); the claimed commutator's image of
-    # e^(sx+ty) is a relabel of its words, with no action
+def test_each_oracle_check_makes_one_bracket_and_one_image(monkeypatch):
+    # left(right(e)) - right(left(e)) in one probe_bracket, and the claimed
+    # commutator's image of e^(sx+ty), a relabel of its words, in one
+    # probe_image; agreeing or refuted, a check makes no other call
     calls = []
-    original = weylalgebra.act
 
-    def counting_act(*args):
-        calls.append(1)
-        return original(*args)
+    def counting(name):
+        original = getattr(verify_module, name)
 
-    monkeypatch.setattr(weylalgebra, "act", counting_act)
+        def count(*args):
+            calls.append((name, args))
+            return original(*args)
+
+        monkeypatch.setattr(verify_module, name, count)
+
+    counting("probe_bracket")
+    counting("probe_image")
     params = OscillatorParams(3, 2)
     h_op = quantize(Scheme.WEYL, hamiltonian(params))
     op = quantize(Scheme.BORN_JORDAN, k_integral(params))
     comm = commutator(h_op, op)
-    for claimed in (comm, comm + BJ_ERROR):
+    for claimed, verdict in ((comm, True), (comm + BJ_ERROR, False)):
         calls.clear()
-        commutator_matches_action(h_op, op, claimed)
-        assert len(calls) == 2
+        assert bool(commutator_matches_action(h_op, op, claimed)) is verdict
+        assert calls == [("probe_bracket", (h_op, op)), ("probe_image", (claimed,))]

@@ -1,10 +1,11 @@
 """The packed-key kernels of weylalgebra against tuple-key references.
 
-op_mul, commutator, act and adjoint pack each input map's keys into one int
-(coeffring.pack_terms) and unpack their result once.  Here they must
-equal the Monomial-key kernels of reference_kernels.py on seeded random
-operators, through both ring reductions at the base product and at a
-correction, and up to the stated exponent bound, past which packing
+op_mul, commutator, probe_bracket and adjoint pack each input map's keys
+into one int (coeffring.pack_terms) and unpack their result once;
+probe_bracket relabels its packed words in place (_packed_words).  Here
+they must equal the Monomial-key kernels of reference_kernels.py on
+seeded random operators, through both ring reductions at the base product
+and at a correction, and up to the stated exponent bound, past which packing
 refuses rather than carries into the next field.
 """
 
@@ -13,8 +14,17 @@ from random import Random
 import pytest
 
 from quantlab import weylalgebra
-from quantlab.coeffring import PACK_LIMIT, Coefficient, Monomial, TermMap, pack_terms, unpack_terms
-from quantlab.weylalgebra import Operator, act, adjoint, commutator, op_mul
+from quantlab.coeffring import PACK_LIMIT, Coefficient, Monomial, TermMap, unpack_terms
+from quantlab.phasepoly import PhasePoly
+from quantlab.weylalgebra import (
+    Operator,
+    _packed_words,
+    adjoint,
+    commutator,
+    op_mul,
+    probe_bracket,
+    probe_image,
+)
 
 import reference_kernels as ref
 from randgen import rand_operator
@@ -26,12 +36,6 @@ LARGEST = PACK_LIMIT - 1
 
 def _op(key: Monomial, value=1) -> Operator:
     return Operator.monomial(key, value)
-
-
-def packed_act(words: dict, state: dict, scale: int = 1) -> dict:
-    acc: dict = {}
-    act(acc, pack_terms(words), pack_terms(state), scale)
-    return unpack_terms(acc)
 
 
 def test_packed_products_match_reference_on_random_operators():
@@ -49,13 +53,25 @@ def test_packed_products_match_reference_on_random_operators():
     assert reductions >= 50
 
 
-def test_packed_action_matches_reference_on_random_operators():
+def test_probe_bracket_matches_reference_on_random_operators():
     rng = Random(20261020)
-    for index in range(300):
-        words = rand_operator(rng, max_terms=4, max_exp=3).numerators
-        state = rand_operator(rng, max_terms=4, max_exp=3).numerators
-        scale = index % 7 - 3
-        assert packed_act(words, state, scale) == ref.act(words, state, scale)
+    for _ in range(300):
+        left = rand_operator(rng, max_terms=4, max_exp=3)
+        right = rand_operator(rng, max_terms=4, max_exp=3)
+        assert probe_bracket(left, right) == ref.probe_bracket(left, right)
+
+
+def test_packed_words_are_the_probe_image():
+    # the relabel in packed form; an odd c + d brings an i, which meets
+    # the term's own i on the operators counted here
+    rng = Random(20261022)
+    meetings = 0
+    for _ in range(400):
+        op = rand_operator(rng, max_terms=6, max_exp=3)
+        packed = {key: value for key, value, *_ in _packed_words(op)}
+        assert unpack_terms(packed) == probe_image(op).numerators
+        meetings += any(key.e and (key.c + key.d) & 1 for key in op.numerators)
+    assert meetings >= 100
 
 
 def test_both_reductions_at_the_base_and_at_a_correction():
@@ -71,10 +87,16 @@ def test_both_reductions_at_the_base_and_at_a_correction():
     left, right = _op(Monomial(c=1, d=1, e=1)), _op(Monomial(a=1, b=1, r=1, e=1))
     assert commutator(left, right) == ref.commutator(left, right)
     assert op_mul(left, right) == ref.op_mul(left, right)
-    # the action: (sqrt2 i)^2 d/dx (x e^(sx)) = -2 (1 + x s) e^(sx)
-    words, state = {Monomial(c=1, r=1, e=1): 1}, {Monomial(a=1, r=1, e=1): 1}
-    assert packed_act(words, state) == {Monomial(): -2, Monomial(a=1, c=1): -2}
-    assert packed_act(words, state) == ref.act(words, state)
+    # the action: sqrt2 Px's word is -sqrt2 i hbar d/dx, and on sqrt2 i x
+    # e^(sx) both reductions meet at the base term x s, which cancels
+    # between the two orders; 2 hbar (1 + x s) - 2 hbar x s = 2 hbar
+    left, right = _op(Monomial(c=1, r=1)), _op(Monomial(a=1, r=1, e=1))
+    assert probe_bracket(left, right) == PhasePoly.monomial(Monomial(h=1), 2)
+    assert probe_bracket(left, right) == ref.probe_bracket(left, right)
+    # the relabel's i meets the word's own i: sqrt2 i Px is sqrt2 hbar d/dx
+    left, right = _op(Monomial(c=1, r=1, e=1)), _op(Monomial(a=1, b=1, r=1, e=1))
+    assert probe_bracket(left, right) == ref.probe_bracket(left, right)
+    assert probe_bracket(right, left) == ref.probe_bracket(right, left)
 
 
 def test_exponents_up_to_the_pack_limit_multiply_exactly():
@@ -88,9 +110,13 @@ def test_exponents_up_to_the_pack_limit_multiply_exactly():
     # [px, x^L] = -i hbar L x^(L-1)
     expected = _op(Monomial(a=LARGEST - 1, h=1, e=1), -LARGEST)
     assert commutator(_op(Monomial(c=1)), _op(Monomial(a=LARGEST))) == expected
-    words = {Monomial(c=1, d=1, h=LARGEST, r=1): 5}
-    state = {big: 2, Monomial(a=2, b=LARGEST, d=LARGEST): -1}
-    assert packed_act(words, state, -3) == ref.act(words, state, -3)
+    # the action: the probe image raises hbar by c + d, so each word below
+    # reaches hbar^LARGEST there, and a, b and w reach LARGEST too
+    left = _op(Monomial(c=1, d=1, h=LARGEST - 2, r=1), 5)
+    right = _op(Monomial(a=LARGEST, b=LARGEST, c=LARGEST, w=LARGEST, r=1, e=1), 2)
+    right += _op(Monomial(a=2, b=LARGEST, d=LARGEST), -1)
+    assert probe_bracket(left, right) == ref.probe_bracket(left, right)
+    assert probe_bracket(right, left) == ref.probe_bracket(right, left)
 
 
 @pytest.mark.parametrize("field", "abcdhw")
@@ -102,9 +128,20 @@ def test_exponents_at_the_pack_limit_are_refused(field):
             commutator(left, right)
         with pytest.raises(ValueError, match="packed key"):
             op_mul(left, right)
-    for words, state in (({over: 1}, {Monomial(): 1}), ({Monomial(c=1): 1}, {over: 1})):
         with pytest.raises(ValueError, match="packed key"):
-            packed_act(words, state)
+            probe_bracket(left, right)
+
+
+@pytest.mark.parametrize("key", [Monomial(c=1, h=LARGEST), Monomial(c=LARGEST, d=1)])
+def test_a_probe_image_hbar_at_the_pack_limit_is_refused(key):
+    # the probe image raises hbar by c + d, to PACK_LIMIT here
+    assert probe_image(_op(key)).numerators
+    x = _op(Monomial(a=1))
+    for left, right in ((x, _op(key)), (_op(key), x)):
+        with pytest.raises(ValueError, match="packed key"):
+            probe_bracket(left, right)
+    below = key._replace(h=key.h - 1) if key.h else key._replace(c=key.c - 1)
+    assert probe_bracket(x, _op(below)) == ref.probe_bracket(x, _op(below))
 
 
 def _meets_correction_i(key: Monomial) -> bool:
