@@ -14,12 +14,10 @@ from quantlab.generators import (
     OscillatorParams,
     hamiltonian,
     k_integral,
-    l_integral,
     ladder_integrals,
 )
 from quantlab.weylalgebra import (
     Operator,
-    adjoint,
     apply_to_polynomial,
     classical_symbol,
     commutator,
@@ -28,10 +26,6 @@ from quantlab.weylalgebra import (
     min_omega_exponent,
     op_mul,
     probe_image,
-    px_hat,
-    py_hat,
-    x_hat,
-    y_hat,
 )
 from quantlab.quantizer import Scheme, quantize, quantize_ladder, quantize_monomial
 from quantlab.vlab.parser import ParseError, UnknownSymbolError, parse_polynomial

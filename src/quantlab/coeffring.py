@@ -22,8 +22,8 @@ product is needed (the commutative product of term maps and
 phasepoly.poisson); the quadratic kernels of weylalgebra (op_mul,
 commutator and the action) pack each key into one int (pack_terms), so
 a product is one int add, k1 + k2, and the reductions are two mask
-tests on it, R2 for sqrt2 * sqrt2 = 2 and E2 for i * i = -1 (_folded
-reduces the i a reordering correction brings).  One more product
+tests on it, R2 for sqrt2 * sqrt2 = 2 and E2 for i * i = -1 (op_mul
+folds the i of a reordering correction after its loop).  One more product
 reduces i alone: quantizer.quantize joins each term's parameter part to
 the keys of its two one-pair images (only hbar and i beside their phase
 part), and the three powers of i reduce as one.  Beside them, neg_i_hbar
@@ -337,11 +337,6 @@ class TermMap:
 
     def __bool__(self) -> bool:
         return bool(self._nums)
-
-    def conjugate(self):
-        """Map i to -i; every other generator is fixed."""
-        nums = {k: -v if k.e else v for k, v in self._nums.items()}
-        return _canonical(type(self), nums, self._den)
 
     def hbar_free_part(self):
         return _reduced(type(self), {k: v for k, v in self._nums.items() if not k.h}, self._den)

@@ -3,7 +3,7 @@
 The anisotropic oscillator with rational frequency ratio carries, besides
 the Hamiltonian itself, the separation integral L, a polynomial integral
 K built from L's flow, and a pair of ladder-product integrals F1, F2.
-All of them are returned as exact phase-space polynomials.  The ladder
+H, K, F1 and F2 are returned as exact phase-space polynomials.  The ladder
 builder also gives the products as normal-ordered operators: each ladder
 power b^k is written in closed form (BCH, as [q, p] is central; the
 classical power is its hbar-free slice), and F1 and F2 are read off the
@@ -20,11 +20,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 
-from quantlab.coeffring import Monomial, _add_product, _canonical, _make, _reduced
+from quantlab.coeffring import Monomial, _add_product, _make, _reduced
 from quantlab.phasepoly import PhasePoly
 from quantlab.weylalgebra import Operator
 
-# the keys of H and L: px^2, py^2, omega^2 x^2 and omega^2 y^2
+# the keys of H: px^2, py^2, omega^2 x^2 and omega^2 y^2
 _PX2, _PY2 = Monomial(c=2), Monomial(d=2)
 _X2, _Y2 = Monomial(a=2, w=2), Monomial(b=2, w=2)
 
@@ -52,11 +52,6 @@ def hamiltonian(params: OscillatorParams) -> PhasePoly:
     2 m^2 as (m^2 px^2 + m^2 py^2 + 2 m^2 omega^2 x^2 + 2 n^2 omega^2 y^2)."""
     m2, n2 = params.m * params.m, params.n * params.n
     return _reduced(PhasePoly, {_PX2: m2, _PY2: m2, _X2: 2 * m2, _Y2: 2 * n2}, 2 * m2)
-
-
-def l_integral() -> PhasePoly:
-    """Separation integral L = px^2/2 + omega^2 x^2 of the x axis."""
-    return _canonical(PhasePoly, {_PX2: 1, _X2: 2}, 2)
 
 
 def _ladder_power(k: int, ratio: Fraction, axis: int, quantum: bool):

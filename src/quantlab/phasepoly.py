@@ -5,7 +5,7 @@ A PhasePoly is a coeffring.TermMap: one flat map from a Monomial, the
 exponents of x, y, px, py and of the ring's generators, to a nonzero int
 numerator over one shared denominator, in lowest terms, so equality is
 structural.  Its product is the commutative one of every term map.  The
-module adds partial derivatives and the canonical Poisson bracket.
+module adds the phase variables and the canonical Poisson bracket.
 """
 
 from __future__ import annotations
@@ -37,19 +37,6 @@ class PhasePoly(TermMap):
         exps = [0, 0, 0, 0]
         exps[_VAR_SLOT[var]] = 1
         return cls.monomial(Monomial(*exps))
-
-    def partial(self, var: PhaseVar) -> "PhasePoly":
-        """Formal partial derivative with respect to one phase variable."""
-        slot = _VAR_SLOT[var]
-        out = {}
-        for mono, value in self._nums.items():
-            exp = mono[slot]
-            if exp:
-                exps = list(mono)
-                # a positive exponent lowered by one: still a valid key
-                exps[slot] = exp - 1
-                out[_make(Monomial, exps)] = value * exp
-        return _reduced(PhasePoly, out, self._den)
 
 
 def poisson(f: PhasePoly, g: PhasePoly) -> PhasePoly:

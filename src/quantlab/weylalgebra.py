@@ -15,10 +15,9 @@ corrections (k > 0) of both orders, with opposite signs.
 
 The kernels work on packed keys (coeffring.pack_terms): a reordering
 correction (_corrections) or Leibniz term (_leibniz_shifts) is one signed
-shift of the product's key.  op_mul and adjoint run on one product loop
-(_expand) and share the fold of i * i = -1 after it (_folded), where a
-correction's i meets one; commutator and probe_bracket each run one pass
-of their own.
+shift of the product's key.  op_mul, commutator and probe_bracket each
+run one pass over term pairs of their own; op_mul folds i * i = -1 once
+after its loop, where a correction's i meets one.
 
 A separate differential action provides an independent route to the
 same algebra for cross-checks.  Momentum is realized as -i*hbar times
@@ -46,7 +45,6 @@ from quantlab.coeffring import (
     R2,
     Monomial,
     TermMap,
-    _FIELD,
     _accumulate,
     _canonical,
     _make,
@@ -108,36 +106,19 @@ class Operator(TermMap):
         return self._view(True)[2]
 
 
-def x_hat() -> Operator:
-    return Operator.monomial(Monomial(a=1))
-
-
-def y_hat() -> Operator:
-    return Operator.monomial(Monomial(b=1))
-
-
-def px_hat() -> Operator:
-    return Operator.monomial(Monomial(c=1))
-
-
-def py_hat() -> Operator:
-    return Operator.monomial(Monomial(d=1))
-
-
 def op_mul(left: Operator, right: Operator) -> Operator:
-    """Exact noncommutative product, re-expressed in normal order."""
+    """Exact noncommutative product, re-expressed in normal order.
+
+    One loop over term pairs: a pair's packed keys added and reduced,
+    plus each unreduced (shift, weight) of its _corrections(c, i, d, j),
+    c, d of the left term and i, j of the right.  A correction's i can
+    meet the term's, so i * i = -1 is folded once after the loop.
+    """
     acc: dict = {}
-    _expand(acc, pack_terms(left._nums), pack_terms(right._nums))
-    return _folded(acc, left._den * right._den)
-
-
-def _expand(acc: dict, left: list, right: list) -> None:
-    """Accumulate the product of two packed term lists into acc: a pair's
-    keys added and reduced, plus each unreduced (shift, weight) of its
-    _corrections(c, i, d, j), c, d of the left term and i, j of the right."""
     get = acc.get
-    for word, v, _, _, c, d in left:
-        for term, u, i, j, _, _ in right:
+    right_terms = pack_terms(right._nums)
+    for word, v, _, _, c, d in pack_terms(left._nums):
+        for term, u, i, j, _, _ in right_terms:
             base = word + term
             value = v * u
             if base & R2:
@@ -150,14 +131,9 @@ def _expand(acc: dict, left: list, right: list) -> None:
             for shift, weight in _corrections(c, i, d, j):
                 key = base + shift
                 acc[key] = get(key, 0) + value * weight
-
-
-def _folded(acc: dict, den: int) -> Operator:
-    """acc, filled by _expand, as an Operator over den: a correction's i
-    can meet the term's, so i * i = -1 is folded once here."""
     for key in [k for k in acc if k & E2]:
-        acc[key - E2] = acc.get(key - E2, 0) - acc.pop(key)
-    return _reduced(Operator, unpack_terms(acc), den)
+        acc[key - E2] = get(key - E2, 0) - acc.pop(key)
+    return _reduced(Operator, unpack_terms(acc), left._den * right._den)
 
 
 def commutator(left: Operator, right: Operator) -> Operator:
@@ -243,15 +219,6 @@ def apply_to_polynomial(op: Operator, poly: PhasePoly) -> PhasePoly:
     return _reduced(PhasePoly, acc, op.denominator * poly.denominator)
 
 
-def adjoint(op: Operator) -> Operator:
-    """Formal adjoint: reverse each word and conjugate its coefficient, each
-    reversed word Px^c Py^d X^a Y^b normal ordered into one accumulator."""
-    acc: dict = {}
-    for key, value, a, b, c, d in pack_terms(op.conjugate()._nums):
-        _expand(acc, [(0, 1, 0, 0, c, d)], [(key, value, a, b, 0, 0)])
-    return _folded(acc, op._den)
-
-
 def min_hbar_exponent(op: Operator) -> int:
     """Smallest hbar exponent over all terms; 0 for the zero operator."""
     return min((key.h for key in op.numerators), default=0)
@@ -285,13 +252,14 @@ def _packed_words(op: Operator) -> list:
     them, relabelled in packed form: each key takes (-i hbar)^(c+d), that
     is hbar^(c+d) and, for an odd c + d, the i bit (i * i folded to -1),
     and its value the sign of (-i)^(c+d).  ValueError, as from pack_terms,
-    for a relabelled hbar exponent of PACK_LIMIT or more."""
+    for a relabelled hbar exponent h + c + d of PACK_LIMIT or more, checked
+    on the Monomial keys before packing."""
+    if op._nums and max(k[2] + k[3] + k[4] for k in op._nums) >= PACK_LIMIT:
+        raise ValueError(f"exponent too large for a packed key (limit {PACK_LIMIT - 1})")
     out = []
     for key, value, a, b, c, d in pack_terms(op._nums):
         k = c + d
         key += k * _HBAR
-        if key >> 64 & _FIELD >= PACK_LIMIT:
-            raise ValueError(f"exponent too large for a packed key (limit {PACK_LIMIT - 1})")
         if k & 1:
             key += _I
             if key & E2:

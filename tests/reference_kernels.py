@@ -1,13 +1,21 @@
-"""Plain reference routes for the fast kernels of the package.
+"""Plain reference routes for the fast kernels of the package, and the
+test-only pieces they build from.
+
+The pieces: the phase variables as operators (x_hat, y_hat, px_hat,
+py_hat), the separation integral L (l_integral), the conjugation
+i -> -i of a term map (conjugate) and the partial derivative of a phase
+polynomial (partial).  The program itself never needs them.
 
 op_mul, commutator and act here work on Monomial keys term by term: every
 product goes through coeffring.mono_mul, every reordering correction is
 lowered and multiplied by (-i hbar)^k as a key of its own, and every sum
-goes through coeffring._accumulate.  adjoint builds each reversed word as
-two operators, multiplies them with the op_mul here and adds the products
-one by one.  probe_bracket runs act twice, each factor's probe_image words
-on the other's, and subtracts.  tests/test_packed_kernels.py checks the
-packed kernels of weylalgebra against them.
+goes through coeffring._accumulate.  probe_bracket runs act twice, each
+factor's probe_image words on the other's, and subtracts.
+tests/test_packed_kernels.py checks the packed kernels of weylalgebra
+against them.  adjoint, the formal adjoint that the self-adjointness
+tests read, builds each reversed word as two operators, conjugates one,
+multiplies them with the op_mul here and adds the products one by one;
+the package has no adjoint of its own.
 
 The classical layer has its own: poisson takes partial derivatives and
 multiplies and adds whole term maps, hamiltonian builds H from powers of
@@ -34,13 +42,62 @@ from quantlab.coeffring import (
     Monomial,
     _accumulate,
     _add_product,
+    _canonical,
+    _make,
     _reduced,
     mono_mul,
     neg_i_hbar,
 )
-from quantlab.phasepoly import PhasePoly, PhaseVar
+from quantlab.phasepoly import _VAR_SLOT, PhasePoly, PhaseVar
 from quantlab.quantizer import quantize_monomial
 from quantlab.weylalgebra import Operator, probe_image
+
+
+# -- building blocks -----------------------------------------------------------
+
+
+def x_hat() -> Operator:
+    return Operator.monomial(Monomial(a=1))
+
+
+def y_hat() -> Operator:
+    return Operator.monomial(Monomial(b=1))
+
+
+def px_hat() -> Operator:
+    return Operator.monomial(Monomial(c=1))
+
+
+def py_hat() -> Operator:
+    return Operator.monomial(Monomial(d=1))
+
+
+def l_integral() -> PhasePoly:
+    """Separation integral L = px^2/2 + omega^2 x^2 of the x axis."""
+    return _canonical(PhasePoly, {Monomial(c=2): 1, Monomial(a=2, w=2): 2}, 2)
+
+
+def conjugate(tm):
+    """Map i to -i; every other generator is fixed."""
+    nums = {k: -v if k.e else v for k, v in tm.numerators.items()}
+    return _canonical(type(tm), nums, tm.denominator)
+
+
+def partial(poly: PhasePoly, var: PhaseVar) -> PhasePoly:
+    """Formal partial derivative with respect to one phase variable."""
+    slot = _VAR_SLOT[var]
+    out = {}
+    for mono, value in poly.numerators.items():
+        exp = mono[slot]
+        if exp:
+            exps = list(mono)
+            # a positive exponent lowered by one: still a valid key
+            exps[slot] = exp - 1
+            out[_make(Monomial, exps)] = value * exp
+    return _reduced(PhasePoly, out, poly.denominator)
+
+
+# -- kernels ------------------------------------------------------------------
 
 
 def _lowered(key: Monomial, k1: int, k2: int) -> Monomial:
@@ -123,7 +180,7 @@ def adjoint(op: Operator) -> Operator:
     out = Operator.zero()
     for mono, num in op.numerators.items():
         momenta = Operator.monomial(Monomial(c=mono.c, d=mono.d))
-        positions = Operator.monomial(mono._replace(c=0, d=0), num).conjugate()
+        positions = conjugate(Operator.monomial(mono._replace(c=0, d=0), num))
         out = out + op_mul(momenta, positions)
     return _reduced(Operator, out.numerators, out.denominator * op.denominator)
 
@@ -133,7 +190,7 @@ def poisson(f: PhasePoly, g: PhasePoly) -> PhasePoly:
     df/dp * dg/dq, each partial derivative a term map of its own."""
     out = PhasePoly.zero()
     for pos, mom in ((PhaseVar.X, PhaseVar.PX), (PhaseVar.Y, PhaseVar.PY)):
-        out = out + f.partial(pos) * g.partial(mom) - f.partial(mom) * g.partial(pos)
+        out = out + partial(f, pos) * partial(g, mom) - partial(f, mom) * partial(g, pos)
     return out
 
 

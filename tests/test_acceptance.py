@@ -11,30 +11,22 @@ from fractions import Fraction
 from random import Random
 
 from quantlab.coeffring import Coefficient, Monomial
-from quantlab.generators import (
-    OscillatorParams,
-    hamiltonian,
-    k_integral,
-    l_integral,
-    ladder_integrals,
-)
+from quantlab.generators import OscillatorParams, hamiltonian, k_integral, ladder_integrals
 from quantlab.phasepoly import PhasePoly, PhaseVar, poisson
 from quantlab.quantizer import Scheme, quantize, quantize_monomial
 from quantlab.vlab.parser import parse_polynomial
 from quantlab.vlab.verify import failed_claims, sweep, verify_pair
 from quantlab.weylalgebra import (
     Operator,
-    adjoint,
     apply_to_polynomial,
     classical_symbol,
     commutator,
     differential_text,
     op_mul,
     probe_image,
-    px_hat,
-    x_hat,
 )
 
+from reference_kernels import adjoint, l_integral, px_hat, x_hat
 from randgen import flatten, orders, rand_coefficient, rand_operator, rand_phase_poly, zero_case
 
 W = Scheme.WEYL

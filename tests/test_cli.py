@@ -9,7 +9,8 @@ from quantlab.coeffring import Coefficient
 from quantlab.vlab import cli
 from quantlab.vlab import verify as verify_module
 from quantlab.vlab.parser import MAX_COEFFICIENT_DIGITS
-from quantlab.weylalgebra import px_hat
+
+from reference_kernels import px_hat
 
 
 def run(capsys, *argv):

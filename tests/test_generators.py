@@ -5,17 +5,12 @@ from fractions import Fraction
 import pytest
 
 from quantlab.coeffring import Coefficient, Monomial
-from quantlab.generators import (
-    OscillatorParams,
-    hamiltonian,
-    k_integral,
-    l_integral,
-    ladder_integrals,
-)
+from quantlab.generators import OscillatorParams, hamiltonian, k_integral, ladder_integrals
 from quantlab.phasepoly import PhasePoly, PhaseVar, poisson
 from quantlab.vlab.parser import MAX_SUM
 
 import reference_kernels as ref
+from reference_kernels import l_integral
 
 X = PhasePoly.variable(PhaseVar.X)
 Y = PhasePoly.variable(PhaseVar.Y)

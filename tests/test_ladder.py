@@ -17,8 +17,8 @@ from quantlab.generators import OscillatorParams, ladder_integrals
 from quantlab.phasepoly import PhasePoly, PhaseVar
 from quantlab.quantizer import quantize_ladder
 from quantlab.vlab.verify import verify_ladder_pair
-from quantlab.weylalgebra import px_hat, py_hat, x_hat, y_hat
 
+from reference_kernels import px_hat, py_hat, x_hat, y_hat
 from test_oracle import _code_names
 
 _HALF = Fraction(1, 2)

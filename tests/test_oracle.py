@@ -19,14 +19,9 @@ from quantlab.phasepoly import PhasePoly
 from quantlab.quantizer import Scheme, quantize
 from quantlab.vlab import verify as verify_module
 from quantlab.vlab.verify import commutator_matches_action
-from quantlab.weylalgebra import (
-    Operator,
-    apply_to_polynomial,
-    commutator,
-    probe_image,
-    x_hat,
-)
+from quantlab.weylalgebra import Operator, apply_to_polynomial, commutator, probe_image
 
+from reference_kernels import x_hat
 from randgen import rand_operator
 from test_vlab import _WRONG_TERM
 
@@ -114,8 +109,9 @@ def _code_names(code) -> set[str]:
 def test_exponential_probe_references_no_normal_ordering_kernel():
     # the Leibniz weight C(c,k) i!/(i-k)! equals swap_weight(c, i, k); the
     # oracle derives it from its own derivative rule instead, and it runs
-    # its own pass over term pairs, not the product loop of op_mul and
-    # adjoint (_expand).  The pack helpers of coeffring are checked with it
+    # its own pass over term pairs, not op_mul's product loop or a helper
+    # split out of it (_expand).  The pack helpers of coeffring are
+    # checked with it
     kernel = (
         verify_module.commutator_matches_action,
         weylalgebra._packed_words,

@@ -1,7 +1,7 @@
 """The packed-key kernels of weylalgebra against tuple-key references.
 
-op_mul, commutator, probe_bracket and adjoint pack each input map's keys
-into one int (coeffring.pack_terms) and unpack their result once;
+op_mul, commutator and probe_bracket pack each input map's keys into one
+int (coeffring.pack_terms) and unpack their result once;
 probe_bracket relabels its packed words in place (_packed_words).  Here
 they must equal the Monomial-key kernels of reference_kernels.py on
 seeded random operators, through both ring reductions at the base product
@@ -13,13 +13,11 @@ from random import Random
 
 import pytest
 
-from quantlab import weylalgebra
-from quantlab.coeffring import PACK_LIMIT, Coefficient, Monomial, TermMap, unpack_terms
+from quantlab.coeffring import PACK_LIMIT, Coefficient, Monomial, unpack_terms
 from quantlab.phasepoly import PhasePoly
 from quantlab.weylalgebra import (
     Operator,
     _packed_words,
-    adjoint,
     commutator,
     op_mul,
     probe_bracket,
@@ -142,62 +140,3 @@ def test_a_probe_image_hbar_at_the_pack_limit_is_refused(key):
             probe_bracket(left, right)
     below = key._replace(h=key.h - 1) if key.h else key._replace(c=key.c - 1)
     assert probe_bracket(x, _op(below)) == ref.probe_bracket(x, _op(below))
-
-
-def _meets_correction_i(key: Monomial) -> bool:
-    """An i on a term whose reversed word Px^c Py^d X^a Y^b has an odd
-    correction, whose (-i hbar)^k brings an i of its own."""
-    return bool(key.e and (min(key.a, key.c) or min(key.b, key.d)))
-
-
-def test_packed_adjoint_matches_reference_on_random_operators():
-    rng = Random(20261021)
-    meetings = 0
-    for _ in range(600):
-        op = rand_operator(rng, max_terms=6, max_exp=3)
-        assert adjoint(op) == ref.adjoint(op)
-        meetings += any(map(_meets_correction_i, op.numerators))
-    # operators with a term whose i meets a correction's i
-    assert meetings >= 100
-
-
-def test_adjoint_folds_a_correction_i_into_the_term_i():
-    # (i X Px)^+ = -i Px X = -i X Px - hbar: the correction's -i hbar
-    # meets the conjugated -i
-    op = I * _op(Monomial(a=1, c=1))
-    assert adjoint(op) == -I * _op(Monomial(a=1, c=1)) - HBAR
-    assert adjoint(op) == ref.adjoint(op)
-    # sqrt2 and i on one term, corrections in both pairs
-    op = _op(Monomial(a=2, b=1, c=1, d=3, r=1, e=1), 5) + _op(Monomial(a=1, d=1, h=2, e=1), -3)
-    assert adjoint(op) == ref.adjoint(op)
-    assert adjoint(adjoint(op)) == op
-
-
-def test_adjoint_up_to_the_pack_limit():
-    # every field at its largest packable value; the words keep the other
-    # exponent of each pair small, so the reference's corrections are few
-    terms = (
-        Monomial(a=1, b=LARGEST, c=LARGEST, d=2, h=LARGEST, w=LARGEST, r=1, e=1),
-        Monomial(a=LARGEST, b=1, c=2, d=LARGEST, h=LARGEST - 1, e=1),
-        Monomial(a=LARGEST, b=LARGEST, w=LARGEST, r=1),
-    )
-    op = _op(terms[0], 3) + _op(terms[1], -2) + _op(terms[2], 7)
-    assert adjoint(op) == ref.adjoint(op)
-
-
-@pytest.mark.parametrize("field", "abcdhw")
-def test_adjoint_at_the_pack_limit_is_refused(field):
-    op = _op(Monomial(a=1, c=1)) + _op(Monomial(**{field: PACK_LIMIT}))
-    with pytest.raises(ValueError, match="packed key"):
-        adjoint(op)
-
-
-def test_adjoint_runs_no_product_and_no_sum_per_term(monkeypatch):
-    def refuse(*args):
-        raise AssertionError("adjoint builds its result in one accumulator")
-
-    op = _op(Monomial(a=2, c=1, e=1), 3) + _op(Monomial(b=1, d=2, r=1), -1) + _op(Monomial(a=1))
-    expected = ref.adjoint(op)
-    monkeypatch.setattr(weylalgebra, "op_mul", refuse)
-    monkeypatch.setattr(TermMap, "_combine", refuse)
-    assert adjoint(op) == expected

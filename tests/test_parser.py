@@ -8,13 +8,7 @@ from random import Random
 import pytest
 
 from quantlab.coeffring import Coefficient, Monomial
-from quantlab.generators import (
-    OscillatorParams,
-    hamiltonian,
-    k_integral,
-    l_integral,
-    ladder_integrals,
-)
+from quantlab.generators import OscillatorParams, hamiltonian, k_integral, ladder_integrals
 from quantlab.phasepoly import PhasePoly, PhaseVar
 from quantlab.vlab import parser
 from quantlab.vlab.parser import (
@@ -30,6 +24,7 @@ from quantlab.vlab.parser import (
 )
 
 import reference_kernels as ref
+from reference_kernels import l_integral
 from randgen import rand_phase_poly, zero_case
 
 X = PhasePoly.variable(PhaseVar.X)

@@ -28,11 +28,10 @@ from quantlab.weylalgebra import (
     differential_latex,
     differential_text,
     probe_image,
-    px_hat,
-    x_hat,
 )
 
 import reference_kernels as ref
+from reference_kernels import px_hat, x_hat
 from randgen import flatten, rand_operator, rand_phase_poly, zero_case
 
 POLYS = [

@@ -26,13 +26,9 @@ from quantlab.vlab.verify import (
     verify_ladder_pair,
     verify_pair,
 )
-from quantlab.weylalgebra import (
-    Operator,
-    commutator,
-    px_hat,
-    py_hat,
-    x_hat,
-)
+from quantlab.weylalgebra import Operator, commutator
+
+from reference_kernels import px_hat, py_hat, x_hat
 
 
 def test_verify_four_one():

@@ -12,7 +12,6 @@ from quantlab.phasepoly import PhasePoly, PhaseVar, poisson
 from quantlab.quantizer import Scheme, quantize
 from quantlab.weylalgebra import (
     Operator,
-    adjoint,
     apply_to_polynomial,
     classical_symbol,
     commutator,
@@ -21,12 +20,9 @@ from quantlab.weylalgebra import (
     min_omega_exponent,
     op_mul,
     probe_image,
-    px_hat,
-    py_hat,
-    x_hat,
-    y_hat,
 )
 
+from reference_kernels import adjoint, partial, px_hat, py_hat, x_hat, y_hat
 from randgen import flatten, orders, rand_operator, rand_phase_poly, rand_position_poly, zero_case
 
 I_HBAR = Coefficient.i() * Coefficient.hbar()
@@ -133,9 +129,9 @@ def _naive_action(op: Operator, poly: PhasePoly) -> PhasePoly:
         coeff = Coefficient.monomial(mono._replace(a=0, b=0, c=0, d=0), value)
         term = poly
         for _ in range(mono.c):
-            term = term.partial(PhaseVar.X)
+            term = partial(term, PhaseVar.X)
         for _ in range(mono.d):
-            term = term.partial(PhaseVar.Y)
+            term = partial(term, PhaseVar.Y)
         factor = MINUS_I_HBAR ** (mono.c + mono.d) * coeff
         out = out + term * XPOS ** mono.a * YPOS ** mono.b * factor
     return out
