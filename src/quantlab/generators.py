@@ -105,6 +105,24 @@ def _forward_parts(params: OscillatorParams, quantum: bool, parities: tuple) -> 
     return parts, x_den * y_den
 
 
+def _ladder_parts(params: OscillatorParams, quantum: bool, parities: tuple) -> tuple:
+    """F1 for parity 0 and F2 for parity 1, one per given parity, each
+    built from that part of forward alone (_forward_parts): F1 is the even
+    part and F2 is -i times the odd part (ladder_products)."""
+    parts, den = _forward_parts(params, quantum, parities)
+    cls = Operator if quantum else PhasePoly
+    out = []
+    for part, parity in zip(parts, parities):
+        if parity:
+            # -i * i = 1 and -i * 1 = -i
+            part = {
+                _make(Monomial, key[:7] + (1 - key.e,)): value if key.e else -value
+                for key, value in part.items()
+            }
+        out.append(_reduced(cls, part, den))
+    return tuple(out)
+
+
 def ladder_products(params: OscillatorParams, quantum: bool = False) -> tuple:
     """The ladder products (F1, F2), as phase-space polynomials or, when
     quantum, as normal-ordered operators.
@@ -117,16 +135,10 @@ def ladder_products(params: OscillatorParams, quantum: bool = False) -> tuple:
     b1* and b2* to b2, and so sends forward to backward = b1*^n b2^m: it
     flips the sign of each term whose i and hbar exponents have an odd
     sum.  F1 is forward's even terms and F2 is -i times its odd terms
-    (_forward_parts).
+    (_forward_parts).  Both parts are built here; quantizer.quantize_ladder
+    builds only the one it returns, through the same _ladder_parts.
     """
-    (even, odd), den = _forward_parts(params, quantum, (0, 1))
-    # -i * i = 1 and -i * 1 = -i
-    f2 = {
-        _make(Monomial, key[:7] + (1 - key.e,)): value if key.e else -value
-        for key, value in odd.items()
-    }
-    cls = Operator if quantum else PhasePoly
-    return _reduced(cls, even, den), _reduced(cls, f2, den)
+    return _ladder_parts(params, quantum, (0, 1))
 
 
 def ladder_integrals(params: OscillatorParams) -> tuple[PhasePoly, PhasePoly]:

@@ -19,6 +19,7 @@ route apart from the ordering rules: generators.ladder_products writes
 each ladder power b^k in normal order in closed form (BCH, as [q, p] is
 central) and reads F1 and F2 off the one product b1^n b2*^m, split by
 the automorphism i -> -i, hbar -> -hbar that sends it to b1*^n b2^m.
+quantize_ladder builds only the part of that product it returns.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from functools import lru_cache
 from math import lcm
 
 from quantlab.coeffring import Monomial, _make, _reduced, neg_i_hbar
-from quantlab.generators import OscillatorParams, ladder_products
+from quantlab.generators import OscillatorParams, _ladder_parts
 from quantlab.phasepoly import PhasePoly
 from quantlab.weylalgebra import Operator, swap_weight
 
@@ -101,11 +102,12 @@ def quantize(scheme: Scheme, poly: PhasePoly) -> Operator:
 def quantize_ladder(params: OscillatorParams, which: int) -> Operator:
     """Quantize ladder integral F1 (which = 1) or F2 (which = 2) directly.
 
-    The ladder products are built as normal-ordered operators in closed
+    The ladder product is built as a normal-ordered operator in closed
     form (generators.ladder_products), unnormalized to match the
-    classical ladder integrals.  which is the int 1 or 2: a bool or float
-    equal to one is refused.
+    classical ladder integrals.  Only the part returned is built: the
+    even part of b1^n b2*^m for F1, the odd part for F2.  which is the
+    int 1 or 2: a bool or float equal to one is refused.
     """
     if isinstance(which, bool) or not isinstance(which, int) or which not in (1, 2):
         raise ValueError("which must be 1 or 2")
-    return ladder_products(params, quantum=True)[which - 1]
+    return _ladder_parts(params, True, (which - 1,))[0]

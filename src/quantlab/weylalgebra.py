@@ -17,7 +17,12 @@ The kernels work on packed keys (coeffring.pack_terms): a reordering
 correction (_corrections) or Leibniz term (_leibniz_shifts) is one signed
 shift of the product's key.  op_mul, commutator and probe_bracket each
 run one pass over term pairs of their own; op_mul folds i * i = -1 once
-after its loop, where a correction's i meets one.
+after its loop, where a correction's i meets one.  commutator and
+probe_bracket skip work whose result is known to be empty: they look up
+a direction's table only when it can be nonempty (c1 and a2 or d1 and
+b2 for the left word acting on the right), and they reduce the base
+of a pair only when the left key has a sqrt2 or i bit, as otherwise the
+sum of the two keys cannot carry one.
 
 A separate differential action provides an independent route to the
 same algebra for cross-checks.  Momentum is realized as -i*hbar times
@@ -78,15 +83,20 @@ def _corrections(s1: int, r1: int, s2: int, r2: int) -> tuple[tuple[int, int], .
     for P^s1 X^r1 and P^s2 Y^r2, the terms with k1 + k2 > 0: the shift is
     a signed packed key, added to the product of the two words, that
     lowers X and Px by k1, Y and Py by k2 and carries (-i hbar)^(k1+k2),
-    whose sign joins the two swap weights.  Empty when the words commute."""
+    whose sign joins the two swap weights.  The shift is written directly,
+    as hbar^k and, for an odd k = k1 + k2, the i bit; the weight takes the
+    sign of (-i)^k.  Empty exactly when the words commute,
+    not (s1 and r1 or s2 and r2), and commutator then skips the lookup."""
     out = []
     for k1 in range(min(s1, r1) + 1):
         for k2 in range(min(s2, r2) + 1):
-            if not (k1 or k2):
+            k = k1 + k2
+            if not k:
                 continue
-            power, sign = neg_i_hbar(k1 + k2)
-            shift = pack(power) - k1 * _X_PX - k2 * _Y_PY
-            out.append((shift, sign * swap_weight(s1, r1, k1) * swap_weight(s2, r2, k2)))
+            shift = k * _HBAR + (k & 1) * _I - k1 * _X_PX - k2 * _Y_PY
+            weight = swap_weight(s1, r1, k1) * swap_weight(s2, r2, k2)
+            # (-i)^k cycles 1, -i, -1, i
+            out.append((shift, -weight if k % 4 in (1, 2) else weight))
     return tuple(out)
 
 
@@ -142,25 +152,30 @@ def commutator(left: Operator, right: Operator) -> Operator:
     One pass over the term pairs that builds neither product: the base
     term of a pair is the same in both orders and cancels, so only the
     corrections of left*right (sign +) and of right*left (sign -) are
-    accumulated, and a pair whose words commute is skipped.
+    accumulated.  A direction whose words commute is not looked up, and
+    a pair with neither is skipped.  A left term with neither sqrt2 nor
+    i (no packed bit from 96 up) cannot make the base carry, so its base
+    is not reduced.
     """
     acc: dict = {}
     get = acc.get
     right_terms = pack_terms(right._nums)
     for k1, v1, a1, b1, c1, d1 in pack_terms(left._nums):
+        reduce = k1 >> 96
         for k2, v2, a2, b2, c2, d2 in right_terms:
-            forward = _corrections(c1, a2, d1, b2)
-            backward = _corrections(c2, a1, d2, b1)
+            forward = _corrections(c1, a2, d1, b2) if c1 and a2 or d1 and b2 else ()
+            backward = _corrections(c2, a1, d2, b1) if c2 and a1 or d2 and b1 else ()
             if not (forward or backward):
                 continue
             base = k1 + k2
             value = v1 * v2
-            if base & R2:
-                base -= R2
-                value *= 2
-            if base & E2:
-                base -= E2
-                value = -value
+            if reduce:
+                if base & R2:
+                    base -= R2
+                    value *= 2
+                if base & E2:
+                    base -= E2
+                    value = -value
             for shift, weight in forward:
                 key = base + shift
                 if key & E2:
@@ -188,7 +203,8 @@ def _leibniz_shifts(c: int, i: int, d: int, j: int) -> tuple[tuple[int, int], ..
     zero, the terms of d^c/dx^c d^d/dy^d (x^i y^j e^(sx+ty)) beside
     x^i y^j s^c t^d e^(sx+ty) itself: the signed packed key shift lowers x
     and s by k, y and t by l, and the weight is
-    C(c,k) i!/(i-k)! C(d,l) j!/(j-l)!."""
+    C(c,k) i!/(i-k)! C(d,l) j!/(j-l)!.  Empty exactly when
+    not (c and i or d and j), and probe_bracket then skips the lookup."""
     return tuple(
         (-k * _X_PX - l * _Y_PY, comb(c, k) * perm(i, k) * comb(d, l) * perm(j, l))
         for k in range(min(c, i) + 1)
@@ -285,25 +301,29 @@ def probe_bracket(left: Operator, right: Operator) -> PhasePoly:
     reduced, is the same for a pair of words in either order and cancels;
     so one pass over the term pairs accumulates only the other terms, the
     shifts of _leibniz_shifts, of left's word on right's (sign +) and of
-    right's word on left's (sign -), and skips a pair with neither.
+    right's word on left's (sign -).  As in commutator, a direction with
+    no shifts is not looked up, a pair with neither is skipped, and the
+    base of a left word with neither sqrt2 nor i is not reduced.
     """
     acc: dict = {}
     get = acc.get
     right_words = _packed_words(right)
     for k1, v1, a1, b1, c1, d1 in _packed_words(left):
+        reduce = k1 >> 96
         for k2, v2, a2, b2, c2, d2 in right_words:
-            forward = _leibniz_shifts(c1, a2, d1, b2)
-            backward = _leibniz_shifts(c2, a1, d2, b1)
+            forward = _leibniz_shifts(c1, a2, d1, b2) if c1 and a2 or d1 and b2 else ()
+            backward = _leibniz_shifts(c2, a1, d2, b1) if c2 and a1 or d2 and b1 else ()
             if not (forward or backward):
                 continue
             base = k1 + k2
             value = v1 * v2
-            if base & R2:
-                base -= R2
-                value *= 2
-            if base & E2:
-                base -= E2
-                value = -value
+            if reduce:
+                if base & R2:
+                    base -= R2
+                    value *= 2
+                if base & E2:
+                    base -= E2
+                    value = -value
             for shift, weight in forward:
                 key = base + shift
                 acc[key] = get(key, 0) + value * weight

@@ -13,7 +13,7 @@ import pytest
 
 from quantlab import generators, quantizer
 from quantlab.coeffring import Coefficient, Monomial
-from quantlab.generators import OscillatorParams, ladder_integrals
+from quantlab.generators import OscillatorParams, ladder_integrals, ladder_products
 from quantlab.phasepoly import PhasePoly, PhaseVar
 from quantlab.quantizer import quantize_ladder
 from quantlab.vlab.verify import verify_ladder_pair
@@ -58,12 +58,13 @@ def test_ladder_route_references_no_ordering_rule():
     # normal order from BCH, not from the quantizer's ordering rules
     route = (
         generators.ladder_products,
+        generators._ladder_parts,
         generators._forward_parts,
         generators._ladder_power,
         quantizer.quantize_ladder,
     )
     names = set().union(*(_code_names(fn.__code__) for fn in route))
-    assert {"ladder_products", "_forward_parts", "_ladder_power"} <= names
+    assert {"_ladder_parts", "_forward_parts", "_ladder_power"} <= names
     assert not names & {
         "quantize",
         "quantize_monomial",
@@ -81,3 +82,29 @@ def test_which_is_the_int_one_or_two(which):
         quantize_ladder(params, which)
     with pytest.raises(ValueError, match="which must be 1 or 2"):
         verify_ladder_pair(1, 1, which)
+
+
+def test_quantize_ladder_builds_only_the_part_it_returns(monkeypatch):
+    asked = []
+    forward_parts = generators._forward_parts
+
+    def counted(params, quantum, parities):
+        asked.append(parities)
+        return forward_parts(params, quantum, parities)
+
+    monkeypatch.setattr(generators, "_forward_parts", counted)
+    params = OscillatorParams(3, 2)
+    quantize_ladder(params, 1)
+    assert asked == [(0,)]
+    asked.clear()
+    quantize_ladder(params, 2)
+    assert asked == [(1,)]
+
+
+def test_quantize_ladder_is_one_of_the_ladder_products():
+    for m, n in _PAIRS:
+        if m + n <= 12:
+            params = OscillatorParams(m, n)
+            pair = ladder_products(params, quantum=True)
+            assert quantize_ladder(params, 1) == pair[0]
+            assert quantize_ladder(params, 2) == pair[1]

@@ -6,17 +6,26 @@ probe_bracket relabels its packed words in place (_packed_words).  Here
 they must equal the Monomial-key kernels of reference_kernels.py on
 seeded random operators, through both ring reductions at the base product
 and at a correction, and up to the stated exponent bound, past which packing
-refuses rather than carries into the next field.
+refuses rather than carries into the next field.  commutator and
+probe_bracket skip the table lookups that are known to be empty and the
+base reduction of a left key with neither sqrt2 nor i; the skips must be
+exact, and the skipped work must stay skipped.
 """
 
+from itertools import product
 from random import Random
 
 import pytest
 
+from quantlab import weylalgebra
 from quantlab.coeffring import PACK_LIMIT, Coefficient, Monomial, unpack_terms
+from quantlab.generators import OscillatorParams, hamiltonian, k_integral
 from quantlab.phasepoly import PhasePoly
+from quantlab.quantizer import Scheme, quantize, quantize_ladder
 from quantlab.weylalgebra import (
     Operator,
+    _corrections,
+    _leibniz_shifts,
     _packed_words,
     commutator,
     op_mul,
@@ -140,3 +149,89 @@ def test_a_probe_image_hbar_at_the_pack_limit_is_refused(key):
             probe_bracket(left, right)
     below = key._replace(h=key.h - 1) if key.h else key._replace(c=key.c - 1)
     assert probe_bracket(x, _op(below)) == ref.probe_bracket(x, _op(below))
+
+
+def test_a_table_is_empty_exactly_when_its_words_commute():
+    # the kernels' test before a lookup, on every exponent up to 6
+    for s1, r1, s2, r2 in product(range(7), repeat=4):
+        commute = not (s1 and r1 or s2 and r2)
+        assert (_corrections(s1, r1, s2, r2) == ()) == commute
+        assert (_leibniz_shifts(s1, r1, s2, r2) == ()) == commute
+
+
+def _weyl(poly: PhasePoly) -> Operator:
+    return quantize(Scheme.WEYL, poly)
+
+
+def _assert_kernels_match_reference(left: Operator, right: Operator) -> None:
+    for a, b in ((left, right), (right, left)):
+        assert commutator(a, b) == ref.commutator(a, b)
+        assert probe_bracket(a, b) == ref.probe_bracket(a, b)
+
+
+def test_a_plain_left_operand_against_rights_with_i_and_sqrt2():
+    # every term of Weyl(H) has neither sqrt2 nor i, so its base is not
+    # reduced; the right operands carry both, and the other order reduces
+    rng = Random(20261023)
+    rights = [quantize_ladder(OscillatorParams(2, 3), 1), quantize_ladder(OscillatorParams(3, 1), 2)]
+    rights += [rand_operator(rng, max_terms=6, max_exp=3) for _ in range(40)]
+    keys = [key for op in rights for key in op.numerators]
+    assert any(key.r for key in keys) and any(key.e for key in keys)
+    for m, n in ((1, 1), (2, 1), (3, 2), (1, 4)):
+        h_op = _weyl(hamiltonian(OscillatorParams(m, n)))
+        assert not any(key.r or key.e for key in h_op.numerators)
+        for right in rights:
+            _assert_kernels_match_reference(h_op, right)
+
+
+def test_a_left_operand_whose_every_term_has_sqrt2_or_i():
+    rng = Random(20261024)
+    for _ in range(150):
+        left = Operator.zero()
+        for key, value in rand_operator(rng, max_terms=5, max_exp=3).numerators.items():
+            r, e = rng.choice(((1, 0), (0, 1), (1, 1)))
+            left += _op(key._replace(r=r, e=e), value)
+        assert all(key.r or key.e for key in left.numerators)
+        _assert_kernels_match_reference(left, rand_operator(rng, max_terms=5, max_exp=3))
+
+
+def _counted(monkeypatch, name: str) -> list:
+    """The argument tuples of each call of weylalgebra's table name."""
+    calls = []
+    table = getattr(weylalgebra, name)
+
+    def counted(*args):
+        calls.append(args)
+        return table(*args)
+
+    monkeypatch.setattr(weylalgebra, name, counted)
+    return calls
+
+
+def _directions(left: Operator, right: Operator) -> int:
+    """The directions of the term pairs whose table can be nonempty: a
+    word with c (d) acting on one with a (b)."""
+    return sum(
+        bool(k1.c and k2.a or k1.d and k2.b) + bool(k2.c and k1.a or k2.d and k1.b)
+        for k1 in left.numerators
+        for k2 in right.numerators
+    )
+
+
+def test_a_table_is_looked_up_only_where_it_can_be_nonempty(monkeypatch):
+    corrections = _counted(monkeypatch, "_corrections")
+    shifts = _counted(monkeypatch, "_leibniz_shifts")
+    x2, y2 = _op(Monomial(a=2)), _op(Monomial(b=2))
+    assert commutator(x2, y2).is_zero()
+    assert probe_bracket(x2, y2).is_zero()
+    assert corrections == [] and shifts == []
+    for m, n in ((2, 1), (3, 2)):
+        params = OscillatorParams(m, n)
+        h_op, k_op = _weyl(hamiltonian(params)), _weyl(k_integral(params))
+        expected = _directions(h_op, k_op)
+        assert expected < 2 * len(h_op.numerators) * len(k_op.numerators)
+        corrections.clear()
+        shifts.clear()
+        commutator(h_op, k_op)
+        probe_bracket(h_op, k_op)
+        assert (len(corrections), len(shifts)) == (expected, expected)
