@@ -26,11 +26,13 @@ tests on it, R2 for sqrt2 * sqrt2 = 2 and E2 for i * i = -1 (op_mul
 folds the i of a reordering correction after its loop).  One more product
 reduces i alone: quantizer.quantize joins each term's parameter part to
 the keys of its two one-pair images (only hbar and i beside their phase
-part), and the three powers of i reduce as one.  Beside them, neg_i_hbar
-states (-i hbar)^k, the factor of the momentum realization p = -i hbar
-d/dq, as a key and a sign; the powers of i written in closed form are
-reduced where they are written (generators' ladder powers i^j and -i F2,
-render's (-i)^k of the derivative form).  A Coefficient is
+part), and the three powers of i reduce as one.  (-i hbar)^k, the factor
+of p = -i hbar d/dq, is written where it is read: neg_i_hbar for the
+quantizer, and weylalgebra's _corrections (the swap identity), probe_image
+(the oracle's action, which shares no code with the normal-ordering
+kernels) and render.derivative_groups (display, on grouped Gaussian
+rationals); the other closed-form powers of i (generators' ladder powers
+i^j and -i F2) are reduced where they are written.  A Coefficient is
 the map whose keys have a zero phase part; render groups a flat map by
 phase part and parameters, and the map rendered last keeps its grouped
 view (and, for an operator, that view relabelled into its derivative
@@ -101,8 +103,7 @@ def mono_mul(m1, m2) -> tuple[Monomial, int]:
 
     Exponents add, then the two reductions of the ring apply.  This is
     the product where a single one is needed (commutative products of
-    term maps, the derivative relabel); the operator kernels add packed
-    keys instead (pack_terms).
+    term maps); the operator kernels add packed keys instead (pack_terms).
     """
     a1, b1, c1, d1, h1, w1, r1, e1 = m1
     a2, b2, c2, d2, h2, w2, r2, e2 = m2
@@ -128,8 +129,10 @@ def neg_i_hbar(k: int) -> tuple[Monomial, int]:
 
 # Packed keys, the layout stated once.  Inside the operator kernels
 # (weylalgebra.op_mul, commutator and probe_bracket) a key is one int: a, b,
-# c, d, h and w take 16 bits each from bit 0 up, and r and e sit at bits 96 and 98,
-# each with a guard bit above it.  A key product is then one int add,
+# c, d, h and w take 16 bits each from bit 0 up, and the exponents of the
+# two square roots, r of sqrt2 and e of i, sit at bits _ROOTS and _ROOTS + 2,
+# each with a guard bit above it; a key shifted right by _ROOTS is nonzero
+# exactly when it has a sqrt2 or an i.  A key product is then one int add,
 # k1 + k2, and the ring's two reductions are two mask tests on it: with R2
 # set, sqrt2 * sqrt2 = 2 takes R2 off and doubles the value; with E2 set,
 # i * i = -1 takes E2 off and negates it.  A reordering correction or a
@@ -137,12 +140,14 @@ def neg_i_hbar(k: int) -> tuple[Monomial, int]:
 # Monomial keys: a kernel packs each input map once, adds values with
 # acc.get(k, 0) + v, and unpacks its result once, dropping zeros.
 _FIELD = 0xFFFF
-R2 = 2 << 96
-E2 = 2 << 98
+_ROOTS = 96
+R2 = 2 << _ROOTS
+E2 = 8 << _ROOTS
 # Exponents below PACK_LIMIT keep every field of a product below 2^15, and
 # a correction adds at most c1 + d1 < 2^15 to h, so no field carries; a
 # Leibniz shift only lowers fields.  pack_terms refuses anything larger,
-# and weylalgebra._packed_words a probe image's h + c + d as large.
+# a probe image's relabelled h + c + d included, as probe_bracket packs
+# the image.
 PACK_LIMIT = 1 << 14
 
 

@@ -76,6 +76,8 @@ def _fail(failures: list[str]) -> int:
 
 
 def _cmd_verify(args) -> int:
+    # m and n each, then their sum
+    OscillatorParams(args.m, args.n)
     _check_sum(args.m + args.n, "m + n")
     which = verify.TARGETS[args.target].ladder
     record = verify_ladder_pair(args.m, args.n, which) if which else verify_pair(args.m, args.n)
@@ -118,8 +120,8 @@ def _cmd_quantize(args) -> int:
 
 
 def _cmd_commutator(args) -> int:
-    _check_sum(args.m + args.n, "m + n")
     params = OscillatorParams(args.m, args.n)
+    _check_sum(args.m + args.n, "m + n")
     scheme = Scheme(args.scheme)
     h_op = quantize(scheme, hamiltonian(params))
     k_op = quantize(scheme, k_integral(params))

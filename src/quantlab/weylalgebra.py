@@ -7,7 +7,7 @@ freely.  Products are re-normalized with the closed-form swap identity
     P^s X^r = sum_k k! C(s,k) C(r,k) (-i hbar)^k X^(r-k) P^(s-k),
 
 which matches iterated single swaps exactly (swap_weight is its integer
-weight, coeffring.neg_i_hbar its (-i hbar)^k).  The k = 0 term of a
+weight; _corrections writes its (-i hbar)^k).  The k = 0 term of a
 product of two words is their commutative product, the same key with
 the same value in either order, so a commutator builds neither product:
 the base terms cancel, and it accumulates only the reordering
@@ -31,9 +31,9 @@ x^a y^b d^c/dx^c d^d/dy^d, are its image of the probe e^(sx+ty), s and t
 symbolic (probe_image).  probe_bracket applies each factor's words by
 the Leibniz rule to the other's image, for the image of a commutator,
 in one pass over term pairs: as in commutator, the base terms of the
-two orders cancel.  It relabels the words in packed form
-(_packed_words), the same relabel as probe_image's.  One probe decides
-an operator identity.
+two orders cancel.  It packs each factor's probe_image, so both sides
+of an oracle check read one relabel.  One probe decides an operator
+identity.
 apply_to_polynomial applies the same words to a position polynomial,
 each word taking its derivatives of the polynomial alone.
 """
@@ -46,8 +46,8 @@ from math import comb, perm
 from quantlab import render
 from quantlab.coeffring import (
     E2,
-    PACK_LIMIT,
     R2,
+    _ROOTS,
     Monomial,
     TermMap,
     _accumulate,
@@ -55,7 +55,6 @@ from quantlab.coeffring import (
     _make,
     _reduced,
     mono_mul,
-    neg_i_hbar,
     pack,
     pack_terms,
     unpack_terms,
@@ -154,14 +153,15 @@ def commutator(left: Operator, right: Operator) -> Operator:
     corrections of left*right (sign +) and of right*left (sign -) are
     accumulated.  A direction whose words commute is not looked up, and
     a pair with neither is skipped.  A left term with neither sqrt2 nor
-    i (no packed bit from 96 up) cannot make the base carry, so its base
-    is not reduced.
+    i (no packed bit from coeffring._ROOTS up) cannot make the base
+    carry, so its base is not reduced.
     """
     acc: dict = {}
     get = acc.get
+    roots = _ROOTS
     right_terms = pack_terms(right._nums)
     for k1, v1, a1, b1, c1, d1 in pack_terms(left._nums):
-        reduce = k1 >> 96
+        reduce = k1 >> roots
         for k2, v2, a2, b2, c2, d2 in right_terms:
             forward = _corrections(c1, a2, d1, b2) if c1 and a2 or d1 and b2 else ()
             backward = _corrections(c2, a1, d2, b1) if c2 and a1 or d2 and b1 else ()
@@ -250,41 +250,19 @@ def probe_image(op: Operator) -> PhasePoly:
     operator written as x^a y^b d^c/dx^c d^d/dy^d, with d/dx and d/dy read
     as s and t in the px and py slots.
 
-    Each term absorbs the (-i*hbar)^(c+d) factor of the momentum
-    realization, a relabel of its key and a sign.  The relabel is
+    Each term absorbs the (-i*hbar)^k factor of the momentum realization,
+    k = c + d, in one relabel of its key: hbar^h becomes hbar^(h+k), and
+    i^e (-i)^k = i^(e+3k) gives the i bit and the sign.  The relabel is
     injective, so no terms merge and the denominator is op's.  Its
     numerators are the derivative words that probe_bracket applies.
     """
     out: dict = {}
-    for mono, num in op.numerators.items():
-        power, sign = neg_i_hbar(mono.c + mono.d)
-        key, factor = mono_mul(mono, power)
-        out[key] = num if sign == factor else -num
-    return _canonical(PhasePoly, out, op.denominator)
-
-
-def _packed_words(op: Operator) -> list:
-    """The numerators of probe_image(op) as coeffring.pack_terms packs
-    them, relabelled in packed form: each key takes (-i hbar)^(c+d), that
-    is hbar^(c+d) and, for an odd c + d, the i bit (i * i folded to -1),
-    and its value the sign of (-i)^(c+d).  ValueError, as from pack_terms,
-    for a relabelled hbar exponent h + c + d of PACK_LIMIT or more, checked
-    on the Monomial keys before packing."""
-    if op._nums and max(k[2] + k[3] + k[4] for k in op._nums) >= PACK_LIMIT:
-        raise ValueError(f"exponent too large for a packed key (limit {PACK_LIMIT - 1})")
-    out = []
-    for key, value, a, b, c, d in pack_terms(op._nums):
+    for (a, b, c, d, h, w, r, e), num in op._nums.items():
         k = c + d
-        key += k * _HBAR
-        if k & 1:
-            key += _I
-            if key & E2:
-                key -= E2
-                value = -value
-        if k % 4 in (1, 2):
-            value = -value
-        out.append((key, value, a, b, c, d))
-    return out
+        # i^j is i^(j & 1) with the sign - when j & 2 is set
+        j = e + 3 * k
+        out[_make(Monomial, (a, b, c, d, h + k, w, r, j & 1))] = -num if j & 2 else num
+    return _canonical(PhasePoly, out, op._den)
 
 
 def probe_bracket(left: Operator, right: Operator) -> PhasePoly:
@@ -304,12 +282,15 @@ def probe_bracket(left: Operator, right: Operator) -> PhasePoly:
     right's word on left's (sign -).  As in commutator, a direction with
     no shifts is not looked up, a pair with neither is skipped, and the
     base of a left word with neither sqrt2 nor i is not reduced.
+    ValueError, from pack_terms, for a relabelled hbar exponent h + c + d
+    of PACK_LIMIT or more.
     """
     acc: dict = {}
     get = acc.get
-    right_words = _packed_words(right)
-    for k1, v1, a1, b1, c1, d1 in _packed_words(left):
-        reduce = k1 >> 96
+    roots = _ROOTS
+    right_words = pack_terms(probe_image(right)._nums)
+    for k1, v1, a1, b1, c1, d1 in pack_terms(probe_image(left)._nums):
+        reduce = k1 >> roots
         for k2, v2, a2, b2, c2, d2 in right_words:
             forward = _leibniz_shifts(c1, a2, d1, b2) if c1 and a2 or d1 and b2 else ()
             backward = _leibniz_shifts(c2, a1, d2, b1) if c2 and a1 or d2 and b1 else ()

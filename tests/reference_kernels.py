@@ -9,8 +9,10 @@ polynomial (partial).  The program itself never needs them.
 op_mul, commutator and act here work on Monomial keys term by term: every
 product goes through coeffring.mono_mul, every reordering correction is
 lowered and multiplied by (-i hbar)^k as a key of its own, and every sum
-goes through coeffring._accumulate.  probe_bracket runs act twice, each
-factor's probe_image words on the other's, and subtracts.
+goes through coeffring._accumulate.  probe_image relabels each key by
+coeffring.neg_i_hbar and one mono_mul, apart from weylalgebra's relabel,
+and probe_bracket runs act twice, each factor's probe_image words here
+on the other's, and subtracts.
 tests/test_packed_kernels.py checks the packed kernels of weylalgebra
 against them.  adjoint, the formal adjoint that the self-adjointness
 tests read, builds each reversed word as two operators, conjugates one,
@@ -50,7 +52,7 @@ from quantlab.coeffring import (
 )
 from quantlab.phasepoly import _VAR_SLOT, PhasePoly, PhaseVar
 from quantlab.quantizer import quantize_monomial
-from quantlab.weylalgebra import Operator, probe_image
+from quantlab.weylalgebra import Operator
 
 
 # -- building blocks -----------------------------------------------------------
@@ -162,6 +164,17 @@ def act(words: dict, state: dict, scale: int = 1) -> dict:
                     weight = comb(word.c, k) * perm(term.a, k) * comb(word.d, l) * perm(term.b, l)
                     _accumulate(acc, _lowered(base, k, l), scale * v * u * factor * weight)
     return acc
+
+
+def probe_image(op: Operator) -> PhasePoly:
+    """op's derivative words: each key times (-i hbar)^(c+d), a key of its
+    own (neg_i_hbar) multiplied in by mono_mul, and its sign."""
+    out: dict = {}
+    for mono, num in op.numerators.items():
+        power, sign = neg_i_hbar(mono.c + mono.d)
+        key, factor = mono_mul(mono, power)
+        out[key] = num if sign == factor else -num
+    return _canonical(PhasePoly, out, op.denominator)
 
 
 def probe_bracket(left: Operator, right: Operator) -> PhasePoly:

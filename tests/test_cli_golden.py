@@ -60,6 +60,11 @@ CASES = {
         "commutator", "--scheme", "weyl", "--m", "3", "--n", "2", "--format", "json",
     ],
     "error_verify_m_0": ["verify", "--m", "0", "--n", "1"],
+    # each of m and n is checked before their sum, which is 24 here
+    "error_verify_n_negative": ["verify", "--m", "25", "--n", "-1"],
+    "error_commutator_n_negative": [
+        "commutator", "--scheme", "weyl", "--m", "25", "--n", "-1",
+    ],
     "error_sweep_max_sum_1": ["sweep", "--max-sum", "1"],
     "error_expr_dangling_caret": ["quantize", "--scheme", "bj", "--expr", "x^"],
     "error_expr_unknown_symbol": ["quantize", "--scheme", "bj", "--expr", "p_z"],

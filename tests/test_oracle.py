@@ -114,7 +114,6 @@ def test_exponential_probe_references_no_normal_ordering_kernel():
     # checked with it
     kernel = (
         verify_module.commutator_matches_action,
-        weylalgebra._packed_words,
         weylalgebra._leibniz_shifts.__wrapped__,
         weylalgebra.probe_image,
         weylalgebra.probe_bracket,
@@ -131,7 +130,7 @@ def test_exponential_probe_references_no_normal_ordering_kernel():
 def test_only_weylalgebra_handles_the_oracles_packed_keys():
     # verify compares two images; packing, acting and unpacking stay in
     # weylalgebra and coeffring
-    for name in ("pack_terms", "unpack_terms", "_packed_words", "_reduced"):
+    for name in ("pack_terms", "unpack_terms", "_reduced"):
         assert not hasattr(verify_module, name)
 
 

@@ -1,15 +1,16 @@
 """The packed-key kernels of weylalgebra against tuple-key references.
 
 op_mul, commutator and probe_bracket pack each input map's keys into one
-int (coeffring.pack_terms) and unpack their result once;
-probe_bracket relabels its packed words in place (_packed_words).  Here
-they must equal the Monomial-key kernels of reference_kernels.py on
-seeded random operators, through both ring reductions at the base product
-and at a correction, and up to the stated exponent bound, past which packing
-refuses rather than carries into the next field.  commutator and
-probe_bracket skip the table lookups that are known to be empty and the
-base reduction of a left key with neither sqrt2 nor i; the skips must be
-exact, and the skipped work must stay skipped.
+int (coeffring.pack_terms) and unpack their result once; probe_bracket
+packs the words of each factor's probe_image.  Here they, and
+probe_image's relabel, must equal the Monomial-key kernels of
+reference_kernels.py on seeded random operators, through both ring
+reductions at the base product and at a correction, and up to the stated
+exponent bound, past which packing refuses rather than carries into the
+next field.  commutator and probe_bracket skip the table lookups that are
+known to be empty and the base reduction of a left key with neither
+sqrt2 nor i; the skips must be exact, and the skipped work must stay
+skipped.
 """
 
 from itertools import product
@@ -18,7 +19,7 @@ from random import Random
 import pytest
 
 from quantlab import weylalgebra
-from quantlab.coeffring import PACK_LIMIT, Coefficient, Monomial, unpack_terms
+from quantlab.coeffring import E2, PACK_LIMIT, R2, _ROOTS, Coefficient, Monomial, pack
 from quantlab.generators import OscillatorParams, hamiltonian, k_integral
 from quantlab.phasepoly import PhasePoly
 from quantlab.quantizer import Scheme, quantize, quantize_ladder
@@ -26,7 +27,6 @@ from quantlab.weylalgebra import (
     Operator,
     _corrections,
     _leibniz_shifts,
-    _packed_words,
     commutator,
     op_mul,
     probe_bracket,
@@ -68,17 +68,24 @@ def test_probe_bracket_matches_reference_on_random_operators():
         assert probe_bracket(left, right) == ref.probe_bracket(left, right)
 
 
-def test_packed_words_are_the_probe_image():
-    # the relabel in packed form; an odd c + d brings an i, which meets
-    # the term's own i on the operators counted here
+def test_probe_image_matches_reference_on_random_operators():
+    # the relabel written on each key; an odd c + d brings an i, which
+    # meets the term's own i on the operators counted here
     rng = Random(20261022)
     meetings = 0
     for _ in range(400):
         op = rand_operator(rng, max_terms=6, max_exp=3)
-        packed = {key: value for key, value, *_ in _packed_words(op)}
-        assert unpack_terms(packed) == probe_image(op).numerators
+        assert probe_image(op) == ref.probe_image(op)
         meetings += any(key.e and (key.c + key.d) & 1 for key in op.numerators)
     assert meetings >= 100
+
+
+def test_the_root_bits_sit_at_the_named_offset():
+    # the kernels' test of a left key for sqrt2 or i reads _ROOTS, the
+    # offset of pack's r and e fields, and the masks are derived from it
+    assert pack(Monomial(r=1)) == 1 << _ROOTS and pack(Monomial(e=1)) == 4 << _ROOTS
+    assert R2 == 2 * pack(Monomial(r=1)) and E2 == 2 * pack(Monomial(e=1))
+    assert pack(Monomial(*[LARGEST] * 6)) >> _ROOTS == 0
 
 
 def test_both_reductions_at_the_base_and_at_a_correction():
