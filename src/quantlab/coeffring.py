@@ -10,34 +10,27 @@ Keeping hbar and omega symbolic makes claims such as "every commutator
 term carries hbar^2 and omega" checkable as exact exponent bounds.
 
 Coefficients, the polynomials of phasepoly and the operators of
-weylalgebra are all one flat map from a Monomial, which carries every
+weylalgebra are all one flat map from a key, one int that carries every
 exponent of its term (x, y, px, py, hbar, omega, sqrt2 and i), to a
 nonzero int numerator, over one positive int denominator shared by the
 whole map.  The map is kept in lowest terms, gcd(den, *nums) == 1, so
 equality stays structural and the ring's arithmetic is int arithmetic:
 denominators multiply in products and meet at their lcm in sums, and
-every result is reduced by one gcd pass.  The two reductions live in
-two places: mono_mul multiplies two Monomial keys, where a single
-product is needed (the commutative product of term maps and
-phasepoly.poisson); the quadratic kernels of weylalgebra (op_mul,
-commutator and the action) pack each key into one int (pack_terms), so
-a product is one int add, k1 + k2, and the reductions are two mask
-tests on it, R2 for sqrt2 * sqrt2 = 2 and E2 for i * i = -1 (op_mul
-folds the i of a reordering correction after its loop).  One more product
-reduces i alone: quantizer.quantize joins each term's parameter part to
-the keys of its two one-pair images (only hbar and i beside their phase
-part), and the three powers of i reduce as one.  (-i hbar)^k, the factor
-of p = -i hbar d/dq, is written where it is read: neg_i_hbar for the
-quantizer, and weylalgebra's _corrections (the swap identity), probe_image
-(the oracle's action, which shares no code with the normal-ordering
-kernels) and render.derivative_groups (display, on grouped Gaussian
-rationals); the other closed-form powers of i (generators' ladder powers
-i^j and -i F2) are reduced where they are written.  A Coefficient is
-the map whose keys have a zero phase part; render groups a flat map by
-phase part and parameters, and the map rendered last keeps its grouped
-view (and, for an operator, that view relabelled into its derivative
-form), so the output formats of one map, written one after another,
-group it once and relabel it once.
+every result is reduced by one gcd pass.  The key layout is stated once,
+below, and every other module builds keys as sums of the unit keys X, Y,
+PX, PY, HBAR, OMEGA, SQRT2 and I.  A key product is one int add; a
+kernel accumulates its sums unreduced and _folded applies both
+reductions once, as two mask tests on each key: R2 for sqrt2 * sqrt2 = 2
+and E2 for i * i = -1.  A reordering correction, a Leibniz term or the
+(-i hbar)^k of p = -i hbar d/dq is one signed int added to a key.
+Monomial, the tuple of the eight exponents, is the form of a key at the
+edges: the constructor's input, monomial(), the numerators and terms
+views, and the oracle's report of a differing term.  A Coefficient is
+the map whose keys have a zero phase part; grouped reads a flat map for
+output by phase part and parameters, and the map rendered last keeps its
+grouped view (and, for an operator, that view relabelled into its
+derivative form), so the output formats of one map, written one after
+another, group it once and relabel it once.
 
 Values are immutable and operations are pure, so sharing between
 concurrent tasks is safe.
@@ -47,17 +40,15 @@ from __future__ import annotations
 
 from collections import namedtuple
 from fractions import Fraction
+from functools import reduce
 from math import gcd, lcm
+from operator import or_
 
 from quantlab import render
 
 
 # Exact types, so a bool is not a rational.
 _RATIONALS = (int, Fraction)
-
-# Builds a key without the validation of Monomial.__new__, for exponents
-# that an arithmetic rule has already reduced.
-_make = tuple.__new__
 
 
 def _ratio(value) -> tuple[int, int]:
@@ -88,118 +79,117 @@ class Monomial(namedtuple("Monomial", "a b c d h w r e")):
             raise ValueError("exponents must be nonnegative")
         if r > 1 or e > 1:
             raise ValueError("sqrt2 and i exponents must be reduced to 0 or 1")
-        return _make(cls, exps)
+        return tuple.__new__(cls, exps)
 
 
-def _key(key) -> Monomial:
-    """key itself, if it is a Monomial: the key type of every term map."""
-    if isinstance(key, Monomial):
-        return key
-    raise TypeError(f"expected Monomial key, got {type(key).__name__}")
-
-
-def mono_mul(m1, m2) -> tuple[Monomial, int]:
-    """The product of two keys as (key, factor), factor in {1, -1, 2, -2}.
-
-    Exponents add, then the two reductions of the ring apply.  This is
-    the product where a single one is needed (commutative products of
-    term maps); the operator kernels add packed keys instead (pack_terms).
-    """
-    a1, b1, c1, d1, h1, w1, r1, e1 = m1
-    a2, b2, c2, d2, h2, w2, r2, e2 = m2
-    factor = 1
-    r = r1 + r2
-    if r == 2:
-        # sqrt2 * sqrt2 = 2
-        r = 0
-        factor = 2
-    e = e1 + e2
-    if e == 2:
-        # i * i = -1
-        e = 0
-        factor = -factor
-    return _make(Monomial, (a1 + a2, b1 + b2, c1 + c2, d1 + d2, h1 + h2, w1 + w2, r, e)), factor
-
-
-def neg_i_hbar(k: int) -> tuple[Monomial, int]:
-    """(-i hbar)^k as (key, sign): the key is hbar^k i^(k mod 2), and the
-    sign is -1 when k mod 4 is 1 or 2, as (-i)^k cycles 1, -i, -1, i."""
-    return _make(Monomial, (0, 0, 0, 0, k, 0, 0, k & 1)), -1 if k % 4 in (1, 2) else 1
-
-
-# Packed keys, the layout stated once.  Inside the operator kernels
-# (weylalgebra.op_mul, commutator and probe_bracket) a key is one int: a, b,
-# c, d, h and w take 16 bits each from bit 0 up, and the exponents of the
-# two square roots, r of sqrt2 and e of i, sit at bits _ROOTS and _ROOTS + 2,
-# each with a guard bit above it; a key shifted right by _ROOTS is nonzero
-# exactly when it has a sqrt2 or an i.  A key product is then one int add,
-# k1 + k2, and the ring's two reductions are two mask tests on it: with R2
-# set, sqrt2 * sqrt2 = 2 takes R2 off and doubles the value; with E2 set,
-# i * i = -1 takes E2 off and negates it.  A reordering correction or a
-# Leibniz term is one signed int added to a key.  Every stored map keeps
-# Monomial keys: a kernel packs each input map once, adds values with
-# acc.get(k, 0) + v, and unpacks its result once, dropping zeros.
+# The key layout, stated once.  a, b, c, d, h and w take 16 bits each from
+# bit 0 up, and the exponents of the two square roots, r of sqrt2 and e of
+# i, sit at bits _ROOTS and _ROOTS + 2, each with a guard bit above it.  A
+# stored key is reduced (r and e are 0 or 1); a sum of keys sets R2 where
+# two sqrt2 meet and E2 where two or three i meet, and _folded takes those
+# bits off.
 _FIELD = 0xFFFF
 _ROOTS = 96
-R2 = 2 << _ROOTS
-E2 = 8 << _ROOTS
-# Exponents below PACK_LIMIT keep every field of a product below 2^15, and
-# a correction adds at most c1 + d1 < 2^15 to h, so no field carries; a
-# Leibniz shift only lowers fields.  pack_terms refuses anything larger,
-# a probe image's relabelled h + c + d included, as probe_bracket packs
-# the image.
+X, Y, PX, PY, HBAR, OMEGA = (1 << shift for shift in range(0, _ROOTS, 16))
+SQRT2, I = 1 << _ROOTS, 4 << _ROOTS
+R2, E2 = 2 * SQRT2, 2 * I
+# Operand exponents below PACK_LIMIT keep every field of a kernel's sums
+# below 2^16: two of them and a correction's c1 + d1 < 2^15 in h, or three
+# hbar exponents in quantize; a Leibniz shift only lowers fields.  Every
+# kernel refuses a larger operand exponent (_checked); a stored key holds
+# up to _FIELD.
 PACK_LIMIT = 1 << 14
-
-
-def pack_terms(nums: dict) -> list[tuple[int, int, int, int, int, int]]:
-    """The terms of nums as (packed key, value, a, b, c, d): the phase
-    exponents ride along, as the kernels look up their tables by them.
-    ValueError for an exponent of PACK_LIMIT or more, which a kernel's sums
-    could carry into the next field."""
-    if nums and max(map(max, nums)) >= PACK_LIMIT:
-        raise ValueError(f"exponent too large for a packed key (limit {PACK_LIMIT - 1})")
-    return [
-        (a | b << 16 | c << 32 | d << 48 | h << 64 | w << 80 | r << 96 | e << 98, v, a, b, c, d)
-        for (a, b, c, d, h, w, r, e), v in nums.items()
-    ]
+# the bits that an exponent of PACK_LIMIT or more sets in its field
+_OVER = 0xC000 * (X + Y + PX + PY + HBAR + OMEGA)
+_OVER_LIMIT = f"exponent too large for a packed key (limit {PACK_LIMIT - 1})"
+# the hbar field, which the classical limit reads
+_H = _FIELD * HBAR
+# the phase part (a, b, c, d) of a key; above it, from bit 64, sits the
+# parameter part (h, w, r, e)
+_PHASE = (1 << 64) - 1
 
 
 def pack(key: Monomial) -> int:
-    """key as one int in the packed layout."""
-    return pack_terms({key: 1})[0][0]
+    """key as one int in the layout above.  TypeError for a key that is not
+    a Monomial, ValueError for an exponent that does not fit its field."""
+    if not isinstance(key, Monomial):
+        raise TypeError(f"expected Monomial key, got {type(key).__name__}")
+    if max(key) > _FIELD:
+        raise ValueError(f"exponent too large for a term key (limit {_FIELD})")
+    a, b, c, d, h, w, r, e = key
+    return a * X + b * Y + c * PX + d * PY + h * HBAR + w * OMEGA + r * SQRT2 + e * I
 
 
-def unpack_terms(acc: dict) -> dict:
-    """A packed accumulator {packed key: int} as {Monomial: int}, its zero
-    values dropped; its keys are reduced (r and e are 0 or 1)."""
+def unpack(key: int) -> Monomial:
+    """The Monomial of a stored (reduced) key."""
+    m, phase, params = _FIELD, key & _PHASE, key >> 64
+    return tuple.__new__(Monomial, (
+        phase & m, phase >> 16 & m, phase >> 32 & m, phase >> 48,
+        params & m, params >> 16 & m, params >> _ROOTS - 64 & 1, params >> _ROOTS - 62,
+    ))
+
+
+def _checked(nums: dict) -> dict:
+    """nums, or ValueError for an exponent of PACK_LIMIT or more, which a
+    kernel's sums could carry into the next field."""
+    if nums and reduce(or_, nums) & _OVER:
+        raise ValueError(_OVER_LIMIT)
+    return nums
+
+
+def phase_terms(nums: dict) -> list[tuple[int, int, int, int, int, int]]:
+    """The terms of a kernel's operand as (key, value, a, b, c, d): the
+    phase exponents are read off once, for the tables and tests that the
+    kernels look up by them.  ValueError as _checked."""
     m = _FIELD
-    return {
-        _make(Monomial, (k & m, k >> 16 & m, k >> 32 & m, k >> 48 & m,
-                         k >> 64 & m, k >> 80 & m, k >> 96 & 1, k >> 98)): v
-        for k, v in acc.items()
-        if v
-    }
+    # the phase part alone is a smaller int to shift
+    return [
+        (k, v, (p := k & _PHASE) & m, p >> 16 & m, p >> 32 & m, p >> 48)
+        for k, v in _checked(nums).items()
+    ]
+
+
+def _add_products(acc: dict, left: dict, right: dict) -> None:
+    """Add the product of each term of left with each term of right into
+    acc: keys add and values multiply, with both reductions left to
+    _folded."""
+    get = acc.get
+    right = right.items()
+    for k1, v1 in left.items():
+        for k2, v2 in right:
+            key = k1 + k2
+            acc[key] = get(key, 0) + v1 * v2
+
+
+def _folded(acc: dict) -> dict:
+    """acc, sums over unreduced key sums, with each key reduced and the
+    zeros dropped: R2 set (sqrt2 * sqrt2 = 2) comes off and doubles the
+    value, E2 set (i * i = -1, also in i^3 = -i) comes off and negates it.
+    Keys that meet after the reduction are summed.  Each step is skipped
+    when one scan of acc finds nothing to do."""
+    if reduce(or_, acc, 0) & (R2 | E2):
+        for key in [k for k in acc if k & (R2 | E2)]:
+            value = acc.pop(key)
+            if key & R2:
+                key -= R2
+                value *= 2
+            if key & E2:
+                key -= E2
+                value = -value
+            acc[key] = acc.get(key, 0) + value
+    if 0 in acc.values():
+        return {k: v for k, v in acc.items() if v}
+    return acc
 
 
 def _accumulate(acc: dict, key, value) -> None:
-    """Add value into acc[key] in place, dropping the key when the sum is zero.
-
-    Every sparse sum over Monomial keys accumulates through this one
-    rule, which keeps term maps canonical; the packed kernels drop their
-    zeros when they unpack (unpack_terms).
-    """
+    """Add value into acc[key] in place, dropping the key when the sum is zero."""
     prev = acc.get(key)
     total = value if prev is None else prev + value
     if total:
         acc[key] = total
     else:
         acc.pop(key, None)
-
-
-def fraction_view(nums: dict, den: int) -> dict:
-    """The numerators nums over den as {key: Fraction}, for readers outside
-    the arithmetic (tests and callers of TermMap.terms)."""
-    return {k: Fraction(v, den) for k, v in nums.items()}
 
 
 def _canonical(cls, nums: dict, den: int = 1):
@@ -230,12 +220,39 @@ def _reduced(cls, nums: dict, den: int):
     return _canonical(cls, *_lowest(nums, den))
 
 
-def _add_product(acc: dict, key: Monomial, value: int, nums: dict) -> None:
-    """Accumulate the product of the term value * key with the numerators
-    nums into acc; key commutes with the keys of nums."""
-    for k, v in nums.items():
-        product, factor = mono_mul(key, k)
-        _accumulate(acc, product, value * v * factor)
+# A rational (numerator, denominator) of zero, the empty part of a
+# Gaussian rational in a grouped view.
+_ZERO = (0, 1)
+# The (h, w, r) of a key shifted down by 64.
+_HWR = (1 << 33) - 1
+
+
+def grouped(nums: dict, den: int) -> tuple:
+    """A flat term map, numerators nums over den, as ((phase, group), ...),
+    phase the exponents (a, b, c, d) and group its coefficient
+    (((h, w, r), re, im), ...), re and im (numerator, denominator) pairs
+    in lowest terms; both levels descending, phase parts by degree first
+    (render.ordered).  Keys are grouped by their int parts, and each
+    distinct part is decoded once.  Every output format reads this view."""
+    m = _FIELD
+    groups: dict[int, dict] = {}
+    for key, num in nums.items():
+        g = gcd(num, den)
+        parts = groups.setdefault(key & _PHASE, {}).setdefault(key >> 64 & _HWR, [_ZERO, _ZERO])
+        parts[key >> _ROOTS + 2] = (num // g, den // g)
+    phases = {(p & m, p >> 16 & m, p >> 32 & m, p >> 48): group for p, group in groups.items()}
+    out = []
+    for phase in render.ordered(phases):
+        group = phases[phase]
+        # most groups hold one term, which needs no list and no sort
+        if len(group) == 1:
+            ((q, (re, im)),) = group.items()
+            out.append((phase, (((q & m, q >> 16 & m, q >> 32), re, im),)))
+        else:
+            terms = [((q & m, q >> 16 & m, q >> 32), re, im) for q, (re, im) in group.items()]
+            terms.sort(reverse=True)
+            out.append((phase, tuple(terms)))
+    return tuple(out)
 
 
 # (map, its grouped view, the view of its derivative form or None) for the
@@ -245,13 +262,15 @@ _last_view: tuple = (None, (), None)
 
 
 class TermMap:
-    """Sparse map from Monomial keys to nonzero int numerators over one
-    positive int denominator, kept in lowest terms (no zero numerator,
-    gcd(den, *nums) == 1), so equality is structural.  A subclass names
-    its display names in the render styles (``_names``) and may replace
-    the commutative ``_product``.  The constructor takes {Monomial: int or
-    Fraction}; ``terms`` is the read-only {Monomial: Fraction} view of the
-    map, and ``groups`` the grouped view that every output format reads.
+    """Sparse map from int keys (the layout above) to nonzero int numerators
+    over one positive int denominator, kept in lowest terms (no zero
+    numerator, gcd(den, *nums) == 1), so equality is structural.  A
+    subclass names its display names in the render styles (``_names``)
+    and may replace the commutative ``_product``.  The constructor takes
+    {Monomial: int or Fraction}; ``numerators`` and ``terms`` are
+    {Monomial: int} and {Monomial: Fraction} views of the map, built on
+    each call, and ``groups`` the grouped view that every output format
+    reads.
 
     One coercion rule serves every class: ``of`` returns an instance
     unchanged, reuses the map of a Coefficient and lifts a rational to a
@@ -265,7 +284,7 @@ class TermMap:
     _names: str
 
     def __init__(self, terms: dict | None = None):
-        ratios = {_key(key): _ratio(value) for key, value in (terms or {}).items()}
+        ratios = {pack(key): _ratio(value) for key, value in (terms or {}).items()}
         den = lcm(*(part_den for _, part_den in ratios.values()))
         nums = {key: num * (den // part_den) for key, (num, part_den) in ratios.items() if num}
         self._nums, self._den = _lowest(nums, den)
@@ -290,19 +309,24 @@ class TermMap:
     def constant(cls, value):
         if isinstance(value, Coefficient):
             return _canonical(cls, value._nums, value._den)
-        return cls.monomial(Monomial(), value)
+        # the constant key, with every exponent 0, is 0
+        return cls._term(0, value)
 
     @classmethod
     def monomial(cls, key: Monomial, value=1):
+        return cls._term(pack(key), value)
+
+    @classmethod
+    def _term(cls, key: int, value):
         num, den = _ratio(value)
-        return _canonical(cls, {_key(key): num}, den) if num else _canonical(cls, {})
+        return _canonical(cls, {key: num}, den) if num else _canonical(cls, {})
 
     # -- queries ----------------------------------------------------------
 
     @property
     def numerators(self) -> dict:
-        """The flat map {Monomial: int} of numerators; treat as read-only."""
-        return self._nums
+        """The flat map {Monomial: int} of numerators, built on each call."""
+        return {unpack(k): v for k, v in self._nums.items()}
 
     @property
     def denominator(self) -> int:
@@ -312,11 +336,11 @@ class TermMap:
     @property
     def terms(self) -> dict:
         """The flat term map as {Monomial: Fraction}, built on each call."""
-        return fraction_view(self._nums, self._den)
+        return {unpack(k): Fraction(v, self._den) for k, v in self._nums.items()}
 
     @property
     def groups(self) -> tuple:
-        """The map grouped for output (render.grouped), as nested tuples.
+        """The map grouped for output (grouped), as nested tuples.
         The output formats of one map are written one after another (a
         normal-ordered form, then its derivative form or JSON), so the map
         read last keeps its view for the next reader of the same map; no
@@ -331,7 +355,7 @@ class TermMap:
         global _last_view
         view = _last_view
         if view[0] is not self:
-            view = (self, render.grouped(self._nums, self._den), None)
+            view = (self, grouped(self._nums, self._den), None)
         if derivative and view[2] is None:
             view = (self, view[1], render.derivative_groups(view[1]))
         _last_view = view
@@ -344,7 +368,7 @@ class TermMap:
         return bool(self._nums)
 
     def hbar_free_part(self):
-        return _reduced(type(self), {k: v for k, v in self._nums.items() if not k.h}, self._den)
+        return _reduced(type(self), {k: v for k, v in self._nums.items() if not k & _H}, self._den)
 
     # -- ring operations ----------------------------------------------------
 
@@ -403,10 +427,9 @@ class TermMap:
 
     def _product(self, other):
         """The product of maps whose keys commute."""
-        acc: dict[Monomial, int] = {}
-        for key, value in self._nums.items():
-            _add_product(acc, key, value, other._nums)
-        return _reduced(type(self), acc, self._den * other._den)
+        acc: dict[int, int] = {}
+        _add_products(acc, _checked(self._nums), _checked(other._nums))
+        return _reduced(type(self), _folded(acc), self._den * other._den)
 
     def __pow__(self, exponent: int):
         if type(exponent) is not int or exponent < 0:

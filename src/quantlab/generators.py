@@ -20,13 +20,27 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 
-from quantlab.coeffring import Monomial, _add_product, _make, _reduced
+from quantlab.coeffring import (
+    HBAR,
+    OMEGA,
+    PACK_LIMIT,
+    PX,
+    PY,
+    SQRT2,
+    I,
+    X,
+    Y,
+    _OVER_LIMIT,
+    _add_products,
+    _folded,
+    _reduced,
+)
 from quantlab.phasepoly import PhasePoly
 from quantlab.weylalgebra import Operator
 
 # the keys of H: px^2, py^2, omega^2 x^2 and omega^2 y^2
-_PX2, _PY2 = Monomial(c=2), Monomial(d=2)
-_X2, _Y2 = Monomial(a=2, w=2), Monomial(b=2, w=2)
+_PX2, _PY2 = 2 * PX, 2 * PY
+_X2, _Y2 = 2 * (X + OMEGA), 2 * (Y + OMEGA)
 
 
 @dataclass(frozen=True)
@@ -54,19 +68,20 @@ def hamiltonian(params: OscillatorParams) -> PhasePoly:
     return _reduced(PhasePoly, {_PX2: m2, _PY2: m2, _X2: 2 * m2, _Y2: 2 * n2}, 2 * m2)
 
 
-def _ladder_power(k: int, ratio: Fraction, axis: int, quantum: bool):
-    """b^k in normal order as (numerators, denominator), for the ladder
-    factor b = p + alpha q with alpha = i * ratio * sqrt2 * omega.
+def _ladder_power(k: int, ratio: Fraction, q: int, p: int, quantum: bool):
+    """b^k in normal order as ((even, odd), denominator), for the ladder
+    factor b = p + alpha q with alpha = i * ratio * sqrt2 * omega, q and p
+    the keys of (x, px) or (y, py); even and odd hold the terms whose i and
+    hbar exponents have an even or odd sum.
 
     [alpha q, p] = i alpha hbar is central, so BCH gives
     b^k = sum over j + l + 2h = k of k!/(j! l! h!) alpha^(j+h) (-i hbar/2)^h q^j p^l.
     The units combine to i^j and ratio^(j+h) carries the sign;
     sqrt2^(j+h) is 2^((j+h)//2) sqrt2^((j+h) mod 2).  The classical
-    power is the h = 0 slice.  (q, p) is (x, px) for axis 0 and (y, py)
-    for axis 1.
+    power is the h = 0 slice.
     """
     top = k // 2 if quantum else 0
-    nums = {}
+    halves: tuple[dict, dict] = ({}, {})
     for h in range(top + 1):
         for j in range(k - 2 * h + 1):
             l, g = k - 2 * h - j, j + h
@@ -74,10 +89,10 @@ def _ladder_power(k: int, ratio: Fraction, axis: int, quantum: bool):
                 factorial(k) // (factorial(j) * factorial(l) * factorial(h))
                 * ratio.numerator ** g * ratio.denominator ** (k - g) * 2 ** (g // 2 + top - h)
             )
-            phase = (j, 0, l, 0) if axis == 0 else (0, j, 0, l)
+            key = j * q + l * p + h * HBAR + g * OMEGA + (g & 1) * SQRT2 + (j & 1) * I
             # i^j = (-1)^(j // 2) i^(j mod 2)
-            nums[_make(Monomial, phase + (h, g, g & 1, j & 1))] = -value if j & 2 else value
-    return nums, ratio.denominator ** k * 2 ** top
+            halves[(j + h) & 1][key] = -value if j & 2 else value
+    return halves, ratio.denominator ** k * 2 ** top
 
 
 def _forward_parts(params: OscillatorParams, quantum: bool, parities: tuple) -> tuple:
@@ -86,23 +101,24 @@ def _forward_parts(params: OscillatorParams, quantum: bool, parities: tuple) -> 
     per parity over their one denominator (ladder_products).
 
     That parity adds over a product of keys, even where i * i = -1 folds,
-    so an odd part takes each odd term of b1^n times the even terms of
-    b2*^m and each even term times the odd ones: no term of another part
-    is built.
+    so an odd part takes the odd half of b1^n times the even half of
+    b2*^m and the even half times the odd one: no term of another part
+    is built.  ValueError for m or n of PACK_LIMIT or more, before any
+    term is built.
     """
     m, n = params.m, params.n
+    if max(m, n) >= PACK_LIMIT:
+        raise ValueError(_OVER_LIMIT)
     # b1 has alpha = -i sqrt2 omega, b2* has alpha = i (n/m) sqrt2 omega
-    x_nums, x_den = _ladder_power(n, Fraction(-1), 0, quantum)
-    y_nums, y_den = _ladder_power(m, Fraction(n, m), 1, quantum)
-    y_halves: tuple[dict, dict] = ({}, {})
-    for key, value in y_nums.items():
-        y_halves[(key.e + key.h) & 1][key] = value
-    parts = tuple({} for _ in parities)
-    for key, value in x_nums.items():
-        odd = (key.e + key.h) & 1
-        for part, parity in zip(parts, parities):
-            _add_product(part, key, value, y_halves[parity ^ odd])
-    return parts, x_den * y_den
+    x_halves, x_den = _ladder_power(n, Fraction(-1), X, PX, quantum)
+    y_halves, y_den = _ladder_power(m, Fraction(n, m), Y, PY, quantum)
+    parts = []
+    for parity in parities:
+        part: dict = {}
+        for odd, x_half in enumerate(x_halves):
+            _add_products(part, x_half, y_halves[parity ^ odd])
+        parts.append(_folded(part))
+    return tuple(parts), x_den * y_den
 
 
 def _ladder_parts(params: OscillatorParams, quantum: bool, parities: tuple) -> tuple:
@@ -115,10 +131,7 @@ def _ladder_parts(params: OscillatorParams, quantum: bool, parities: tuple) -> t
     for part, parity in zip(parts, parities):
         if parity:
             # -i * i = 1 and -i * 1 = -i
-            part = {
-                _make(Monomial, key[:7] + (1 - key.e,)): value if key.e else -value
-                for key, value in part.items()
-            }
+            part = {key ^ I: value if key & I else -value for key, value in part.items()}
         out.append(_reduced(cls, part, den))
     return tuple(out)
 
@@ -163,13 +176,10 @@ def k_integral(params: OscillatorParams) -> PhasePoly:
     Every key of F2 thus carries sqrt2^1, i^0 and an odd power of omega,
     and dividing by s lowers those two exponents by one.  F2 is -i times
     forward's odd part (ladder_products), whose keys all carry i^1, and
-    -i * i = 1, so K is built from that part alone: each key's r and e go
-    to 0, its w to w - 1, and its value takes the factor -(m/n)^m.
+    -i * i = 1, so K is built from that part alone: each key loses its
+    sqrt2, its i and one omega, and its value takes the factor -(m/n)^m.
     """
     m, n = params.m, params.n
     (odd,), den = _forward_parts(params, False, (1,))
-    nums = {
-        _make(Monomial, key[:5] + (key.w - 1, 0, 0)): -(m ** m) * value
-        for key, value in odd.items()
-    }
+    nums = {key - (SQRT2 + I + OMEGA): -(m ** m) * value for key, value in odd.items()}
     return _reduced(PhasePoly, nums, den * n ** m)

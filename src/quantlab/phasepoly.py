@@ -1,18 +1,19 @@
 """Commutative phase-space polynomials in (x, y, px, py) over the
 coefficient ring.
 
-A PhasePoly is a coeffring.TermMap: one flat map from a Monomial, the
-exponents of x, y, px, py and of the ring's generators, to a nonzero int
-numerator over one shared denominator, in lowest terms, so equality is
-structural.  Its product is the commutative one of every term map.  The
-module adds the phase variables and the canonical Poisson bracket.
+A PhasePoly is a coeffring.TermMap: one flat map from a key, the
+exponents of x, y, px, py and of the ring's generators in one int, to a
+nonzero int numerator over one shared denominator, in lowest terms, so
+equality is structural.  Its product is the commutative one of every
+term map.  The module adds the phase variables, the keys of the two
+canonical pairs and the canonical Poisson bracket.
 """
 
 from __future__ import annotations
 
 from enum import Enum
 
-from quantlab.coeffring import Monomial, TermMap, _make, _reduced, mono_mul
+from quantlab.coeffring import PX, PY, X, Y, Monomial, TermMap, _folded, _reduced, phase_terms
 
 
 class PhaseVar(Enum):
@@ -24,6 +25,10 @@ class PhaseVar(Enum):
 
 # slot index of each variable in a Monomial (a, b, c, d, ...)
 _VAR_SLOT = {PhaseVar.X: 0, PhaseVar.Y: 1, PhaseVar.PX: 2, PhaseVar.PY: 3}
+
+# The keys of x px and y py: subtracting k times one lowers a position
+# exponent and its momentum (or s, t) exponent by k together.
+_X_PX, _Y_PY = X + PX, Y + PY
 
 
 class PhasePoly(TermMap):
@@ -49,26 +54,27 @@ def poisson(f: PhasePoly, g: PhasePoly) -> PhasePoly:
     x^a2 y^b2 px^c2 py^d2 the (x, px) pair contributes the key product
     lowered by one in a and c with weight a1 c2 - c1 a2, and the (y, py)
     pair the product lowered by one in b and d with weight b1 d2 - d1 b2.
-    A pair with both weights zero contributes nothing.
+    A pair with both weights zero contributes nothing.  The keys add as
+    ints, and the sums are reduced once at the end.
     """
     if not (isinstance(f, PhasePoly) and isinstance(g, PhasePoly)):
         raise TypeError("poisson takes two PhasePoly operands")
-    g_terms = [(k2, v2, *k2[:4]) for k2, v2 in g._nums.items()]
-    acc: dict[Monomial, int] = {}
-    for k1, v1 in f._nums.items():
-        a1, b1, c1, d1 = k1[:4]
+    g_terms = phase_terms(g._nums)
+    acc: dict[int, int] = {}
+    get = acc.get
+    for k1, v1, a1, b1, c1, d1 in phase_terms(f._nums):
         for k2, v2, a2, b2, c2, d2 in g_terms:
             x = a1 * c2 - c1 * a2
             y = b1 * d2 - d1 * b2
             if not (x or y):
                 continue
-            (a, b, c, d, h, w, r, e), factor = mono_mul(k1, k2)
-            value = v1 * v2 * factor
+            base = k1 + k2
+            value = v1 * v2
             # a nonzero x needs a >= 1 and c >= 1, a nonzero y b and d
             if x:
-                key = _make(Monomial, (a - 1, b, c - 1, d, h, w, r, e))
-                acc[key] = acc.get(key, 0) + value * x
+                key = base - _X_PX
+                acc[key] = get(key, 0) + value * x
             if y:
-                key = _make(Monomial, (a, b - 1, c, d - 1, h, w, r, e))
-                acc[key] = acc.get(key, 0) + value * y
-    return _reduced(PhasePoly, {k: v for k, v in acc.items() if v}, f._den * g._den)
+                key = base - _Y_PY
+                acc[key] = get(key, 0) + value * y
+    return _reduced(PhasePoly, _folded(acc), f._den * g._den)

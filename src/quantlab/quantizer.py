@@ -9,9 +9,9 @@ Each sum has a closed normal-ordered form (quantize_monomial), cached
 per one-pair monomial, so the degree range bounds the cache.
 
 The pairs commute, so quantize joins each term's two one-pair images
-with the term's parameter part in one double loop: exponents of hbar
-add, and three powers of i (coeffring.neg_i_hbar in each image, and the
-term's own) reduce as one.  Output is always normal ordered, which makes
+with the term's parameter part in one double loop: the three keys add,
+and the three powers of i (the (-i hbar)^j of each image, and the term's
+own) reduce as one.  Output is always normal ordered, which makes
 operator equality a structural check.
 
 The module also provides the direct ladder-operator quantization, a
@@ -28,9 +28,22 @@ from enum import Enum
 from functools import lru_cache
 from math import lcm
 
-from quantlab.coeffring import Monomial, _make, _reduced, neg_i_hbar
+from quantlab.coeffring import (
+    HBAR,
+    I,
+    PX,
+    PY,
+    X,
+    Y,
+    Monomial,
+    _folded,
+    _reduced,
+    pack,
+    phase_terms,
+    unpack,
+)
 from quantlab.generators import OscillatorParams, _ladder_parts
-from quantlab.phasepoly import PhasePoly
+from quantlab.phasepoly import _X_PX, _Y_PY, PhasePoly
 from quantlab.weylalgebra import Operator, swap_weight
 
 
@@ -61,12 +74,15 @@ def quantize_monomial(scheme: Scheme, mono: Monomial) -> Operator:
     born_jordan = scheme is Scheme.BORN_JORDAN
     r, s = a + b, c + d
     den = s + 1 if born_jordan else 2 ** s
+    # one pair's exponents are nonzero, and j <= min(r, s) lowers only them
+    base, pair = pack(Monomial(a, b, c, d)), _X_PX if a or c else _Y_PY
     nums = {}
     for j in range(min(r, s) + 1):
-        power, sign = neg_i_hbar(j)
-        # one pair's exponents are nonzero, and j <= min(r, s) lowers only them
-        key = _make(Monomial, (a and a - j, b and b - j, c and c - j, d and d - j) + power[4:])
-        nums[key] = sign * swap_weight(s, r, j) * den // (j + 1 if born_jordan else 2 ** j)
+        weight = swap_weight(s, r, j) * den // (j + 1 if born_jordan else 2 ** j)
+        # (-i hbar)^j: hbar^j, an i for an odd j, and the sign of (-i)^j,
+        # which cycles 1, -i, -1, i
+        key = base - j * pair + j * HBAR + (j & 1) * I
+        nums[key] = -weight if j % 4 in (1, 2) else weight
     return _reduced(Operator, nums, den)
 
 
@@ -79,24 +95,25 @@ def quantize(scheme: Scheme, poly: PhasePoly) -> Operator:
     if not isinstance(poly, PhasePoly):
         raise TypeError(f"quantize takes a PhasePoly, got {type(poly).__name__}")
     parts = []
-    for key, value in poly._nums.items():
-        a, b, c, d = key[:4]
-        x = quantize_monomial(scheme, _make(Monomial, (a, 0, c, 0, 0, 0, 0, 0)))
-        y = quantize_monomial(scheme, _make(Monomial, (0, b, 0, d, 0, 0, 0, 0)))
-        parts.append((key, value, x, y))
+    for key, value, a, b, c, d in phase_terms(poly._nums):
+        x_key, y_key = a * X + c * PX, b * Y + d * PY
+        x = quantize_monomial(scheme, unpack(x_key))
+        y = quantize_monomial(scheme, unpack(y_key))
+        # the term's parameter part, its key less its phase part
+        parts.append((key - x_key - y_key, value, x, y))
     den = lcm(*(x._den * y._den for _, _, x, y in parts))
-    acc: dict[Monomial, int] = {}
-    for (_, _, _, _, h, w, r, e), value, x, y in parts:
+    acc: dict[int, int] = {}
+    get = acc.get
+    for params, value, x, y in parts:
         scale = value * (den // (x._den * y._den))
         y_terms = y._nums.items()
-        for (a, _, c, _, hx, _, _, ex), vx in x._nums.items():
+        for kx, vx in x._nums.items():
+            kx += params
             vx *= scale
-            for (_, b, _, d, hy, _, _, ey), vy in y_terms:
-                i = e + ex + ey
-                key = _make(Monomial, (a, b, c, d, h + hx + hy, w, r, i & 1))
-                # i^2 = -1 when two or all three powers of i meet
-                acc[key] = acc.get(key, 0) + (-vx * vy if i & 2 else vx * vy)
-    return _reduced(Operator, {k: v for k, v in acc.items() if v}, poly._den * den)
+            for ky, vy in y_terms:
+                key = kx + ky
+                acc[key] = get(key, 0) + vx * vy
+    return _reduced(Operator, _folded(acc), poly._den * den)
 
 
 def quantize_ladder(params: OscillatorParams, which: int) -> Operator:

@@ -3,15 +3,16 @@ from one set of rules.
 
 The two formats differ only in the fixed style records TEXT and LATEX
 (fraction and power formats, joiners, parentheses, folding of -1, and
-display names).  Term maps are flat, so grouped is the one reader of a
-map for output: it groups the numerators by phase part (a, b, c, d),
-then by (h, w, r), into the Gaussian rational (re, im), each part a
-(numerator, denominator) pair in lowest terms.  The view is nested
-tuples, and the map rendered last keeps it (TermMap.groups), so text,
-LaTeX and the JSON reports of one map, written one after another, read
-one view; derivative_groups relabels an operator's view into that of its
-derivative form instead of grouping again, and the operator keeps that
-relabel beside its view (Operator.derivative_groups).
+display names).  Every format reads a term map's grouped view
+(coeffring.grouped, next to the key layout it decodes): the numerators
+by phase part (a, b, c, d), then by (h, w, r), as the Gaussian rational
+(re, im), each part a (numerator, denominator) pair in lowest terms.
+The view is nested tuples, and the map rendered last keeps it
+(TermMap.groups), so text, LaTeX and the JSON reports of one map,
+written one after another, read one view; derivative_groups relabels an
+operator's view into that of its derivative form instead of grouping
+again, and the operator keeps that relabel beside its view
+(Operator.derivative_groups).
 
 join_terms, the one sum renderer, writes each group as a coefficient
 times its key from runs of factors, each a joined string and whether its
@@ -19,15 +20,14 @@ first factor carries '^'.  A key is two halves, (a, b) and (c, d), as
 powers or, in derivative form, x^a y^b then d^(c+d)/dx^c dy^d; each
 half's run, and each coefficient's (h, w, r), is made once per style and
 names and kept, never a whole key, so the caches grow with the degree
-rendered, not with the terms.  key_text reads one key the same way.
-Keys are read by position, so this module imports nothing from the
-package.
+rendered, not with the terms.  key_text reads one phase part the same
+way.  Only grouped views and phase tuples come in, so this module
+imports nothing from the package.
 """
 
 from __future__ import annotations
 
 from functools import partial
-from math import gcd
 from typing import NamedTuple
 
 # A rational as (numerator, denominator) in lowest terms.
@@ -96,23 +96,6 @@ def fraction(q: Rational, style: Style) -> str:
     if den == 1:
         return str(num)
     return ("-" if num < 0 else "") + style.fraction % (abs(num), den)
-
-
-def grouped(nums: dict, den: int) -> tuple:
-    """A flat term map, numerators nums over den, as ((phase, group), ...),
-    phase the exponents (a, b, c, d) and group its coefficient
-    (((h, w, r), re, im), ...), re and im (numerator, denominator) pairs
-    in lowest terms; both levels descending, phase parts by degree first."""
-    groups: dict[tuple, dict] = {}
-    for key, num in nums.items():
-        parts = groups.setdefault(key[:4], {}).setdefault(key[4:7], [_ZERO, _ZERO])
-        g = gcd(num, den)
-        parts[key[7]] = (num // g, den // g)
-    out = []
-    for phase in ordered(groups):
-        terms = sorted(groups[phase].items(), reverse=True)
-        out.append((phase, tuple([(params, re, im) for params, (re, im) in terms])))
-    return tuple(out)
 
 
 def derivative_groups(groups: tuple) -> tuple:
@@ -262,7 +245,7 @@ def coefficient(group, style: Style) -> str:
 
 def join_terms(groups, kind: str, style: Style) -> str:
     """Sum of coefficient * key over the groups of a flat term map (as
-    grouped returns them), with binary +/-; "0" for none.  kind names the
+    coeffring.grouped returns them), with binary +/-; "0" for none.  kind names the
     keys (style.names); a sum coefficient is parenthesized."""
     firsts, seconds = _key_halves(kind, style)
     params = _halves(_powers, style, style.names["coefficient"])

@@ -242,7 +242,7 @@ def _degree_checked(bound: int) -> int:
 def _capped(poly: PhasePoly) -> PhasePoly:
     """poly, or ValueError if it has more than MAX_TERMS terms or a
     numerator or denominator of more than MAX_COEFFICIENT_DIGITS digits."""
-    nums = poly.numerators
+    nums = poly._nums
     if len(nums) > MAX_TERMS:
         raise ValueError(f"expression expands to more than {MAX_TERMS} terms")
     if max([poly.denominator, *map(abs, nums.values())]) >= _COEFFICIENT_LIMIT:
@@ -251,7 +251,7 @@ def _capped(poly: PhasePoly) -> PhasePoly:
 
 
 def _product(left: PhasePoly, right: PhasePoly) -> PhasePoly:
-    n, m = len(left.numerators), len(right.numerators)
+    n, m = len(left._nums), len(right._nums)
     if n * m > MAX_PAIRS:
         raise ValueError(f"expression multiplies {n} by {m} terms, more than {MAX_PAIRS} term pairs")
     return _capped(left * right)

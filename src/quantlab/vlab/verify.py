@@ -8,7 +8,7 @@ on one exponential probe e^(sx+ty), s and t symbolic: the claimed
 commutator's image of the probe (weylalgebra.probe_image) must equal the
 bracket of the two factors' actions on it (weylalgebra.probe_bracket).
 The action oracle never calls the normal-ordering product or its swap
-weights, and only weylalgebra handles its packed keys.  The Born-Jordan
+weights, and only weylalgebra handles its keys.  The Born-Jordan
 commutator is built and checked through its difference from the Weyl
 one.  A nonzero bracket is reported by failed_claims; it does not stop a
 sweep.
@@ -158,7 +158,8 @@ def commutator_matches_action(
     direct = probe_image(comm)
     if nested == direct:
         return True
-    term = Monomial(*render.ordered({key[:4] for key in (nested - direct).numerators})[0])
+    # the first phase part of the error's grouped view, in render order
+    term = Monomial(*(nested - direct).groups[0][0])
     return Disagreement(term, direct, nested)
 
 

@@ -6,15 +6,18 @@ py_hat), the separation integral L (l_integral), the conjugation
 i -> -i of a term map (conjugate) and the partial derivative of a phase
 polynomial (partial).  The program itself never needs them.
 
-op_mul, commutator and act here work on Monomial keys term by term: every
-product goes through coeffring.mono_mul, every reordering correction is
-lowered and multiplied by (-i hbar)^k as a key of its own, and every sum
-goes through coeffring._accumulate.  probe_image relabels each key by
-coeffring.neg_i_hbar and one mono_mul, apart from weylalgebra's relabel,
-and probe_bracket runs act twice, each factor's probe_image words here
-on the other's, and subtracts.
-tests/test_packed_kernels.py checks the packed kernels of weylalgebra
-against them.  adjoint, the formal adjoint that the self-adjointness
+The package stores each key as one int; the kernels here work on the
+Monomial tuples of the numerators view instead, term by term, and build
+each result through the public constructor (_built).  Every product goes
+through mono_mul, the tuple product of two keys with both reductions;
+every reordering correction is lowered and multiplied by (-i hbar)^k as
+a key of its own (neg_i_hbar), and every sum goes through
+coeffring._accumulate.  op_mul, commutator and act here are built that
+way.  probe_image relabels each key by neg_i_hbar and one mono_mul,
+apart from weylalgebra's relabel, and probe_bracket runs act twice, each
+factor's probe_image words here on the other's, and subtracts.
+tests/test_packed_kernels.py checks the kernels of weylalgebra against
+them.  adjoint, the formal adjoint that the self-adjointness
 tests read, builds each reversed word as two operators, conjugates one,
 multiplies them with the op_mul here and adds the products one by one;
 the package has no adjoint of its own.
@@ -23,7 +26,7 @@ The classical layer has its own: poisson takes partial derivatives and
 multiplies and adds whole term maps, hamiltonian builds H from powers of
 the phase variables and Fraction weights, and quantize multiplies the
 two one-pair images of each term's phase part with the op_mul here and
-its parameter part into that product through coeffring._add_product.
+its parameter part into that product through _add_product.
 The paper's K = P G_n + D {G_n, L} is built as the paper writes it:
 naive_g_poly accumulates G_n term by term, paper_p_and_d sums P and D in
 (u, pu) with Fraction weights, and paper_k takes the bracket with the
@@ -39,20 +42,82 @@ from fractions import Fraction
 from math import comb, factorial, lcm, perm
 
 from quantlab import render
-from quantlab.coeffring import (
-    Coefficient,
-    Monomial,
-    _accumulate,
-    _add_product,
-    _canonical,
-    _make,
-    _reduced,
-    mono_mul,
-    neg_i_hbar,
-)
+from quantlab.coeffring import Coefficient, Monomial, _accumulate
 from quantlab.phasepoly import _VAR_SLOT, PhasePoly, PhaseVar
 from quantlab.quantizer import quantize_monomial
 from quantlab.weylalgebra import Operator
+
+# Builds a key without the validation of Monomial.__new__, for exponents
+# that an arithmetic rule has already reduced.
+_make = tuple.__new__
+
+
+def _built(cls, nums: dict, den: int = 1):
+    """The term map of class cls over {Monomial: int} nums / den, through
+    the public constructor."""
+    return cls({key: Fraction(value, den) for key, value in nums.items()})
+
+
+# -- the tuple product of keys --------------------------------------------------
+
+
+def mono_mul(m1, m2) -> tuple[Monomial, int]:
+    """The product of two keys as (key, factor), factor in {1, -1, 2, -2}.
+
+    Exponents add, then the two reductions of the ring apply.
+    """
+    a1, b1, c1, d1, h1, w1, r1, e1 = m1
+    a2, b2, c2, d2, h2, w2, r2, e2 = m2
+    factor = 1
+    r = r1 + r2
+    if r == 2:
+        # sqrt2 * sqrt2 = 2
+        r = 0
+        factor = 2
+    e = e1 + e2
+    if e == 2:
+        # i * i = -1
+        e = 0
+        factor = -factor
+    return _make(Monomial, (a1 + a2, b1 + b2, c1 + c2, d1 + d2, h1 + h2, w1 + w2, r, e)), factor
+
+
+def neg_i_hbar(k: int) -> tuple[Monomial, int]:
+    """(-i hbar)^k as (key, sign): the key is hbar^k i^(k mod 2), and the
+    sign is -1 when k mod 4 is 1 or 2, as (-i)^k cycles 1, -i, -1, i."""
+    return _make(Monomial, (0, 0, 0, 0, k, 0, 0, k & 1)), -1 if k % 4 in (1, 2) else 1
+
+
+def _add_product(acc: dict, key: Monomial, value: int, nums: dict) -> None:
+    """Accumulate the product of the term value * key with the numerators
+    nums into acc; key commutes with the keys of nums."""
+    for k, v in nums.items():
+        product, factor = mono_mul(key, k)
+        _accumulate(acc, product, value * v * factor)
+
+
+def tuple_product(left, right):
+    """The commutative product of two term maps of one class, one mono_mul
+    per term pair."""
+    acc: dict = {}
+    for key, value in left.numerators.items():
+        _add_product(acc, key, value, right.numerators)
+    return _built(type(left), acc, left.denominator * right.denominator)
+
+
+def tuple_poisson(f: PhasePoly, g: PhasePoly) -> PhasePoly:
+    """{f, g} over term pairs, each key product a mono_mul lowered by one
+    in a and c, or in b and d, with the weights of the one-pass kernel."""
+    acc: dict = {}
+    for k1, v1 in f.numerators.items():
+        for k2, v2 in g.numerators.items():
+            base, factor = mono_mul(k1, k2)
+            x, y = k1.a * k2.c - k1.c * k2.a, k1.b * k2.d - k1.d * k2.b
+            if x:
+                _accumulate(acc, base._replace(a=base.a - 1, c=base.c - 1), v1 * v2 * factor * x)
+            if y:
+                _accumulate(acc, base._replace(b=base.b - 1, d=base.d - 1), v1 * v2 * factor * y)
+    return _built(PhasePoly, acc, f.denominator * g.denominator)
 
 
 # -- building blocks -----------------------------------------------------------
@@ -76,13 +141,13 @@ def py_hat() -> Operator:
 
 def l_integral() -> PhasePoly:
     """Separation integral L = px^2/2 + omega^2 x^2 of the x axis."""
-    return _canonical(PhasePoly, {Monomial(c=2): 1, Monomial(a=2, w=2): 2}, 2)
+    return _built(PhasePoly, {Monomial(c=2): 1, Monomial(a=2, w=2): 2}, 2)
 
 
 def conjugate(tm):
     """Map i to -i; every other generator is fixed."""
     nums = {k: -v if k.e else v for k, v in tm.numerators.items()}
-    return _canonical(type(tm), nums, tm.denominator)
+    return _built(type(tm), nums, tm.denominator)
 
 
 def partial(poly: PhasePoly, var: PhaseVar) -> PhasePoly:
@@ -96,7 +161,7 @@ def partial(poly: PhasePoly, var: PhaseVar) -> PhasePoly:
             # a positive exponent lowered by one: still a valid key
             exps[slot] = exp - 1
             out[_make(Monomial, exps)] = value * exp
-    return _reduced(PhasePoly, out, poly.denominator)
+    return _built(PhasePoly, out, poly.denominator)
 
 
 # -- kernels ------------------------------------------------------------------
@@ -137,7 +202,7 @@ def op_mul(left: Operator, right: Operator) -> Operator:
             base, factor = mono_mul(m1, m2)
             _accumulate(acc, base, v1 * v2 * factor)
             _add_corrections(acc, base, v1 * v2 * factor, _corrections(m1.c, m2.a, m1.d, m2.b))
-    return _reduced(Operator, acc, left.denominator * right.denominator)
+    return _built(Operator, acc, left.denominator * right.denominator)
 
 
 def commutator(left: Operator, right: Operator) -> Operator:
@@ -148,7 +213,7 @@ def commutator(left: Operator, right: Operator) -> Operator:
             value = v1 * v2 * factor
             _add_corrections(acc, base, value, _corrections(m1.c, m2.a, m1.d, m2.b))
             _add_corrections(acc, base, -value, _corrections(m2.c, m1.a, m2.d, m1.b))
-    return _reduced(Operator, acc, left.denominator * right.denominator)
+    return _built(Operator, acc, left.denominator * right.denominator)
 
 
 def act(words: dict, state: dict, scale: int = 1) -> dict:
@@ -174,7 +239,7 @@ def probe_image(op: Operator) -> PhasePoly:
         power, sign = neg_i_hbar(mono.c + mono.d)
         key, factor = mono_mul(mono, power)
         out[key] = num if sign == factor else -num
-    return _canonical(PhasePoly, out, op.denominator)
+    return _built(PhasePoly, out, op.denominator)
 
 
 def probe_bracket(left: Operator, right: Operator) -> PhasePoly:
@@ -184,7 +249,7 @@ def probe_bracket(left: Operator, right: Operator) -> PhasePoly:
     acc = act(left_words, right_words)
     for key, value in act(right_words, left_words, -1).items():
         _accumulate(acc, key, value)
-    return _reduced(PhasePoly, acc, left.denominator * right.denominator)
+    return _built(PhasePoly, acc, left.denominator * right.denominator)
 
 
 def adjoint(op: Operator) -> Operator:
@@ -195,7 +260,7 @@ def adjoint(op: Operator) -> Operator:
         momenta = Operator.monomial(Monomial(c=mono.c, d=mono.d))
         positions = conjugate(Operator.monomial(mono._replace(c=0, d=0), num))
         out = out + op_mul(momenta, positions)
-    return _reduced(Operator, out.numerators, out.denominator * op.denominator)
+    return _built(Operator, out.numerators, out.denominator * op.denominator)
 
 
 def poisson(f: PhasePoly, g: PhasePoly) -> PhasePoly:
@@ -284,7 +349,7 @@ def quantize(scheme, poly: PhasePoly) -> Operator:
     acc: dict = {}
     for key, value, op in parts:
         _add_product(acc, key, value * (den // op.denominator), op.numerators)
-    return _reduced(Operator, acc, poly.denominator * den)
+    return _built(Operator, acc, poly.denominator * den)
 
 
 # -- rendering ----------------------------------------------------------------

@@ -6,12 +6,13 @@ from random import Random
 
 import pytest
 
-from quantlab.coeffring import Coefficient, Monomial, mono_mul, neg_i_hbar
-from quantlab.phasepoly import PhasePoly, PhaseVar
+from quantlab.coeffring import Coefficient, Monomial
+from quantlab.phasepoly import PhasePoly, PhaseVar, poisson
 from quantlab.quantizer import Scheme, quantize
 from quantlab.weylalgebra import Operator, apply_to_polynomial, classical_symbol, op_mul
 
-from reference_kernels import conjugate, partial, px_hat, x_hat
+import reference_kernels as ref
+from reference_kernels import conjugate, mono_mul, neg_i_hbar, partial, px_hat, x_hat
 from randgen import (
     flatten,
     rand_coefficient,
@@ -104,6 +105,45 @@ def test_neg_i_hbar_matches_ring_power():
         ):
             product, factor = mono_mul(key, power)
             assert cls.monomial(product, sign * factor) == cls.monomial(key) * ring_power
+
+
+def test_the_int_product_states_both_reductions():
+    # a key product is one int add, and both reductions apply when the
+    # sums are collected: alone, on mixed keys, and where a reduced key
+    # meets a key that needed no reduction
+    sqrt2, i = Coefficient.sqrt2(), Coefficient.i()
+    hbar, omega = Coefficient.hbar(), Coefficient.omega()
+    assert sqrt2 * sqrt2 == 2
+    assert i * i == -1
+    assert (sqrt2 * i * omega) * (sqrt2 * i * hbar) == -2 * hbar * omega
+    assert (sqrt2 * i) * (sqrt2 * omega) == 2 * i * omega
+    assert (i * omega) * (sqrt2 * i) == -sqrt2 * omega
+    x = PhasePoly.variable(PhaseVar.X)
+    # (sqrt2 i x)^2 = -2 x^2 lands on the key of -x^2
+    assert (x * sqrt2 * i + x) * (x * sqrt2 * i - x) == x ** 2 * -3
+    # three powers of i meet in quantize: the term's and one from each
+    # pair's -i hbar / 2, i * (-i hbar / 2)^2 = -i hbar^2 / 4
+    xp, yq = Operator.monomial(Monomial(a=1, c=1)), Operator.monomial(Monomial(b=1, d=1))
+    expected = i * xp * yq + (xp + yq) * hbar * Fraction(1, 2) - i * hbar * hbar * Fraction(1, 4)
+    assert quantize(Scheme.WEYL, PhasePoly.monomial(Monomial(1, 1, 1, 1, e=1))) == expected
+
+
+def test_products_and_brackets_match_the_tuple_reference():
+    # the commutative product and poisson against tests/reference_kernels,
+    # which multiply Monomial keys by mono_mul; counted: pairs on which
+    # both reductions meet at some term pair
+    rng = Random(20261102)
+    meetings = 0
+    for _ in range(800):
+        f, g = rand_phase_poly(rng, max_terms=3), rand_phase_poly(rng, max_terms=3)
+        assert f * g == ref.tuple_product(f, g)
+        assert poisson(f, g) == ref.tuple_poisson(f, g)
+        a, b = rand_coefficient(rng), rand_coefficient(rng)
+        assert a * b == ref.tuple_product(a, b)
+        meetings += any(
+            k1.r and k2.r and k1.e and k2.e for k1 in f.numerators for k2 in g.numerators
+        )
+    assert meetings >= 300
 
 
 def test_reductions_at_every_level():

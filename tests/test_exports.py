@@ -59,3 +59,12 @@ def test_every_export_is_reached_by_the_program_or_its_benchmark():
         reached |= _references(ast.parse(path.read_text()), strings)
     unreached = sorted(_exports() - reached)
     assert not unreached, f"exported but reached only from tests: {unreached}"
+
+
+def test_no_module_of_the_package_reads_the_per_call_views():
+    # numerators and terms build a Monomial view of a map on each call,
+    # for tests and other readers outside; the package reads the int keys
+    for path in PACKAGE.rglob("*.py"):
+        tree = ast.parse(path.read_text())
+        attrs = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+        assert not attrs & {"numerators", "terms"}, path.name

@@ -110,27 +110,27 @@ def test_exponential_probe_references_no_normal_ordering_kernel():
     # the Leibniz weight C(c,k) i!/(i-k)! equals swap_weight(c, i, k); the
     # oracle derives it from its own derivative rule instead, and it runs
     # its own pass over term pairs, not op_mul's product loop or a helper
-    # split out of it (_expand).  The pack helpers of coeffring are
-    # checked with it
+    # split out of it (_expand).  The key helpers of coeffring that it
+    # reads (phase_terms and _folded) are checked with it
     kernel = (
         verify_module.commutator_matches_action,
         weylalgebra._leibniz_shifts.__wrapped__,
         weylalgebra.probe_image,
         weylalgebra.probe_bracket,
         weylalgebra.apply_to_polynomial,
-        coeffring.pack,
-        coeffring.pack_terms,
-        coeffring.unpack_terms,
+        coeffring.phase_terms,
+        coeffring._checked,
+        coeffring._folded,
     )
     names = set().union(*(_code_names(fn.__code__) for fn in kernel))
-    assert {"_leibniz_shifts", "pack_terms", "unpack_terms"} <= names
+    assert {"_leibniz_shifts", "phase_terms", "_folded"} <= names
     assert not names & {"swap_weight", "_corrections", "op_mul", "commutator", "_expand"}
 
 
 def test_only_weylalgebra_handles_the_oracles_packed_keys():
-    # verify compares two images; packing, acting and unpacking stay in
-    # weylalgebra and coeffring
-    for name in ("pack_terms", "unpack_terms", "_reduced"):
+    # verify compares two images; reading keys, acting and reducing stay
+    # in weylalgebra and coeffring
+    for name in ("phase_terms", "_folded", "_reduced"):
         assert not hasattr(verify_module, name)
 
 

@@ -1,16 +1,16 @@
-"""The packed-key kernels of weylalgebra against tuple-key references.
+"""The int-key kernels against tuple-key references, and the key layout.
 
-op_mul, commutator and probe_bracket pack each input map's keys into one
-int (coeffring.pack_terms) and unpack their result once; probe_bracket
-packs the words of each factor's probe_image.  Here they, and
-probe_image's relabel, must equal the Monomial-key kernels of
+Every term map stores each key as one int (coeffring), and op_mul,
+commutator and probe_bracket add keys and reduce their sums once;
+probe_bracket reads the words of each factor's probe_image.  Here they,
+and probe_image's relabel, must equal the Monomial-key kernels of
 reference_kernels.py on seeded random operators, through both ring
 reductions at the base product and at a correction, and up to the stated
-exponent bound, past which packing refuses rather than carries into the
-next field.  commutator and probe_bracket skip the table lookups that are
-known to be empty and the base reduction of a left key with neither
-sqrt2 nor i; the skips must be exact, and the skipped work must stay
-skipped.
+exponent bound, past which every kernel refuses an operand rather than
+carry into the next field.  commutator and probe_bracket skip the table
+lookups that are known to be empty; the skips must be exact, and the
+skipped work must stay skipped.  The layout itself must round-trip every
+Monomial whose exponents fit their fields, and refuse the others.
 """
 
 from itertools import product
@@ -18,15 +18,16 @@ from random import Random
 
 import pytest
 
-from quantlab import weylalgebra
-from quantlab.coeffring import E2, PACK_LIMIT, R2, _ROOTS, Coefficient, Monomial, pack
-from quantlab.generators import OscillatorParams, hamiltonian, k_integral
-from quantlab.phasepoly import PhasePoly
+from quantlab import coeffring, generators, weylalgebra
+from quantlab.coeffring import E2, PACK_LIMIT, R2, _ROOTS, Coefficient, Monomial, pack, unpack
+from quantlab.generators import OscillatorParams, hamiltonian, k_integral, ladder_products
+from quantlab.phasepoly import PhasePoly, poisson
 from quantlab.quantizer import Scheme, quantize, quantize_ladder
 from quantlab.weylalgebra import (
     Operator,
     _corrections,
     _leibniz_shifts,
+    apply_to_polynomial,
     commutator,
     op_mul,
     probe_bracket,
@@ -81,11 +82,38 @@ def test_probe_image_matches_reference_on_random_operators():
 
 
 def test_the_root_bits_sit_at_the_named_offset():
-    # the kernels' test of a left key for sqrt2 or i reads _ROOTS, the
-    # offset of pack's r and e fields, and the masks are derived from it
+    # the r and e fields sit at _ROOTS and _ROOTS + 2, and the masks of
+    # their guard bits are derived from them
     assert pack(Monomial(r=1)) == 1 << _ROOTS and pack(Monomial(e=1)) == 4 << _ROOTS
     assert R2 == 2 * pack(Monomial(r=1)) and E2 == 2 * pack(Monomial(e=1))
     assert pack(Monomial(*[LARGEST] * 6)) >> _ROOTS == 0
+    # each unit key is the key of its one-field monomial
+    for field, unit in zip(Monomial._fields, "X Y PX PY HBAR OMEGA SQRT2 I".split()):
+        unit = getattr(coeffring, unit)
+        assert pack(Monomial(**{field: 1})) == unit
+        assert unpack(unit) == Monomial(**{field: 1})
+    # the round trip, on random monomials up to the top of every field
+    top = (1 << 16) - 1
+    rng = Random(20261101)
+    monomials = [Monomial(*[top] * 6, 1, 1), Monomial()]
+    for _ in range(2000):
+        exps = [rng.choice((0, 1, top, rng.randint(0, top))) for _ in range(6)]
+        monomials.append(Monomial(*exps, rng.randint(0, 1), rng.randint(0, 1)))
+    for mono in monomials:
+        assert unpack(pack(mono)) == mono
+    assert len({pack(mono) for mono in monomials}) == len(set(monomials))
+
+
+@pytest.mark.parametrize("field", "abcdhw")
+def test_the_constructor_refuses_an_exponent_past_its_field(field):
+    over = Monomial(**{field: 1 << 16})
+    for cls in (Coefficient, PhasePoly, Operator):
+        with pytest.raises(ValueError, match="term key"):
+            cls({over: 1})
+        with pytest.raises(ValueError, match="term key"):
+            cls.monomial(over)
+    top = Monomial(**{field: (1 << 16) - 1})
+    assert Operator({top: 1}).numerators == {top: 1}
 
 
 def test_both_reductions_at_the_base_and_at_a_correction():
@@ -144,6 +172,63 @@ def test_exponents_at_the_pack_limit_are_refused(field):
             op_mul(left, right)
         with pytest.raises(ValueError, match="packed key"):
             probe_bracket(left, right)
+
+
+def _weyl_of(poly: PhasePoly) -> Operator:
+    return quantize(Scheme.WEYL, poly)
+
+
+# Each kernel with the classes of its operands.
+_KERNELS = {
+    "*": (lambda f, g: f * g, PhasePoly, PhasePoly),
+    "poisson": (poisson, PhasePoly, PhasePoly),
+    "quantize": (_weyl_of, PhasePoly),
+    "op_mul": (op_mul, Operator, Operator),
+    "commutator": (commutator, Operator, Operator),
+    "probe_image": (probe_image, Operator),
+    "probe_bracket": (probe_bracket, Operator, Operator),
+    "apply_to_polynomial": (apply_to_polynomial, Operator, PhasePoly),
+}
+
+
+@pytest.mark.parametrize("field", "abcdhw")
+@pytest.mark.parametrize("kernel", list(_KERNELS))
+def test_every_kernel_refuses_an_operand_exponent_at_the_pack_limit(kernel, field):
+    # on either operand: a stored key holds it, but a kernel's sums could
+    # carry it into the next field
+    fn, *classes = _KERNELS[kernel]
+    over, x = Monomial(**{field: PACK_LIMIT}), Monomial(a=1)
+    for side in range(len(classes)):
+        args = [cls.monomial(over if index == side else x) for index, cls in enumerate(classes)]
+        with pytest.raises(ValueError, match="packed key"):
+            fn(*args)
+
+
+class _Built(Exception):
+    pass
+
+
+def test_the_ladder_builds_refuse_m_or_n_at_the_pack_limit(monkeypatch):
+    # refused before any term is built: no ladder power is written
+    def refuse(*args):
+        raise _Built
+
+    monkeypatch.setattr(generators, "_ladder_power", refuse)
+    builds = (
+        k_integral,
+        ladder_products,
+        lambda params: ladder_products(params, quantum=True),
+        lambda params: quantize_ladder(params, 1),
+        lambda params: quantize_ladder(params, 2),
+    )
+    for m, n in ((PACK_LIMIT, 1), (1, PACK_LIMIT), (PACK_LIMIT, PACK_LIMIT)):
+        for build in builds:
+            with pytest.raises(ValueError, match="packed key"):
+                build(OscillatorParams(m, n))
+    # just below the limit the build starts
+    for build in builds:
+        with pytest.raises(_Built):
+            build(OscillatorParams(LARGEST, LARGEST))
 
 
 @pytest.mark.parametrize("key", [Monomial(c=1, h=LARGEST), Monomial(c=LARGEST, d=1)])

@@ -15,7 +15,7 @@ from random import Random
 
 import pytest
 
-from quantlab import render
+from quantlab import coeffring, render
 from quantlab.coeffring import Coefficient, Monomial
 from quantlab.generators import OscillatorParams, hamiltonian, k_integral
 from quantlab.quantizer import Scheme, quantize
@@ -208,7 +208,7 @@ def _five_renders(op: Operator) -> list:
 def test_five_renders_group_once(monkeypatch):
     calls = []
     relabels = []
-    original = render.grouped
+    original = coeffring.grouped
     original_relabel = render.derivative_groups
 
     def counting(nums, den):
@@ -219,7 +219,7 @@ def test_five_renders_group_once(monkeypatch):
         relabels.append(len(groups))
         return original_relabel(groups)
 
-    monkeypatch.setattr(render, "grouped", counting)
+    monkeypatch.setattr(coeffring, "grouped", counting)
     monkeypatch.setattr(render, "derivative_groups", counting_relabel)
     op = quantize(Scheme.BORN_JORDAN, parse_polynomial("x^2*py^3 - (1/2 + i)*hbar*y*px + sqrt2"))
     renders = _five_renders(op)
