@@ -5,8 +5,11 @@ Two monomial ordering rules are implemented for each canonical pair:
     Born-Jordan:  x^r p^s -> 1/(s+1)   sum_k          P^(s-k) X^r P^k
     Weyl:         x^r p^s -> 1/2^s     sum_k C(s, k)  P^(s-k) X^r P^k
 
-Each sum has a closed normal-ordered form (quantize_monomial), cached
-per one-pair monomial, so the degree range bounds the cache.
+In normal order both are the swap identity of P^s X^r (weylalgebra's
+_corrections) with its j-th term weighted by mu_j, 1/(j+1) for
+Born-Jordan and 2^-j for Weyl: mu_j is all that tells the schemes apart
+(quantize_monomial).  The images are cached per one-pair monomial, so
+the degree range bounds the cache.
 
 The pairs commute, so quantize joins each term's two one-pair images
 with the term's parameter part in one double loop: the three keys add,
@@ -28,23 +31,10 @@ from enum import Enum
 from functools import lru_cache
 from math import lcm
 
-from quantlab.coeffring import (
-    HBAR,
-    I,
-    PX,
-    PY,
-    X,
-    Y,
-    Monomial,
-    _folded,
-    _reduced,
-    pack,
-    phase_terms,
-    unpack,
-)
+from quantlab.coeffring import _PHASE, Monomial, _folded, _reduced, pack, phase_terms
 from quantlab.generators import OscillatorParams, _ladder_parts
-from quantlab.phasepoly import _X_PX, _Y_PY, PhasePoly
-from quantlab.weylalgebra import Operator, swap_weight
+from quantlab.phasepoly import PhasePoly
+from quantlab.weylalgebra import Operator, _corrections
 
 
 class Scheme(Enum):
@@ -53,36 +43,38 @@ class Scheme(Enum):
 
 
 @lru_cache(maxsize=None)
-def quantize_monomial(scheme: Scheme, mono: Monomial) -> Operator:
-    """Quantize the phase part of a classical monomial under the given
-    scheme.  quantize reads only one-pair and constant images from here.
+def quantize_monomial(scheme: Scheme, mono: tuple) -> Operator:
+    """Quantize the phase part (a, b, c, d) = mono[:4] of a classical
+    monomial, a Monomial or a tuple, under the given scheme.  quantize
+    reads only one-pair and constant images from here, by phase tuple.
 
-    x^r p^s on one axis maps to sum_j rule_j / den (-i hbar)^j X^(r-j)
-    P^(s-j).  Swapping P^(s-k) past X^r term by term, the ordering sum
-    collapses to rule_j / den = swap_weight(s, r, j) mu_j, with
-    mu_j = 1/(j+1) for Born-Jordan (sum_k C(s-k, j) = C(s+1, j+1)) and
-    2^-j for Weyl (sum_k C(s, k) C(s-k, j) = C(s, j) 2^(s-j)).  A mixed
-    monomial's image is the product of its one-pair images, joined by
-    quantize.  TypeError for a scheme that is not a Scheme member: only a
-    cache miss runs this check.
+    Swapping P^(s-k) past X^r term by term, the ordering sum of x^r p^s
+    on one axis collapses to sum_j mu_j t_j, where
+    t_j = j! C(s,j) C(r,j) (-i hbar)^j X^(r-j) P^(s-j) is the j-th term
+    of the swap identity of P^s X^r: for Born-Jordan
+    sum_k C(s-k, j) = C(s+1, j+1) gives mu_j = 1/(j+1), for Weyl
+    sum_k C(s, k) C(s-k, j) = C(s, j) 2^(s-j) gives mu_j = 2^-j.  t_0 is
+    the word itself, and _corrections(c, a, d, b) lists t_1, t_2, ... in
+    order, as (key shift, signed weight).  A mixed monomial's image is
+    the product of its one-pair images, joined by quantize.  Only a cache
+    miss runs the checks: TypeError for a scheme that is not a Scheme
+    member, and the Monomial constructor's ValueError for an exponent
+    that is negative or not an int, or pack's for one above its field.
     """
     if not isinstance(scheme, Scheme):
         raise TypeError(f"scheme must be a Scheme member, got {scheme!r}")
     a, b, c, d = mono[:4]
+    mono = Monomial(a, b, c, d)
     if (a or c) and (b or d):
-        return quantize(scheme, PhasePoly.monomial(Monomial(a, b, c, d)))
-    born_jordan = scheme is Scheme.BORN_JORDAN
-    r, s = a + b, c + d
-    den = s + 1 if born_jordan else 2 ** s
-    # one pair's exponents are nonzero, and j <= min(r, s) lowers only them
-    base, pair = pack(Monomial(a, b, c, d)), _X_PX if a or c else _Y_PY
-    nums = {}
-    for j in range(min(r, s) + 1):
-        weight = swap_weight(s, r, j) * den // (j + 1 if born_jordan else 2 ** j)
-        # (-i hbar)^j: hbar^j, an i for an odd j, and the sign of (-i)^j,
-        # which cycles 1, -i, -1, i
-        key = base - j * pair + j * HBAR + (j & 1) * I
-        nums[key] = -weight if j % 4 in (1, 2) else weight
+        return quantize(scheme, PhasePoly.monomial(mono))
+    base = pack(mono)
+    swaps = _corrections(c, a, d, b)
+    # mu_j = 1/q_j, the one place where the schemes differ
+    q = [j + 1 if scheme is Scheme.BORN_JORDAN else 1 << j for j in range(len(swaps) + 1)]
+    den = lcm(*q)
+    nums = {base: den}
+    for (shift, weight), q_j in zip(swaps, q[1:]):
+        nums[base + shift] = weight * (den // q_j)
     return _reduced(Operator, nums, den)
 
 
@@ -96,11 +88,10 @@ def quantize(scheme: Scheme, poly: PhasePoly) -> Operator:
         raise TypeError(f"quantize takes a PhasePoly, got {type(poly).__name__}")
     parts = []
     for key, value, a, b, c, d in phase_terms(poly._nums):
-        x_key, y_key = a * X + c * PX, b * Y + d * PY
-        x = quantize_monomial(scheme, unpack(x_key))
-        y = quantize_monomial(scheme, unpack(y_key))
+        x = quantize_monomial(scheme, (a, 0, c, 0))
+        y = quantize_monomial(scheme, (0, b, 0, d))
         # the term's parameter part, its key less its phase part
-        parts.append((key - x_key - y_key, value, x, y))
+        parts.append((key & ~_PHASE, value, x, y))
     den = lcm(*(x._den * y._den for _, _, x, y in parts))
     acc: dict[int, int] = {}
     get = acc.get

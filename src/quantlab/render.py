@@ -20,9 +20,9 @@ first factor carries '^'.  A key is two halves, (a, b) and (c, d), as
 powers or, in derivative form, x^a y^b then d^(c+d)/dx^c dy^d; each
 half's run, and each coefficient's (h, w, r), is made once per style and
 names and kept, never a whole key, so the caches grow with the degree
-rendered, not with the terms.  key_text reads one phase part the same
-way.  Only grouped views and phase tuples come in, so this module
-imports nothing from the package.
+rendered, not with the terms.  key_text is join_terms on one key with
+the unit coefficient.  Only grouped views and phase tuples come in, so
+this module imports nothing from the package.
 """
 
 from __future__ import annotations
@@ -152,15 +152,6 @@ def scalar(re: Rational, im: Rational, style: Style) -> str:
 # the fold of -1 reads.  The empty run ("", False) is the factor 1.
 
 
-def _cat(left: tuple[str, bool], right: tuple[str, bool], join: str) -> tuple[str, bool]:
-    """The run of left's factors, then right's."""
-    if not right[0]:
-        return left
-    if not left[0]:
-        return right
-    return left[0] + join + right[0], left[1]
-
-
 def _powers(style: Style, names: tuple, exponents: tuple, join: str = "") -> tuple[str, bool]:
     """The run of name^exp, or name for exp 1, joined by join or style.join."""
     factors = [name if exp == 1 else style.power % (name, exp)
@@ -211,9 +202,9 @@ def _key_halves(kind: str, style: Style) -> tuple[_Halves, _Halves]:
 
 
 def key_text(phase, kind: str, style: Style) -> str:
-    """The key (a, b, c, d) of a kind of term map as text; "" for 1."""
-    firsts, seconds = _key_halves(kind, style)
-    return _cat(firsts[phase[:2]], seconds[phase[2:]], style.join)[0]
+    """The key (a, b, c, d) of a kind of term map as text; "1" for the
+    constant key.  It is join_terms of the key with the unit coefficient."""
+    return join_terms(((phase, (((0, 0, 0), _ONE, _ZERO),)),), kind, style)
 
 
 def _scaled(re: Rational, im: Rational, run: tuple[str, bool], style: Style) -> str:
@@ -253,7 +244,7 @@ def join_terms(groups, kind: str, style: Style) -> str:
     terms = []
     for phase, group in groups:
         # the runs of the key's halves, then of the coefficient's
-        # parameters, joined as _cat joins them
+        # parameters, each left out when empty
         key, caret = firsts[phase[:2]]
         tail, tail_caret = seconds[phase[2:]]
         if not key:

@@ -8,8 +8,8 @@ One writer, json_chunks, produces every JSON report, the bytes of
 json.dumps(value, indent=2) plus a newline, in chunks, so a sweep is
 written record by record and never held whole.  It writes an Operator
 value as operator_json would make it, straight from the operator's
-grouped view; record_json and sweep_json hand their operators over that
-way when expand is False.
+grouped view; record_json hands its operators over that way when
+expand is False, and sweep_json always does.
 """
 
 from __future__ import annotations
@@ -199,11 +199,9 @@ def render_record(record: VerificationRecord, fmt: str) -> str:
     return record_text(record)
 
 
-def sweep_json(
-    records: list[VerificationRecord], max_sum: int, target: str, claims: list, expand: bool = True
-) -> dict:
-    """The JSON sweep report; claims is failed_claims of each record, in
-    order, and expand is passed to record_json."""
+def sweep_json(records: list[VerificationRecord], max_sum: int, target: str, claims: list) -> dict:
+    """The JSON sweep report, its operators left to json_chunks; claims is
+    failed_claims of each record, in order."""
     failures = [fail for fails in claims for fail in fails]
     return {
         "max_sum": max_sum,
@@ -211,7 +209,7 @@ def sweep_json(
         "note": SWEEP_NOTE,
         "all_claims_hold": not failures,
         "failures": failures,
-        "records": [record_json(record, expand) for record in records],
+        "records": [record_json(record, expand=False) for record in records],
     }
 
 
@@ -243,19 +241,11 @@ def sweep_chunks(
     record, in order.  The JSON report is encoded as it is read, an
     operator at a time."""
     if fmt == "json":
-        return json_chunks(sweep_json(records, max_sum, target, claims, expand=False))
+        return json_chunks(sweep_json(records, max_sum, target, claims))
     return (sweep_text(records, max_sum, target, claims),)
 
 
-def render_sweep(
-    records: list[VerificationRecord],
-    max_sum: int,
-    target: str,
-    fmt: str,
-    claims: list[list[str]] | None = None,
-) -> str:
-    """The sweep report in fmt; claims, failed_claims of each record in
-    order, is computed here unless the caller has it."""
-    if claims is None:
-        claims = [failed_claims(record) for record in records]
+def render_sweep(records: list[VerificationRecord], max_sum: int, target: str, fmt: str) -> str:
+    """The sweep report in fmt, with the failed_claims of each record."""
+    claims = [failed_claims(record) for record in records]
     return "".join(sweep_chunks(records, max_sum, target, fmt, claims))

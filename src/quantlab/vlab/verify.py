@@ -203,7 +203,7 @@ def failed_claims(record: VerificationRecord) -> list[str]:
         detail = ""
         if record.oracle_failure is not None:
             scheme, term = record.oracle_failure
-            word = render.key_text(term[:4], "differential", render.TEXT) or "1"
+            word = render.key_text(term[:4], "differential", render.TEXT)
             detail = f" ({scheme} check, first differing term {word})"
         fails.append(f"{where}: symbolic commutator disagrees with action oracle{detail}")
     if not record.weyl_commutes:

@@ -7,7 +7,9 @@ freely.  Products are re-normalized with the closed-form swap identity
     P^s X^r = sum_k k! C(s,k) C(r,k) (-i hbar)^k X^(r-k) P^(s-k),
 
 which matches iterated single swaps exactly (swap_weight is its integer
-weight; _corrections writes its (-i hbar)^k).  The k = 0 term of a
+weight; _corrections writes its (-i hbar)^k).  _corrections is the one
+statement of the identity for products, commutators and quantization:
+quantizer weights its terms by an ordering rule's mu_k.  The k = 0 term of a
 product of two words is their commutative product, the same key with
 the same value in either order, so a commutator builds neither product:
 the base terms cancel, and it accumulates only the reordering
@@ -69,8 +71,10 @@ def _corrections(s1: int, r1: int, s2: int, r2: int) -> tuple[tuple[int, int], .
     Px by k1 and Y and Py by k2 (_X_PX, _Y_PY) and carries
     (-i hbar)^(k1+k2), whose sign joins the two swap weights.  The shift
     is written directly, as hbar^k and, for an odd k = k1 + k2, an i; the
-    weight takes the sign of (-i)^k.  Empty exactly when the words commute,
-    not (s1 and r1 or s2 and r2), and commutator then skips the lookup."""
+    weight takes the sign of (-i)^k.  The terms come by k1, then k2, so a
+    one-pair word's come by k (quantizer.quantize_monomial).  Empty exactly
+    when the words commute, not (s1 and r1 or s2 and r2), and commutator
+    then skips the lookup."""
     out = []
     for k1 in range(min(s1, r1) + 1):
         for k2 in range(min(s2, r2) + 1):

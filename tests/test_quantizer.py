@@ -1,12 +1,14 @@
 """Quantization rules: frozen operator images, scheme comparisons, and a
 naive word-sum oracle built on single-swap rewriting."""
 
+import sys
 from fractions import Fraction
 from math import comb
 from random import Random
 
 import pytest
 
+from quantlab import coeffring
 from quantlab.coeffring import Coefficient, Monomial
 from quantlab.generators import OscillatorParams, hamiltonian, k_integral, ladder_integrals
 from quantlab.phasepoly import PhasePoly, PhaseVar
@@ -52,8 +54,10 @@ def one_pair_oracle(scheme, r, s, x_index=True):
 
 
 def test_monomial_rule_matches_word_sums():
-    for r in range(5):
-        for s in range(5):
+    # the oracle sums the rule's words and swaps letters one at a time, so
+    # it reads neither swap_weight nor weylalgebra._corrections
+    for r in range(11):
+        for s in range(11):
             for scheme in (W, BJ):
                 assert quantize_monomial(scheme, Monomial(a=r, c=s)) == one_pair_oracle(
                     scheme, r, s, x_index=True
@@ -175,6 +179,56 @@ def test_repeated_quantize_hits_the_monomial_cache():
     hits = quantize_monomial.cache_info().hits
     assert quantize(W, h) == first
     assert quantize_monomial.cache_info().hits == hits + 2 * len(h.numerators)
+
+
+def test_quantize_builds_no_monomial_on_a_warm_cache():
+    # a term looks up its one-pair images by phase tuples; a Monomial
+    # (validated by its constructor, or decoded by unpack) per term would
+    # cost more than the lookup itself
+    watched = {Monomial.__new__.__code__, coeffring.unpack.__code__}
+    params = OscillatorParams(3, 2)
+    polys = (hamiltonian(params), k_integral(params))
+    calls = []
+
+    def quantize_all():
+        for scheme in (W, BJ):
+            for poly in polys:
+                quantize(scheme, poly)
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code in watched:
+            calls.append(frame.f_code.co_name)
+
+    quantize_all()
+    sys.setprofile(profile)
+    try:
+        quantize_all()
+    finally:
+        sys.setprofile(None)
+    assert calls == []
+
+
+def test_monomial_and_phase_tuple_give_one_image():
+    for scheme in (W, BJ):
+        for phase in ((3, 0, 4, 0), (0, 5, 0, 2), (0, 0, 0, 0), (2, 1, 2, 3), (1, 1, 0, 1)):
+            image = quantize_monomial(scheme, Monomial(*phase))
+            assert quantize_monomial(scheme, phase) == image
+            assert quantize_monomial(scheme, Monomial(*phase, h=2, e=1)) == image
+
+
+@pytest.mark.parametrize(
+    "phase",
+    [(65536, 0, 0, 0), (0, 0, 0, 65536), (65536, 1, 0, 1), (-1, 0, 2, 0), (0, -2, 0, 0),
+     (1, 0, -1, 0), (1.5, 0, 1, 0), (0, 0, 0, 2.5), ("1", 0, 1, 0), (1, 1, 0.5, 1)],
+)
+def test_quantize_monomial_refuses_a_bad_exponent_in_either_form(phase):
+    # the constructor's check, run on a cache miss; the unchecked Monomial
+    # is built as unpack builds one.  A float equal to an int, 2.0, would
+    # hit the cached image of 2 and is not refused.
+    for mono in (phase, tuple.__new__(Monomial, (*phase, 0, 0, 0, 0))):
+        for scheme in (W, BJ):
+            with pytest.raises(ValueError, match="exponent"):
+                quantize_monomial(scheme, mono)
 
 
 def test_the_monomial_cache_holds_one_pair_images_only():

@@ -330,7 +330,8 @@ def _check_view(groups: tuple, kinds: tuple, seen: Counter) -> None:
         for phase, group in groups:
             assert render.coefficient(group, style) == ref.coefficient(group, style)
             for kind in kinds:
-                expected = style.join.join(_ref_key_factors(kind)(phase, style))
+                # the constant key is written "1"
+                expected = style.join.join(_ref_key_factors(kind)(phase, style)) or "1"
                 assert render.key_text(phase, kind, style) == expected
 
 
