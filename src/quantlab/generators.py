@@ -9,9 +9,9 @@ power b^k is written in closed form (BCH, as [q, p] is central; the
 classical power is its hbar-free slice), and F1 and F2 are read off the
 one product b1^n b2*^m, split by the automorphism i -> -i, hbar -> -hbar
 that sends it to b1*^n b2^m.  K is the constant multiple
--(m/n)^m / (sqrt2 omega) of F2, so it is read off the odd part of the
-product that F2 comes from, by a relabel of its keys: no binomial is
-expanded a second time, and no term of F1 is built.
+-(m/n)^m / (sqrt2 omega) of F2, so it is read off F2 by a relabel of
+its keys: no binomial is expanded a second time, and no term of F1 is
+built.  _ladder_parts is the one ladder builder that all of them read.
 """
 
 from __future__ import annotations
@@ -95,13 +95,21 @@ def _ladder_power(k: int, ratio: Fraction, q: int, p: int, quantum: bool):
     return halves, ratio.denominator ** k * 2 ** top
 
 
-def _forward_parts(params: OscillatorParams, quantum: bool, parities: tuple) -> tuple:
-    """The parts of forward = b1^n b2*^m whose keys' i and hbar exponents
-    have a sum of each given parity (0 even, 1 odd), as one numerator map
-    per parity over their one denominator (ladder_products).
+def _ladder_parts(params: OscillatorParams, quantum: bool, parities: tuple) -> tuple:
+    """The ladder products F1 for parity 0 and F2 for parity 1, one per
+    given parity, as phase-space polynomials or, when quantum, as
+    normal-ordered operators.  This is the one ladder builder.
 
+    With b1 = px - i*omega1*x and b2 = py - i*omega2*y (and their
+    conjugates), F1 = (b1^n b2*^m + b1*^n b2^m)/2 and
+    F2 = -(i/2)(b1^n b2*^m - b1*^n b2^m).  The two pairs commute, so
+    forward = b1^n b2*^m is the plain product of two closed-form powers.
+    The map i -> -i, hbar -> -hbar keeps [x, px] = i hbar, sends b1 to
+    b1* and b2* to b2, and so sends forward to backward = b1*^n b2^m: it
+    flips the sign of each term whose i and hbar exponents have an odd
+    sum.  F1 is forward's even terms and F2 is -i times its odd terms.
     That parity adds over a product of keys, even where i * i = -1 folds,
-    so an odd part takes the odd half of b1^n times the even half of
+    so the odd part takes the odd half of b1^n times the even half of
     b2*^m and the even half times the odd one: no term of another part
     is built.  ValueError for m or n of PACK_LIMIT or more, before any
     term is built.
@@ -112,46 +120,18 @@ def _forward_parts(params: OscillatorParams, quantum: bool, parities: tuple) -> 
     # b1 has alpha = -i sqrt2 omega, b2* has alpha = i (n/m) sqrt2 omega
     x_halves, x_den = _ladder_power(n, Fraction(-1), X, PX, quantum)
     y_halves, y_den = _ladder_power(m, Fraction(n, m), Y, PY, quantum)
-    parts = []
+    cls = Operator if quantum else PhasePoly
+    out = []
     for parity in parities:
         part: dict = {}
         for odd, x_half in enumerate(x_halves):
             _add_products(part, x_half, y_halves[parity ^ odd])
-        parts.append(_folded(part))
-    return tuple(parts), x_den * y_den
-
-
-def _ladder_parts(params: OscillatorParams, quantum: bool, parities: tuple) -> tuple:
-    """F1 for parity 0 and F2 for parity 1, one per given parity, each
-    built from that part of forward alone (_forward_parts): F1 is the even
-    part and F2 is -i times the odd part (ladder_products)."""
-    parts, den = _forward_parts(params, quantum, parities)
-    cls = Operator if quantum else PhasePoly
-    out = []
-    for part, parity in zip(parts, parities):
+        part = _folded(part)
         if parity:
             # -i * i = 1 and -i * 1 = -i
             part = {key ^ I: value if key & I else -value for key, value in part.items()}
-        out.append(_reduced(cls, part, den))
+        out.append(_reduced(cls, part, x_den * y_den))
     return tuple(out)
-
-
-def ladder_products(params: OscillatorParams, quantum: bool = False) -> tuple:
-    """The ladder products (F1, F2), as phase-space polynomials or, when
-    quantum, as normal-ordered operators.
-
-    With b1 = px - i*omega1*x and b2 = py - i*omega2*y (and their
-    conjugates), F1 = (b1^n b2*^m + b1*^n b2^m)/2 and
-    F2 = -(i/2)(b1^n b2*^m - b1*^n b2^m).  The two pairs commute, so
-    forward = b1^n b2*^m is the plain product of two closed-form powers.
-    The map i -> -i, hbar -> -hbar keeps [x, px] = i hbar, sends b1 to
-    b1* and b2* to b2, and so sends forward to backward = b1*^n b2^m: it
-    flips the sign of each term whose i and hbar exponents have an odd
-    sum.  F1 is forward's even terms and F2 is -i times its odd terms
-    (_forward_parts).  Both parts are built here; quantizer.quantize_ladder
-    builds only the one it returns, through the same _ladder_parts.
-    """
-    return _ladder_parts(params, quantum, (0, 1))
 
 
 def ladder_integrals(params: OscillatorParams) -> tuple[PhasePoly, PhasePoly]:
@@ -160,7 +140,7 @@ def ladder_integrals(params: OscillatorParams) -> tuple[PhasePoly, PhasePoly]:
     The 1/sqrt(2*omega_j) normalizations are dropped: they rescale by an
     overall constant and do not affect first-integral status.
     """
-    return ladder_products(params)
+    return _ladder_parts(params, False, (0, 1))
 
 
 def k_integral(params: OscillatorParams) -> PhasePoly:
@@ -174,12 +154,10 @@ def k_integral(params: OscillatorParams) -> PhasePoly:
     in u = (n/m) y, pu = (m/n) py.  {b1*, L} = i s b1*, so
     X_L(G_n) = n E_n, and F2 = Im(b1^n b2*^m) = -s (n/m)^m (P G_n + n D E_n).
     Every key of F2 thus carries sqrt2^1, i^0 and an odd power of omega,
-    and dividing by s lowers those two exponents by one.  F2 is -i times
-    forward's odd part (ladder_products), whose keys all carry i^1, and
-    -i * i = 1, so K is built from that part alone: each key loses its
-    sqrt2, its i and one omega, and its value takes the factor -(m/n)^m.
+    so K is F2 (_ladder_parts) with each key's sqrt2 and one omega taken
+    off and each value times -(m/n)^m.
     """
     m, n = params.m, params.n
-    (odd,), den = _forward_parts(params, False, (1,))
-    nums = {key - (SQRT2 + I + OMEGA): -(m ** m) * value for key, value in odd.items()}
-    return _reduced(PhasePoly, nums, den * n ** m)
+    (f2,) = _ladder_parts(params, False, (1,))
+    nums = {key - (SQRT2 + OMEGA): -(m ** m) * value for key, value in f2._nums.items()}
+    return _reduced(PhasePoly, nums, f2._den * n ** m)

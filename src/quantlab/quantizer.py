@@ -18,11 +18,12 @@ own) reduce as one.  Output is always normal ordered, which makes
 operator equality a structural check.
 
 The module also provides the direct ladder-operator quantization, a
-route apart from the ordering rules: generators.ladder_products writes
-each ladder power b^k in normal order in closed form (BCH, as [q, p] is
-central) and reads F1 and F2 off the one product b1^n b2*^m, split by
-the automorphism i -> -i, hbar -> -hbar that sends it to b1*^n b2^m.
-quantize_ladder builds only the part of that product it returns.
+route apart from the ordering rules: generators._ladder_parts, the one
+ladder builder, writes each ladder power b^k in normal order in closed
+form (BCH, as [q, p] is central) and reads F1 and F2 off the one product
+b1^n b2*^m, split by the automorphism i -> -i, hbar -> -hbar that sends
+it to b1*^n b2^m.  quantize_ladder builds only the part of that product
+it returns.
 """
 
 from __future__ import annotations
@@ -42,11 +43,10 @@ class Scheme(Enum):
     WEYL = "weyl"
 
 
-@lru_cache(maxsize=None)
-def quantize_monomial(scheme: Scheme, mono: tuple) -> Operator:
-    """Quantize the phase part (a, b, c, d) = mono[:4] of a classical
-    monomial, a Monomial or a tuple, under the given scheme.  quantize
-    reads only one-pair and constant images from here, by phase tuple.
+@lru_cache(maxsize=None, typed=True)
+def quantize_monomial(scheme: Scheme, a: int, b: int, c: int, d: int) -> Operator:
+    """Quantize the classical monomial x^a y^b px^c py^d under the given
+    scheme.  quantize reads only one-pair and constant images from here.
 
     Swapping P^(s-k) past X^r term by term, the ordering sum of x^r p^s
     on one axis collapses to sum_j mu_j t_j, where
@@ -60,10 +60,11 @@ def quantize_monomial(scheme: Scheme, mono: tuple) -> Operator:
     miss runs the checks: TypeError for a scheme that is not a Scheme
     member, and the Monomial constructor's ValueError for an exponent
     that is negative or not an int, or pack's for one above its field.
+    The cache is typed, so a float or bool exponent equal to a cached
+    int, 2.0 or True, misses it and is refused too.
     """
     if not isinstance(scheme, Scheme):
         raise TypeError(f"scheme must be a Scheme member, got {scheme!r}")
-    a, b, c, d = mono[:4]
     mono = Monomial(a, b, c, d)
     if (a or c) and (b or d):
         return quantize(scheme, PhasePoly.monomial(mono))
@@ -88,8 +89,8 @@ def quantize(scheme: Scheme, poly: PhasePoly) -> Operator:
         raise TypeError(f"quantize takes a PhasePoly, got {type(poly).__name__}")
     parts = []
     for key, value, a, b, c, d in phase_terms(poly._nums):
-        x = quantize_monomial(scheme, (a, 0, c, 0))
-        y = quantize_monomial(scheme, (0, b, 0, d))
+        x = quantize_monomial(scheme, a, 0, c, 0)
+        y = quantize_monomial(scheme, 0, b, 0, d)
         # the term's parameter part, its key less its phase part
         parts.append((key & ~_PHASE, value, x, y))
     den = lcm(*(x._den * y._den for _, _, x, y in parts))
@@ -111,7 +112,7 @@ def quantize_ladder(params: OscillatorParams, which: int) -> Operator:
     """Quantize ladder integral F1 (which = 1) or F2 (which = 2) directly.
 
     The ladder product is built as a normal-ordered operator in closed
-    form (generators.ladder_products), unnormalized to match the
+    form (generators._ladder_parts), unnormalized to match the
     classical ladder integrals.  Only the part returned is built: the
     even part of b1^n b2*^m for F1, the odd part for F2.  which is the
     int 1 or 2: a bool or float equal to one is refused.

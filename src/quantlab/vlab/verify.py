@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 from quantlab import render
 from quantlab.coeffring import Monomial
-from quantlab.generators import OscillatorParams, hamiltonian, k_integral, ladder_products
+from quantlab.generators import OscillatorParams, hamiltonian, k_integral
 from quantlab.phasepoly import poisson
 from quantlab.quantizer import Scheme, quantize, quantize_ladder
 from quantlab.weylalgebra import (
@@ -36,7 +36,7 @@ from quantlab.weylalgebra import (
 
 # The target table.  A Target is an integral a record verifies: its name
 # in records and on the command line, its LaTeX symbol, and the w of the
-# ladder integral F_w it builds (generators.ladder_products), None for the
+# ladder integral F_w it builds (quantizer.quantize_ladder), None for the
 # integral K.  SWEEP_TARGETS gives the targets of each sweep target, in
 # record order.
 Target = namedtuple("Target", "name latex ladder")
@@ -167,24 +167,20 @@ def sweep(max_sum: int, target: str = K.name) -> list[VerificationRecord]:
     """Records for all m, n >= 1 with m + n <= max_sum.
 
     Deterministic order: m + n ascending, then m ascending, then the
-    targets that target expands to (SWEEP_TARGETS).  The ladder targets
-    of one pair share one build of (F1, F2).
+    targets that target expands to (SWEEP_TARGETS).  Each record is the
+    one its per-pair entry, verify_pair or verify_ladder_pair, returns.
     """
     if not isinstance(max_sum, int) or max_sum < 2:
         raise ValueError("max_sum must be an integer >= 2")
     targets = SWEEP_TARGETS.get(target)
     if targets is None:
         raise ValueError(f"target must be one of {', '.join(map(repr, SWEEP_TARGETS))}")
-    records = []
-    for total in range(2, max_sum + 1):
-        for m in range(1, total):
-            params = OscillatorParams(m, total - m)
-            if targets == (K,):
-                records.append(_verify(params, K))
-            else:
-                ladder_ops = ladder_products(params, quantum=True)
-                records += [_verify(params, t, ladder_ops[t.ladder - 1]) for t in targets]
-    return records
+    return [
+        verify_pair(m, s - m) if t.ladder is None else verify_ladder_pair(m, s - m, t.ladder)
+        for s in range(2, max_sum + 1)
+        for m in range(1, s)
+        for t in targets
+    ]
 
 
 def failed_claims(record: VerificationRecord) -> list[str]:

@@ -341,8 +341,8 @@ def quantize(scheme, poly: PhasePoly) -> Operator:
     parts = []
     for key, value in poly.numerators.items():
         image = op_mul(
-            quantize_monomial(scheme, Monomial(a=key.a, c=key.c)),
-            quantize_monomial(scheme, Monomial(b=key.b, d=key.d)),
+            quantize_monomial(scheme, key.a, 0, key.c, 0),
+            quantize_monomial(scheme, 0, key.b, 0, key.d),
         )
         parts.append((key._replace(a=0, b=0, c=0, d=0), value, image))
     den = lcm(*(op.denominator for _, _, op in parts))

@@ -1,6 +1,6 @@
 """The closed-form ladder builder against ladder atoms raised to powers.
 
-generators.ladder_products writes b^n directly in normal order and reads
+generators._ladder_parts writes b^n directly in normal order and reads
 F1 and F2 off the one product b1^n b2*^m.  The reference here is the
 atom-power construction it replaced: the ladder factors built from the
 four phase-space variables or operators, raised with ** and multiplied
@@ -13,10 +13,12 @@ import pytest
 
 from quantlab import generators, quantizer
 from quantlab.coeffring import Coefficient, Monomial
-from quantlab.generators import OscillatorParams, ladder_integrals, ladder_products
+from quantlab.generators import OscillatorParams, ladder_integrals
 from quantlab.phasepoly import PhasePoly, PhaseVar
 from quantlab.quantizer import quantize_ladder
+from quantlab.vlab import verify
 from quantlab.vlab.verify import verify_ladder_pair
+from quantlab.weylalgebra import classical_symbol
 
 from reference_kernels import px_hat, py_hat, x_hat, y_hat
 from test_oracle import _code_names
@@ -56,15 +58,9 @@ def test_closed_form_matches_atom_powers(m, n):
 def test_ladder_route_references_no_ordering_rule():
     # ladder_equals_weyl is a check only while the ladder route derives its
     # normal order from BCH, not from the quantizer's ordering rules
-    route = (
-        generators.ladder_products,
-        generators._ladder_parts,
-        generators._forward_parts,
-        generators._ladder_power,
-        quantizer.quantize_ladder,
-    )
+    route = (generators._ladder_parts, generators._ladder_power, quantizer.quantize_ladder)
     names = set().union(*(_code_names(fn.__code__) for fn in route))
-    assert {"_ladder_parts", "_forward_parts", "_ladder_power"} <= names
+    assert {"_ladder_parts", "_ladder_power"} <= names
     assert not names & {
         "quantize",
         "quantize_monomial",
@@ -86,13 +82,13 @@ def test_which_is_the_int_one_or_two(which):
 
 def test_quantize_ladder_builds_only_the_part_it_returns(monkeypatch):
     asked = []
-    forward_parts = generators._forward_parts
+    ladder_parts = quantizer._ladder_parts
 
     def counted(params, quantum, parities):
         asked.append(parities)
-        return forward_parts(params, quantum, parities)
+        return ladder_parts(params, quantum, parities)
 
-    monkeypatch.setattr(generators, "_forward_parts", counted)
+    monkeypatch.setattr(quantizer, "_ladder_parts", counted)
     params = OscillatorParams(3, 2)
     quantize_ladder(params, 1)
     assert asked == [(0,)]
@@ -101,10 +97,22 @@ def test_quantize_ladder_builds_only_the_part_it_returns(monkeypatch):
     assert asked == [(1,)]
 
 
-def test_quantize_ladder_is_one_of_the_ladder_products():
+def test_the_symbol_of_quantize_ladder_is_the_ladder_integral():
+    # verify reads the classical F_w off the ladder operator it quantizes
     for m, n in _PAIRS:
         if m + n <= 12:
             params = OscillatorParams(m, n)
-            pair = ladder_products(params, quantum=True)
-            assert quantize_ladder(params, 1) == pair[0]
-            assert quantize_ladder(params, 2) == pair[1]
+            for w, integral in zip((1, 2), ladder_integrals(params)):
+                assert classical_symbol(quantize_ladder(params, w)) == integral
+
+
+def test_every_ladder_integral_is_read_off_one_builder():
+    # K is F2 with sqrt2 omega divided out, so it relabels F2's keys and
+    # needs no i of its own; verify builds each record through its per-pair
+    # entry and imports no ladder builder
+    names = _code_names(generators.k_integral.__code__)
+    assert "_ladder_parts" in names
+    assert "I" not in names
+    for gone in ("ladder_products", "_forward_parts"):
+        assert not hasattr(generators, gone)
+    assert {"ladder_products", "_ladder_parts", "ladder_integrals"}.isdisjoint(vars(verify))

@@ -20,7 +20,7 @@ import pytest
 
 from quantlab import coeffring, generators, weylalgebra
 from quantlab.coeffring import E2, PACK_LIMIT, R2, _ROOTS, Coefficient, Monomial, pack, unpack
-from quantlab.generators import OscillatorParams, hamiltonian, k_integral, ladder_products
+from quantlab.generators import OscillatorParams, hamiltonian, k_integral, ladder_integrals
 from quantlab.phasepoly import PhasePoly, poisson
 from quantlab.quantizer import Scheme, quantize, quantize_ladder
 from quantlab.weylalgebra import (
@@ -216,8 +216,7 @@ def test_the_ladder_builds_refuse_m_or_n_at_the_pack_limit(monkeypatch):
     monkeypatch.setattr(generators, "_ladder_power", refuse)
     builds = (
         k_integral,
-        ladder_products,
-        lambda params: ladder_products(params, quantum=True),
+        ladder_integrals,
         lambda params: quantize_ladder(params, 1),
         lambda params: quantize_ladder(params, 2),
     )

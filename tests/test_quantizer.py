@@ -59,10 +59,10 @@ def test_monomial_rule_matches_word_sums():
     for r in range(11):
         for s in range(11):
             for scheme in (W, BJ):
-                assert quantize_monomial(scheme, Monomial(a=r, c=s)) == one_pair_oracle(
+                assert quantize_monomial(scheme, r, 0, s, 0) == one_pair_oracle(
                     scheme, r, s, x_index=True
                 )
-                assert quantize_monomial(scheme, Monomial(b=r, d=s)) == one_pair_oracle(
+                assert quantize_monomial(scheme, 0, r, 0, s) == one_pair_oracle(
                     scheme, r, s, x_index=False
                 )
 
@@ -92,13 +92,13 @@ def test_pair_rule_closed_form_matches_ordering_sum():
                         word = Monomial(a=r - j, c=s - j) if x_index else Monomial(b=r - j, d=s - j)
                         term = Operator.monomial(word, Fraction(weight, den))
                         expected = expected + term * (-I_HBAR) ** j
-                    mono = Monomial(a=r, c=s) if x_index else Monomial(b=r, d=s)
-                    assert quantize_monomial(scheme, mono) == expected
+                    phase = (r, 0, s, 0) if x_index else (0, r, 0, s)
+                    assert quantize_monomial(scheme, *phase) == expected
 
 
 def test_mixed_monomial_factorizes():
     for scheme in (W, BJ):
-        mixed = quantize_monomial(scheme, Monomial(a=2, b=1, c=2, d=3))
+        mixed = quantize_monomial(scheme, 2, 1, 2, 3)
         assert mixed == op_mul(
             one_pair_oracle(scheme, 2, 2, x_index=True),
             one_pair_oracle(scheme, 1, 3, x_index=False),
@@ -109,13 +109,13 @@ def test_xp_coincides_across_schemes():
     expected = Operator.monomial(Monomial(a=1, c=1)) - Operator.constant(
         I_HBAR * Fraction(1, 2)
     )
-    assert quantize_monomial(W, Monomial(a=1, c=1)) == expected
-    assert quantize_monomial(BJ, Monomial(a=1, c=1)) == expected
+    assert quantize_monomial(W, 1, 0, 1, 0) == expected
+    assert quantize_monomial(BJ, 1, 0, 1, 0) == expected
 
 
 def test_y2py2_under_both_schemes():
-    weyl = quantize_monomial(W, Monomial(b=2, d=2))
-    bj = quantize_monomial(BJ, Monomial(b=2, d=2))
+    weyl = quantize_monomial(W, 0, 2, 0, 2)
+    bj = quantize_monomial(BJ, 0, 2, 0, 2)
     base = Operator.monomial(Monomial(b=2, d=2)) - Operator.monomial(Monomial(b=1, d=1)) * (
         I_HBAR * 2
     )
@@ -129,13 +129,12 @@ def test_schemes_agree_on_low_powers():
             for c in range(4):
                 for d in range(4):
                     if min(a, c) <= 1 and min(b, d) <= 1:
-                        mono = Monomial(a, b, c, d)
-                        assert quantize_monomial(W, mono) == quantize_monomial(BJ, mono)
+                        mono = (a, b, c, d)
+                        assert quantize_monomial(W, *mono) == quantize_monomial(BJ, *mono)
 
 
 def test_schemes_differ_for_x2px2():
-    mono = Monomial(a=2, c=2)
-    diff = quantize_monomial(BJ, mono) - quantize_monomial(W, mono)
+    diff = quantize_monomial(BJ, 2, 0, 2, 0) - quantize_monomial(W, 2, 0, 2, 0)
     assert diff == Operator.constant(H2 * Fraction(-1, 6))
 
 
@@ -166,7 +165,7 @@ def test_quantize_matches_the_key_product_route():
         scheme = (W, BJ)[index % 2]
         assert quantize(scheme, poly) == ref.quantize(scheme, poly)
         for key in poly.numerators:
-            image = quantize_monomial(scheme, key._replace(h=0, w=0, r=0, e=0))
+            image = quantize_monomial(scheme, *key[:4])
             meetings += key.e and any(k.e for k in image.numerators)
     assert meetings >= 1_000
 
@@ -182,7 +181,7 @@ def test_repeated_quantize_hits_the_monomial_cache():
 
 
 def test_quantize_builds_no_monomial_on_a_warm_cache():
-    # a term looks up its one-pair images by phase tuples; a Monomial
+    # a term looks up its one-pair images by their exponents; a Monomial
     # (validated by its constructor, or decoded by unpack) per term would
     # cost more than the lookup itself
     watched = {Monomial.__new__.__code__, coeffring.unpack.__code__}
@@ -208,27 +207,30 @@ def test_quantize_builds_no_monomial_on_a_warm_cache():
     assert calls == []
 
 
-def test_monomial_and_phase_tuple_give_one_image():
+def test_monomial_image_is_the_quantized_monomial():
+    # a one-pair or constant image is built from the swap identity, a
+    # mixed one by quantize joining its one-pair images
     for scheme in (W, BJ):
         for phase in ((3, 0, 4, 0), (0, 5, 0, 2), (0, 0, 0, 0), (2, 1, 2, 3), (1, 1, 0, 1)):
-            image = quantize_monomial(scheme, Monomial(*phase))
-            assert quantize_monomial(scheme, phase) == image
-            assert quantize_monomial(scheme, Monomial(*phase, h=2, e=1)) == image
+            image = quantize_monomial(scheme, *phase)
+            assert image == quantize(scheme, PhasePoly.monomial(Monomial(*phase)))
 
 
 @pytest.mark.parametrize(
     "phase",
     [(65536, 0, 0, 0), (0, 0, 0, 65536), (65536, 1, 0, 1), (-1, 0, 2, 0), (0, -2, 0, 0),
-     (1, 0, -1, 0), (1.5, 0, 1, 0), (0, 0, 0, 2.5), ("1", 0, 1, 0), (1, 1, 0.5, 1)],
+     (1, 0, -1, 0), (1.5, 0, 1, 0), (0, 0, 0, 2.5), ("1", 0, 1, 0), (1, 1, 0.5, 1),
+     (0, 0, 0, 2.0), (True, 0, 1, 0), (0, 1, 0, True), (1, 1.0, 0, 1)],
 )
-def test_quantize_monomial_refuses_a_bad_exponent_in_either_form(phase):
-    # the constructor's check, run on a cache miss; the unchecked Monomial
-    # is built as unpack builds one.  A float equal to an int, 2.0, would
-    # hit the cached image of 2 and is not refused.
-    for mono in (phase, tuple.__new__(Monomial, (*phase, 0, 0, 0, 0))):
-        for scheme in (W, BJ):
-            with pytest.raises(ValueError, match="exponent"):
-                quantize_monomial(scheme, mono)
+def test_quantize_monomial_refuses_a_bad_exponent_on_a_warm_cache(phase):
+    # the constructor's check, run on a cache miss.  The cache is typed, so
+    # a float or bool equal to an int exponent misses the cached image of
+    # the ints and is refused too.
+    for scheme in (W, BJ):
+        for warm in ((0, 0, 0, 2), (1, 0, 1, 0), (0, 1, 0, 1), (1, 1, 0, 1)):
+            quantize_monomial(scheme, *warm)
+        with pytest.raises(ValueError, match="exponent"):
+            quantize_monomial(scheme, *phase)
 
 
 def test_the_monomial_cache_holds_one_pair_images_only():
@@ -371,13 +373,13 @@ def test_proof_intermediates_differential_form():
     i = Coefficient.i()
     # quantized y^2 py^2: -(hbar^2/2)(2 y^2 d^2 + 4 y d + 1) for Weyl,
     # -(hbar^2/3)(3 y^2 d^2 + 6 y d + 2) for Born-Jordan
-    q1_weyl = probe_image(quantize_monomial(W, Monomial(b=2, d=2))).terms
+    q1_weyl = probe_image(quantize_monomial(W, 0, 2, 0, 2)).terms
     assert q1_weyl == flatten(Operator, {
         Monomial(b=2, d=2): -H2,
         Monomial(b=1, d=1): H2 * -2,
         Monomial(): H2 * Fraction(-1, 2),
     }).terms
-    q1_bj = probe_image(quantize_monomial(BJ, Monomial(b=2, d=2))).terms
+    q1_bj = probe_image(quantize_monomial(BJ, 0, 2, 0, 2)).terms
     assert q1_bj == flatten(Operator, {
         Monomial(b=2, d=2): -H2,
         Monomial(b=1, d=1): H2 * -2,
@@ -388,15 +390,15 @@ def test_proof_intermediates_differential_form():
         Monomial(b=1, d=3): i * h3,
         Monomial(d=2): i * h3 * Fraction(3, 2),
     }).terms
-    assert probe_image(quantize_monomial(W, Monomial(b=1, d=3))).terms == q2_expected
-    assert probe_image(quantize_monomial(BJ, Monomial(b=1, d=3))).terms == q2_expected
+    assert probe_image(quantize_monomial(W, 0, 1, 0, 3)).terms == q2_expected
+    assert probe_image(quantize_monomial(BJ, 0, 1, 0, 3)).terms == q2_expected
     # quantized y^3 py: -i(hbar/2) y^2 (2 y d + 3), both schemes
     q3_expected = flatten(Operator, {
         Monomial(b=3, d=1): -(i * hbar),
         Monomial(b=2): i * hbar * Fraction(-3, 2),
     }).terms
-    assert probe_image(quantize_monomial(W, Monomial(b=3, d=1))).terms == q3_expected
-    assert probe_image(quantize_monomial(BJ, Monomial(b=3, d=1))).terms == q3_expected
+    assert probe_image(quantize_monomial(W, 0, 3, 0, 1)).terms == q3_expected
+    assert probe_image(quantize_monomial(BJ, 0, 3, 0, 1)).terms == q3_expected
 
 
 def test_both_quantizations_of_every_integral_are_symmetric():

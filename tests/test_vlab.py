@@ -146,25 +146,10 @@ def test_ladder_sweep_targets():
         (2, 1, "f1"), (2, 1, "f2"),
     ]
     assert all(r.ladder_equals_weyl is not None for r in records)
-
-
-def test_ladder_sweep_builds_each_pair_once(monkeypatch):
-    calls = []
-    real = verify_module.ladder_products
-
-    def counted(params, quantum=False):
-        calls.append((params.m, params.n, quantum))
-        return real(params, quantum)
-
-    monkeypatch.setattr(verify_module, "ladder_products", counted)
-    records = sweep(4, "f")
-    pairs = [(1, 1), (1, 2), (2, 1), (1, 3), (2, 2), (3, 1)]
-    assert calls == [(m, n, True) for m, n in pairs]
-    assert [(r.m, r.n) for r in records] == [pair for pair in pairs for _ in (1, 2)]
-    # one build serves both records of a pair
-    for f1, f2 in zip(records[::2], records[1::2]):
-        assert f1 == verify_ladder_pair(f1.m, f1.n, 1)
-        assert f2 == verify_ladder_pair(f2.m, f2.n, 2)
+    # each record is the one its per-pair entry returns
+    pairs = [(m, s - m) for s in range(2, 6) for m in range(1, s)]
+    assert sweep(5, "k") == [verify_pair(m, n) for m, n in pairs]
+    assert sweep(5, "f") == [verify_ladder_pair(m, n, w) for m, n in pairs for w in (1, 2)]
 
 
 def test_f2_record_repeats_the_k_record():
