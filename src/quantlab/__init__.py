@@ -29,6 +29,6 @@ from quantlab.weylalgebra import (
 )
 from quantlab.quantizer import Scheme, quantize, quantize_ladder, quantize_monomial
 from quantlab.vlab.parser import ParseError, UnknownSymbolError, parse_polynomial
-from quantlab.vlab.verify import VerificationRecord, sweep, verify_ladder_pair, verify_pair
+from quantlab.vlab.verify import VerificationRecord, sweep, verify_pair
 
 __version__ = "0.1.0"

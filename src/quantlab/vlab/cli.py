@@ -4,7 +4,7 @@ Subcommands:
     verify      check one (m, n) pair (polynomial or ladder integral)
     sweep       check every pair with m + n up to a bound
     quantize    quantize a classical expression under one scheme
-    commutator  commutator of the quantized Hamiltonian and integral
+    commutator  [H, K] of one pair under one scheme, read off its verify record
 
 Exit codes: 0 when every checked claim holds, 1 on verification failure
 (with a machine-readable failure list on stderr), 2 on usage or parse
@@ -17,12 +17,12 @@ import argparse
 import json
 import sys
 
-from quantlab.generators import OscillatorParams, hamiltonian, k_integral
+from quantlab.generators import OscillatorParams
 from quantlab.quantizer import Scheme, quantize
-from quantlab.weylalgebra import commutator, differential_text
+from quantlab.weylalgebra import differential_text
 from quantlab.vlab import report, verify
 from quantlab.vlab.parser import MAX_SUM, parse_polynomial
-from quantlab.vlab.verify import failed_claims, sweep, verify_ladder_pair, verify_pair
+from quantlab.vlab.verify import failed_claims, sweep, verify_pair
 
 
 def _check_sum(total: int, name: str) -> None:
@@ -75,12 +75,15 @@ def _fail(failures: list[str]) -> int:
     return 1
 
 
-def _cmd_verify(args) -> int:
-    # m and n each, then their sum
+def _record(args, target: str):
+    # m and n each, then their sum, before the pair is verified
     OscillatorParams(args.m, args.n)
     _check_sum(args.m + args.n, "m + n")
-    which = verify.TARGETS[args.target].ladder
-    record = verify_ladder_pair(args.m, args.n, which) if which else verify_pair(args.m, args.n)
+    return verify_pair(args.m, args.n, target)
+
+
+def _cmd_verify(args) -> int:
+    record = _record(args, args.target)
     sys.stdout.write(report.render_record(record, args.format))
     failures = failed_claims(record)
     return _fail(failures) if failures else 0
@@ -120,12 +123,11 @@ def _cmd_quantize(args) -> int:
 
 
 def _cmd_commutator(args) -> int:
-    params = OscillatorParams(args.m, args.n)
-    _check_sum(args.m + args.n, "m + n")
-    scheme = Scheme(args.scheme)
-    h_op = quantize(scheme, hamiltonian(params))
-    k_op = quantize(scheme, k_integral(params))
-    comm = commutator(h_op, k_op)
+    # the record quantizes H by Weyl's rule, which on the quadratic H is
+    # also Born-Jordan's, so each commutator is [H, K] under one scheme
+    record = _record(args, verify.K.name)
+    weyl = Scheme(args.scheme) is Scheme.WEYL
+    comm = record.weyl_commutator if weyl else record.bj_commutator
     fields = {"params": {"m": args.m, "n": args.n}, "scheme": args.scheme}
     lines = [f"pair: ({args.m}, {args.n})", f"scheme: {args.scheme}"]
     return _write_operator(args.format, fields, lines, "commutator", comm)

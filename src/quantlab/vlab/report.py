@@ -120,10 +120,6 @@ def _unexpanded(op: Operator) -> Operator:
     return op
 
 
-def _is_ladder(record: VerificationRecord) -> bool:
-    return TARGETS[record.target].ladder is not None
-
-
 def record_json(record: VerificationRecord, expand: bool = True) -> dict:
     """The record's JSON value; with expand False its operators stay
     Operator values, for json_chunks."""
@@ -133,7 +129,7 @@ def record_json(record: VerificationRecord, expand: bool = True) -> dict:
         "bj_equals_weyl": record.bj_equals_weyl,
         "bj_minus_weyl": op_json(record.bj_minus_weyl),
     }
-    if _is_ladder(record):
+    if record.ladder_equals_weyl is not None:
         params["target"] = record.target
         operators["ladder_equals_weyl"] = record.ladder_equals_weyl
     return {
@@ -161,7 +157,7 @@ def record_text(record: VerificationRecord) -> str:
         f"classical bracket zero: {_yes_no(record.classical_bracket_zero)}",
         f"bj equals weyl: {_yes_no(record.bj_equals_weyl)}",
     ]
-    if _is_ladder(record):
+    if record.ladder_equals_weyl is not None:
         lines.append(f"ladder equals weyl: {_yes_no(record.ladder_equals_weyl)}")
     lines += [
         f"bj minus weyl: {record.bj_minus_weyl.text()}",
@@ -217,7 +213,8 @@ def sweep_text(records: list[VerificationRecord], max_sum: int, target: str, cla
     """The text sweep report; claims is failed_claims of each record, in order."""
     lines = [f"sweep: max_sum={max_sum} target={target}"]
     for record in records:
-        extra = f" ladder==weyl={_yes_no(record.ladder_equals_weyl)}" if _is_ladder(record) else ""
+        ladder = record.ladder_equals_weyl
+        extra = "" if ladder is None else f" ladder==weyl={_yes_no(ladder)}"
         lines.append(
             f"({record.m},{record.n}) {record.target}:"
             f" bj==weyl={_yes_no(record.bj_equals_weyl)}"

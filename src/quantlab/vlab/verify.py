@@ -1,7 +1,8 @@
 """Verification pipelines over (m, n) parameter grids.
 
-Each pipeline builds a classical integral, records whether its bracket
-with the Hamiltonian vanishes, quantizes it under both ordering rules,
+One pipeline, verify_pair(m, n, target), makes every record.  It builds
+the integral K, F1 or F2 of the pair, records whether its bracket with
+the Hamiltonian vanishes, quantizes it under both ordering rules,
 computes both commutators with the quantized Hamiltonian, and
 cross-checks every symbolic commutator against the differential action
 on one exponential probe e^(sx+ty), s and t symbolic: the claimed
@@ -45,6 +46,13 @@ TARGETS = {target.name: target for target in (K, F1, F2)}
 SWEEP_TARGETS = {K.name: (K,), "f": (F1, F2)}
 
 
+def _lookup(table: dict, target):
+    """table[target], or ValueError naming the targets of table."""
+    if isinstance(target, str) and target in table:
+        return table[target]
+    raise ValueError(f"target must be one of {', '.join(map(repr, table))}")
+
+
 @dataclass
 class VerificationRecord:
     """Per-(m, n) outcome of one verification run."""
@@ -69,24 +77,14 @@ class VerificationRecord:
     oracle_failure: tuple[str, Monomial] | None = None
 
 
-def verify_pair(m: int, n: int) -> VerificationRecord:
-    """Run the full pipeline on the polynomial integral K of (m, n)."""
-    return _verify(OscillatorParams(m, n), K)
-
-
-def verify_ladder_pair(m: int, n: int, which: int = 1) -> VerificationRecord:
-    """Run the pipeline on ladder integral F1 or F2 (which = 1 or 2), and
-    also record whether direct ladder quantization coincides with Weyl's."""
+def verify_pair(m: int, n: int, target: str = K.name) -> VerificationRecord:
+    """Run the full pipeline on the integral target (a name in TARGETS) of
+    (m, n).  A ladder target is also quantized directly, its classical
+    integral is that operator's symbol, and the record says whether the
+    operator coincides with Weyl's."""
+    spec = _lookup(TARGETS, target)
     params = OscillatorParams(m, n)
-    ladder_op = quantize_ladder(params, which)
-    return _verify(params, (F1, F2)[which - 1], ladder_op)
-
-
-def _verify(
-    params: OscillatorParams, target: Target, ladder_op: Operator | None = None
-) -> VerificationRecord:
-    """The record of target; a ladder target passes its ladder operator,
-    whose symbol is the classical integral."""
+    ladder_op = None if spec.ladder is None else quantize_ladder(params, spec.ladder)
     classical = k_integral(params) if ladder_op is None else classical_symbol(ladder_op)
     h = hamiltonian(params)
     bracket = poisson(h, classical)
@@ -108,7 +106,7 @@ def _verify(
     return VerificationRecord(
         m=params.m,
         n=params.n,
-        target=target.name,
+        target=target,
         classical_bracket_zero=bracket.is_zero(),
         bj_equals_weyl=diff.is_zero(),
         weyl_commutes=weyl_comm.is_zero(),
@@ -168,15 +166,13 @@ def sweep(max_sum: int, target: str = K.name) -> list[VerificationRecord]:
 
     Deterministic order: m + n ascending, then m ascending, then the
     targets that target expands to (SWEEP_TARGETS).  Each record is the
-    one its per-pair entry, verify_pair or verify_ladder_pair, returns.
+    one verify_pair returns for its pair and target.
     """
     if not isinstance(max_sum, int) or max_sum < 2:
         raise ValueError("max_sum must be an integer >= 2")
-    targets = SWEEP_TARGETS.get(target)
-    if targets is None:
-        raise ValueError(f"target must be one of {', '.join(map(repr, SWEEP_TARGETS))}")
+    targets = _lookup(SWEEP_TARGETS, target)
     return [
-        verify_pair(m, s - m) if t.ladder is None else verify_ladder_pair(m, s - m, t.ladder)
+        verify_pair(m, s - m, t.name)
         for s in range(2, max_sum + 1)
         for m in range(1, s)
         for t in targets

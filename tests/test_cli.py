@@ -193,6 +193,14 @@ def test_commutator_command(capsys):
     assert "commutator (normal-ordered): 0" in out
 
 
+def test_every_command_builds_its_record_through_verify_pair():
+    # verify and commutator report records of verify.verify_pair, the one
+    # per-pair pipeline, so cli builds no integral or commutator itself
+    assert {"hamiltonian", "k_integral", "commutator"}.isdisjoint(vars(cli))
+    assert not hasattr(verify_module, "verify_ladder_pair")
+    assert not hasattr(verify_module, "_verify")
+
+
 def test_usage_error_exit_code(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["verify", "--m", "4"])
@@ -203,7 +211,7 @@ def test_verification_failure_exit_code(capsys, monkeypatch):
     # force a failing record to exercise the failure path
     record = verify_module.verify_pair(4, 1)
     record.weyl_commutes = False
-    monkeypatch.setattr(cli, "verify_pair", lambda m, n: record)
+    monkeypatch.setattr(cli, "verify_pair", lambda m, n, target: record)
     code, out, err = run(capsys, "verify", "--m", "4", "--n", "1")
     assert code == 1
     failures = json.loads(err)["failures"]
@@ -220,7 +228,7 @@ def test_verification_failure_exit_code(capsys, monkeypatch):
 def test_born_jordan_claim_failures_exit_code(capsys, monkeypatch, field, value, claim):
     record = verify_module.verify_pair(4, 1)
     setattr(record, field, value)
-    monkeypatch.setattr(cli, "verify_pair", lambda m, n: record)
+    monkeypatch.setattr(cli, "verify_pair", lambda m, n, target: record)
     code, out, err = run(capsys, "verify", "--m", "4", "--n", "1")
     assert code == 1
     assert json.loads(err)["failures"] == [f"(m, n) = (4, 1), target k: {claim}"]

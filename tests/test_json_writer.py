@@ -16,7 +16,7 @@ from quantlab.vlab.report import (
     render_sweep,
     sweep_json,
 )
-from quantlab.vlab.verify import failed_claims, sweep, verify_ladder_pair, verify_pair
+from quantlab.vlab.verify import failed_claims, sweep, verify_pair
 from quantlab.weylalgebra import Operator
 
 from randgen import rand_operator
@@ -60,10 +60,10 @@ def test_sweep_reports_match_json_dumps(max_sum, target):
 
 
 @pytest.mark.parametrize(
-    "m, n, which", [(4, 1, None), (3, 2, 1), (3, 2, 2)], ids=["k", "f1", "f2"]
+    "m, n, target", [(4, 1, "k"), (3, 2, "f1"), (3, 2, "f2")], ids=["k", "f1", "f2"]
 )
-def test_verify_records_match_json_dumps(m, n, which):
-    record = verify_ladder_pair(m, n, which) if which else verify_pair(m, n)
+def test_verify_records_match_json_dumps(m, n, target):
+    record = verify_pair(m, n, target)
     assert render_record(record, "json") == dumps(record_json(record))
     assert record_json(record, expand=False)["commutators"]["weyl"] is record.weyl_commutator
 

@@ -17,7 +17,6 @@ from quantlab.generators import OscillatorParams, ladder_integrals
 from quantlab.phasepoly import PhasePoly, PhaseVar
 from quantlab.quantizer import quantize_ladder
 from quantlab.vlab import verify
-from quantlab.vlab.verify import verify_ladder_pair
 from quantlab.weylalgebra import classical_symbol
 
 from reference_kernels import px_hat, py_hat, x_hat, y_hat
@@ -76,8 +75,6 @@ def test_which_is_the_int_one_or_two(which):
     params = OscillatorParams(1, 1)
     with pytest.raises(ValueError, match="which must be 1 or 2"):
         quantize_ladder(params, which)
-    with pytest.raises(ValueError, match="which must be 1 or 2"):
-        verify_ladder_pair(1, 1, which)
 
 
 def test_quantize_ladder_builds_only_the_part_it_returns(monkeypatch):

@@ -13,6 +13,7 @@ from quantlab.coeffring import Coefficient, Monomial
 from quantlab.generators import OscillatorParams, hamiltonian, k_integral, ladder_integrals
 from quantlab.phasepoly import PhasePoly, PhaseVar
 from quantlab.quantizer import Scheme, quantize, quantize_ladder, quantize_monomial
+from quantlab.vlab.parser import MAX_SUM
 from quantlab.weylalgebra import (
     Operator,
     apply_to_polynomial,
@@ -292,10 +293,12 @@ def test_hermiticity_surrogate():
 
 
 def test_hamiltonian_quantization_scheme_independent():
-    for m, n in ((1, 1), (4, 1), (2, 3)):
-        params = OscillatorParams(m, n)
-        h = hamiltonian(params)
-        assert quantize(W, h) == quantize(BJ, h)
+    # quantlab commutator --scheme bj reads [Weyl(H), BJ(K)] off a record,
+    # which is [BJ(H), BJ(K)] on every pair in range
+    for s in range(2, MAX_SUM + 1):
+        for m in range(1, s):
+            h = hamiltonian(OscillatorParams(m, s - m))
+            assert quantize(W, h) == quantize(BJ, h), (m, s - m)
     l = l_integral()
     assert quantize(W, l) == quantize(BJ, l)
 

@@ -23,7 +23,6 @@ from quantlab.vlab.verify import (
     commutator_matches_action,
     failed_claims,
     sweep,
-    verify_ladder_pair,
     verify_pair,
 )
 from quantlab.weylalgebra import Operator, commutator
@@ -74,23 +73,50 @@ def test_verify_rejects_bad_params():
     with pytest.raises(ValueError):
         verify_pair(0, 1)
     with pytest.raises(ValueError):
-        verify_ladder_pair(1, 0, 1)
+        verify_pair(1, 0, "f1")
     with pytest.raises(ValueError):
-        verify_ladder_pair(1, 1, 3)
+        verify_pair(1, 1, "f3")
+
+
+@pytest.mark.parametrize("target", ["f", "K", None, 1])
+def test_verify_pair_refuses_an_unknown_target_before_building(monkeypatch, target):
+    def tripwire(*args):
+        raise AssertionError("a term was built for an unknown target")
+
+    monkeypatch.setattr(verify_module, "k_integral", tripwire)
+    monkeypatch.setattr(verify_module, "quantize_ladder", tripwire)
+    with pytest.raises(ValueError, match="target must be one of 'k', 'f1', 'f2'"):
+        verify_pair(1, 1, target)
+
+
+def test_record_commutators_are_the_commutators_of_the_quantized_pair():
+    # quantlab commutator prints a record's commutator; the route it took
+    # before, [Q(H), Q(K)] under one scheme, stays its reference (the record
+    # quantizes H by Weyl's rule and builds BJ through BJ - W)
+    for record in sweep(12, "k"):
+        params = OscillatorParams(record.m, record.n)
+        for scheme, comm in (
+            (Scheme.WEYL, record.weyl_commutator),
+            (Scheme.BORN_JORDAN, record.bj_commutator),
+        ):
+            want = commutator(
+                quantize(scheme, hamiltonian(params)), quantize(scheme, k_integral(params))
+            )
+            assert comm == want, (record.m, record.n, scheme)
 
 
 def test_verify_ladder_isotropic():
-    f1 = verify_ladder_pair(1, 1, 1)
+    f1 = verify_pair(1, 1, "f1")
     assert f1.weyl_commutes
     assert f1.bj_equals_weyl
     assert f1.ladder_equals_weyl is True
-    f2 = verify_ladder_pair(1, 1, 2)
+    f2 = verify_pair(1, 1, "f2")
     assert f2.weyl_commutes
     assert f2.ladder_equals_weyl is True
 
 
 def test_verify_ladder_two_one():
-    record = verify_ladder_pair(2, 1, 1)
+    record = verify_pair(2, 1, "f1")
     assert record.weyl_commutes
     assert record.classical_bracket_zero
     assert record.oracle_agreement
@@ -149,7 +175,7 @@ def test_ladder_sweep_targets():
     # each record is the one its per-pair entry returns
     pairs = [(m, s - m) for s in range(2, 6) for m in range(1, s)]
     assert sweep(5, "k") == [verify_pair(m, n) for m, n in pairs]
-    assert sweep(5, "f") == [verify_ladder_pair(m, n, w) for m, n in pairs for w in (1, 2)]
+    assert sweep(5, "f") == [verify_pair(m, n, t) for m, n in pairs for t in ("f1", "f2")]
 
 
 def test_f2_record_repeats_the_k_record():
@@ -229,7 +255,7 @@ def test_record_json_schema():
 
 
 def test_ladder_record_json_extras():
-    record = verify_ladder_pair(2, 1, 2)
+    record = verify_pair(2, 1, "f2")
     data = record_json(record)
     assert data["params"]["target"] == "f2"
     assert "ladder_equals_weyl" in data["operators"]
@@ -249,7 +275,7 @@ def test_record_latex_renders():
 
 
 def test_record_latex_names_the_ladder_target():
-    latex = record_latex(verify_ladder_pair(2, 3, 2))
+    latex = record_latex(verify_pair(2, 3, "f2"))
     assert r"$\hat F_2^{BJ} - \hat F_2^{W} = " in latex
     assert r"$[\hat H, \hat F_2^{W}] = " in latex
     assert r"$[\hat H, \hat F_2^{BJ}] = " in latex
@@ -300,9 +326,10 @@ _WRONG_TERM = x_hat() * py_hat() * Coefficient.hbar(2)
 
 
 def _perturb_commutator(monkeypatch, scheme, params, wrong=_WRONG_TERM):
-    """Make _verify's commutator for one scheme's quantized K wrong by wrong.
-    _verify builds the Born-Jordan commutator through the difference
-    BJ - W, so for Born-Jordan the difference's commutator is perturbed."""
+    """Make verify_pair's commutator for one scheme's quantized K wrong by
+    wrong.  verify_pair builds the Born-Jordan commutator through the
+    difference BJ - W, so for Born-Jordan the difference's commutator is
+    perturbed."""
     wrong_right = quantize(scheme, k_integral(params))
     if scheme is Scheme.BORN_JORDAN:
         wrong_right = wrong_right - quantize(Scheme.WEYL, k_integral(params))
