@@ -129,6 +129,14 @@ def unpack(key: int) -> Monomial:
     ))
 
 
+def field_min(nums: dict, unit: int) -> int:
+    """The smallest exponent over the keys of nums in the field of unit,
+    one of X, Y, PX, PY, HBAR and OMEGA, read by masking the field in
+    place; 0 for an empty map."""
+    shift = unit.bit_length() - 1
+    return min((key >> shift & _FIELD for key in nums), default=0)
+
+
 def _checked(nums: dict) -> dict:
     """nums, or ValueError for an exponent of PACK_LIMIT or more, which a
     kernel's sums could carry into the next field."""

@@ -11,6 +11,14 @@ Born-Jordan and 2^-j for Weyl: mu_j is all that tells the schemes apart
 (quantize_monomial).  The images are cached per one-pair monomial, so
 the degree range bounds the cache.
 
+Born-Jordan has a second statement beside mu_j: it is Weyl after the
+Cohen multiplier T, BJ(f) = W(T f), for T the product over the two pairs
+of sum_k (-hbar^2/4)^k (d_q d_p)^(2k) / (2k+1)! (bj_excess gives
+(T - 1) f).  quantize keeps mu_j, the cheaper route for one operator;
+verify takes T, which gives BJ - W with no operator subtraction.  For a
+quadratic h, [W(h), W(f)] = i hbar W({h, f}) exactly (weyl_commutator),
+so a commutator with the Hamiltonian needs no operator product either.
+
 The pairs commute, so quantize joins each term's two one-pair images
 with the term's parameter part in one double loop: the three keys add,
 and the three powers of i (the (-i hbar)^j of each image, and the term's
@@ -30,11 +38,21 @@ from __future__ import annotations
 
 from enum import Enum
 from functools import lru_cache
-from math import lcm
+from math import factorial, lcm, perm
 
-from quantlab.coeffring import _PHASE, Monomial, _folded, _reduced, pack, phase_terms
+from quantlab.coeffring import (
+    _PHASE,
+    HBAR,
+    I,
+    Monomial,
+    _canonical,
+    _folded,
+    _reduced,
+    pack,
+    phase_terms,
+)
 from quantlab.generators import OscillatorParams, _ladder_parts
-from quantlab.phasepoly import PhasePoly
+from quantlab.phasepoly import _X_PX, _Y_PY, PhasePoly
 from quantlab.weylalgebra import Operator, _corrections
 
 
@@ -120,3 +138,61 @@ def quantize_ladder(params: OscillatorParams, which: int) -> Operator:
     if isinstance(which, bool) or not isinstance(which, int) or which not in (1, 2):
         raise ValueError("which must be 1 or 2")
     return _ladder_parts(params, True, (which - 1,))[0]
+
+
+@lru_cache(maxsize=None)
+def _cohen_terms(r: int, s: int, pair: int) -> tuple[tuple[tuple[int, int], ...], int]:
+    """((shift, weight), ...), den: the terms of the one-pair Cohen
+    multiplier sum_k (-hbar^2/4)^k (d_q d_p)^(2k) / (2k+1)! on q^r p^s,
+    k = 0 first, each (-1)^k r!/(r-2k)! s!/(s-2k)! / (4^k (2k+1)!) as
+    weight / den.  The shift lowers q and p by 2k (pair, the key of q p)
+    and raises hbar by 2k."""
+    dens = [4**k * factorial(2 * k + 1) for k in range(min(r, s) // 2 + 1)]
+    den = lcm(*dens)
+    return tuple(
+        (2 * k * (HBAR - pair), (-1) ** k * perm(r, 2 * k) * perm(s, 2 * k) * (den // part))
+        for k, part in enumerate(dens)
+    ), den
+
+
+def bj_excess(poly: PhasePoly) -> PhasePoly:
+    """(T - 1) poly, for T the Cohen multiplier of Born-Jordan: the product
+    over the two canonical pairs of sum_k (-hbar^2/4)^k (d_q d_p)^(2k) / (2k+1)!.
+    quantize(BORN_JORDAN, f) == quantize(WEYL, f + bj_excess(f)) (de Gosson,
+    Born-Jordan Quantization, 2016).  A term with fewer than two of q or p
+    in both pairs is fixed by T and skipped."""
+    parts = []
+    for key, value, a, b, c, d in phase_terms(poly._nums):
+        if min(a, c) < 2 and min(b, d) < 2:
+            continue
+        x, x_den = _cohen_terms(a, c, _X_PX)
+        y, y_den = _cohen_terms(b, d, _Y_PY)
+        parts.append((key, value, x, y, x_den * y_den))
+    den = lcm(*(part_den for *_, part_den in parts))
+    acc: dict[int, int] = {}
+    get = acc.get
+    for key, value, x, y, part_den in parts:
+        scale = value * (den // part_den)
+        for sx, wx in x:
+            for sy, wy in y:
+                # the k = 0 term of both pairs is poly's own term
+                if sx or sy:
+                    k = key + sx + sy
+                    acc[k] = get(k, 0) + scale * wx * wy
+    return _reduced(PhasePoly, _folded(acc), poly._den * den)
+
+
+def weyl_commutator(h: PhasePoly, bracket: PhasePoly) -> Operator:
+    """[quantize(WEYL, h), quantize(WEYL, f)] for h of degree at most 2,
+    from the Poisson bracket {h, f}: i hbar quantize(WEYL, {h, f}), since a
+    quadratic symbol has no Moyal corrections (Folland, Harmonic Analysis
+    in Phase Space, 1989).  The i hbar is written into the bracket's keys:
+    HBAR added, the i bit toggled and, where it was set, i * i = -1 folded
+    into the value.  ValueError for an h of higher degree, where the
+    identity fails."""
+    if not (isinstance(h, PhasePoly) and isinstance(bracket, PhasePoly)):
+        raise TypeError("weyl_commutator takes two PhasePoly operands")
+    if any(a + b + c + d > 2 for _, _, a, b, c, d in phase_terms(h._nums)):
+        raise ValueError("weyl_commutator takes an h of degree at most 2")
+    nums = {(key ^ I) + HBAR: -num if key & I else num for key, num in bracket._nums.items()}
+    return quantize(Scheme.WEYL, _canonical(PhasePoly, nums, bracket._den))

@@ -8,11 +8,15 @@ cross-checks every symbolic commutator against the differential action
 on one exponential probe e^(sx+ty), s and t symbolic: the claimed
 commutator's image of the probe (weylalgebra.probe_image) must equal the
 bracket of the two factors' actions on it (weylalgebra.probe_bracket).
-The action oracle never calls the normal-ordering product or its swap
-weights, and only weylalgebra handles its keys.  The Born-Jordan
-commutator is built and checked through its difference from the Weyl
-one.  A nonzero bracket is reported by failed_claims; it does not stop a
-sweep.
+
+No operator product is taken.  H is quadratic, so both commutators come
+from classical brackets (quantizer.weyl_commutator), and Born-Jordan is
+Weyl after the Cohen multiplier T (quantizer.bj_excess): the record's
+BJ - W is the Weyl image of (T - 1) f, and [H, BJ] = [H, W] + [H, BJ - W]
+by bilinearity.  The action oracle never calls the normal-ordering
+product, its swap weights or these identities, and only weylalgebra
+handles its keys, so a wrong identity is caught per record.  A nonzero
+bracket is reported by failed_claims; it does not stop a sweep.
 """
 
 from __future__ import annotations
@@ -24,11 +28,10 @@ from quantlab import render
 from quantlab.coeffring import Monomial
 from quantlab.generators import OscillatorParams, hamiltonian, k_integral
 from quantlab.phasepoly import poisson
-from quantlab.quantizer import Scheme, quantize, quantize_ladder
+from quantlab.quantizer import Scheme, bj_excess, quantize, quantize_ladder, weyl_commutator
 from quantlab.weylalgebra import (
     Operator,
     classical_symbol,
-    commutator,
     min_hbar_exponent,
     min_omega_exponent,
     probe_bracket,
@@ -90,13 +93,13 @@ def verify_pair(m: int, n: int, target: str = K.name) -> VerificationRecord:
     bracket = poisson(h, classical)
     h_op = quantize(Scheme.WEYL, h)
     weyl_op = quantize(Scheme.WEYL, classical)
-    bj_op = quantize(Scheme.BORN_JORDAN, classical)
-    diff = bj_op - weyl_op
+    excess = bj_excess(classical)
+    diff = quantize(Scheme.WEYL, excess)
     # The schemes agree at orders hbar^0 and hbar^1, so the difference is
     # the smaller operator.  [H, BJ] = [H, W] + [H, BJ - W] by
     # bilinearity, and the oracle checks the two terms one by one.
-    weyl_comm = commutator(h_op, weyl_op)
-    diff_comm = commutator(h_op, diff)
+    weyl_comm = weyl_commutator(h, bracket)
+    diff_comm = weyl_commutator(h, poisson(h, excess))
     bj_comm = weyl_comm + diff_comm
     scheme = "weyl"
     check = commutator_matches_action(h_op, weyl_op, weyl_comm)

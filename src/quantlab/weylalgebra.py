@@ -13,7 +13,11 @@ quantizer weights its terms by an ordering rule's mu_k.  The k = 0 term of a
 product of two words is their commutative product, the same key with
 the same value in either order, so a commutator builds neither product:
 the base terms cancel, and it accumulates only the reordering
-corrections (k > 0) of both orders, with opposite signs.
+corrections (k > 0) of both orders, with opposite signs.  commutator
+no longer runs on the verify path, which takes its commutators with the
+quadratic H from classical brackets (quantizer.weyl_commutator); it is
+the third derivation of a record's commutators, which the tests compare
+with that route.
 
 A term's key is one int (coeffring), so the product of two words is one
 int add, and a reordering correction (_corrections) or Leibniz term
@@ -46,13 +50,14 @@ from math import comb, perm
 from quantlab import render
 from quantlab.coeffring import (
     HBAR,
+    OMEGA,
     I,
     TermMap,
     _canonical,
     _folded,
     _reduced,
+    field_min,
     phase_terms,
-    unpack,
 )
 from quantlab.phasepoly import _X_PX, _Y_PY, PhasePoly
 
@@ -202,12 +207,12 @@ def apply_to_polynomial(op: Operator, poly: PhasePoly) -> PhasePoly:
 
 def min_hbar_exponent(op: Operator) -> int:
     """Smallest hbar exponent over all terms; 0 for the zero operator."""
-    return min((unpack(key).h for key in op._nums), default=0)
+    return field_min(op._nums, HBAR)
 
 
 def min_omega_exponent(op: Operator) -> int:
     """Smallest omega exponent over all terms; 0 for the zero operator."""
-    return min((unpack(key).w for key in op._nums), default=0)
+    return field_min(op._nums, OMEGA)
 
 
 def probe_image(op: Operator) -> PhasePoly:

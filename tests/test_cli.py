@@ -259,13 +259,13 @@ def test_inputs_above_max_sum_rejected(capsys, argv, message):
 
 
 def test_oracle_probe_reaches_stderr_only(capsys, monkeypatch):
-    real = verify_module.commutator
+    real = verify_module.weyl_commutator
 
-    def wrong_weyl(left, right):  # the Weyl K(4, 1) commutator is zero
-        comm = real(left, right)
+    def wrong_weyl(h, bracket):  # the Weyl K(4, 1) commutator is zero
+        comm = real(h, bracket)
         return comm + px_hat() * Coefficient.hbar(2) if comm.is_zero() else comm
 
-    monkeypatch.setattr(verify_module, "commutator", wrong_weyl)
+    monkeypatch.setattr(verify_module, "weyl_commutator", wrong_weyl)
     code, out, err = run(capsys, "verify", "--m", "4", "--n", "1")
     assert code == 1
     assert "action oracle agreement: no" in out

@@ -11,8 +11,15 @@ import pytest
 from quantlab import coeffring
 from quantlab.coeffring import Coefficient, Monomial
 from quantlab.generators import OscillatorParams, hamiltonian, k_integral, ladder_integrals
-from quantlab.phasepoly import PhasePoly, PhaseVar
-from quantlab.quantizer import Scheme, quantize, quantize_ladder, quantize_monomial
+from quantlab.phasepoly import PhasePoly, PhaseVar, poisson
+from quantlab.quantizer import (
+    Scheme,
+    bj_excess,
+    quantize,
+    quantize_ladder,
+    quantize_monomial,
+    weyl_commutator,
+)
 from quantlab.vlab.parser import MAX_SUM
 from quantlab.weylalgebra import (
     Operator,
@@ -26,7 +33,7 @@ from quantlab.weylalgebra import (
 
 import reference_kernels as ref
 from reference_kernels import adjoint, l_integral, px_hat, x_hat
-from randgen import flatten, rand_phase_poly, zero_case
+from randgen import flatten, rand_coefficient, rand_phase_poly, zero_case
 from test_weylalgebra import normal_order_word
 
 W = Scheme.WEYL
@@ -137,6 +144,66 @@ def test_schemes_agree_on_low_powers():
 def test_schemes_differ_for_x2px2():
     diff = quantize_monomial(BJ, 2, 0, 2, 0) - quantize_monomial(W, 2, 0, 2, 0)
     assert diff == Operator.constant(H2 * Fraction(-1, 6))
+
+
+def test_born_jordan_is_weyl_after_the_cohen_multiplier():
+    # de Gosson's theorem, BJ(f) = W(T f): the two statements of
+    # Born-Jordan, mu_j in quantize and T in bj_excess, agree.  Exponents up
+    # to 5 reach the k = 2 term of T on each pair, and their product.
+    rng = Random(36036)
+    for index in range(300):
+        (f,) = zero_case(index, rand_phase_poly(rng, max_terms=4, max_exp=5))
+        assert quantize(BJ, f) == quantize(W, f + bj_excess(f))
+    # on x^2 px^2, T - 1 is its k = 1 term, (-hbar^2/4) 2! 2! / 3!
+    x2px2 = PhasePoly.monomial(Monomial(a=2, c=2))
+    assert bj_excess(x2px2) == PhasePoly.constant(H2 * Fraction(-1, 6))
+    # T fixes a term with fewer than two of q or p on each pair
+    assert bj_excess(PhasePoly.monomial(Monomial(a=5, b=1, c=1, d=7))).is_zero()
+
+
+QUADRATICS = tuple(
+    Monomial(**exps)
+    for exps in (
+        {"a": 2},
+        {"c": 2},
+        {"a": 1, "c": 1},
+        {"b": 2},
+        {"d": 2},
+        {"a": 1, "b": 1},
+        {"a": 1, "d": 1},
+    )
+)
+
+
+def test_commutator_with_a_quadratic_is_the_quantized_bracket():
+    # [W(q), W(f)] = i hbar W({q, f}) for q of degree at most 2 (Folland):
+    # weyl_commutator against the normal-ordering commutator and against
+    # the ring product by i hbar, on each quadratic monomial with a random
+    # coefficient, and on odd cases with a random linear and constant part
+    rng = Random(1989)
+    for index in range(280):
+        q = PhasePoly.monomial(QUADRATICS[index % len(QUADRATICS)]) * rand_coefficient(rng)
+        if index % 2:
+            q = q + PhasePoly.monomial(Monomial(b=1)) * rand_coefficient(rng) + 3
+        (f,) = zero_case(index, rand_phase_poly(rng, max_terms=4, max_exp=4))
+        bracket = poisson(q, f)
+        comm = weyl_commutator(q, bracket)
+        assert comm == commutator(quantize(W, q), quantize(W, f))
+        assert comm == quantize(W, bracket * I_HBAR)
+
+
+def test_the_quadratic_lemma_fails_for_a_cubic():
+    # [W(x^3), W(px^3)] has a Moyal correction of order hbar^3, so the
+    # bracket route is refused for an h of degree 3
+    cubic = PhasePoly.monomial(Monomial(a=3))
+    f = PhasePoly.monomial(Monomial(c=3))
+    bracket = poisson(cubic, f)
+    assert commutator(quantize(W, cubic), quantize(W, f)) != quantize(W, bracket * I_HBAR)
+    for h in (cubic, PhasePoly.monomial(Monomial(a=2)) + PhasePoly.monomial(Monomial(a=1, b=1, d=1))):
+        with pytest.raises(ValueError, match="degree at most 2"):
+            weyl_commutator(h, bracket)
+    with pytest.raises(TypeError, match="two PhasePoly operands"):
+        weyl_commutator(quantize(W, PhasePoly.monomial(Monomial(a=2))), bracket)
 
 
 def test_quantize_linear():

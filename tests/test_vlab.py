@@ -2,15 +2,17 @@
 
 import json
 from dataclasses import replace
+from itertools import count
 
 import pytest
 
-from quantlab import weylalgebra
+from quantlab import quantizer, weylalgebra
 from quantlab.coeffring import Coefficient, Monomial
 from quantlab.generators import OscillatorParams, hamiltonian, k_integral
-from quantlab.phasepoly import PhasePoly, PhaseVar
-from quantlab.quantizer import Scheme, quantize
+from quantlab.phasepoly import PhasePoly, PhaseVar, poisson
+from quantlab.quantizer import Scheme, bj_excess, quantize, quantize_ladder
 from quantlab.vlab import verify as verify_module
+from quantlab.vlab.parser import MAX_SUM
 from quantlab.vlab.report import (
     SWEEP_NOTE,
     operator_json,
@@ -25,7 +27,7 @@ from quantlab.vlab.verify import (
     sweep,
     verify_pair,
 )
-from quantlab.weylalgebra import Operator, commutator
+from quantlab.weylalgebra import Operator, classical_symbol, commutator
 
 from reference_kernels import px_hat, py_hat, x_hat
 
@@ -89,20 +91,33 @@ def test_verify_pair_refuses_an_unknown_target_before_building(monkeypatch, targ
         verify_pair(1, 1, target)
 
 
+def _integral(params, target):
+    """The classical integral that verify_pair verifies for target."""
+    ladder = verify_module.TARGETS[target].ladder
+    if ladder is None:
+        return k_integral(params)
+    return classical_symbol(quantize_ladder(params, ladder))
+
+
 def test_record_commutators_are_the_commutators_of_the_quantized_pair():
-    # quantlab commutator prints a record's commutator; the route it took
-    # before, [Q(H), Q(K)] under one scheme, stays its reference (the record
-    # quantizes H by Weyl's rule and builds BJ through BJ - W)
-    for record in sweep(12, "k"):
+    # Three routes to a record's operators: the record's own, from the
+    # classical bracket and the Cohen multiplier; quantizing f under each
+    # scheme and taking the normal-ordering commutator with Q(H); and, for
+    # BJ - W, subtracting the two quantized operators.  Every pair that the
+    # commands accept, for every target.
+    records = sweep(MAX_SUM, "k") + sweep(MAX_SUM, "f")
+    assert len(records) == 3 * MAX_SUM * (MAX_SUM - 1) // 2
+    for record in records:
         params = OscillatorParams(record.m, record.n)
+        ops = {scheme: quantize(scheme, _integral(params, record.target)) for scheme in Scheme}
+        where = (record.m, record.n, record.target)
+        assert record.bj_minus_weyl == ops[Scheme.BORN_JORDAN] - ops[Scheme.WEYL], where
         for scheme, comm in (
             (Scheme.WEYL, record.weyl_commutator),
             (Scheme.BORN_JORDAN, record.bj_commutator),
         ):
-            want = commutator(
-                quantize(scheme, hamiltonian(params)), quantize(scheme, k_integral(params))
-            )
-            assert comm == want, (record.m, record.n, scheme)
+            want = commutator(quantize(scheme, hamiltonian(params)), ops[scheme])
+            assert comm == want, where + (scheme,)
 
 
 def test_verify_ladder_isotropic():
@@ -193,24 +208,48 @@ def test_f2_record_repeats_the_k_record():
 
 
 def test_verify_commutes_h_with_weyl_and_the_difference_only(monkeypatch):
-    # [H, BJ] is built as [H, W] + [H, BJ - W]; [H, BJ] itself never is
-    rights = []
-    real = verify_module.commutator
+    # [H, BJ] is built as [H, W] + [H, BJ - W], each from a classical
+    # bracket with H, {H, f} and {H, (T - 1) f}; [H, BJ] itself never is,
+    # and no operator product, no commutator and no Born-Jordan operator
+    # is taken
+    brackets, schemes = [], []
+    real = verify_module.weyl_commutator
+    real_quantize = verify_module.quantize
     monkeypatch.setattr(
-        verify_module, "commutator", lambda left, right: rights.append(right) or real(left, right)
+        verify_module,
+        "weyl_commutator",
+        lambda h, bracket: brackets.append(bracket) or real(h, bracket),
+    )
+    monkeypatch.setattr(
+        verify_module,
+        "quantize",
+        lambda scheme, poly: schemes.append(scheme) or real_quantize(scheme, poly),
     )
     params = OscillatorParams(4, 1)
+    h, k = hamiltonian(params), k_integral(params)
+    h_op = quantize(Scheme.WEYL, h)
+    bj_op = quantize(Scheme.BORN_JORDAN, k)
+    want = commutator(h_op, bj_op)
+
+    def forbidden(*args):
+        raise AssertionError("verify_pair took an operator product")
+
+    monkeypatch.setattr(weylalgebra, "op_mul", forbidden)
+    monkeypatch.setattr(weylalgebra, "commutator", forbidden)
     record = verify_pair(4, 1)
-    weyl_op = quantize(Scheme.WEYL, k_integral(params))
-    bj_op = quantize(Scheme.BORN_JORDAN, k_integral(params))
-    assert rights == [weyl_op, bj_op - weyl_op]
-    assert record.bj_commutator == real(quantize(Scheme.WEYL, hamiltonian(params)), bj_op)
+    assert brackets == [poisson(h, k), poisson(h, bj_excess(k))]
+    assert set(schemes) == {Scheme.WEYL}
+    assert not {"commutator", "op_mul"} & set(vars(verify_module))
+    assert record.bj_commutator == want
     assert not record.bj_commutes
-    # two commutators per ladder record too, the second on BJ - W
-    rights.clear()
+    # two commutators per ladder record too, the second on (T - 1) f
+    brackets.clear()
     records = sweep(3, "f")
-    assert len(rights) == 2 * len(records)
-    assert rights[1::2] == [record.bj_minus_weyl for record in records]
+    assert len(brackets) == 2 * len(records)
+    for record, bracket in zip(records, brackets[1::2]):
+        params = OscillatorParams(record.m, record.n)
+        f = _integral(params, record.target)
+        assert bracket == poisson(hamiltonian(params), bj_excess(f))
 
 
 def test_record_json_schema():
@@ -325,21 +364,23 @@ def test_nonzero_classical_bracket_is_recorded(monkeypatch):
 _WRONG_TERM = x_hat() * py_hat() * Coefficient.hbar(2)
 
 
-def _perturb_commutator(monkeypatch, scheme, params, wrong=_WRONG_TERM):
+def _perturb_commutator(monkeypatch, scheme, wrong=_WRONG_TERM):
     """Make verify_pair's commutator for one scheme's quantized K wrong by
-    wrong.  verify_pair builds the Born-Jordan commutator through the
-    difference BJ - W, so for Born-Jordan the difference's commutator is
-    perturbed."""
-    wrong_right = quantize(scheme, k_integral(params))
-    if scheme is Scheme.BORN_JORDAN:
-        wrong_right = wrong_right - quantize(Scheme.WEYL, k_integral(params))
-    real = verify_module.commutator
+    wrong.  Each record makes two weyl_commutator calls, on {H, f} for
+    the Weyl commutator and then on {H, (T - 1) f} for the Born-Jordan one,
+    built through the difference BJ - W
+    (test_verify_commutes_h_with_weyl_and_the_difference_only pins the
+    order).  Both brackets vanish where both schemes commute, so the call
+    is told by its place in the record's pair of calls."""
+    position = {Scheme.WEYL: 0, Scheme.BORN_JORDAN: 1}[scheme]
+    calls = count()
+    real = verify_module.weyl_commutator
 
-    def perturbed(left, right):
-        comm = real(left, right)
-        return comm + wrong if right == wrong_right else comm
+    def perturbed(h, bracket):
+        comm = real(h, bracket)
+        return comm + wrong if next(calls) % 2 == position else comm
 
-    monkeypatch.setattr(verify_module, "commutator", perturbed)
+    monkeypatch.setattr(verify_module, "weyl_commutator", perturbed)
 
 
 def test_exponential_probe_names_high_order_term(monkeypatch):
@@ -356,7 +397,7 @@ def test_exponential_probe_names_high_order_term(monkeypatch):
     assert result.term == Monomial(c=4)
     # the symbol (-i hbar)^4 hbar^3 s^4
     assert result.direct - result.nested == PhasePoly.monomial(Monomial(c=4, h=7))
-    _perturb_commutator(monkeypatch, Scheme.WEYL, params, wrong)
+    _perturb_commutator(monkeypatch, Scheme.WEYL, wrong)
     record = verify_pair(4, 1)
     assert record.oracle_failure == ("weyl", Monomial(c=4))
     assert (
@@ -372,7 +413,7 @@ def test_exponential_probe_names_high_order_term(monkeypatch):
 def test_oracle_names_failing_scheme_and_probe(monkeypatch, m, n, scheme, name):
     # (4, 1) perturbs bj_comm, caught by the difference check behind a
     # passing Weyl check; (3, 2) perturbs weyl_comm, caught directly.
-    _perturb_commutator(monkeypatch, scheme, OscillatorParams(m, n))
+    _perturb_commutator(monkeypatch, scheme)
     answers = []
     check = verify_module.commutator_matches_action
     monkeypatch.setattr(
@@ -412,7 +453,9 @@ def test_action_oracle_builds_no_normal_ordered_product(monkeypatch):
 
     monkeypatch.setattr(weylalgebra, "op_mul", forbidden)
     monkeypatch.setattr(weylalgebra, "commutator", forbidden)
-    monkeypatch.setattr(verify_module, "commutator", forbidden)
+    for module in (quantizer, verify_module):
+        monkeypatch.setattr(module, "weyl_commutator", forbidden)
+        monkeypatch.setattr(module, "bj_excess", forbidden)
     assert commutator_matches_action(h_op, bj_op, comm) is True
     assert not commutator_matches_action(h_op, bj_op, comm + _WRONG_TERM)
 
