@@ -4,21 +4,20 @@ The anisotropic oscillator with rational frequency ratio carries, besides
 the Hamiltonian itself, the separation integral L, a polynomial integral
 K built from L's flow, and a pair of ladder-product integrals F1, F2.
 H, K, F1 and F2 are returned as exact phase-space polynomials.  The ladder
-builder also gives the products as normal-ordered operators: each ladder
-power b^k is written in closed form (BCH, as [q, p] is central; the
-classical power is its hbar-free slice), and F1 and F2 are read off the
-one product b1^n b2*^m, split by the automorphism i -> -i, hbar -> -hbar
-that sends it to b1*^n b2^m.  K is the constant multiple
--(m/n)^m / (sqrt2 omega) of F2, so it is read off F2 by a relabel of
-its keys: no binomial is expanded a second time, and no term of F1 is
-built.  _ladder_parts is the one ladder builder that all of them read.
+builder also writes the quantum products' normal-ordered terms, which the
+quantizer makes into operators: each ladder power b^k is written in closed
+form (BCH, as [q, p] is central; the classical power is its hbar-free
+slice), and F1 and F2 are read off the one product b1^n b2*^m, split by
+the automorphism i -> -i, hbar -> -hbar that sends it to b1*^n b2^m.  K
+is -(m/n)^m / (sqrt2 omega) times F2, read off F2 by a relabel of its
+keys.  _ladder_parts is the one ladder builder that all of them read, and
+each reader brings its part to lowest terms once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from math import factorial
+from math import factorial, gcd
 
 from quantlab.coeffring import (
     HBAR,
@@ -36,7 +35,6 @@ from quantlab.coeffring import (
     _reduced,
 )
 from quantlab.phasepoly import PhasePoly
-from quantlab.weylalgebra import Operator
 
 # the keys of H: px^2, py^2, omega^2 x^2 and omega^2 y^2
 _PX2, _PY2 = 2 * PX, 2 * PY
@@ -68,15 +66,15 @@ def hamiltonian(params: OscillatorParams) -> PhasePoly:
     return _reduced(PhasePoly, {_PX2: m2, _PY2: m2, _X2: 2 * m2, _Y2: 2 * n2}, 2 * m2)
 
 
-def _ladder_power(k: int, ratio: Fraction, q: int, p: int, quantum: bool):
+def _ladder_power(k: int, num: int, den: int, q: int, p: int, quantum: bool):
     """b^k in normal order as ((even, odd), denominator), for the ladder
-    factor b = p + alpha q with alpha = i * ratio * sqrt2 * omega, q and p
+    factor b = p + alpha q with alpha = i * (num/den) * sqrt2 * omega, q and p
     the keys of (x, px) or (y, py); even and odd hold the terms whose i and
     hbar exponents have an even or odd sum.
 
     [alpha q, p] = i alpha hbar is central, so BCH gives
     b^k = sum over j + l + 2h = k of k!/(j! l! h!) alpha^(j+h) (-i hbar/2)^h q^j p^l.
-    The units combine to i^j and ratio^(j+h) carries the sign;
+    The units combine to i^j and (num/den)^(j+h) carries the sign;
     sqrt2^(j+h) is 2^((j+h)//2) sqrt2^((j+h) mod 2).  The classical
     power is the h = 0 slice.
     """
@@ -87,18 +85,18 @@ def _ladder_power(k: int, ratio: Fraction, q: int, p: int, quantum: bool):
             l, g = k - 2 * h - j, j + h
             value = (
                 factorial(k) // (factorial(j) * factorial(l) * factorial(h))
-                * ratio.numerator ** g * ratio.denominator ** (k - g) * 2 ** (g // 2 + top - h)
+                * num ** g * den ** (k - g) * 2 ** (g // 2 + top - h)
             )
             key = j * q + l * p + h * HBAR + g * OMEGA + (g & 1) * SQRT2 + (j & 1) * I
             # i^j = (-1)^(j // 2) i^(j mod 2)
             halves[(j + h) & 1][key] = -value if j & 2 else value
-    return halves, ratio.denominator ** k * 2 ** top
+    return halves, den ** k * 2 ** top
 
 
 def _ladder_parts(params: OscillatorParams, quantum: bool, parities: tuple) -> tuple:
     """The ladder products F1 for parity 0 and F2 for parity 1, one per
-    given parity, as phase-space polynomials or, when quantum, as
-    normal-ordered operators.  This is the one ladder builder.
+    given parity, as unreduced (numerators, denominator) of phase-space
+    polynomials or, when quantum, of normal-ordered operators.
 
     With b1 = px - i*omega1*x and b2 = py - i*omega2*y (and their
     conjugates), F1 = (b1^n b2*^m + b1*^n b2^m)/2 and
@@ -118,9 +116,9 @@ def _ladder_parts(params: OscillatorParams, quantum: bool, parities: tuple) -> t
     if max(m, n) >= PACK_LIMIT:
         raise ValueError(_OVER_LIMIT)
     # b1 has alpha = -i sqrt2 omega, b2* has alpha = i (n/m) sqrt2 omega
-    x_halves, x_den = _ladder_power(n, Fraction(-1), X, PX, quantum)
-    y_halves, y_den = _ladder_power(m, Fraction(n, m), Y, PY, quantum)
-    cls = Operator if quantum else PhasePoly
+    g = gcd(m, n)
+    x_halves, x_den = _ladder_power(n, -1, 1, X, PX, quantum)
+    y_halves, y_den = _ladder_power(m, n // g, m // g, Y, PY, quantum)
     out = []
     for parity in parities:
         part: dict = {}
@@ -130,7 +128,7 @@ def _ladder_parts(params: OscillatorParams, quantum: bool, parities: tuple) -> t
         if parity:
             # -i * i = 1 and -i * 1 = -i
             part = {key ^ I: value if key & I else -value for key, value in part.items()}
-        out.append(_reduced(cls, part, x_den * y_den))
+        out.append((part, x_den * y_den))
     return tuple(out)
 
 
@@ -140,7 +138,7 @@ def ladder_integrals(params: OscillatorParams) -> tuple[PhasePoly, PhasePoly]:
     The 1/sqrt(2*omega_j) normalizations are dropped: they rescale by an
     overall constant and do not affect first-integral status.
     """
-    return _ladder_parts(params, False, (0, 1))
+    return tuple(_reduced(PhasePoly, *part) for part in _ladder_parts(params, False, (0, 1)))
 
 
 def k_integral(params: OscillatorParams) -> PhasePoly:
@@ -155,9 +153,9 @@ def k_integral(params: OscillatorParams) -> PhasePoly:
     X_L(G_n) = n E_n, and F2 = Im(b1^n b2*^m) = -s (n/m)^m (P G_n + n D E_n).
     Every key of F2 thus carries sqrt2^1, i^0 and an odd power of omega,
     so K is F2 (_ladder_parts) with each key's sqrt2 and one omega taken
-    off and each value times -(m/n)^m.
+    off and each value times -(m/n)^m, brought to lowest terms once.
     """
     m, n = params.m, params.n
-    (f2,) = _ladder_parts(params, False, (1,))
-    nums = {key - (SQRT2 + OMEGA): -(m ** m) * value for key, value in f2._nums.items()}
-    return _reduced(PhasePoly, nums, f2._den * n ** m)
+    ((f2, den),) = _ladder_parts(params, False, (1,))
+    nums = {key - (SQRT2 + OMEGA): -(m ** m) * value for key, value in f2.items()}
+    return _reduced(PhasePoly, nums, den * n ** m)

@@ -25,13 +25,11 @@ and the three powers of i (the (-i hbar)^j of each image, and the term's
 own) reduce as one.  Output is always normal ordered, which makes
 operator equality a structural check.
 
-The module also provides the direct ladder-operator quantization, a
-route apart from the ordering rules: generators._ladder_parts, the one
-ladder builder, writes each ladder power b^k in normal order in closed
-form (BCH, as [q, p] is central) and reads F1 and F2 off the one product
-b1^n b2*^m, split by the automorphism i -> -i, hbar -> -hbar that sends
-it to b1*^n b2^m.  quantize_ladder builds only the part of that product
-it returns.
+The module also makes the ladder operators, a route apart from the
+ordering rules: generators._ladder_parts writes the normal-ordered terms
+of the ladder products in closed form (BCH), and quantize_ladder makes
+the operator of the one part it asks for.  No other module turns
+classical data into operators.
 """
 
 from __future__ import annotations
@@ -127,17 +125,15 @@ def quantize(scheme: Scheme, poly: PhasePoly) -> Operator:
 
 
 def quantize_ladder(params: OscillatorParams, which: int) -> Operator:
-    """Quantize ladder integral F1 (which = 1) or F2 (which = 2) directly.
-
-    The ladder product is built as a normal-ordered operator in closed
-    form (generators._ladder_parts), unnormalized to match the
-    classical ladder integrals.  Only the part returned is built: the
-    even part of b1^n b2*^m for F1, the odd part for F2.  which is the
-    int 1 or 2: a bool or float equal to one is refused.
+    """Quantize ladder integral F1 (which = 1) or F2 (which = 2) directly,
+    unnormalized like the classical ladder integrals: the operator of the
+    one part of b1^n b2*^m that generators._ladder_parts is asked for, the
+    even part for F1 and the odd part for F2.  which is the int 1 or 2: a
+    bool or float equal to one is refused.
     """
     if isinstance(which, bool) or not isinstance(which, int) or which not in (1, 2):
         raise ValueError("which must be 1 or 2")
-    return _ladder_parts(params, True, (which - 1,))[0]
+    return _reduced(Operator, *_ladder_parts(params, True, (which - 1,))[0])
 
 
 @lru_cache(maxsize=None)

@@ -8,13 +8,14 @@ Subcommands:
 
 Exit codes: 0 when every checked claim holds, 1 on verification failure
 (with a machine-readable failure list on stderr), 2 on usage or parse
-errors.
+errors, 141 (128 + SIGPIPE) when stdout's reader has gone.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from quantlab.generators import OscillatorParams
@@ -145,10 +146,16 @@ def _join_expr(argv: list[str]) -> list[str]:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(_join_expr(sys.argv[1:] if argv is None else argv))
+    args = _build_parser().parse_args(_join_expr(sys.argv[1:] if argv is None else argv))
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # stdout's reader has gone: point stdout at the null device, so
+        # that the flush at interpreter exit does not raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except ValueError as exc:  # ParseError included
         print(f"error: {exc}", file=sys.stderr)
         return 2

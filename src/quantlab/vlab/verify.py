@@ -206,12 +206,11 @@ def failed_claims(record: VerificationRecord) -> list[str]:
     if record.bj_equals_weyl:
         if not record.bj_commutes:
             fails.append(f"{where}: schemes coincide but BJ commutator is nonzero")
+    elif record.bj_commutes:
+        fails.append(f"{where}: schemes differ but BJ commutator vanishes")
     else:
-        if record.bj_commutes:
-            fails.append(f"{where}: schemes differ but BJ commutator vanishes")
-        else:
-            if record.min_h_exp < 2:
-                fails.append(f"{where}: BJ commutator term with hbar exponent < 2")
-            if record.min_w_exp < 1:
-                fails.append(f"{where}: BJ commutator term with omega exponent < 1")
+        if record.min_h_exp < 2:
+            fails.append(f"{where}: BJ commutator term with hbar exponent < 2")
+        if record.min_w_exp < 1:
+            fails.append(f"{where}: BJ commutator term with omega exponent < 1")
     return fails

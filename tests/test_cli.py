@@ -1,7 +1,11 @@
 """Command-line interface: output formats and exit codes."""
 
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -11,6 +15,8 @@ from quantlab.vlab import verify as verify_module
 from quantlab.vlab.parser import MAX_COEFFICIENT_DIGITS
 
 from reference_kernels import px_hat
+
+SRC = Path(cli.__file__).resolve().parents[2]
 
 
 def run(capsys, *argv):
@@ -272,3 +278,34 @@ def test_oracle_probe_reaches_stderr_only(capsys, monkeypatch):
     assert "differing" not in out
     failures = json.loads(err)["failures"]
     assert any("(weyl check, first differing term d/dx)" in f for f in failures)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # one write, and a report written in chunks
+        ["quantize", "--scheme", "bj", "--expr", "x*px"],
+        ["sweep", "--max-sum", "8", "--format", "json"],
+    ],
+)
+def test_a_closed_stdout_ends_the_command_quietly(argv):
+    # stdout a pipe whose reader has gone, as in "quantlab ... | head -c 1":
+    # exit 141 (128 + SIGPIPE), which no claim outcome uses, and no traceback.
+    # stdout is block-buffered, as by default, so a short report first
+    # meets the closed pipe when main flushes it
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "quantlab", *argv],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            env={**env, "PYTHONPATH": str(SRC)},
+            text=True,
+            timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 141, proc.stderr
+    assert "Traceback" not in proc.stderr

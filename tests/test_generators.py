@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from quantlab import generators
 from quantlab.coeffring import Coefficient, Monomial
 from quantlab.generators import OscillatorParams, hamiltonian, k_integral, ladder_integrals
 from quantlab.phasepoly import PhasePoly, PhaseVar, poisson
@@ -140,6 +141,23 @@ def test_k_integral_is_p_g_plus_d_times_the_flow_of_g():
     assert len(pairs) == 190
     for params in pairs:
         assert k_integral(params) == ref.paper_k(params), params
+
+
+@pytest.mark.parametrize("m, n", [(1, 1), (3, 2), (2, 4), (6, 3)])
+def test_k_is_brought_to_lowest_terms_once(monkeypatch, m, n):
+    # F2's numerators come back unreduced, and K reduces its relabel once
+    calls = []
+    reduced = generators._reduced
+
+    def counted(*args):
+        calls.append(args[0])
+        return reduced(*args)
+
+    monkeypatch.setattr(generators, "_reduced", counted)
+    params = OscillatorParams(m, n)
+    k = k_integral(params)
+    assert calls == [PhasePoly]
+    assert k == ref.paper_k(params)
 
 
 def test_k_degree_is_m_plus_n():
