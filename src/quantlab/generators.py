@@ -16,7 +16,7 @@ each reader brings its part to lowest terms once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from math import factorial, gcd
 
 from quantlab.coeffring import (
@@ -41,22 +41,25 @@ _PX2, _PY2 = 2 * PX, 2 * PY
 _X2, _Y2 = 2 * (X + OMEGA), 2 * (Y + OMEGA)
 
 
-@dataclass(frozen=True)
-class OscillatorParams:
+class OscillatorParams(namedtuple("OscillatorParams", "m n")):
     """Positive frequency-ratio parameters.
 
     The axis frequencies are omega1 = sqrt2*omega and
     omega2 = (n/m)*sqrt2*omega, so m*omega2 = n*omega1 identically.
     """
 
-    m: int
-    n: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        for name in ("m", "n"):
-            value = getattr(self, name)
+    def __new__(cls, m, n):
+        for name, value in (("m", m), ("n", n)):
             if isinstance(value, bool) or not isinstance(value, int) or value < 1:
                 raise ValueError(f"{name} must be a positive integer")
+        return tuple.__new__(cls, (m, n))
+
+    @classmethod
+    def _make(cls, iterable):
+        # namedtuple's _make, which _replace calls, would skip the checks
+        return cls(*iterable)
 
 
 def hamiltonian(params: OscillatorParams) -> PhasePoly:

@@ -58,6 +58,11 @@ class Scheme(Enum):
     BORN_JORDAN = "bj"
     WEYL = "weyl"
 
+    # The members are singletons compared by identity, so an identity hash
+    # agrees with equality, and it is computed in C: quantize_monomial's
+    # cache then calls no Python-level Enum.__hash__ per lookup.
+    __hash__ = object.__hash__
+
 
 @lru_cache(maxsize=None, typed=True)
 def quantize_monomial(scheme: Scheme, a: int, b: int, c: int, d: int) -> Operator:

@@ -27,8 +27,8 @@ this module imports nothing from the package.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from functools import partial
-from typing import NamedTuple
 
 # A rational as (numerator, denominator) in lowest terms.
 Rational = tuple[int, int]
@@ -38,17 +38,21 @@ _ONE = (1, 1)
 _MINUS_ONE = (-1, 1)
 
 
-class Style(NamedTuple):
-    fraction: str  # |numerator|, denominator of a non-integer rational
-    join: str  # between the factors of one term
-    open: str  # around a sum used as a factor
-    close: str
-    imag: str  # between a rational and i inside a Gaussian rational
-    fold_powers: bool  # may a leading -1 fold onto a factor carrying '^'
-    power: str  # name^exponent, for an exponent above 1
-    derivative: str  # numerator, denominators of a partial derivative
-    derivative_join: str  # between the denominators
-    names: dict[str, tuple[str, ...]]  # display names per kind of monomial
+# A style record's fields, one per way the formats differ:
+#   fraction: |numerator|, denominator of a non-integer rational
+#   join: between the factors of one term
+#   open, close: around a sum used as a factor
+#   imag: between a rational and i inside a Gaussian rational
+#   fold_powers: may a leading -1 fold onto a factor carrying '^'
+#   power: name^exponent, for an exponent above 1
+#   derivative: numerator, denominators of a partial derivative
+#   derivative_join: between the denominators
+#   names: display names per kind of monomial, {kind: (name, ...)}; it
+#     comes last, so style[:-1] is the hashable rest (_halves)
+Style = namedtuple(
+    "Style",
+    "fraction join open close imag fold_powers power derivative derivative_join names",
+)
 
 
 # The grammar rejects a unary minus on the base of a power, so plain text

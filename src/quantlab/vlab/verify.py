@@ -22,7 +22,6 @@ bracket is reported by failed_claims; it does not stop a sweep.
 from __future__ import annotations
 
 from collections import namedtuple
-from dataclasses import dataclass
 
 from quantlab import render
 from quantlab.coeffring import Monomial
@@ -56,28 +55,37 @@ def _lookup(table: dict, target):
     raise ValueError(f"target must be one of {', '.join(map(repr, table))}")
 
 
-@dataclass
-class VerificationRecord:
-    """Per-(m, n) outcome of one verification run."""
+class VerificationRecord(
+    namedtuple(
+        "VerificationRecord",
+        (
+            "m",  # int
+            "n",  # int
+            "target",  # str, a name in TARGETS
+            "classical_bracket_zero",  # bool
+            "bj_equals_weyl",  # bool
+            "weyl_commutes",  # bool
+            "bj_commutes",  # bool
+            "bj_minus_weyl",  # Operator
+            "weyl_commutator",  # Operator
+            "bj_commutator",  # Operator
+            "min_h_exp",  # int
+            "min_w_exp",  # int
+            "oracle_agreement",  # bool
+            "ladder_equals_weyl",  # bool, or None for K
+            # scheme ("weyl" or "bj") and first differing derivative word
+            # x^a y^b d^c/dx^c d^d/dy^d of a failed oracle check, or None;
+            # failed_claims names it, record_json and the record reports
+            # omit it
+            "oracle_failure",
+        ),
+        defaults=(None, None),
+    )
+):
+    """Per-(m, n) outcome of one verification run.  Immutable: a changed
+    copy is record._replace(field=value)."""
 
-    m: int
-    n: int
-    target: str
-    classical_bracket_zero: bool
-    bj_equals_weyl: bool
-    weyl_commutes: bool
-    bj_commutes: bool
-    bj_minus_weyl: Operator
-    weyl_commutator: Operator
-    bj_commutator: Operator
-    min_h_exp: int
-    min_w_exp: int
-    oracle_agreement: bool
-    ladder_equals_weyl: bool | None = None
-    # scheme ("weyl" or "bj") and first differing derivative word
-    # x^a y^b d^c/dx^c d^d/dy^d of a failed oracle check; failed_claims
-    # names it, record_json and the record reports omit it
-    oracle_failure: tuple[str, Monomial] | None = None
+    __slots__ = ()
 
 
 def verify_pair(m: int, n: int, target: str = K.name) -> VerificationRecord:

@@ -215,8 +215,7 @@ def test_usage_error_exit_code(capsys):
 
 def test_verification_failure_exit_code(capsys, monkeypatch):
     # force a failing record to exercise the failure path
-    record = verify_module.verify_pair(4, 1)
-    record.weyl_commutes = False
+    record = verify_module.verify_pair(4, 1)._replace(weyl_commutes=False)
     monkeypatch.setattr(cli, "verify_pair", lambda m, n, target: record)
     code, out, err = run(capsys, "verify", "--m", "4", "--n", "1")
     assert code == 1
@@ -232,8 +231,7 @@ def test_verification_failure_exit_code(capsys, monkeypatch):
     ],
 )
 def test_born_jordan_claim_failures_exit_code(capsys, monkeypatch, field, value, claim):
-    record = verify_module.verify_pair(4, 1)
-    setattr(record, field, value)
+    record = verify_module.verify_pair(4, 1)._replace(**{field: value})
     monkeypatch.setattr(cli, "verify_pair", lambda m, n, target: record)
     code, out, err = run(capsys, "verify", "--m", "4", "--n", "1")
     assert code == 1

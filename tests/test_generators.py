@@ -21,13 +21,26 @@ W2 = Coefficient.omega(2)
 W4 = Coefficient.omega(4)
 
 
-def test_params_validation():
-    with pytest.raises(ValueError):
-        OscillatorParams(0, 1)
-    with pytest.raises(ValueError):
-        OscillatorParams(1, 0)
-    with pytest.raises(ValueError):
-        OscillatorParams(-2, 3)
+@pytest.mark.parametrize("bad", [True, 1.0, 0, -1])
+@pytest.mark.parametrize("name", ["m", "n"])
+def test_params_validation(name, bad):
+    # a bool is an int subclass and 1.0 equals 1, yet neither is an int
+    # parameter
+    args = {"m": 2, "n": 3, name: bad}
+    with pytest.raises(ValueError, match=f"^{name} must be a positive integer$"):
+        OscillatorParams(**args)
+    # a copy is checked too
+    with pytest.raises(ValueError, match=f"^{name} must be a positive integer$"):
+        OscillatorParams(2, 3)._replace(**{name: bad})
+
+
+def test_params_are_an_immutable_record():
+    params = OscillatorParams(3, 2)
+    assert repr(params) == "OscillatorParams(m=3, n=2)"
+    assert params == OscillatorParams(m=3, n=2) and (params.m, params.n) == (3, 2)
+    assert hash(params) == hash(OscillatorParams(3, 2))
+    with pytest.raises(AttributeError):
+        params.m = 4
 
 
 def test_hamiltonian_isotropic():

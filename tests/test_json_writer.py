@@ -108,11 +108,11 @@ def test_unsupported_values_are_refused():
 
 def failing_record():
     """A record whose Weyl claim and action-oracle claim fail."""
-    record = verify_pair(4, 1)
-    record.weyl_commutes = False
-    record.oracle_agreement = False
-    record.oracle_failure = ("weyl", Monomial(a=1, c=2))
-    return record
+    return verify_pair(4, 1)._replace(
+        weyl_commutes=False,
+        oracle_agreement=False,
+        oracle_failure=("weyl", Monomial(a=1, c=2)),
+    )
 
 
 ESCAPED = 'target "K": ω ≠ 0'

@@ -6,9 +6,17 @@ the action oracle, imports neither the quantizer's ordering schemes nor
 the ladder builder.  quantizer is the one module that turns classical
 data into operators.  Each module's imports are read from its source,
 so an import inside a function counts too.
+
+Every command is a fresh interpreter, so the package also keeps its
+standard-library imports light: records are namedtuples, and nothing
+loads dataclasses (which loads inspect, ast, dis and tokenize) or
+typing.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -62,3 +70,42 @@ def test_the_graph_reader_sees_the_imports_that_exist():
     # a reader that found nothing would pass every test above
     assert {"coeffring", "phasepoly"} <= package_imports("generators")
     assert {"generators", "weylalgebra"} <= package_imports("quantizer")
+
+
+# dataclasses loads inspect, and both cost more at start-up than the
+# package's own modules
+HEAVY = ("dataclasses", "inspect", "typing")
+
+
+def stdlib_imports(path: Path) -> set[str]:
+    """The top-level names of the absolute imports in a source file."""
+    out = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.ImportFrom) and node.level == 0 and node.module:
+            out.add(node.module.split(".")[0])
+        elif isinstance(node, ast.Import):
+            out |= {alias.name.split(".")[0] for alias in node.names}
+    return out
+
+
+def test_no_module_imports_dataclasses_inspect_or_typing():
+    sources = sorted(PACKAGE.rglob("*.py"))
+    assert {"verify.py", "render.py", "generators.py"} <= {path.name for path in sources}
+    heavy = {
+        str(path.relative_to(PACKAGE)): stdlib_imports(path) & set(HEAVY) for path in sources
+    }
+    assert {path: names for path, names in heavy.items() if names} == {}
+
+
+def test_a_cold_command_loads_no_dataclasses_inspect_or_typing():
+    # the CLI's whole import in a fresh interpreter without site-packages,
+    # as every command runs
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+    code = (
+        "import sys, quantlab.vlab.cli; "
+        f"print(sorted(name for name in {HEAVY!r} if name in sys.modules))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout == "[]\n"

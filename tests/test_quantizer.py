@@ -301,6 +301,16 @@ def test_quantize_monomial_refuses_a_bad_exponent_on_a_warm_cache(phase):
             quantize_monomial(scheme, *phase)
 
 
+def test_quantize_monomial_refuses_a_non_member_on_a_warm_cache():
+    # a member's value or name is not the member, however the cache keys
+    # hash it
+    for warm in (W, BJ):
+        quantize_monomial(warm, 1, 0, 1, 0)
+    for scheme in ("bj", "weyl", "BORN_JORDAN", "WEYL", None, 1):
+        with pytest.raises(TypeError, match="scheme must be a Scheme member"):
+            quantize_monomial(scheme, 1, 0, 1, 0)
+
+
 def test_the_monomial_cache_holds_one_pair_images_only():
     # no two pairs share a monomial of K, but they share its one-pair
     # parts, so a cache of whole monomials would grow with the pairs

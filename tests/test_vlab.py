@@ -1,7 +1,6 @@
 """Verification pipelines and report rendering."""
 
 import json
-from dataclasses import replace
 from itertools import count
 
 import pytest
@@ -460,6 +459,20 @@ def test_action_oracle_builds_no_normal_ordered_product(monkeypatch):
     assert not commutator_matches_action(h_op, bj_op, comm + _WRONG_TERM)
 
 
+def test_record_is_immutable_and_replace_gives_a_record_failed_claims_reads():
+    record = verify_pair(2, 1)
+    with pytest.raises(AttributeError):
+        record.weyl_commutes = False
+    broken = record._replace(weyl_commutes=False, oracle_agreement=False)
+    assert type(broken) is verify_module.VerificationRecord
+    assert record.weyl_commutes and record.oracle_agreement
+    assert broken.ladder_equals_weyl is None and broken.oracle_failure is None
+    assert failed_claims(broken) == [
+        "(m, n) = (2, 1), target k: symbolic commutator disagrees with action oracle",
+        "(m, n) = (2, 1), target k: Weyl commutator is nonzero",
+    ]
+
+
 @pytest.mark.parametrize(
     "m, n, field, value, message",
     [
@@ -477,5 +490,5 @@ def test_each_failed_claim_has_its_message(m, n, field, value, message):
     # against a real record breaks exactly one claim
     record = verify_pair(m, n)
     assert not failed_claims(record)
-    broken = replace(record, **{field: value})
+    broken = record._replace(**{field: value})
     assert failed_claims(broken) == [f"(m, n) = ({m}, {n}), target k: {message}"]
