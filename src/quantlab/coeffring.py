@@ -60,26 +60,16 @@ def _ratio(value) -> tuple[int, int]:
     raise TypeError(f"expected int or Fraction, got {type(value).__name__}")
 
 
-class Monomial(namedtuple("Monomial", "a b c d h w r e")):
+class Monomial(namedtuple("Monomial", "a b c d h w r e", defaults=(0,) * 8)):
     """Exponents of x^a y^b px^c py^d hbar^h omega^w sqrt2^r i^e.
 
     The phase part (a, b, c, d) names a polynomial monomial or the
     normal-ordered operator word X^a Y^b Px^c Py^d; the parameter part
     (h, w, r, e) is a monomial of the coefficient ring, with the powers
-    of sqrt2 and i reduced to 0 or 1.
+    of sqrt2 and i reduced to 0 or 1.  pack checks every exponent.
     """
 
     __slots__ = ()
-
-    def __new__(cls, a=0, b=0, c=0, d=0, h=0, w=0, r=0, e=0):
-        exps = (a, b, c, d, h, w, r, e)
-        if set(map(type, exps)) != {int}:
-            raise ValueError("exponents must be ints")
-        if min(exps) < 0:
-            raise ValueError("exponents must be nonnegative")
-        if r > 1 or e > 1:
-            raise ValueError("sqrt2 and i exponents must be reduced to 0 or 1")
-        return tuple.__new__(cls, exps)
 
 
 # The key layout, stated once.  a, b, c, d, h and w take 16 bits each from
@@ -110,13 +100,20 @@ _PHASE = (1 << 64) - 1
 
 
 def pack(key: Monomial) -> int:
-    """key as one int in the layout above.  TypeError for a key that is not
-    a Monomial, ValueError for an exponent that does not fit its field."""
+    """key as one int in the layout above, and the one check of a key's
+    exponents: TypeError for a key that is not a Monomial, ValueError for an
+    exponent that is not an int, is negative or exceeds its field's bound."""
     if not isinstance(key, Monomial):
         raise TypeError(f"expected Monomial key, got {type(key).__name__}")
+    if set(map(type, key)) != {int}:
+        raise ValueError("exponents must be ints")
+    if min(key) < 0:
+        raise ValueError("exponents must be nonnegative")
+    a, b, c, d, h, w, r, e = key
+    if r > 1 or e > 1:
+        raise ValueError("sqrt2 and i exponents must be reduced to 0 or 1")
     if max(key) > _FIELD:
         raise ValueError(f"exponent too large for a term key (limit {_FIELD})")
-    a, b, c, d, h, w, r, e = key
     return a * X + b * Y + c * PX + d * PY + h * HBAR + w * OMEGA + r * SQRT2 + e * I
 
 

@@ -79,8 +79,8 @@ def quantize_monomial(scheme: Scheme, a: int, b: int, c: int, d: int) -> Operato
     order, as (key shift, signed weight).  A mixed monomial's image is
     the product of its one-pair images, joined by quantize.  Only a cache
     miss runs the checks: TypeError for a scheme that is not a Scheme
-    member, and the Monomial constructor's ValueError for an exponent
-    that is negative or not an int, or pack's for one above its field.
+    member, and pack's ValueError for an exponent that is negative, not
+    an int or above its field.
     The cache is typed, so a float or bool exponent equal to a cached
     int, 2.0 or True, misses it and is refused too.
     """
@@ -162,6 +162,8 @@ def bj_excess(poly: PhasePoly) -> PhasePoly:
     quantize(BORN_JORDAN, f) == quantize(WEYL, f + bj_excess(f)) (de Gosson,
     Born-Jordan Quantization, 2016).  A term with fewer than two of q or p
     in both pairs is fixed by T and skipped."""
+    if not isinstance(poly, PhasePoly):
+        raise TypeError(f"bj_excess takes a PhasePoly, got {type(poly).__name__}")
     parts = []
     for key, value, a, b, c, d in phase_terms(poly._nums):
         if min(a, c) < 2 and min(b, d) < 2:

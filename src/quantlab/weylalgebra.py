@@ -13,11 +13,11 @@ quantizer weights its terms by an ordering rule's mu_k.  The k = 0 term of a
 product of two words is their commutative product, the same key with
 the same value in either order, so a commutator builds neither product:
 the base terms cancel, and it accumulates only the reordering
-corrections (k > 0) of both orders, with opposite signs.  commutator
-no longer runs on the verify path, which takes its commutators with the
-quadratic H from classical brackets (quantizer.weyl_commutator); it is
-the third derivation of a record's commutators, which the tests compare
-with that route.
+corrections (k > 0) of both orders, with opposite signs.  The verify
+path takes its commutators with the quadratic H from classical brackets
+(quantizer.weyl_commutator); commutator is read by perfbench's
+algebra-kf workload and by the tests' three-route check, which compares
+it, as a third derivation of a record's commutators, with that route.
 
 A term's key is one int (coeffring), so the product of two words is one
 int add, and a reordering correction (_corrections) or Leibniz term

@@ -6,9 +6,9 @@ from random import Random
 
 import pytest
 
-from quantlab.coeffring import Coefficient, Monomial
+from quantlab.coeffring import Coefficient, Monomial, pack
 from quantlab.phasepoly import PhasePoly, PhaseVar, poisson
-from quantlab.quantizer import Scheme, quantize
+from quantlab.quantizer import Scheme, quantize, quantize_monomial
 from quantlab.weylalgebra import Operator, apply_to_polynomial, classical_symbol, op_mul
 
 import reference_kernels as ref
@@ -65,17 +65,49 @@ def test_conjugation_examples():
 
 
 def test_mono_validation():
-    # sqrt2 and i are reduced to the powers 0 and 1; no exponent is negative,
-    # and every exponent is an int: a float or bool would print as an int
-    # and fail later, inside quantize
+    # pack checks a key: sqrt2 and i are reduced to the powers 0 and 1; no
+    # exponent is negative, and every exponent is an int: a float or bool
+    # would print as an int and fail later, inside quantize
     for fields in ({"r": 2}, {"e": 2}, {"r": -1}, {"e": -1}, {"a": -1}, {"d": -2}, {"h": -1}):
         with pytest.raises(ValueError):
-            Monomial(**fields)
+            pack(Monomial(**fields))
+        with pytest.raises(ValueError):
+            PhasePoly({Monomial(**fields): 1})
     for fields in ({"a": 1.5}, {"c": 2.0}, {"h": True}, {"e": False}, {"w": Fraction(1)}):
         with pytest.raises(ValueError):
-            Monomial(**fields)
+            pack(Monomial(**fields))
+        with pytest.raises(ValueError):
+            PhasePoly({Monomial(**fields): 1})
     with pytest.raises(ValueError):
         Coefficient.hbar(2.0)
+
+
+# Keys that only pack can refuse: a Monomial is a plain record, and _make,
+# which _replace calls, builds one from any tuple.  Unchecked, the first
+# packs to 65535 (x^65535: a = -1 borrows from b) and the second sets the
+# R2 bit of a key that prints as 1.
+BAD_KEYS = {
+    "replace-negative": Monomial(b=1)._replace(a=-1),
+    "make-sqrt2-squared": Monomial._make((0,) * 6 + (2, 0)),
+    "float": Monomial(c=2.0),
+    "bool": Monomial(b=True),
+}
+
+
+@pytest.mark.parametrize("key", BAD_KEYS.values(), ids=BAD_KEYS)
+def test_every_way_into_a_term_map_refuses_a_bad_key(key):
+    with pytest.raises(ValueError):
+        pack(key)
+    for cls in (Coefficient, PhasePoly, Operator):
+        with pytest.raises(ValueError):
+            cls({key: 1})
+        with pytest.raises(ValueError):
+            cls.monomial(key)
+    # quantize_monomial takes the phase part, where three of the four are bad
+    if key[4:] == (0, 0, 0, 0):
+        for scheme in Scheme:
+            with pytest.raises(ValueError):
+                quantize_monomial(scheme, *key[:4])
 
 
 def test_mono_mul_states_both_reductions():

@@ -343,6 +343,27 @@ def test_quantize_refuses_a_bad_scheme_for_a_poly_with_no_terms():
     assert quantize(BJ, PhasePoly.zero()) == Operator.zero()
 
 
+# Not phase-space symbols: read as one, an Operator's words would be taken
+# for commuting variables.
+NOT_PHASE_POLYS = {
+    "coefficient": Coefficient.one(),
+    "operator": quantize(W, PhasePoly.monomial(Monomial(a=2, c=2))),
+}
+PHASE_SPACE_ENTRY_POINTS = {
+    "quantize": lambda f: quantize(W, f),
+    "poisson": lambda f: poisson(f, PhasePoly.variable(PhaseVar.X)),
+    "weyl_commutator": lambda f: weyl_commutator(PhasePoly.one(), f),
+    "bj_excess": bj_excess,
+}
+
+
+@pytest.mark.parametrize("operand", NOT_PHASE_POLYS.values(), ids=NOT_PHASE_POLYS)
+@pytest.mark.parametrize("entry", PHASE_SPACE_ENTRY_POINTS.values(), ids=PHASE_SPACE_ENTRY_POINTS)
+def test_phase_space_entry_points_refuse_a_non_phase_poly(entry, operand):
+    with pytest.raises(TypeError, match="PhasePoly"):
+        entry(operand)
+
+
 def test_quantize_refuses_an_operand_that_is_not_a_phase_poly():
     for operand in (x_hat() * x_hat(), Coefficient.i(), Monomial(a=1)):
         for scheme in (W, BJ):
