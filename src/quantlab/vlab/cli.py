@@ -136,11 +136,14 @@ def _cmd_commutator(args) -> int:
 
 def _join_expr(argv: list[str]) -> list[str]:
     """argv with each "--expr VALUE" joined into "--expr=VALUE": the value
-    is an expression, so a leading '-' (as in "-x") is not an option."""
+    is an expression, so a leading '-' (as in "-x") is not an option.
+    argparse takes --e, --ex and --exp for --expr (no other option starts
+    with --e), so those are joined too."""
     out = []
     args = iter(argv)
     for arg in args:
-        value = next(args, None) if arg == "--expr" else None
+        expr = arg.startswith("--e") and "--expr".startswith(arg)
+        value = next(args, None) if expr else None
         out.append(arg if value is None else f"--expr={value}")
     return out
 

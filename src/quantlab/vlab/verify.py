@@ -62,16 +62,10 @@ class VerificationRecord(
             "m",  # int
             "n",  # int
             "target",  # str, a name in TARGETS
-            "classical_bracket_zero",  # bool
-            "bj_equals_weyl",  # bool
-            "weyl_commutes",  # bool
-            "bj_commutes",  # bool
+            "classical_bracket_zero",  # bool, whether {H, f} vanishes
             "bj_minus_weyl",  # Operator
-            "weyl_commutator",  # Operator
-            "bj_commutator",  # Operator
-            "min_h_exp",  # int
-            "min_w_exp",  # int
-            "oracle_agreement",  # bool
+            "weyl_commutator",  # Operator, [H, W]
+            "bj_commutator",  # Operator, [H, BJ]
             "ladder_equals_weyl",  # bool, or None for K
             # scheme ("weyl" or "bj") and first differing derivative word
             # x^a y^b d^c/dx^c d^d/dy^d of a failed oracle check, or None;
@@ -83,9 +77,18 @@ class VerificationRecord(
     )
 ):
     """Per-(m, n) outcome of one verification run.  Immutable: a changed
-    copy is record._replace(field=value)."""
+    copy is record._replace(field=value).  It stores facts, the operators
+    and the oracle's verdict; each claim flag below is read off them, so
+    no record states a claim that its own operators contradict."""
 
     __slots__ = ()
+
+    bj_equals_weyl = property(lambda self: self.bj_minus_weyl.is_zero())
+    weyl_commutes = property(lambda self: self.weyl_commutator.is_zero())
+    bj_commutes = property(lambda self: self.bj_commutator.is_zero())
+    min_h_exp = property(lambda self: min_hbar_exponent(self.bj_commutator))
+    min_w_exp = property(lambda self: min_omega_exponent(self.bj_commutator))
+    oracle_agreement = property(lambda self: self.oracle_failure is None)
 
 
 def verify_pair(m: int, n: int, target: str = K.name) -> VerificationRecord:
@@ -108,7 +111,6 @@ def verify_pair(m: int, n: int, target: str = K.name) -> VerificationRecord:
     # bilinearity, and the oracle checks the two terms one by one.
     weyl_comm = weyl_commutator(h, bracket)
     diff_comm = weyl_commutator(h, poisson(h, excess))
-    bj_comm = weyl_comm + diff_comm
     scheme = "weyl"
     check = commutator_matches_action(h_op, weyl_op, weyl_comm)
     if check:
@@ -119,31 +121,27 @@ def verify_pair(m: int, n: int, target: str = K.name) -> VerificationRecord:
         n=params.n,
         target=target,
         classical_bracket_zero=bracket.is_zero(),
-        bj_equals_weyl=diff.is_zero(),
-        weyl_commutes=weyl_comm.is_zero(),
-        bj_commutes=bj_comm.is_zero(),
         bj_minus_weyl=diff,
         weyl_commutator=weyl_comm,
-        bj_commutator=bj_comm,
-        min_h_exp=min_hbar_exponent(bj_comm),
-        min_w_exp=min_omega_exponent(bj_comm),
-        oracle_agreement=bool(check),
+        bj_commutator=weyl_comm + diff_comm,
         ladder_equals_weyl=None if ladder_op is None else ladder_op == weyl_op,
         oracle_failure=None if check else (scheme, check.term),
     )
 
 
-class Disagreement(namedtuple("Disagreement", "term direct nested")):
+class Disagreement(namedtuple("Disagreement", "direct nested")):
     """A refuted commutator: direct is the claimed commutator's image of
     e^(sx+ty) (probe_image) and nested is left(right(e)) - right(left(e))
     (probe_bracket), each a PhasePoly in x, y, s, t (s and t in the px and
     py slots), so direct - nested is the symbol of the error; term is the
-    first derivative word, in render order, on which the two differ.
+    first derivative word, in render order, on which the two differ, the
+    first phase part of the error's grouped view.
 
     Falsy, so a caller can test the oracle's answer as a bool.
     """
 
     __slots__ = ()
+    term = property(lambda self: Monomial(*(self.nested - self.direct).groups[0][0]))
 
     def __bool__(self) -> bool:
         return False
@@ -165,11 +163,7 @@ def commutator_matches_action(
     """
     nested = probe_bracket(left, right)
     direct = probe_image(comm)
-    if nested == direct:
-        return True
-    # the first phase part of the error's grouped view, in render order
-    term = Monomial(*(nested - direct).groups[0][0])
-    return Disagreement(term, direct, nested)
+    return True if nested == direct else Disagreement(direct, nested)
 
 
 def sweep(max_sum: int, target: str = K.name) -> list[VerificationRecord]:
@@ -203,11 +197,9 @@ def failed_claims(record: VerificationRecord) -> list[str]:
     if not record.classical_bracket_zero:
         fails.append(f"{where}: classical bracket is nonzero")
     if not record.oracle_agreement:
-        detail = ""
-        if record.oracle_failure is not None:
-            scheme, term = record.oracle_failure
-            word = render.key_text(term[:4], "differential", render.TEXT)
-            detail = f" ({scheme} check, first differing term {word})"
+        scheme, term = record.oracle_failure
+        word = render.key_text(term[:4], "differential", render.TEXT)
+        detail = f" ({scheme} check, first differing term {word})"
         fails.append(f"{where}: symbolic commutator disagrees with action oracle{detail}")
     if not record.weyl_commutes:
         fails.append(f"{where}: Weyl commutator is nonzero")

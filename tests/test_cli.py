@@ -9,10 +9,11 @@ from pathlib import Path
 
 import pytest
 
-from quantlab.coeffring import Coefficient
+from quantlab.coeffring import Coefficient, Monomial
 from quantlab.vlab import cli
 from quantlab.vlab import verify as verify_module
 from quantlab.vlab.parser import MAX_COEFFICIENT_DIGITS
+from quantlab.weylalgebra import Operator
 
 from reference_kernels import px_hat
 
@@ -189,6 +190,16 @@ def test_quantize_expr_with_leading_minus(capsys, expr):
     assert spaced == joined
 
 
+@pytest.mark.parametrize("prefix", ["--e", "--ex", "--exp"])
+def test_quantize_expr_abbreviation_takes_a_leading_minus(capsys, prefix):
+    # argparse accepts a prefix of --expr, and the word after it is the
+    # expression as it is after --expr
+    spelled = run(capsys, "quantize", "--scheme", "bj", "--expr", "-x")
+    abbreviated = run(capsys, "quantize", "--scheme", "bj", prefix, "-x")
+    assert spelled[0] == 0
+    assert abbreviated == spelled
+
+
 def test_commutator_command(capsys):
     code, out, _ = run(capsys, "commutator", "--scheme", "bj", "--m", "4", "--n", "1")
     assert code == 0
@@ -215,7 +226,7 @@ def test_usage_error_exit_code(capsys):
 
 def test_verification_failure_exit_code(capsys, monkeypatch):
     # force a failing record to exercise the failure path
-    record = verify_module.verify_pair(4, 1)._replace(weyl_commutes=False)
+    record = verify_module.verify_pair(4, 1)._replace(weyl_commutator=px_hat())
     monkeypatch.setattr(cli, "verify_pair", lambda m, n, target: record)
     code, out, err = run(capsys, "verify", "--m", "4", "--n", "1")
     assert code == 1
@@ -224,14 +235,17 @@ def test_verification_failure_exit_code(capsys, monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "field, value, claim",
+    "bj_commutator, claim",
     [
-        ("bj_commutes", True, "schemes differ but BJ commutator vanishes"),
-        ("min_h_exp", 1, "BJ commutator term with hbar exponent < 2"),
+        (Operator.zero(), "schemes differ but BJ commutator vanishes"),
+        (
+            Operator.monomial(Monomial(a=1, h=1, w=1)),
+            "BJ commutator term with hbar exponent < 2",
+        ),
     ],
 )
-def test_born_jordan_claim_failures_exit_code(capsys, monkeypatch, field, value, claim):
-    record = verify_module.verify_pair(4, 1)._replace(**{field: value})
+def test_born_jordan_claim_failures_exit_code(capsys, monkeypatch, bj_commutator, claim):
+    record = verify_module.verify_pair(4, 1)._replace(bj_commutator=bj_commutator)
     monkeypatch.setattr(cli, "verify_pair", lambda m, n, target: record)
     code, out, err = run(capsys, "verify", "--m", "4", "--n", "1")
     assert code == 1

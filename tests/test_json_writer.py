@@ -109,8 +109,7 @@ def test_unsupported_values_are_refused():
 def failing_record():
     """A record whose Weyl claim and action-oracle claim fail."""
     return verify_pair(4, 1)._replace(
-        weyl_commutes=False,
-        oracle_agreement=False,
+        weyl_commutator=Operator.monomial(Monomial(a=1)),
         oracle_failure=("weyl", Monomial(a=1, c=2)),
     )
 

@@ -291,7 +291,7 @@ def test_monomial_image_is_the_quantized_monomial():
      (0, 0, 0, 2.0), (True, 0, 1, 0), (0, 1, 0, True), (1, 1.0, 0, 1)],
 )
 def test_quantize_monomial_refuses_a_bad_exponent_on_a_warm_cache(phase):
-    # the constructor's check, run on a cache miss.  The cache is typed, so
+    # coeffring.pack's check, run on a cache miss.  The cache is typed, so
     # a float or bool equal to an int exponent misses the cached image of
     # the ints and is refused too.
     for scheme in (W, BJ):

@@ -30,6 +30,9 @@ from quantlab.weylalgebra import Operator, classical_symbol, commutator
 
 from reference_kernels import px_hat, py_hat, x_hat
 
+# x, a nonzero operator to store as a record's commutator
+_X = Operator.monomial(Monomial(a=1))
+
 
 def test_verify_four_one():
     record = verify_pair(4, 1)
@@ -462,13 +465,14 @@ def test_action_oracle_builds_no_normal_ordered_product(monkeypatch):
 def test_record_is_immutable_and_replace_gives_a_record_failed_claims_reads():
     record = verify_pair(2, 1)
     with pytest.raises(AttributeError):
-        record.weyl_commutes = False
-    broken = record._replace(weyl_commutes=False, oracle_agreement=False)
+        record.weyl_commutator = _X
+    broken = record._replace(weyl_commutator=_X, oracle_failure=("weyl", Monomial(a=1, c=2)))
     assert type(broken) is verify_module.VerificationRecord
     assert record.weyl_commutes and record.oracle_agreement
-    assert broken.ladder_equals_weyl is None and broken.oracle_failure is None
+    assert broken.ladder_equals_weyl is None and record.oracle_failure is None
     assert failed_claims(broken) == [
-        "(m, n) = (2, 1), target k: symbolic commutator disagrees with action oracle",
+        "(m, n) = (2, 1), target k: symbolic commutator disagrees with action oracle"
+        " (weyl check, first differing term x * d^2/dx^2)",
         "(m, n) = (2, 1), target k: Weyl commutator is nonzero",
     ]
 
@@ -477,18 +481,78 @@ def test_record_is_immutable_and_replace_gives_a_record_failed_claims_reads():
     "m, n, field, value, message",
     [
         (2, 1, "classical_bracket_zero", False, "classical bracket is nonzero"),
-        (2, 1, "oracle_agreement", False, "symbolic commutator disagrees with action oracle"),
-        (2, 1, "weyl_commutes", False, "Weyl commutator is nonzero"),
-        (2, 1, "bj_commutes", False, "schemes coincide but BJ commutator is nonzero"),
-        (4, 1, "bj_commutes", True, "schemes differ but BJ commutator vanishes"),
-        (4, 1, "min_h_exp", 1, "BJ commutator term with hbar exponent < 2"),
-        (4, 1, "min_w_exp", 0, "BJ commutator term with omega exponent < 1"),
+        (
+            2,
+            1,
+            "oracle_failure",
+            ("weyl", Monomial(a=1, c=2)),
+            "symbolic commutator disagrees with action oracle"
+            " (weyl check, first differing term x * d^2/dx^2)",
+        ),
+        (2, 1, "weyl_commutator", _X, "Weyl commutator is nonzero"),
+        (2, 1, "bj_commutator", _X, "schemes coincide but BJ commutator is nonzero"),
+        (4, 1, "bj_commutator", Operator.zero(), "schemes differ but BJ commutator vanishes"),
+        (
+            4,
+            1,
+            "bj_commutator",
+            Operator.monomial(Monomial(a=1, h=1, w=1)),
+            "BJ commutator term with hbar exponent < 2",
+        ),
+        (
+            4,
+            1,
+            "bj_commutator",
+            Operator.monomial(Monomial(a=1, h=2)),
+            "BJ commutator term with omega exponent < 1",
+        ),
     ],
 )
 def test_each_failed_claim_has_its_message(m, n, field, value, message):
-    # BJ and Weyl coincide at (2, 1) and differ at (4, 1); one field set
-    # against a real record breaks exactly one claim
+    # BJ and Weyl coincide at (2, 1) and differ at (4, 1); one stored fact
+    # set against a real record breaks exactly one claim
     record = verify_pair(m, n)
     assert not failed_claims(record)
     broken = record._replace(**{field: value})
     assert failed_claims(broken) == [f"(m, n) = ({m}, {n}), target k: {message}"]
+
+
+# each claim flag of a record, with the value it reads off the stored facts
+_FLAGS = {
+    "bj_equals_weyl": lambda r: r.bj_minus_weyl.is_zero(),
+    "weyl_commutes": lambda r: r.weyl_commutator.is_zero(),
+    "bj_commutes": lambda r: r.bj_commutator.is_zero(),
+    "min_h_exp": lambda r: weylalgebra.min_hbar_exponent(r.bj_commutator),
+    "min_w_exp": lambda r: weylalgebra.min_omega_exponent(r.bj_commutator),
+    "oracle_agreement": lambda r: r.oracle_failure is None,
+}
+
+
+def test_record_stores_nine_facts_and_its_flags_are_properties():
+    record_type = verify_module.VerificationRecord
+    assert record_type._fields == (
+        "m",
+        "n",
+        "target",
+        "classical_bracket_zero",
+        "bj_minus_weyl",
+        "weyl_commutator",
+        "bj_commutator",
+        "ladder_equals_weyl",
+        "oracle_failure",
+    )
+    assert verify_module.Disagreement._fields == ("direct", "nested")
+    assert all(isinstance(vars(record_type)[flag], property) for flag in _FLAGS)
+    record = verify_pair(4, 1)
+    for flag in _FLAGS:
+        # a flag is neither a field to replace nor an attribute to set
+        with pytest.raises(ValueError):
+            record._replace(**{flag: False})
+        with pytest.raises(AttributeError):
+            setattr(record, flag, False)
+
+
+def test_every_flag_of_a_sweep_is_read_off_its_operators():
+    for record in sweep(8) + sweep(6, "f"):
+        for flag, value in _FLAGS.items():
+            assert getattr(record, flag) == value(record), (record[:3], flag)
